@@ -74,6 +74,9 @@ class CatalogEntry:
     field_name: str
     paths: dict
     expected: tuple[ExpectedRow, ...]
+    # scan_extrema results of entry.field_name, keyed by grid: several
+    # rows of one entry read the same scan
+    scans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def check_row(entry: CatalogEntry, row: ExpectedRow) -> dict:
@@ -157,7 +160,10 @@ def _max_hessian_identity_residual(entry, n_points=20, seed=0):
 
 
 def _scan(entry, grid=64):
-    return scan_extrema(entry.spec, entry.field_name, grid=grid)
+    key = grid if isinstance(grid, int) else tuple(grid)
+    if key not in entry.scans:
+        entry.scans[key] = scan_extrema(entry.spec, entry.field_name, grid=grid)
+    return entry.scans[key]
 
 
 def _find_extremum(scan, kind):
@@ -646,7 +652,7 @@ def _build_conformal_counterexample() -> CatalogEntry:
     spec = load_spec(_CONFORMAL_COUNTEREXAMPLE, name="conformal_counterexample")
 
     def min_point_norm(e):
-        scan = scan_extrema(e.spec, "X", grid=64)
+        scan = _scan(e)
         rec = _find_extremum(scan, ExtremumKind.MIN)
         return float(np.linalg.norm(rec.point))
 
@@ -663,7 +669,7 @@ def _build_conformal_counterexample() -> CatalogEntry:
         return "negative" if worst < 0 else "nonnegative"
 
     def _bound_report(e):
-        scan = scan_extrema(e.spec, "X", grid=64)
+        scan = _scan(e)
         rec = _find_extremum(scan, ExtremumKind.MIN)
         return conformal_bound_check(e.spec, "X", rec)
 
@@ -707,7 +713,7 @@ def _build_schwarzschild() -> CatalogEntry:
         return worst
 
     def interior_min_count(e):
-        scan = scan_extrema(e.spec, "X", grid=[8, 16, 8, 8])
+        scan = _scan(e, grid=[8, 16, 8, 8])
         return float(len(scan.minima()))
 
     rows = (
@@ -781,7 +787,7 @@ def _build_circle_lift_torus() -> CatalogEntry:
         return lift.max_gxx + c * c
 
     def _null_witness(e):
-        scan = scan_extrema(e.spec, "Xbar", grid=[32, 8, 8])
+        scan = _scan(e, grid=[32, 8, 8])
         for rec in scan.maxima():
             if rec.causal is CausalCharacter.LIGHTLIKE:
                 return extremum_witness(e.spec, "Xbar", rec)

@@ -9,12 +9,29 @@ what makes second metric derivatives clean enough for curvature work.
 The text grammar is plain infix arithmetic with ``^`` for powers and
 function-call syntax like ``sin(2*pi*x)``.  Implicit multiplication is
 not accepted.  ``pi`` is a built-in constant.
+
+No tree ever yields a silently non-finite number.  A literal that
+overflows is a :class:`ParseError`, constant folding never produces a
+non-finite constant, and evaluation reports a pole or a non-finite
+intermediate as an :class:`EvalError` naming the offending subtree.
+
+:func:`evaluate` walks a tree once per point.  :func:`evaluate_batch`
+walks it once for a whole batch, applying numpy ufuncs to columns of
+coordinate values, with the same contract: if any node has a pole or a
+non-finite value at any point of the batch, the scalar walker is re-run
+at the first such point in C order, so a batch raises exactly the error
+a point-by-point loop would raise first.  The two walkers agree bit for
+bit on ``+ - * /``, ``sin``, ``cos``, ``sqrt`` and ``abs``; numpy's
+``exp``, ``tan``, ``log`` and ``power`` may differ from :mod:`math` in
+the last unit or so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 RESERVED = FUNCTIONS + ("pi",)
@@ -27,6 +44,24 @@ _MATH_FN = {
     "log": math.log,
     "sqrt": math.sqrt,
     "abs": abs,
+}
+
+_NP_OP = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+
+_NP_FN = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
 
@@ -106,10 +141,11 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
 
 # Smart constructors.  Only light simplification happens here: constant
 # folding and 0/1 identities.  Correctness is defined by evaluation, not
-# by tree shape, so nothing fancier is attempted.
+# by tree shape, so nothing fancier is attempted.  A fold that would
+# overflow is left as a tree, so that evaluation reports it.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if _is_const(a) and _is_const(b) and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
     if _is_const(a, 0.0):
         return b
@@ -119,7 +155,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if _is_const(a) and _is_const(b) and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
     if _is_const(b, 0.0):
         return a
@@ -129,7 +165,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if _is_const(a) and _is_const(b) and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
@@ -149,7 +185,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return ZERO
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
+    if _is_const(a) and _is_const(b) and b.value != 0.0 and math.isfinite(a.value / b.value):
         return Const(a.value / b.value)
     return BinOp("/", a, b)
 
@@ -180,9 +216,11 @@ def call(fn: str, a: Expr) -> Expr:
         raise ExprError(f"unknown function '{fn}'")
     if _is_const(a):
         try:
-            return Const(_MATH_FN[fn](a.value))
+            value = _MATH_FN[fn](a.value)
         except (ValueError, OverflowError):
-            pass
+            return Call(fn, a)
+        if math.isfinite(value):
+            return Const(value)
     return Call(fn, a)
 
 
@@ -230,9 +268,11 @@ def _tokenize(text: str) -> list[_Token]:
                     while j < n and text[j].isdigit():
                         j += 1
             try:
-                float(text[i:j])
+                value = float(text[i:j])
             except ValueError:
                 raise ParseError(f"malformed number '{text[i:j]}'", i)
+            if not math.isfinite(value):
+                raise ParseError(f"number '{text[i:j]}' overflows", i)
             tokens.append(_Token("num", text[i:j], i))
             i = j
             continue
@@ -407,6 +447,8 @@ def _check_finite(value: float, node: Expr) -> float:
 
 
 def _eval_pow(base: float, exponent: float, node: Expr) -> float:
+    if not math.isfinite(exponent):
+        raise EvalError("non-finite exponent", node)
     if exponent == int(exponent):
         if base == 0.0 and exponent < 0:
             raise EvalError("zero raised to a negative power", node)
@@ -468,6 +510,61 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
     raise ExprError(f"cannot evaluate node {e!r}")
 
 
+def evaluate_batch(e: Expr, columns: dict) -> np.ndarray:
+    """Evaluate ``e`` at a batch of points in one walk of the tree.
+
+    ``columns`` maps each name to a float or to an array; the arrays
+    broadcast to the batch shape, which is also the shape of the result.
+    Raises what :func:`evaluate` raises at the first point, in C order,
+    where some node has a pole or a non-finite value.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
+    bad = np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        out = np.array(np.broadcast_to(_eval_batch(e, columns, bad), shape), dtype=float)
+    for idx in zip(*np.nonzero(bad)):
+        point = {k: float(np.broadcast_to(v, shape)[idx]) for k, v in columns.items()}
+        # the scalar walker raises here; a value it returns instead
+        # (numpy and math rounding apart at an overflow edge) is kept
+        out[idx] = evaluate(e, point)
+    return out
+
+
+def _eval_batch(e: Expr, columns: dict, bad: np.ndarray):
+    """Recursive body of :func:`evaluate_batch`; marks in ``bad`` every
+    point where a node would make the scalar walker raise.
+
+    Every pole the scalar walker reports (division by zero, the logarithm
+    or square root of a negative number, zero to a negative power) gives
+    a non-finite value in IEEE arithmetic, except a fractional power of
+    zero; a non-finite exponent need not give one either.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return columns[e.name]
+        except KeyError:
+            raise MissingBindingError(e.name, e)
+    if isinstance(e, Neg):
+        return -_eval_batch(e.arg, columns, bad)
+    if isinstance(e, BinOp):
+        op = _NP_OP.get(e.op)
+        if op is None:
+            raise ExprError(f"unknown operator '{e.op}'")
+        a = _eval_batch(e.left, columns, bad)
+        b = _eval_batch(e.right, columns, bad)
+        if e.op == "^":
+            bad |= ~np.isfinite(b) | (np.not_equal(b, np.trunc(b)) & np.less_equal(a, 0.0))
+        out = op(a, b)
+    elif isinstance(e, Call):
+        out = _NP_FN[e.fn](_eval_batch(e.arg, columns, bad))
+    else:
+        raise ExprError(f"cannot evaluate node {e!r}")
+    bad |= ~np.isfinite(out)
+    return out
+
+
 def free_names(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
@@ -499,7 +596,7 @@ def _prec(e: Expr) -> int:
 
 
 def _fmt_const(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

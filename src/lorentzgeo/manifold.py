@@ -153,10 +153,7 @@ class ManifoldSpec:
         for i in range(m):
             for j in range(i, m):
                 a, b = metric[i][j], metric[j][i]
-                if _same_tree(a, b):
-                    g = a
-                else:
-                    g = ex.div(ex.add(a, b), ex.Const(2.0))
+                g = a if a == b else ex.div(ex.add(a, b), ex.Const(2.0))
                 self.metric[i][j] = g
                 self.metric[j][i] = g
 
@@ -203,27 +200,54 @@ class ManifoldSpec:
 
     def wrap_point(self, p, collar: float = BOUNDARY_COLLAR) -> np.ndarray:
         """Wrap periodic coordinates into the fundamental domain and
-        refuse points within ``collar`` of a non-periodic boundary."""
+        refuse points within ``collar`` of a non-periodic boundary.
+
+        ``p`` is one point of shape (m,) or a batch of shape (N, m); a
+        batch is refused at its first offending point, with the message
+        that point alone would give.
+        """
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise DomainError(f"point must have {self.dim} coordinates, got {p.shape}")
-        out = p.copy()
+        # The rule is written once, for Python floats (one point: numpy
+        # calls on single values would cost more than the arithmetic) and
+        # for numpy columns (a batch) alike.
+        batch = p.ndim == 2
+        cols = list(p.T) if batch else p.tolist()
+        fmod = np.fmod if batch else math.fmod
+        inside = True
         for a, c in enumerate(self.coords):
+            x = cols[a]
             if c.periodic:
-                out[a] = c.lo + math.fmod(out[a] - c.lo, c.period)
-                if out[a] < c.lo:
-                    out[a] += c.period
+                x = c.lo + fmod(x - c.lo, c.period)
+                cols[a] = x + c.period * (x < c.lo)
             else:
-                if not (c.lo + collar <= out[a] <= c.hi - collar):
+                inside = inside & (c.lo + collar <= x) & (x <= c.hi - collar)
+                if inside is False:
                     raise DomainError(
-                        f"coordinate {c.name}={out[a]!r} outside ({c.lo}, {c.hi}) "
+                        f"coordinate {c.name}={p[a]!r} outside ({c.lo}, {c.hi}) "
                         f"with collar {collar}")
-        return out
+        if not batch:
+            return np.array(cols)
+        if not np.all(inside):
+            self.wrap_point(p[np.argmin(inside)], collar)
+        return np.stack(cols, axis=-1)
 
     # -- pointwise evaluation ----------------------------------------------
 
     def evaluate(self, e: Expr, p) -> float:
         return ex.evaluate(e, self.bindings(self.wrap_point(p)))
+
+    def evaluate_points(self, e: Expr, points) -> np.ndarray:
+        """``e`` at each row of an (N, m) array of points, in one walk of
+        the tree.  Raises what a loop of :meth:`evaluate` over the rows
+        raises first, except that every row is wrapped before any is
+        evaluated: a refused row is reported ahead of an evaluation
+        error at an earlier row."""
+        pts = self.wrap_point(np.atleast_2d(points))
+        columns = {c.name: pts[:, a] for a, c in enumerate(self.coords)}
+        columns.update(self.params)
+        return ex.evaluate_batch(e, columns)
 
     def metric_eval(self, p) -> np.ndarray:
         b = self.bindings(self.wrap_point(p))
@@ -282,10 +306,6 @@ class ManifoldSpec:
             lo, hi = (c.lo, c.hi) if c.periodic else (c.lo + collar, c.hi - collar)
             cols.append(rng.uniform(lo, hi, size=n))
         return np.stack(cols, axis=1)
-
-
-def _same_tree(a: Expr, b: Expr) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +541,19 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
     point and its eigenvalues.
     """
     rng = np.random.default_rng(seed)
-    for p in M.sample_points(samples, rng):
-        g = M.metric_eval(p)
+    pts = M.sample_points(samples, rng)
+    m = M.dim
+    try:
+        gs = np.empty((len(pts), m, m))
+        for i in range(m):
+            for j in range(i, m):
+                gs[:, i, j] = gs[:, j, i] = M.evaluate_points(M.metric[i][j], pts)
+    except ex.EvalError:
+        # a pole at some sample: evaluate point by point, so that a
+        # signature violation at an earlier sample is still reported first
+        gs = None
+    for k, p in enumerate(pts):
+        g = M.metric_eval(p) if gs is None else gs[k]
         eigs = np.linalg.eigvalsh(g)
         neg = int(np.sum(eigs < 0))
         zero = int(np.sum(np.abs(eigs) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(eigs))))))

@@ -14,7 +14,6 @@ trade a timelike field for a merely causal one.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,12 +139,9 @@ def _grid_axes(M: ManifoldSpec, per_axis: list[int], collar: float) -> list[np.n
     return axes
 
 
-def _clip_axis(M: ManifoldSpec, value: float, axis: int) -> float:
-    c = M.coords[axis]
-    if c.periodic:
-        v = c.lo + math.fmod(value - c.lo, c.period)
-        return v + c.period if v < c.lo else v
-    return min(max(value, c.lo + BOUNDARY_COLLAR), c.hi - BOUNDARY_COLLAR)
+def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
+    """Grid nodes as an (N, m) array, in C order of the grid indices."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray, sense: float,
@@ -163,7 +159,11 @@ def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray, sense: float,
             continue
         direction = -1.0 if grad > 0 else 1.0
         trial = p.copy()
-        trial[a] = _clip_axis(M, p[a] + direction * h[a], a)
+        trial[a] = p[a] + direction * h[a]
+        c = M.coords[a]
+        if not c.periodic:
+            trial[a] = min(max(trial[a], c.lo + BOUNDARY_COLLAR), c.hi - BOUNDARY_COLLAR)
+        trial = M.wrap_point(trial)
         val = sense * fd.value(trial)
         if val < best:
             p, best = trial, val
@@ -173,14 +173,49 @@ def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray, sense: float,
     return p
 
 
-def _periodic_distance(M: ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
-    total = 0.0
-    for i, c in enumerate(M.coords):
-        d = abs(a[i] - b[i])
-        if c.periodic:
-            d = min(d, c.period - d)
-        total += d * d
-    return math.sqrt(total)
+# Candidates per block of the pairwise adjacency test, so that a chart
+# with many tied grid nodes cannot ask for an n-by-n array at once.
+_PAIR_BLOCK = 1 << 20
+
+
+def _box_adjacent(M: ManifoldSpec, spacings: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Whether points a and b (broadcasting over leading axes) lie within
+    1.01 grid spacings of each other on every axis, periodic axes wrapped."""
+    period = np.array([c.period if c.periodic else np.inf for c in M.coords])
+    d = np.abs(a - b)
+    d = np.minimum(d, period - d)
+    return np.all(d <= 1.01 * spacings, axis=-1)
+
+
+def _cluster_representatives(M: ManifoldSpec, spacings: np.ndarray,
+                             values: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
+    """Merge grid-adjacent candidates (tie plateaus and ridges refine to
+    the same extremum); keep the best point of each cluster, lowest value
+    first and then lowest point, and return them sorted by point."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows = max(1, _PAIR_BLOCK // max(1, n * M.dim))
+    for lo in range(0, n, rows):
+        adj = _box_adjacent(M, spacings, points[lo:lo + rows, None, :], points[None, :, :])
+        for i, j in zip(*np.nonzero(adj)):
+            parent[find(lo + i)] = find(j)
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    reps = []
+    for members in clusters.values():
+        best = min(members, key=lambda i: (values[i], tuple(points[i])))
+        reps.append(points[best])
+    reps.sort(key=tuple)
+    return reps
 
 
 def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
@@ -199,11 +234,9 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     fd = ScalarDerivs(M, field_energy_expr(M, xname))
     axes = _grid_axes(M, per_axis, collar)
     shape = tuple(len(a) for a in axes)
-
-    F = np.empty(shape)
-    for idx in itertools.product(*(range(n) for n in shape)):
-        p = np.array([axes[a][i] for a, i in enumerate(idx)])
-        F[idx] = fd.value(p)
+    nodes = _grid_points(axes)
+    F = M.evaluate_points(fd.expr, nodes).reshape(shape)
+    nodes = nodes.reshape(shape + (M.dim,))
 
     f_min, f_max = float(F.min()), float(F.max())
     med = float(np.median(F))
@@ -232,49 +265,10 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     spacings = np.array([(axes[a][1] - axes[a][0]) if len(axes[a]) > 1 else 1.0
                          for a in range(M.dim)])
 
-    def _box_adjacent(a: np.ndarray, b: np.ndarray) -> bool:
-        for i, c in enumerate(M.coords):
-            d = abs(a[i] - b[i])
-            if c.periodic:
-                d = min(d, c.period - d)
-            if d > 1.01 * spacings[i]:
-                return False
-        return True
-
-    def _cluster_representatives(cands: list[tuple[float, np.ndarray]]):
-        """Merge grid-adjacent candidates (tie plateaus and ridges refine
-        to the same extremum); keep the best point of each cluster."""
-        n = len(cands)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _box_adjacent(cands[i][1], cands[j][1]):
-                    parent[find(i)] = find(j)
-        clusters: dict[int, list[int]] = {}
-        for i in range(n):
-            clusters.setdefault(find(i), []).append(i)
-        reps = []
-        for members in clusters.values():
-            best = min(members, key=lambda i: (cands[i][0], tuple(cands[i][1])))
-            reps.append(cands[best][1])
-        reps.sort(key=tuple)
-        return reps
-
     records: list[ExtremumRecord] = []
     for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                               (max_mask, ExtremumKind.MAX, -1.0)):
-        cands = []
-        for idx in np.argwhere(mask):
-            p = np.array([axes[a][i] for a, i in enumerate(idx)])
-            cands.append((sense * F[tuple(idx)], p))
-        for p in _cluster_representatives(cands):
+        for p in _cluster_representatives(M, spacings, sense * F[mask], nodes[mask]):
             refined = _refine(M, fd, p, sense, refine_steps, spacings)
             rec = _make_record(M, xname, refined, kind, fd)
             eigs = np.array(rec.hessian_eigs)
@@ -286,7 +280,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
                 rec = ExtremumRecord(rec.point, rec.f_value, ExtremumKind.SADDLE,
                                      rec.causal, rec.hessian_eigs)
             if not any(r.kind is rec.kind
-                       and _box_adjacent(r.point, rec.point)
+                       and _box_adjacent(M, spacings, r.point, rec.point)
                        for r in records):
                 records.append(rec)
 
@@ -748,15 +742,9 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
                         f"classifies as {cls.tag.value}")
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
-    axes = _grid_axes(M, [grid] * M.dim, SAMPLING_COLLAR)
-    max_gxx, min_gxx = -math.inf, math.inf
-    values = []
-    for idx in itertools.product(*(range(len(a)) for a in axes)):
-        p = np.array([axes[a][i] for a, i in enumerate(idx)])
-        val = M.evaluate(gxx_expr, p)
-        values.append((val, p))
-        max_gxx = max(max_gxx, val)
-        min_gxx = min(min_gxx, val)
+    nodes = _grid_points(_grid_axes(M, [grid] * M.dim, SAMPLING_COLLAR))
+    values = M.evaluate_points(gxx_expr, nodes)
+    max_gxx, min_gxx = float(values.max()), float(values.min())
 
     c2 = c * c
     scale = max(1.0, abs(max_gxx), abs(min_gxx))
@@ -770,7 +758,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
 
     causal_everywhere = c2 <= -max_gxx + tol * scale
     nowhere_timelike = c2 >= -min_gxx - tol * scale
-    locus = tuple(np.append(p, 0.0) for val, p in values
+    locus = tuple(np.append(p, 0.0) for val, p in zip(values, nodes)
                   if abs(val + c2) <= 1e-9 * scale)
 
     if theta_name is None:

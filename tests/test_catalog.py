@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lorentzgeo import catalog
 from lorentzgeo.catalog import build_example, list_examples, run_entry
 from lorentzgeo.manifold import load_spec, to_document, validate_signature
 from lorentzgeo.obstruction import lorentzianize
@@ -63,3 +64,19 @@ def test_hopf_chart_equals_flip_of_round_sphere(entry, rng):
     stored = entry("hopf_lorentz_s3").spec
     for p in stored.sample_points(25, rng):
         assert np.max(np.abs(flipped.metric_eval(p) - stored.metric_eval(p))) < 1e-10
+
+
+def test_each_entry_scans_each_grid_once(monkeypatch):
+    """A pass over the catalog makes one scan per (entry, grid): six in all."""
+    scans = []
+    real = catalog.scan_extrema
+
+    def counting(M, xname, grid):
+        scans.append((M.name, xname, str(grid)))
+        return real(M, xname, grid=grid)
+
+    monkeypatch.setattr(catalog, "scan_extrema", counting)
+    for name in list_examples():
+        rows = run_entry(build_example(name))
+        assert all(r["verdict"] == "PASS" for r in rows), name
+    assert len(scans) == len(set(scans)) == 6

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, machine reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lorentzgeo
 from lorentzgeo.cli import main
 from lorentzgeo.manifold import load_spec
 
@@ -137,9 +140,24 @@ class TestDocumentIO:
         path.write_text(doc)
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("entry,message", [
+        ("1 + 1e400*x", "number '1e400' overflows (at position 4)"),
+        ("1 + x^(1e308*10)", "non-finite value in '1e+308*10'"),
+    ])
+    def test_overflowing_number_is_an_error_message(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "big.chart"
+        path.write_text('[manifold]\ndim = 2\ncoords = t, x\nrange.t = -1, 1\n'
+                        'range.x = -1, 1\nsignature = lorentzian\n\n[metric]\n'
+                        f'g.0.0 = "-1"\ng.1.1 = "{entry}"\n')
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(lorentzgeo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "lorentzgeo", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "lorentzgeo" in proc.stdout

@@ -262,3 +262,134 @@ def test_mixed_partials_commute(x, y, seed):
     dyx = differentiate(differentiate(e, "y"), "x")
     pt = {"x": x, "y": y}
     assert evaluate(dxy, pt) == pytest.approx(evaluate(dyx, pt), rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite constants and the batched walker
+# ---------------------------------------------------------------------------
+
+class TestNonFinite:
+    @pytest.mark.parametrize("text,position", [
+        ("1e400", 0), ("x + 1e400", 4), ("2^(1e400)", 3), ("x^(-1e999)", 4)])
+    def test_overflowing_literal_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, XY)
+        assert err.value.position == position
+        assert "overflows" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "1e308*10", "1e308 + 1e308", "-1e308 - 1e308", "1e308/1e-308",
+        "exp(1000)", "x^(1e308*10)", "10^400"])
+    def test_overflowing_fold_is_reported_at_evaluation(self, text):
+        e = parse_expression(text, XY)
+        assert not isinstance(e, Const)
+        with pytest.raises(EvalError):
+            evaluate(e, {"x": 2.0, "y": 0.0})
+        with pytest.raises(EvalError):
+            ex.evaluate_batch(e, {"x": np.array([2.0, 3.0]), "y": 0.0})
+
+    def test_non_finite_exponent_is_an_eval_error(self):
+        e = ex.pow_(Var("x"), Const(math.inf))
+        with pytest.raises(EvalError, match="non-finite exponent"):
+            evaluate(e, {"x": 2.0})
+        with pytest.raises(EvalError, match="non-finite exponent"):
+            ex.evaluate_batch(e, {"x": np.array([0.5])})     # numpy gives 0.5^inf = 0
+        assert ex.pow_(Const(2.0), Const(math.inf)) == BinOp("^", Const(2.0), Const(math.inf))
+
+
+# Partial functions put on top of random_expr trees, so that the batches
+# meet poles, domain errors and overflow as well as finite values.  Each
+# comes with whether its values are compared: near a pole (also of a
+# negative power), for tan, and for exp of a large argument the condition number has no bound, so a
+# last-place difference at an inner node may grow without limit there,
+# and only the error behaviour of those wrappers is compared.
+WRAPPERS = [
+    (lambda e: e, True),
+    (lambda e: ex.call("log", e), True),
+    (lambda e: ex.call("sqrt", e), True),
+    (lambda e: ex.call("abs", e), True),
+    (lambda e: ex.pow_(e, Const(0.5)), True),
+    (lambda e: ex.div(ex.ONE, e), False),
+    (lambda e: ex.div(e, ex.sub(Var("x"), Var("y"))), False),
+    (lambda e: ex.pow_(e, Const(-2.0)), False),
+    (lambda e: ex.pow_(ex.call("abs", e), Var("y")), False),
+    (lambda e: ex.call("exp", ex.mul(Const(400.0), e)), False),
+    (lambda e: ex.call("tan", e), False),
+]
+
+
+def _scalar_loop(e, xs, ys):
+    """Reference: the scalar walker point by point, or the first error."""
+    try:
+        return [evaluate(e, {"x": float(x), "y": float(y)}) for x, y in zip(xs, ys)]
+    except EvalError as err:
+        return err
+
+
+def assert_batch_matches_scalar(batch, scalar):
+    """Equal within 4 ulp, or within 1e-14 relative to max(1, |v|) where
+    an inner ulp difference is amplified by cancellation."""
+    scalar = np.asarray(scalar)
+    diff = np.abs(batch - scalar)
+    ok = (diff <= 4 * np.spacing(np.abs(scalar))) | (diff <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+    assert ok.all(), (batch[~ok], scalar[~ok])
+
+
+coordinate = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), wrap=st.integers(0, len(WRAPPERS) - 1),
+       points=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+def test_batch_matches_scalar_walker(seed, wrap, points):
+    """evaluate_batch agrees with evaluate at every point, or raises the
+    error a point-by-point loop raises first, with the same message."""
+    wrapper, compare_values = WRAPPERS[wrap]
+    e = wrapper(random_expr(np.random.default_rng(seed)))
+    xs, ys = np.array(points).T
+    want = _scalar_loop(e, xs, ys)
+    if isinstance(want, EvalError):
+        with pytest.raises(type(want)) as err:
+            ex.evaluate_batch(e, {"x": xs, "y": ys})
+        assert str(err.value) == str(want)
+        return
+    got = ex.evaluate_batch(e, {"x": xs, "y": ys})
+    if compare_values:
+        assert_batch_matches_scalar(got, want)
+    else:
+        assert np.isfinite(got).all()
+
+
+class TestEvaluateBatch:
+    def test_shape_follows_the_columns(self):
+        e = parse_expression("x*y + 1", XY)
+        out = ex.evaluate_batch(e, {"x": np.arange(6.0).reshape(2, 3), "y": 2.0})
+        assert out.shape == (2, 3)
+        assert out[1, 2] == 11.0
+        assert ex.evaluate_batch(parse_expression("3", XY), {"x": np.zeros(4)}).tolist() == [3.0] * 4
+
+    def test_pole_inside_a_finite_result_is_reported(self):
+        # numpy gives 1/(1/0) = 0 with no error; the scalar walker raises
+        e = parse_expression("1/(1/(x - 0.5))", XY)
+        with pytest.raises(EvalError, match="division by zero") as err:
+            ex.evaluate_batch(e, {"x": np.array([0.25, 0.5, 0.75])})
+        assert "1/(x-0.5)" in str(err.value)
+
+    def test_first_offending_point_in_c_order(self):
+        e = parse_expression("sqrt(x) + log(y)", XY)
+        xs = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        ys = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(EvalError, match="logarithm"):
+            ex.evaluate_batch(e, {"x": xs, "y": ys})
+        with pytest.raises(EvalError, match="square root"):
+            ex.evaluate_batch(e, {"x": xs.T, "y": ys.T})
+
+    def test_fractional_power_of_zero(self):
+        # numpy gives 0^0.5 = 0; the scalar walker refuses a non-positive base
+        e = parse_expression("x^0.5", XY)
+        with pytest.raises(EvalError, match="non-positive base"):
+            ex.evaluate_batch(e, {"x": np.array([1.0, 0.0])})
+
+    def test_missing_binding(self):
+        with pytest.raises(MissingBindingError):
+            ex.evaluate_batch(parse_expression("x + y", XY), {"x": np.zeros(3)})

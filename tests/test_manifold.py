@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from lorentzgeo.catalog import list_examples
+from lorentzgeo.expr import EvalError
 from lorentzgeo.manifold import (
+    BOUNDARY_COLLAR,
+    SAMPLING_COLLAR,
     CausalCharacter,
     DegenerateMetricError,
     DomainError,
@@ -13,12 +17,14 @@ from lorentzgeo.manifold import (
     TangentPlane,
     TangentVector,
     causal_character,
+    field_energy_expr,
     load_spec,
     metric_at,
     plane_type,
     to_document,
     validate_signature,
 )
+from lorentzgeo.obstruction import _grid_axes, _grid_points, scan_extrema
 
 MINK2 = """
 [manifold]
@@ -173,6 +179,138 @@ class TestDomain:
         spec = load_spec(MINK2)
         with pytest.raises(DomainError):
             spec.wrap_point([0.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            spec.wrap_point(np.zeros((4, 3)))
+
+    def test_batch_wraps_like_each_row(self, entry, rng):
+        for name in ("schwarzschild_exterior", "hopf_lorentz_s3", "torus_family"):
+            spec = entry(name).spec
+            pts = spec.sample_points(50, rng)
+            for a, c in enumerate(spec.coords):
+                if c.periodic:
+                    pts[:, a] += c.period * rng.integers(-3, 4, size=len(pts))
+            batch = spec.wrap_point(pts)
+            assert np.array_equal(batch, np.array([spec.wrap_point(p) for p in pts]))
+
+    def test_batch_refused_at_first_offending_point(self):
+        spec = load_spec(MINK2)
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(DomainError) as single:
+            spec.wrap_point(pts[1])
+        with pytest.raises(DomainError) as batch:
+            spec.wrap_point(pts)
+        assert str(batch.value) == str(single.value)
+        assert "x=" in str(batch.value)
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_evaluate_points_matches_pointwise_on_catalog_charts(entry, name):
+    """Energy and metric entries of every catalog chart over a grid: the
+    batched walker against the scalar walker at each node."""
+    M = entry(name).spec
+    n = {2: 12, 3: 7, 4: 5}[M.dim]
+    pts = _grid_points(_grid_axes(M, [n] * M.dim, SAMPLING_COLLAR))
+    trees = [M.metric[i][j] for i in range(M.dim) for j in range(i, M.dim)]
+    trees += [field_energy_expr(M, f) for f in M.fields]
+    for e in trees:
+        want = np.array([M.evaluate(e, p) for p in pts])
+        np.testing.assert_allclose(M.evaluate_points(e, pts), want, rtol=1e-15, atol=1e-15)
+
+
+POLE_ON_GRID = """
+[manifold]
+dim = 2
+coords = x, y
+range.x = 0, 1
+range.y = 0, 1
+periodic = x, y
+signature = lorentzian
+
+[metric]
+g.0.1 = "1"
+g.1.1 = "-2 + 1/(1/(x - 0.5))"
+
+[field.X]
+components = "0", "1"
+"""
+
+# x < 0.2 is a pole (square root of a negative number); 0.2 < x < 0.5
+# has two negative eigenvalues
+POLE_AND_VIOLATION = """
+[manifold]
+dim = 2
+coords = t, x
+range.t = -1, 1
+range.x = 0, 1
+signature = lorentzian
+
+[metric]
+g.0.0 = "-1"
+g.1.1 = "sqrt(x - 0.2)*(x - 0.5)"
+"""
+
+
+def _first_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as err:
+        return err
+    raise AssertionError("no error raised")
+
+
+class TestErrorParity:
+    """The batched paths raise what the point-by-point loops raised."""
+
+    def _scalar_grid_fill(self, M, grid, collar):
+        f = field_energy_expr(M, "X")
+        for p in _grid_points(_grid_axes(M, [grid] * M.dim, collar)):
+            M.evaluate(f, p)
+
+    def test_pole_on_the_grid(self):
+        M = load_spec(POLE_ON_GRID, validate=False)
+        want = _first_error(self._scalar_grid_fill, M, 16, SAMPLING_COLLAR)
+        got = _first_error(scan_extrema, M, "X", 16)
+        assert type(got) is type(want) and isinstance(got, EvalError)
+        assert str(got) == str(want)
+        assert "division by zero" in str(got)
+
+    def test_collar_below_boundary_collar(self):
+        M = load_spec(MINK2 + '\n[field.X]\ncomponents = "1", "0"\n')
+        collar = BOUNDARY_COLLAR / 10
+        want = _first_error(self._scalar_grid_fill, M, 8, collar)
+        got = _first_error(scan_extrema, M, "X", 8, 200, collar)
+        assert type(got) is type(want) is DomainError
+        assert str(got) == str(want)
+
+    @staticmethod
+    def _scalar_validate(M, samples, seed):
+        """The point-by-point signature check, as a reference."""
+        for p in M.sample_points(samples, np.random.default_rng(seed)):
+            eigs = np.linalg.eigvalsh(M.metric_eval(p))
+            if int(np.sum(eigs < 0)) != 1:
+                raise SignatureError(
+                    f"declared {M.signature} but metric at {p.tolist()} has eigenvalues "
+                    f"{eigs.tolist()} ({int(np.sum(eigs < 0))} negative)")
+
+    def test_signature_violation_before_the_first_pole(self):
+        M = load_spec(POLE_AND_VIOLATION, validate=False)
+        seen = set()
+        for seed in range(40):
+            xs = M.sample_points(30, np.random.default_rng(seed))[:, 1]
+            first = xs[xs < 0.5][0]
+            if first > 0.2 and np.any(xs < 0.2):
+                case = "violation first"
+            elif first < 0.2:
+                case = "pole first"
+            else:
+                continue
+            seen.add(case)
+            want = _first_error(self._scalar_validate, M, 30, seed)
+            got = _first_error(validate_signature, M, 30, seed)
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert isinstance(got, SignatureError if case == "violation first" else EvalError)
+        assert seen == {"violation first", "pole first"}
 
 
 class TestCausalCharacter:

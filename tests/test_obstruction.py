@@ -22,6 +22,7 @@ from lorentzgeo.obstruction import (
     sample_planes_containing,
     scan_extrema,
 )
+from lorentzgeo import obstruction
 from lorentzgeo.symmetry import classify_field
 
 PI = math.pi
@@ -95,6 +96,78 @@ class TestScanExtrema:
     def test_resolution_floor(self, torus):
         with pytest.raises(ValueError):
             scan_extrema(torus.spec, "X", grid=4)
+
+
+def _reference_clusters(M, spacings, values, points):
+    """The pairwise loop that clustered candidates before: union every
+    grid-adjacent pair, keep the lowest (value, point) of each cluster."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def adjacent(a, b):
+        for i, c in enumerate(M.coords):
+            d = abs(a[i] - b[i])
+            if c.periodic:
+                d = min(d, c.period - d)
+            if d > 1.01 * spacings[i]:
+                return False
+        return True
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adjacent(points[i], points[j]):
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    reps = [points[min(members, key=lambda i: (values[i], tuple(points[i])))]
+            for members in clusters.values()]
+    return sorted(reps, key=tuple)
+
+
+@pytest.mark.parametrize("name,field,grid,records", [
+    ("torus_family", "X", 100, [("local_min", [0.5, 0.0]), ("local_max", [0.0, 0.0])]),
+    ("circle_lift_torus", "Xbar", [160, 8, 8],
+     [("local_min", [0.5, 0.0, 0.0]), ("local_max", [0.0, 0.0, 0.0])]),
+])
+def test_clustering_matches_the_pairwise_loop(entry, monkeypatch, name, field, grid, records):
+    """Tied lines and tori of candidates: the vectorized clustering gives
+    the clusters, representatives and records of the pairwise loop."""
+    M = entry(name).spec
+    calls = []
+    vectorized = obstruction._cluster_representatives
+
+    def spy(M, spacings, values, points):
+        reps = vectorized(M, spacings, values, points)
+        calls.append((len(points), reps, _reference_clusters(M, spacings, values, points)))
+        return reps
+
+    monkeypatch.setattr(obstruction, "_cluster_representatives", spy)
+    scan = scan_extrema(M, field, grid=grid)
+    assert len(calls) == 2 and all(n >= 64 for n, _, _ in calls)
+    for _, reps, want in calls:
+        assert [r.tolist() for r in reps] == [w.tolist() for w in want]
+    assert [(r.kind.value, r.point.tolist()) for r in scan.records] == records
+
+
+def test_clustering_in_blocks(monkeypatch, rng):
+    """Candidates split over several blocks of the adjacency test, with
+    clusters across the periodic seam, cluster as in one block."""
+    M = load_spec(FLAT_TORUS_RIEMANNIAN)
+    axes = obstruction._grid_axes(M, [16, 16], 0.0)
+    nodes = obstruction._grid_points(axes)
+    spacings = np.array([1 / 16, 1 / 16])
+    pick = nodes[rng.random(len(nodes)) < 0.3]
+    values = rng.integers(0, 3, size=len(pick)).astype(float)
+    want = _reference_clusters(M, spacings, values, pick)
+    monkeypatch.setattr(obstruction, "_PAIR_BLOCK", 7 * len(pick))
+    got = obstruction._cluster_representatives(M, spacings, values, pick)
+    assert [r.tolist() for r in got] == [w.tolist() for w in want]
 
 
 class TestWitness:
