@@ -74,9 +74,9 @@ class CatalogEntry:
     field_name: str
     paths: dict
     expected: tuple[ExpectedRow, ...]
-    # scan_extrema results of entry.field_name, keyed by grid: several
-    # rows of one entry read the same scan
-    scans: dict = field(default_factory=dict, repr=False, compare=False)
+    # results that several rows of one entry read: scans by grid,
+    # classifications by field, the conformal bound report
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def check_row(entry: CatalogEntry, row: ExpectedRow) -> dict:
@@ -159,11 +159,19 @@ def _max_hessian_identity_residual(entry, n_points=20, seed=0):
                for p in M.sample_points(n_points, rng))
 
 
+def _memo(entry, key, compute):
+    if key not in entry.memo:
+        entry.memo[key] = compute()
+    return entry.memo[key]
+
+
 def _scan(entry, grid=64):
-    key = grid if isinstance(grid, int) else tuple(grid)
-    if key not in entry.scans:
-        entry.scans[key] = scan_extrema(entry.spec, entry.field_name, grid=grid)
-    return entry.scans[key]
+    key = ("scan", grid if isinstance(grid, int) else tuple(grid))
+    return _memo(entry, key, lambda: scan_extrema(entry.spec, entry.field_name, grid=grid))
+
+
+def _classify(entry, xname):
+    return _memo(entry, ("classify", xname), lambda: classify_field(entry.spec, xname))
 
 
 def _find_extremum(scan, kind):
@@ -419,7 +427,8 @@ def _plateau_witness_value(entry, seed=3):
     if not scan.plateau:
         raise AssertionError("expected a plateau chart")
     recs = scan.witness_records(entry.spec, entry.field_name)
-    rep = extremum_witness(entry.spec, entry.field_name, recs[0])
+    rep = extremum_witness(entry.spec, entry.field_name, recs[0],
+                           classification=_classify(entry, entry.field_name))
     if rep.verdict is Verdict.SCOPE:
         return float("nan")
     return rep.value
@@ -437,11 +446,11 @@ def _build_minkowski2() -> CatalogEntry:
                     _plateau_witness_value,
                     note="flat chart: equality case of the minimum-side bound"),
         ExpectedRow("classify_X", "killing", None, "exact",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
         ExpectedRow("classify_euler", "homothetic", None, "exact",
-                    lambda e: classify_field(e.spec, "EULER").tag.value),
+                    lambda e: _classify(e, "EULER").tag.value),
         ExpectedRow("euler_lambda", 2.0, 1e-10, "exact",
-                    lambda e: classify_field(e.spec, "EULER").lam),
+                    lambda e: _classify(e, "EULER").lam),
     )
     return CatalogEntry("minkowski2", "flat 2d chart, signature (-,+)",
                         spec, "X", {}, rows)
@@ -454,7 +463,7 @@ def _build_minkowski4() -> CatalogEntry:
         ExpectedRow("hessian_identity_residual", 0.0, 1e-7, "derived",
                     _max_hessian_identity_residual),
         ExpectedRow("classify_X", "killing", None, "exact",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
     )
     return CatalogEntry("minkowski4", "flat 4d chart, signature (-,+,+,+)",
                         spec, "X", {}, rows)
@@ -494,7 +503,7 @@ def _build_round_s3() -> CatalogEntry:
                                     e.spec.metric_eval([PI / 4, 0.3, 0.8]) @
                                     e.spec.field_eval("X", [PI / 4, 0.3, 0.8]))),
         ExpectedRow("classify_X", "killing", None, "exact",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
     )
     return CatalogEntry("round_s3", "unit round 3-sphere in fiber coordinates",
                         spec, "X", {}, rows)
@@ -546,7 +555,7 @@ def _build_hopf_lorentz_s3() -> CatalogEntry:
         ExpectedRow("hessian_identity_residual", 0.0, 1e-7, "derived",
                     _max_hessian_identity_residual),
         ExpectedRow("classify_X", "killing", None, "published",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
     )
     return CatalogEntry("hopf_lorentz_s3",
                         "unit 3-sphere with the metric flipped along the fiber field",
@@ -566,16 +575,9 @@ def _build_torus_family() -> CatalogEntry:
         x = rec.point[0]
         return min(x, 1.0 - x)
 
-    def witness_k(e):
-        scan = _scan(e)
-        rec = _find_extremum(scan, ExtremumKind.MIN)
-        return extremum_witness(e.spec, "X", rec).value
-
-    def maxside_k(e):
-        scan = _scan(e)
-        rec = _find_extremum(scan, ExtremumKind.MAX)
-        rep = extremum_witness(e.spec, "X", rec)
-        return rep.value
+    def witness_k(e, kind):
+        rec = _find_extremum(_scan(e), kind)
+        return extremum_witness(e.spec, "X", rec, classification=_classify(e, "X")).value
 
     def scan_zero(e):
         pts = interpolate_path(e.paths["min_to_max"], 64)
@@ -590,13 +592,15 @@ def _build_torus_family() -> CatalogEntry:
                     lambda e: causal_character(
                         e.spec, e.spec.field_vector("X", [0.37, 0.2])).value),
         ExpectedRow("classify_X", "killing", None, "exact",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
         ExpectedRow("local_min_x", 0.5, 1e-4, "derived", min_x),
         ExpectedRow("local_max_x", 0.0, 1e-4, "derived", max_x),
         ExpectedRow("f_at_min", -1.25, 1e-9, "derived",
                     lambda e: _find_extremum(_scan(e), ExtremumKind.MIN).f_value),
-        ExpectedRow("witness_k_at_min", PI ** 2, 1e-4, "derived", witness_k),
-        ExpectedRow("maxside_worst_k", -PI ** 2, 1e-4, "derived", maxside_k),
+        ExpectedRow("witness_k_at_min", PI ** 2, 1e-4, "derived",
+                    lambda e: witness_k(e, ExtremumKind.MIN)),
+        ExpectedRow("maxside_worst_k", -PI ** 2, 1e-4, "derived",
+                    lambda e: witness_k(e, ExtremumKind.MAX)),
         ExpectedRow("sign_scan_zero_x", 0.25, 2.0 / 64, "derived", scan_zero),
         ExpectedRow("k_at_third", PI ** 2 / 2, 1e-9, "derived",
                     lambda e: sectional_curvature(
@@ -641,7 +645,7 @@ def _build_torus3_null_variant() -> CatalogEntry:
     rows = (
         ExpectedRow("max_symmetry_residual", 0.0, 1e-8, "derived", max_sym_residual),
         ExpectedRow("classify_X", "killing", None, "exact",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
     )
     return CatalogEntry("torus3_null_variant",
                         "3d variant with an extra h(x,z) dz^2 block",
@@ -669,13 +673,13 @@ def _build_conformal_counterexample() -> CatalogEntry:
         return "negative" if worst < 0 else "nonnegative"
 
     def _bound_report(e):
-        scan = _scan(e)
-        rec = _find_extremum(scan, ExtremumKind.MIN)
-        return conformal_bound_check(e.spec, "X", rec)
+        rec = _find_extremum(_scan(e), ExtremumKind.MIN)
+        return _memo(e, ("bound",), lambda: conformal_bound_check(
+            e.spec, "X", rec, classification=_classify(e, "X")))
 
     rows = (
         ExpectedRow("classify_X", "conformal", None, "published",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
         ExpectedRow("min_point_norm", 0.0, 1e-4, "published", min_point_norm,
                     note="the field energy bottoms out at the origin"),
         ExpectedRow("k_at_origin", -2.0, 1e-6, "derived", k_origin),
@@ -724,7 +728,7 @@ def _build_schwarzschild() -> CatalogEntry:
         ExpectedRow("interior_local_min_count", 0.0, 0.5, "derived",
                     interior_min_count),
         ExpectedRow("classify_X", "killing", None, "published",
-                    lambda e: classify_field(e.spec, "X").tag.value),
+                    lambda e: _classify(e, "X").tag.value),
     )
     return CatalogEntry("schwarzschild_exterior",
                         "static spherically symmetric vacuum exterior, mass m",
@@ -790,7 +794,8 @@ def _build_circle_lift_torus() -> CatalogEntry:
         scan = _scan(e, grid=[32, 8, 8])
         for rec in scan.maxima():
             if rec.causal is CausalCharacter.LIGHTLIKE:
-                return extremum_witness(e.spec, "Xbar", rec)
+                return extremum_witness(e.spec, "Xbar", rec,
+                                        classification=_classify(e, "Xbar"))
         raise AssertionError("no lightlike maximum found")
 
     def null_witness_value(e):
@@ -801,7 +806,7 @@ def _build_circle_lift_torus() -> CatalogEntry:
 
     rows = (
         ExpectedRow("classify_Xbar", "killing", None, "published",
-                    lambda e: classify_field(e.spec, "Xbar").tag.value),
+                    lambda e: _classify(e, "Xbar").tag.value),
         ExpectedRow("causal_everywhere", "True", None, "derived",
                     lambda e: str(lift.causal_everywhere)),
         ExpectedRow("max_lifted_energy", 0.0, 1e-9, "derived", max_energy,

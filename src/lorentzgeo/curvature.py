@@ -5,6 +5,11 @@ come from exact expression trees evaluated pointwise; the tensor algebra
 on top is plain dense numpy (dimensions in this engine are small, so
 clarity beats symmetry-compressed storage).
 
+:func:`point_geometry` is the single evaluation of the metric jet at a
+point: it alone calls ``metric_derivs``, refuses a degenerate metric and
+inverts g.  A pointwise operation builds it once and hands it down as the
+``geo`` keyword, so g, Gamma and R are never rebuilt at the same point.
+
 Sign conventions, pinned once for the whole engine:
 
 * curvature operator  R(U,V)W = \\nabla_U \\nabla_V W - \\nabla_V \\nabla_U W
@@ -33,9 +38,9 @@ from .manifold import (
     TangentVector,
     CausalCharacter,
     causal_character,
-    riem_norm_sq,
-    DegenerateMetricError,
-    DEGENERACY_TOL,
+    metric_inverse,
+    plane_discriminant,
+    riem_inner,
 )
 
 # |Q| at or below this (Riemannianized) threshold routes to the
@@ -59,35 +64,18 @@ class PointGeometry:
     point: np.ndarray
     metric: np.ndarray          # g_ij
     inverse: np.ndarray         # g^ij
+    dmetric: np.ndarray         # dg[k,i,j] = d_k g_ij
     christoffel: np.ndarray     # gamma[k,i,j] = Gamma^k_ij
-    riemann_up: np.ndarray      # up[a,i,j,k] = a-component of R(e_i,e_j) e_k
     riemann: np.ndarray         # lowered, R[i,j,k,l] = g(R(e_i,e_j)e_l, e_k)
     ricci: np.ndarray
     scalar: float
 
 
-def _metric_or_raise(M: ManifoldSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    g, dg, ddg = M.metric_derivs(p)
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    det = float(np.linalg.det(g))
-    if abs(det) <= DEGENERACY_TOL * scale ** M.dim:
-        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}")
-    return g, np.linalg.inv(g), dg, ddg
-
-
-def christoffel_at(M: ManifoldSpec, p) -> np.ndarray:
-    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    g, ginv, dg, _ = _metric_or_raise(M, p)
-    # term[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("al,ijl->aij", ginv, term)
-
-
 def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     """Assemble connection and curvature tensors at one point."""
     p = M.wrap_point(p)
-    g, ginv, dg, ddg = _metric_or_raise(M, p)
-    m = M.dim
+    g, dg, ddg = M.metric_derivs(p)
+    ginv = metric_inverse(g, p)
 
     # dg[k,i,j] = d_k g_ij ; ddg[l,k,i,j] = d_l d_k g_ij
     # term[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -109,8 +97,13 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     lowered = np.einsum("km,mijl->ijkl", g, up)
     ricci = np.einsum("mmjk->jk", up)
     scalar = float(np.einsum("jk,jk->", ginv, ricci))
-    return PointGeometry(point=p, metric=g, inverse=ginv, christoffel=gamma,
-                         riemann_up=up, riemann=lowered, ricci=ricci, scalar=scalar)
+    return PointGeometry(point=p, metric=g, inverse=ginv, dmetric=dg, christoffel=gamma,
+                         riemann=lowered, ricci=ricci, scalar=scalar)
+
+
+def christoffel_at(M: ManifoldSpec, p) -> np.ndarray:
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    return point_geometry(M, p).christoffel
 
 
 def riemann_at(M: ManifoldSpec, p) -> np.ndarray:
@@ -136,9 +129,8 @@ def sectional_curvature(M: ManifoldSpec, pi: TangentPlane,
         geo = point_geometry(M, pi.point)
     g = geo.metric
     u, v = pi.u, pi.v
-    guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
-    q = guu * gvv - guv * guv
-    nu, nv = riem_norm_sq(g, u), riem_norm_sq(g, v)
+    q = plane_discriminant(g, u, v)
+    nu, nv = riem_inner(g, u, u), riem_inner(g, v, v)
     if nu == 0.0 or nv == 0.0 or abs(q) <= PLANE_Q_TOL * nu * nv:
         raise DegeneratePlaneError(
             f"plane discriminant Q={q:e} is degenerate at {pi.point.tolist()}; "
@@ -154,17 +146,16 @@ def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVec
     Independent of which non-lightlike v in the plane is used and of the
     sign of x.
     """
-    p = M.wrap_point(p)
     if geo is None:
         geo = point_geometry(M, p)
     g = geo.metric
     xc, vc = x.components, v.components
-    if causal_character(M, TangentVector(p, xc)) is not CausalCharacter.LIGHTLIKE:
+    if causal_character(M, TangentVector(p, xc), geo=geo) is not CausalCharacter.LIGHTLIKE:
         raise NullCurvatureInputError("reference vector is not lightlike")
-    cv = causal_character(M, TangentVector(p, vc))
+    cv = causal_character(M, TangentVector(p, vc), geo=geo)
     if cv in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
-    nx, nv = riem_norm_sq(g, xc), riem_norm_sq(g, vc)
+    nx, nv = riem_inner(g, xc, xc), riem_inner(g, vc, vc)
     gram = np.array([[np.dot(xc, xc), np.dot(xc, vc)], [np.dot(xc, vc), np.dot(vc, vc)]])
     if np.linalg.det(gram) <= 1e-12 * np.dot(xc, xc) * np.dot(vc, vc):
         raise NullCurvatureInputError("spanning vectors are linearly dependent")
@@ -172,8 +163,7 @@ def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVec
     if abs(gxv) > PLANE_Q_TOL * np.sqrt(nx * nv):
         raise NullCurvatureInputError(
             f"span{{v, x}} is not degenerate (g(v,x)={gxv:e}); use sectional_curvature")
-    num = float(np.einsum("ijkl,i,j,k,l->", geo.riemann, vc, xc, vc, xc))
-    return num / float(vc @ g @ vc)
+    return sectional_numerator(geo, vc, xc) / float(vc @ g @ vc)
 
 
 class ScalarDerivs:
@@ -213,23 +203,27 @@ def _as_scalar_expr(M: ManifoldSpec, phi) -> Expr:
 
 
 def hessian_scalar_at(M: ManifoldSpec, phi, p,
-                      derivs: ScalarDerivs | None = None) -> np.ndarray:
+                      derivs: ScalarDerivs | None = None,
+                      geo: PointGeometry | None = None) -> np.ndarray:
     """Covariant Hessian (Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
     if derivs is None:
         derivs = ScalarDerivs(M, _as_scalar_expr(M, phi))
-    gamma = christoffel_at(M, p)
+    if geo is None:
+        geo = point_geometry(M, p)
     grad = derivs.gradient(p)
-    h = derivs.coordinate_hessian(p) - np.einsum("kij,k->ij", gamma, grad)
+    h = derivs.coordinate_hessian(p) - np.einsum("kij,k->ij", geo.christoffel, grad)
     return 0.5 * (h + h.T)
 
 
-def shape_operator_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
+def shape_operator_at(M: ManifoldSpec, xname: str, p,
+                      geo: PointGeometry | None = None) -> np.ndarray:
     """Matrix of v -> -nabla_v X in the chart basis:
     A[i,j] = -(d_j X^i + Gamma^i_jk X^k)."""
-    gamma = christoffel_at(M, p)
+    if geo is None:
+        geo = point_geometry(M, p)
     X = M.field_eval(xname, p)
     dX = M.field_derivs(xname, p)       # dX[j,i] = d_j X^i
-    return -(dX.T + np.einsum("ijk,k->ij", gamma, X))
+    return -(dX.T + np.einsum("ijk,k->ij", geo.christoffel, X))
 
 
 def gradient_vector(M: ManifoldSpec, phi, p) -> np.ndarray:
@@ -237,8 +231,7 @@ def gradient_vector(M: ManifoldSpec, phi, p) -> np.ndarray:
     e = _as_scalar_expr(M, phi)
     b = M.bindings(M.wrap_point(p))
     grad = np.array([ex.evaluate(ex.differentiate(e, n), b) for n in M.coord_names()])
-    _, ginv, _, _ = _metric_or_raise(M, p)
-    return ginv @ grad
+    return point_geometry(M, p).inverse @ grad
 
 
 def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:
@@ -259,8 +252,8 @@ def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:
 def metric_compatibility_residual(M: ManifoldSpec, p) -> float:
     """Covariant derivative of g computed from Gamma; vanishes for the
     Levi-Civita connection."""
-    g, _, dg, _ = _metric_or_raise(M, p)
-    gamma = christoffel_at(M, p)
+    geo = point_geometry(M, p)
+    g, dg, gamma = geo.metric, geo.dmetric, geo.christoffel
     # nabla_k g_ij = d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il
     cov = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
     scale = max(float(np.max(np.abs(g))), 1e-300)

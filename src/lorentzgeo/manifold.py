@@ -39,6 +39,7 @@ import configparser
 import enum
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,16 @@ class DomainError(ValueError):
 
 class DegenerateMetricError(ValueError):
     """|det g| below tolerance at the queried point."""
+
+
+@contextmanager
+def _entry(what: str):
+    """Report an entry nested too deeply for the recursive tree walkers
+    as a :class:`SpecError` that names it."""
+    try:
+        yield
+    except RecursionError:
+        raise SpecError(f"{what} is nested too deeply to process") from None
 
 
 class CausalCharacter(enum.Enum):
@@ -158,32 +169,40 @@ class ManifoldSpec:
                 self.metric[j][i] = g
 
         declared = self.declared_names()
+        names = [c.name for c in self.coords]
+        # g.j.i is the same tree as g.i.j, so each entry is differentiated
+        # once and its derivatives are shared by both index orders; the
+        # mixed partials d_l d_k are distinct trees and stay separate
+        self._dg = [[[None] * m for _ in range(m)] for _ in range(m)]
+        self._ddg = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
         for i in range(m):
-            for j in range(m):
-                bad = ex.free_names(self.metric[i][j]) - declared
-                if bad:
-                    raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
+            for j in range(i, m):
+                with _entry(f"metric entry g.{i}.{j}"):
+                    bad = ex.free_names(self.metric[i][j]) - declared
+                    if bad:
+                        raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
+                    for k, kn in enumerate(names):
+                        d = self._dg[k][i][j] = self._dg[k][j][i] = \
+                            ex.differentiate(self.metric[i][j], kn)
+                        for l, ln in enumerate(names):
+                            self._ddg[l][k][i][j] = self._ddg[l][k][j][i] = \
+                                ex.differentiate(d, ln)
+        self._dfields = {}
         for fname, comps in self.fields.items():
             if len(comps) != m:
                 raise SpecError(f"field '{fname}' must have {m} components")
-            for c in comps:
-                bad = ex.free_names(c) - declared
-                if bad:
-                    raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
+            with _entry(f"field '{fname}'"):
+                for c in comps:
+                    bad = ex.free_names(c) - declared
+                    if bad:
+                        raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
+                self._dfields[fname] = [[ex.differentiate(comp, k) for comp in comps]
+                                        for k in names]
         for sname, e in self.scalars.items():
-            bad = ex.free_names(e) - declared
+            with _entry(f"scalar '{sname}'"):
+                bad = ex.free_names(e) - declared
             if bad:
                 raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
-
-        names = [c.name for c in self.coords]
-        self._dg = [[[ex.differentiate(self.metric[i][j], k) for j in range(m)]
-                     for i in range(m)] for k in names]
-        self._ddg = [[[[ex.differentiate(self._dg[ki][i][j], kl) for j in range(m)]
-                      for i in range(m)] for ki in range(m)] for kl in names]
-        self._dfields = {
-            fname: [[ex.differentiate(comp, k) for comp in comps] for k in names]
-            for fname, comps in self.fields.items()
-        }
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -267,12 +286,13 @@ class ManifoldSpec:
         dg = np.empty((m, m, m))
         ddg = np.empty((m, m, m, m))
         for i in range(m):
-            for j in range(m):
-                g[i, j] = ex.evaluate(self.metric[i][j], b)
+            for j in range(i, m):
+                g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
                 for k in range(m):
-                    dg[k, i, j] = ex.evaluate(self._dg[k][i][j], b)
+                    dg[k, i, j] = dg[k, j, i] = ex.evaluate(self._dg[k][i][j], b)
                     for l in range(m):
-                        ddg[l, k, i, j] = ex.evaluate(self._ddg[l][k][i][j], b)
+                        ddg[l, k, i, j] = ddg[l, k, j, i] = \
+                            ex.evaluate(self._ddg[l][k][i][j], b)
         return g, dg, ddg
 
     def field_eval(self, name: str, p) -> np.ndarray:
@@ -313,41 +333,42 @@ class ManifoldSpec:
 # ---------------------------------------------------------------------------
 
 def metric_at(M: ManifoldSpec, p) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Evaluated metric, its inverse, and the eigenvalue sign pattern at p.
-
-    Raises :class:`DegenerateMetricError` when |det g| falls below the
-    degeneracy tolerance relative to the metric's scale.
-    """
+    """Evaluated metric, its inverse, and the eigenvalue sign pattern at p."""
     g = M.metric_eval(p)
-    m = M.dim
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    det = float(np.linalg.det(g))
-    if abs(det) <= DEGENERACY_TOL * scale ** m:
-        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}: det={det:e}")
-    inv = np.linalg.inv(g)
-    eigs = np.linalg.eigvalsh(g)
-    signs = tuple(int(np.sign(w)) for w in eigs)
+    inv = metric_inverse(g, p)
+    signs = tuple(int(np.sign(w)) for w in np.linalg.eigvalsh(g))
     return g, inv, signs
 
 
-def riem_norm_sq(g: np.ndarray, v: np.ndarray) -> float:
-    """Riemannianized squared norm: eigen-decompose g and use the
+def metric_inverse(g: np.ndarray, p) -> np.ndarray:
+    """g^-1 of the metric evaluated at p; :class:`DegenerateMetricError`
+    when |det g| falls below the degeneracy tolerance relative to g's scale."""
+    scale = max(float(np.max(np.abs(g))), 1e-300)
+    det = float(np.linalg.det(g))
+    if abs(det) <= DEGENERACY_TOL * scale ** len(g):
+        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}: det={det:e}")
+    return np.linalg.inv(g)
+
+
+def riem_inner(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Riemannianized inner product: eigen-decompose g and pair with the
     absolute eigenvalues.  Positive definite away from degeneracy."""
     w, V = np.linalg.eigh(g)
-    c = V.T @ v
-    return float(np.sum(np.abs(w) * c * c))
+    return float(np.sum(np.abs(w) * (V.T @ a) * (V.T @ b)))
 
 
 def causal_character(M: ManifoldSpec, v: TangentVector,
-                     eps: float = CAUSAL_EPS) -> CausalCharacter:
+                     eps: float = CAUSAL_EPS, geo=None) -> CausalCharacter:
     """Classify a tangent vector, with a scale-free lightlike band.
 
     The zero vector gets its own tag rather than counting as spacelike;
     callers that need a genuinely causal vector must check for ZERO.
+    ``geo`` is the :class:`~lorentzgeo.curvature.PointGeometry` at the
+    vector's base point, when the caller already holds it.
     """
-    g = M.metric_eval(v.point)
+    g = M.metric_eval(v.point) if geo is None else geo.metric
     comp = v.components
-    n2 = riem_norm_sq(g, comp)
+    n2 = riem_inner(g, comp, comp)
     if n2 == 0.0:
         return CausalCharacter.ZERO
     gvv = float(comp @ g @ comp)
@@ -360,32 +381,23 @@ class DependentVectorsError(ValueError):
     """Spanning vectors of a plane are linearly dependent."""
 
 
-def plane_discriminant(M: ManifoldSpec, pi: TangentPlane) -> float:
-    """Q = g(u,u) g(v,v) - g(u,v)^2 for the plane's spanning pair."""
-    g = M.metric_eval(pi.point)
-    guu = float(pi.u @ g @ pi.u)
-    gvv = float(pi.v @ g @ pi.v)
-    guv = float(pi.u @ g @ pi.v)
+def plane_discriminant(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Q = g(u,u) g(v,v) - g(u,v)^2 for a spanning pair."""
+    guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
     return guu * gvv - guv * guv
 
 
 def plane_type(M: ManifoldSpec, pi: TangentPlane, eps: float = PLANE_EPS) -> PlaneType:
     """Classify a tangent plane by the sign of its discriminant Q."""
     g = M.metric_eval(pi.point)
-    nu = riem_norm_sq(g, pi.u)
-    nv = riem_norm_sq(g, pi.v)
+    nu = riem_inner(g, pi.u, pi.u)
+    nv = riem_inner(g, pi.v, pi.v)
     if nu == 0.0 or nv == 0.0:
         raise DependentVectorsError("zero spanning vector")
-    w, V = np.linalg.eigh(g)
-    aw = np.abs(w)
-    cu, cv = V.T @ pi.u, V.T @ pi.v
-    gram = np.array([
-        [np.sum(aw * cu * cu), np.sum(aw * cu * cv)],
-        [np.sum(aw * cu * cv), np.sum(aw * cv * cv)],
-    ])
-    if np.linalg.det(gram) <= 1e-12 * nu * nv:
+    nuv = riem_inner(g, pi.u, pi.v)
+    if np.linalg.det(np.array([[nu, nuv], [nuv, nv]])) <= 1e-12 * nu * nv:
         raise DependentVectorsError("spanning vectors are linearly dependent")
-    q = plane_discriminant(M, pi)
+    q = plane_discriminant(g, pi.u, pi.v)
     band = eps * nu * nv
     if q < -band:
         return PlaneType.TIMELIKE

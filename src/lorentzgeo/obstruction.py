@@ -21,7 +21,9 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import (
+    PointGeometry,
     ScalarDerivs,
+    hessian_scalar_at,
     null_sectional_curvature,
     point_geometry,
     sectional_curvature,
@@ -38,6 +40,7 @@ from .manifold import (
     causal_character,
     field_energy_expr,
     metric_pairing_expr,
+    plane_discriminant,
     validate_signature,
 )
 from .symmetry import (
@@ -91,7 +94,6 @@ class ScanResult:
     plateau: bool
     f_min: float
     f_max: float
-    grid_shape: tuple[int, ...]
     plateau_points: tuple[np.ndarray, ...] = ()
 
     def minima(self):
@@ -114,13 +116,13 @@ class ScanResult:
 
 def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind,
                  f_derivs: ScalarDerivs | None = None) -> ExtremumRecord:
-    from .curvature import hessian_scalar_at
     if f_derivs is None:
         f_derivs = ScalarDerivs(M, field_energy_expr(M, xname))
     p = M.wrap_point(p)
-    hess = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
+    geo = point_geometry(M, p)
+    hess = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs, geo=geo)
     eigs = tuple(float(w) for w in np.linalg.eigvalsh(hess))
-    cc = causal_character(M, M.field_vector(xname, p))
+    cc = causal_character(M, M.field_vector(xname, p), geo=geo)
     return ExtremumRecord(point=p, f_value=f_derivs.value(p), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
@@ -245,7 +247,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
         rng = np.random.default_rng(1)
         pts = tuple(M.wrap_point(p) for p in M.sample_points(8, rng, collar))
         return ScanResult(records=(), plateau=True, f_min=f_min, f_max=f_max,
-                          grid_shape=shape, plateau_points=pts)
+                          plateau_points=pts)
 
     tie = 1e-12 * max(1.0, abs(f_min), abs(f_max))
     min_mask = np.ones(shape, dtype=bool)
@@ -285,7 +287,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
                 records.append(rec)
 
     return ScanResult(records=tuple(records), plateau=False, f_min=f_min,
-                      f_max=f_max, grid_shape=shape)
+                      f_max=f_max)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +321,13 @@ def _kernel_residual(matrix: np.ndarray, kv: np.ndarray) -> float:
     return res / opn if opn > 1e-10 else res
 
 
-def sample_planes_containing(M: ManifoldSpec, xname: str, p,
-                             count: int = 32) -> list[TangentPlane]:
+def sample_planes_containing(M: ManifoldSpec, xname: str, p, count: int = 32,
+                             geo: PointGeometry | None = None) -> list[TangentPlane]:
     """Planes span{X, v} with v rotating through an orthonormal frame of
     the spacelike complement of a timelike X."""
     p = M.wrap_point(p)
     X = M.field_eval(xname, p)
-    basis = orthogonal_complement_basis(M, xname, p, quotient=False)
+    basis = orthogonal_complement_basis(M, xname, p, quotient=False, geo=geo)
     d = len(basis)
     planes = []
     for k in range(count):
@@ -382,27 +384,30 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     if cc is CausalCharacter.SPACELIKE:
         return scope("field is spacelike at the extremum; a causal vector is required")
 
+    if cc is CausalCharacter.TIMELIKE and m % 2 != 0:
+        return scope(f"timelike extremum needs even dimension, chart has m={m}")
+    if cc is CausalCharacter.LIGHTLIKE and m % 2 != 1:
+        return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
+    geo = point_geometry(M, p)
+
     if cc is CausalCharacter.TIMELIKE:
-        if m % 2 != 0:
-            return scope(f"timelike extremum needs even dimension, chart has m={m}")
-        op = restricted_operator(M, xname, p, mode="orthogonal")
+        op = restricted_operator(M, xname, p, mode="orthogonal", geo=geo)
         kv = kernel_direction(op.matrix)
         if kv is None:
             return scope("restricted operator has trivial kernel")
-        v = kv @ op.basis
-        plane = TangentPlane(p, v, X)
-        k_val = sectional_curvature(M, plane)
         kres = _kernel_residual(op.matrix, kv)
         if record.kind is ExtremumKind.MIN:
+            plane = TangentPlane(p, kv @ op.basis, X)
+            k_val = sectional_curvature(M, plane, geo=geo)
             verdict = Verdict.PASS if k_val >= -tol else Verdict.FAIL
             return WitnessReport(verdict=verdict, case="timelike_even", plane=plane,
                                  curvature_kind="sectional", value=k_val,
                                  inequality=">= 0", kernel_residual=kres,
                                  invariance_residual=op.invariance_residual, **base)
-        sampled = [sectional_curvature(M, pl)
-                   for pl in sample_planes_containing(M, xname, p, planes)]
+        sample = sample_planes_containing(M, xname, p, planes, geo=geo)
+        sampled = [sectional_curvature(M, pl, geo=geo) for pl in sample]
         worst = max(sampled)
-        worst_plane = sample_planes_containing(M, xname, p, planes)[int(np.argmax(sampled))]
+        worst_plane = sample[int(np.argmax(sampled))]
         verdict = Verdict.PASS if worst <= tol else Verdict.FAIL
         return WitnessReport(verdict=verdict, case="timelike_even", plane=worst_plane,
                              curvature_kind="sectional", value=worst,
@@ -411,15 +416,13 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
                              sampled_values=tuple(sampled), **base)
 
     # lightlike
-    if m % 2 != 1:
-        return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
-    op = restricted_operator(M, xname, p, mode="quotient")
+    op = restricted_operator(M, xname, p, mode="quotient", geo=geo)
     kv = kernel_direction(op.matrix)
     if kv is None:
         return scope("quotient operator has trivial kernel")
     v = kv @ op.basis
     plane = TangentPlane(p, v, X)
-    k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, v))
+    k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, v), geo=geo)
     kres = _kernel_residual(op.matrix, kv)
     if record.kind is ExtremumKind.MIN:
         verdict = Verdict.PASS if k_val <= tol else Verdict.FAIL
@@ -443,7 +446,6 @@ class PointScan:
     causal: CausalCharacter
     curvature_kind: str                      # "sectional" / "null_sectional"
     values: tuple[float, ...]                # one entry per sampled plane
-    numerators: tuple[float, ...]            # Q*K continuity quantity
 
 
 @dataclass(frozen=True)
@@ -492,43 +494,32 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
 
     X must stay causal along the path.  At lightlike points the plane
     family through X is degenerate, so the scan records the null
-    sectional curvature and the continuity quantity Q*K instead.
+    sectional curvature instead.
     """
     points = np.asarray(points, dtype=float)
     scans: list[PointScan] = []
     for p in points:
         p = M.wrap_point(p)
+        geo = point_geometry(M, p)
         xv = M.field_vector(xname, p)
-        cc = causal_character(M, xv)
+        cc = causal_character(M, xv, geo=geo)
         if cc is CausalCharacter.ZERO:
             raise ValueError(f"field vanishes on the path at {p.tolist()}")
         if cc is CausalCharacter.SPACELIKE:
             raise ValueError(f"field is spacelike on the path at {p.tolist()}; "
                              "the scan requires a causal field")
-        geo = point_geometry(M, p)
         g = geo.metric
         X = xv.components
         if cc is CausalCharacter.TIMELIKE:
-            planes = sample_planes_containing(M, xname, p, planes_per_point)
-            values, nums = [], []
-            for pl in planes:
-                guu = float(pl.u @ g @ pl.u)
-                gXX = float(X @ g @ X)
-                guX = float(pl.u @ g @ X)
-                q = guu * gXX - guX * guX
-                num = sectional_numerator(geo, pl.u, X)
-                values.append(num / q)
-                nums.append(num)
-            scans.append(PointScan(p, cc, "sectional", tuple(values), tuple(nums)))
+            values = [sectional_numerator(geo, pl.u, X) / plane_discriminant(g, pl.u, X)
+                      for pl in sample_planes_containing(M, xname, p, planes_per_point,
+                                                         geo=geo)]
+            scans.append(PointScan(p, cc, "sectional", tuple(values)))
         else:
-            reps = orthogonal_complement_basis(M, xname, p, quotient=True)
-            values, nums = [], []
-            for k in range(planes_per_point):
-                v = reps[k % len(reps)]
-                num = sectional_numerator(geo, v, X)
-                values.append(num / float(v @ g @ v))
-                nums.append(num)
-            scans.append(PointScan(p, cc, "null_sectional", tuple(values), tuple(nums)))
+            reps = orthogonal_complement_basis(M, xname, p, quotient=True, geo=geo)
+            vs = [reps[k % len(reps)] for k in range(planes_per_point)]
+            values = [sectional_numerator(geo, v, X) / float(v @ g @ v) for v in vs]
+            scans.append(PointScan(p, cc, "null_sectional", tuple(values)))
 
     n_pts = len(scans)
     k_all = [v for s in scans for v in s.values]
@@ -598,25 +589,25 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         raise ValueError(f"field must be timelike at the critical point, "
                          f"got {record.causal.value}")
 
+    geo = point_geometry(M, p)
     cf = ConformalFactor(M, xname)
-    sigma0 = cf.sigma(p)
+    sigma0 = cf.sigma(p, geo=geo)
     if abs(sigma0) > sigma_tol:
         raise ValueError(
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op = restricted_operator(M, xname, p, mode="orthogonal")
+    op = restricted_operator(M, xname, p, mode="orthogonal", geo=geo)
     kv = kernel_direction(op.matrix)
     if kv is None:
         raise ValueError("restricted operator has trivial kernel")
     v = kv @ op.basis
     X = M.field_eval(xname, p)
     plane = TangentPlane(p, v, X)
-    k_val = sectional_curvature(M, plane)
+    k_val = sectional_curvature(M, plane, geo=geo)
 
-    xs = cf.x_sigma(p)
-    g = M.metric_eval(p)
-    gxx = float(X @ g @ X)
+    xs = cf.x_sigma(p, geo=geo)
+    gxx = float(X @ geo.metric @ X)
     bound = 0.5 * xs / (-gxx)
     kres = _kernel_residual(op.matrix, kv)
     return ConformalBoundReport(

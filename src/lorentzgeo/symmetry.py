@@ -22,6 +22,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .curvature import (
+    PointGeometry,
     ScalarDerivs,
     hessian_scalar_at,
     point_geometry,
@@ -32,7 +33,7 @@ from .manifold import (
     ManifoldSpec,
     causal_character,
     field_energy_expr,
-    riem_norm_sq,
+    riem_inner,
 )
 
 CLASSIFY_TOL = 1e-8
@@ -56,7 +57,6 @@ class FieldClass:
 
     tag: FieldTag
     lam: float | None
-    sigma_samples: tuple[tuple[tuple[float, ...], float], ...] | None
     residual: float
     sample_count: int
 
@@ -74,13 +74,21 @@ class KernelExtractionError(ValueError):
     """No near-kernel direction where one is guaranteed."""
 
 
-def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
+def _lie_derivative(M: ManifoldSpec, xname: str, p, g: np.ndarray,
+                    dg: np.ndarray) -> np.ndarray:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    g, dg, _ = M.metric_derivs(p)
     X = M.field_eval(xname, p)
     dX = M.field_derivs(xname, p)           # dX[j,i] = d_j X^i
     lead = np.einsum("k,kij->ij", X, dg)
     return lead + dX @ g + (dX @ g).T
+
+
+def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p,
+                             geo: PointGeometry | None = None) -> np.ndarray:
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
+    if geo is None:
+        geo = point_geometry(M, p)
+    return _lie_derivative(M, xname, p, geo.metric, geo.dmetric)
 
 
 def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]:
@@ -118,8 +126,9 @@ def classify_field(M: ManifoldSpec, xname: str, samples=None,
 
     ls, gs, scales, sigmas = [], [], [], []
     for p in samples:
-        g = M.metric_eval(p)
-        L = lie_derivative_metric_at(M, xname, p)
+        # g and dg only: the curvature of point_geometry is not needed here
+        g, dg, _ = M.metric_derivs(p)
+        L = _lie_derivative(M, xname, p, g, dg)
         scale = max(float(np.max(np.abs(g))), _TINY)
         ls.append(L)
         gs.append(g)
@@ -135,22 +144,21 @@ def classify_field(M: ManifoldSpec, xname: str, samples=None,
                       for L, g, sig, s in zip(ls, gs, sigmas, scales))
 
     n = len(samples)
-    sig_pairs = tuple((tuple(map(float, p)), sig) for p, sig in zip(samples, sigmas))
     if r_killing <= tol:
-        return FieldClass(FieldTag.KILLING, 0.0, None, r_killing, n)
+        return FieldClass(FieldTag.KILLING, 0.0, r_killing, n)
     if r_homothetic <= tol:
-        return FieldClass(FieldTag.HOMOTHETIC, float(lam), None, r_homothetic, n)
+        return FieldClass(FieldTag.HOMOTHETIC, float(lam), r_homothetic, n)
     if r_conformal <= tol:
-        return FieldClass(FieldTag.CONFORMAL, None, sig_pairs, r_conformal, n)
-    return FieldClass(FieldTag.NONE, None, None,
-                      min(r_killing, r_homothetic, r_conformal), n)
+        return FieldClass(FieldTag.CONFORMAL, None, r_conformal, n)
+    return FieldClass(FieldTag.NONE, None, min(r_killing, r_homothetic, r_conformal), n)
 
 
 def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
     """max |g(A_X u, v) + g(u, A_X v)| over chart basis pairs, normalized
     by the operator's magnitude.  Zero exactly when X is Killing."""
-    g = M.metric_eval(p)
-    A = shape_operator_at(M, xname, p)
+    geo = point_geometry(M, p)
+    g = geo.metric
+    A = shape_operator_at(M, xname, p, geo=geo)
     sym = A.T @ g + g @ A                   # [u,v] slot: g(Au, v) + g(u, Av)
     denom = max(float(np.max(np.abs(g @ A))), float(np.max(np.abs(A.T @ g))), _TINY)
     return float(np.max(np.abs(sym))) / denom
@@ -160,17 +168,6 @@ def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
 # Bases of X-perp and the restricted / quotient operators
 # ---------------------------------------------------------------------------
 
-def _riem_inner(g: np.ndarray):
-    w, V = np.linalg.eigh(g)
-    aw = np.abs(w)
-
-    def inner(a, b):
-        ca, cb = V.T @ a, V.T @ b
-        return float(np.sum(aw * ca * cb))
-
-    return inner
-
-
 def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the span of the given rows."""
     u, s, vt = np.linalg.svd(vectors, full_matrices=False)
@@ -178,7 +175,8 @@ def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
 
 
 def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
-                                quotient: bool = False) -> np.ndarray:
+                                quotient: bool = False,
+                                geo: PointGeometry | None = None) -> np.ndarray:
     """g-orthonormal basis (rows) of X-perp at p.
 
     With ``quotient=True`` (lightlike X) the returned rows represent the
@@ -187,16 +185,17 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
     Refuses metrically degenerate directions except for the X direction
     being quotiented away.
     """
-    p = M.wrap_point(p)
-    g = M.metric_eval(p)
+    if geo is None:
+        geo = point_geometry(M, p)
+    g = geo.metric
     X = M.field_eval(xname, p)
-    nX = riem_norm_sq(g, X)
+    nX = riem_inner(g, X, X)
     if nX == 0.0:
         raise SubspaceError("field vanishes at the base point")
     m = M.dim
 
+    gX = g @ X
     if not quotient:
-        gX = g @ X
         gXX = float(X @ gX)
         if abs(gXX) <= DEGENERATE_DIRECTION_TOL * nX:
             raise SubspaceError("g(X,X) degenerate; use quotient mode for lightlike X")
@@ -204,7 +203,6 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
         proj = np.eye(m) - np.outer(gX, X) / gXX
         candidates = _span_basis(proj, m - 1)
     else:
-        gX = g @ X
         # X-perp = euclidean nullspace of the covector gX
         _, _, vt = np.linalg.svd(gX.reshape(1, -1))
         perp = vt[1:]                      # m-1 rows spanning X-perp
@@ -212,14 +210,13 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
         reduced = perp - np.outer(perp @ X, X) / float(X @ X)
         candidates = _span_basis(reduced, m - 2)
 
-    inner_r = _riem_inner(g)
     basis = []
     for cand in candidates:
         w = cand.astype(float)
         for e in basis:
             w = w - float(w @ g @ e) * e
         gww = float(w @ g @ w)
-        if abs(gww) <= DEGENERATE_DIRECTION_TOL * max(inner_r(w, w), _TINY):
+        if abs(gww) <= DEGENERATE_DIRECTION_TOL * max(riem_inner(g, w, w), _TINY):
             raise SubspaceError("degenerate direction while building the basis")
         if gww < 0:
             raise SubspaceError("negative direction in what should be a spacelike basis")
@@ -227,24 +224,25 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
     return np.array(basis)
 
 
-def restriction_matrix(M: ManifoldSpec, xname: str, p,
-                       reps: np.ndarray) -> tuple[np.ndarray, float]:
+def restriction_matrix(M: ManifoldSpec, xname: str, p, reps: np.ndarray,
+                       geo: PointGeometry | None = None) -> tuple[np.ndarray, float]:
     """Matrix of A_X in the given g-orthonormal representative basis,
     plus the residual of A_X leaking out of X-perp."""
-    p = M.wrap_point(p)
-    g = M.metric_eval(p)
-    A = shape_operator_at(M, xname, p)
+    if geo is None:
+        geo = point_geometry(M, p)
+    g = geo.metric
+    A = shape_operator_at(M, xname, p, geo=geo)
     X = M.field_eval(xname, p)
     n = len(reps)
     mat = np.empty((n, n))
-    nrm_x = math.sqrt(max(riem_norm_sq(g, X), _TINY))
+    nrm_x = math.sqrt(max(riem_inner(g, X, X), _TINY))
     images = [A @ reps[i] for i in range(n)]
     for i, img in enumerate(images):
         for k in range(n):
             mat[k, i] = float(reps[k] @ g @ img)
     # a vanishing operator preserves everything; floor its magnitude so
     # pure float noise does not masquerade as a leak
-    opmag = max((math.sqrt(riem_norm_sq(g, img)) for img in images), default=0.0)
+    opmag = max((math.sqrt(riem_inner(g, img, img)) for img in images), default=0.0)
     floor = 1e-9 * (1.0 + nrm_x)
     leak = max((abs(float(img @ g @ X)) for img in images), default=0.0) / \
         (max(opmag, floor) * nrm_x)
@@ -254,22 +252,22 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p,
 @dataclass(frozen=True)
 class RestrictedOperator:
     """A_X restricted to X-perp (mode 'orthogonal') or induced on
-    X-perp / span{X} (mode 'quotient')."""
+    X-perp / span{X} (mode 'quotient'), in a basis that is orthonormal
+    for the induced product."""
 
     mode: str
     point: np.ndarray
     basis: np.ndarray              # rows: representative vectors
     matrix: np.ndarray
-    induced_metric: np.ndarray     # identity by construction
     invariance_residual: float
-    skew_residual: float
     lam: float | None = None       # quotient mode: A_X(X) = -lam X
     eigen_residual: float | None = None
 
 
 def restricted_operator(M: ManifoldSpec, xname: str, p,
                         mode: str = "orthogonal",
-                        invariance_tol: float = 1e-6) -> RestrictedOperator:
+                        invariance_tol: float = 1e-6,
+                        geo: PointGeometry | None = None) -> RestrictedOperator:
     """Build the restriction of A_X appropriate to the causal character
     of X at p.
 
@@ -279,43 +277,37 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
     product.  A leak of A_X out of X-perp beyond ``invariance_tol``
     signals a non-homothetic input and raises :class:`SubspaceError`.
     """
-    p = M.wrap_point(p)
-    cc = causal_character(M, M.field_vector(xname, p))
-    if mode == "orthogonal":
-        if cc is not CausalCharacter.TIMELIKE:
-            raise SubspaceError(f"orthogonal mode needs timelike X, got {cc.value}")
-        reps = orthogonal_complement_basis(M, xname, p, quotient=False)
-    elif mode == "quotient":
-        if cc is not CausalCharacter.LIGHTLIKE:
-            raise SubspaceError(f"quotient mode needs lightlike X, got {cc.value}")
-        reps = orthogonal_complement_basis(M, xname, p, quotient=True)
-    else:
+    want = {"orthogonal": CausalCharacter.TIMELIKE, "quotient": CausalCharacter.LIGHTLIKE}
+    if mode not in want:
         raise ValueError(f"unknown mode '{mode}'")
+    if geo is None:
+        geo = point_geometry(M, p)
+    p = geo.point
+    cc = causal_character(M, M.field_vector(xname, p), geo=geo)
+    if cc is not want[mode]:
+        raise SubspaceError(f"{mode} mode needs {want[mode].value} X, got {cc.value}")
+    reps = orthogonal_complement_basis(M, xname, p, quotient=mode == "quotient", geo=geo)
 
-    mat, leak = restriction_matrix(M, xname, p, reps)
+    mat, leak = restriction_matrix(M, xname, p, reps, geo=geo)
     if leak > invariance_tol:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
-    scale = float(np.max(np.abs(mat)))
-    skew = float(np.max(np.abs(mat + mat.T))) / scale if scale > 1e-12 else 0.0
 
     lam = None
     eig_res = None
     if mode == "quotient":
-        g = M.metric_eval(p)
-        A = shape_operator_at(M, xname, p)
+        g = geo.metric
         X = M.field_eval(xname, p)
-        AX = A @ X
+        AX = shape_operator_at(M, xname, p, geo=geo) @ X
         lam = -float(AX @ X) / float(X @ X)
-        denom = max(np.sqrt(riem_norm_sq(g, AX) * riem_norm_sq(g, X)),
-                    np.sqrt(riem_norm_sq(g, X)), _TINY)
-        eig_res = float(np.sqrt(riem_norm_sq(g, AX + lam * X))) / denom
+        nX = riem_inner(g, X, X)
+        denom = max(np.sqrt(riem_inner(g, AX, AX) * nX), np.sqrt(nX), _TINY)
+        r = AX + lam * X
+        eig_res = float(np.sqrt(riem_inner(g, r, r))) / denom
 
     return RestrictedOperator(mode=mode, point=p, basis=reps, matrix=mat,
-                              induced_metric=np.eye(len(reps)),
-                              invariance_residual=leak, skew_residual=skew,
-                              lam=lam, eigen_residual=eig_res)
+                              invariance_residual=leak, lam=lam, eigen_residual=eig_res)
 
 
 def kernel_direction(matrix: np.ndarray, skew_tol: float = 1e-6) -> np.ndarray | None:
@@ -360,10 +352,10 @@ def hessian_identity_sides(M: ManifoldSpec, xname: str, p,
     p = M.wrap_point(p)
     if f_derivs is None:
         f_derivs = ScalarDerivs(M, field_energy_expr(M, xname))
-    lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
     geo = point_geometry(M, p)
+    lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs, geo=geo)
     X = M.field_eval(xname, p)
-    A = shape_operator_at(M, xname, p)
+    A = shape_operator_at(M, xname, p, geo=geo)
     r_term = np.einsum("iajb,a,b->ij", geo.riemann, X, X)
     rhs = -r_term + A.T @ geo.metric @ A
     return lhs, rhs
@@ -400,21 +392,22 @@ class ConformalFactor:
             for n in names
         ]
 
-    def sigma(self, p) -> float:
-        g = self.M.metric_eval(p)
-        L = lie_derivative_metric_at(self.M, self.xname, p)
-        return float(np.trace(np.linalg.inv(g) @ L)) / self.M.dim
+    def sigma(self, p, geo: PointGeometry | None = None) -> float:
+        if geo is None:
+            geo = point_geometry(self.M, p)
+        L = lie_derivative_metric_at(self.M, self.xname, p, geo=geo)
+        return float(np.trace(geo.inverse @ L)) / self.M.dim
 
-    def x_sigma(self, p) -> float:
+    def x_sigma(self, p, geo: PointGeometry | None = None) -> float:
         """X(sigma) at p via d_a sigma = tr(-G^-1 (d_a G) G^-1 L
         + G^-1 d_a L)/m contracted with X."""
         M = self.M
-        p = M.wrap_point(p)
-        b = M.bindings(p)
+        if geo is None:
+            geo = point_geometry(M, p)
+        b = M.bindings(geo.point)
         m = M.dim
-        g, dg, _ = M.metric_derivs(p)
-        ginv = np.linalg.inv(g)
-        L = lie_derivative_metric_at(M, self.xname, p)
+        ginv, dg = geo.inverse, geo.dmetric
+        L = lie_derivative_metric_at(M, self.xname, p, geo=geo)
         X = M.field_eval(self.xname, p)
         total = 0.0
         for a in range(m):

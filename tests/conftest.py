@@ -40,3 +40,23 @@ def circle_lift_torus(entry):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` replaces ``owner.name`` for the test
+    with a wrapper that records each call's ``(args, kwargs)`` in the list
+    it returns, then calls through."""
+
+    def install(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install

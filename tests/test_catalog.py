@@ -66,17 +66,17 @@ def test_hopf_chart_equals_flip_of_round_sphere(entry, rng):
         assert np.max(np.abs(flipped.metric_eval(p) - stored.metric_eval(p))) < 1e-10
 
 
-def test_each_entry_scans_each_grid_once(monkeypatch):
-    """A pass over the catalog makes one scan per (entry, grid): six in all."""
-    scans = []
-    real = catalog.scan_extrema
-
-    def counting(M, xname, grid):
-        scans.append((M.name, xname, str(grid)))
-        return real(M, xname, grid=grid)
-
-    monkeypatch.setattr(catalog, "scan_extrema", counting)
+def test_each_entry_scans_each_grid_once(count_calls):
+    """A pass over the catalog makes one scan per (entry, grid), six in all,
+    one classification per (entry, field) and one conformal bound check."""
+    scans = count_calls(catalog, "scan_extrema")
+    classifications = count_calls(catalog, "classify_field")
+    bounds = count_calls(catalog, "conformal_bound_check")
     for name in list_examples():
         rows = run_entry(build_example(name))
         assert all(r["verdict"] == "PASS" for r in rows), name
-    assert len(scans) == len(set(scans)) == 6
+    scanned = [(M.name, xname, str(kw)) for (M, xname), kw in scans]
+    assert len(scanned) == len(set(scanned)) == 6
+    classified = [(M.name, xname) for (M, xname), _ in classifications]
+    assert len(classified) == len(set(classified)) == 10
+    assert len(bounds) == 1

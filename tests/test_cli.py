@@ -153,6 +153,16 @@ class TestDocumentIO:
         assert message in capsys.readouterr().err
 
 
+    def test_entry_too_deep_for_the_tree_walkers_is_an_error_message(self, tmp_path, capsys):
+        terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
+        path = tmp_path / "deep.chart"
+        path.write_text('[manifold]\ndim = 2\ncoords = t, x\nrange.t = -1, 1\n'
+                        'range.x = -1, 1\nsignature = lorentzian\n\n[metric]\n'
+                        f'g.0.0 = "-1"\ng.1.1 = "3 + 0.001*({terms})"\n')
+        assert main(["validate", str(path)]) == 1
+        assert "metric entry g.1.1 is nested too deeply" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     # the child imports the same package as this process, installed or not
     src = str(Path(lorentzgeo.__file__).resolve().parents[1])

@@ -28,9 +28,22 @@ from lorentzgeo.curvature import (
     symmetry_residuals,
 )
 from lorentzgeo.manifold import (
+    CausalCharacter,
+    ManifoldSpec,
     TangentPlane,
     TangentVector,
     field_energy_expr,
+)
+from lorentzgeo.obstruction import (
+    ExtremumKind,
+    ExtremumRecord,
+    extremum_witness,
+    plane_sign_scan,
+)
+from lorentzgeo.symmetry import (
+    classify_field,
+    hessian_identity_residual,
+    restricted_operator,
 )
 
 PI = math.pi
@@ -296,3 +309,43 @@ class TestTensorProperties:
         spec = entry(name).spec
         for p in spec.sample_points(10, rng):
             assert metric_compatibility_residual(spec, p) < 1e-10
+
+
+def _witness_at(point, kind, causal):
+    record = ExtremumRecord(np.array(point), 0.0, kind, causal, ())
+    return lambda M, x, cls: extremum_witness(M, x, record, classification=cls)
+
+
+# one top-level pointwise operation each: (catalog entry, operation)
+POINTWISE = {
+    "hessian_identity": ("hopf_lorentz_s3", lambda M, x, cls:
+                         hessian_identity_residual(M, x, [0.6, 0.7, 1.9])),
+    "restricted_orthogonal": ("torus_family", lambda M, x, cls:
+                              restricted_operator(M, x, [0.5, 0.0])),
+    "restricted_quotient": ("circle_lift_torus", lambda M, x, cls:
+                            restricted_operator(M, x, [0.0, 0.3, 1.0], mode="quotient")),
+    "witness_torus_min": ("torus_family", _witness_at(
+        [0.5, 0.0], ExtremumKind.MIN, CausalCharacter.TIMELIKE)),
+    "witness_torus_max": ("torus_family", _witness_at(
+        [0.0, 0.0], ExtremumKind.MAX, CausalCharacter.TIMELIKE)),
+    "witness_lift_lightlike_max": ("circle_lift_torus", _witness_at(
+        [0.0, 0.3, 1.0], ExtremumKind.MAX, CausalCharacter.LIGHTLIKE)),
+    "sign_scan_one_point": ("torus_family", lambda M, x, cls:
+                            plane_sign_scan(M, x, [[0.37, 0.2]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINTWISE))
+def test_one_metric_jet_per_point(entry, count_calls, case):
+    """A pointwise operation evaluates the metric jet once and passes it
+    down: one metric_derivs call and at most one metric_eval call."""
+    name, operation = POINTWISE[case]
+    e = entry(name)
+    cls = classify_field(e.spec, e.field_name)
+    derivs = count_calls(ManifoldSpec, "metric_derivs")
+    evals = count_calls(ManifoldSpec, "metric_eval")
+    result = operation(e.spec, e.field_name, cls)
+    if case.startswith("witness"):
+        assert result.verdict.value == "PASS"
+    assert len(derivs) == 1
+    assert len(evals) <= 1

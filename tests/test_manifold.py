@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
 from lorentzgeo.expr import EvalError
 from lorentzgeo.manifold import (
@@ -127,6 +128,12 @@ g.0.1 = "1 + u^2"
         for p in spec.sample_points(10, rng):
             assert np.allclose(spec.metric_eval(p), again.metric_eval(p))
 
+    def test_entry_too_deep_for_the_tree_walkers_is_a_spec_error(self):
+        terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
+        doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "3 + 0.001*({terms})"')
+        with pytest.raises(SpecError, match=r"metric entry g\.1\.1 is nested too deeply"):
+            load_spec(doc)
+
 
 class TestMetricAt:
     def test_inverse_accuracy(self, entry, rng):
@@ -215,6 +222,25 @@ def test_evaluate_points_matches_pointwise_on_catalog_charts(entry, name):
     for e in trees:
         want = np.array([M.evaluate(e, p) for p in pts])
         np.testing.assert_allclose(M.evaluate_points(e, pts), want, rtol=1e-15, atol=1e-15)
+
+
+def test_metric_derivs_equal_each_tree_bit_for_bit(hopf, rng):
+    """metric_derivs evaluates the upper triangle of g, dg and ddg and
+    mirrors it; every entry equals its own freshly differentiated tree."""
+    M = hopf.spec
+    assert M.metric[1][2] != ex.ZERO
+    names = M.coord_names()
+    for p in M.sample_points(3, rng):
+        g, dg, ddg = M.metric_derivs(p)
+        b = M.bindings(M.wrap_point(p))
+        for i in range(M.dim):
+            for j in range(M.dim):
+                assert g[i, j] == ex.evaluate(M.metric[i][j], b)
+                for k, kn in enumerate(names):
+                    d = ex.differentiate(M.metric[i][j], kn)
+                    assert dg[k, i, j] == ex.evaluate(d, b)
+                    for l, ln in enumerate(names):
+                        assert ddg[l, k, i, j] == ex.evaluate(ex.differentiate(d, ln), b)
 
 
 POLE_ON_GRID = """

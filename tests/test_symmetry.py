@@ -119,7 +119,6 @@ class TestRestrictedOperator:
         op = restricted_operator(torus.spec, "X", [0.5, 0.0], mode="orthogonal")
         assert op.matrix.shape == (1, 1)
         assert abs(op.matrix[0, 0]) < 1e-12
-        assert np.allclose(op.induced_metric, np.eye(1))
         assert op.invariance_residual < 1e-6
 
     def test_basis_is_g_orthonormal_and_orthogonal_to_field(self, hopf, rng):
