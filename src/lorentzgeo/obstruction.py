@@ -1,7 +1,7 @@
 """Witness-level machinery for curvature sign obstructions.
 
 Given a chart and a causal field X, this module locates extrema of the
-energy f = g(X,X)/2 on a grid (with coordinate-descent refinement),
+energy f = g(X,X)/2 on a grid (with Newton refinement),
 constructs the witness plane at a causal extremum from the kernel of
 the restricted skew operator, scans plane families along paths for
 curvature sign changes, checks the conformal lower bound at critical
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ PLATEAU_BAND = 1e-10
 PLATEAU_FRACTION = 0.9
 
 _TINY = 1e-300
+_NEWTON_STEPS = 8     # from a grid node Newton reaches float precision in 1-3
 
 
 class ExtremumKind(enum.Enum):
@@ -128,7 +129,7 @@ def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind,
 
 
 # ---------------------------------------------------------------------------
-# Grid scan with coordinate-descent refinement
+# Grid scan with Newton refinement
 # ---------------------------------------------------------------------------
 
 def _grid_axes(M: ManifoldSpec, per_axis: list[int], collar: float) -> list[np.ndarray]:
@@ -146,32 +147,36 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray, sense: float,
-            steps: int, spacings: np.ndarray) -> np.ndarray:
-    """Fixed-count coordinate descent on sense*f with backtracking;
-    steps stay clipped inside non-periodic boundaries."""
-    m = M.dim
-    p = p0.astype(float).copy()
-    h = spacings.astype(float).copy()
-    best = sense * fd.value(p)
-    for step in range(steps):
-        a = step % m
-        grad = sense * fd.gradient(p)[a]
-        if grad == 0.0 and h[a] < 1e-14:
-            continue
-        direction = -1.0 if grad > 0 else 1.0
-        trial = p.copy()
-        trial[a] = p[a] + direction * h[a]
-        c = M.coords[a]
-        if not c.periodic:
-            trial[a] = min(max(trial[a], c.lo + BOUNDARY_COLLAR), c.hi - BOUNDARY_COLLAR)
+def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray,
+            spacings: np.ndarray) -> np.ndarray:
+    """Newton steps on grad f = 0 from the grid node p0, on the exact
+    gradient and coordinate-Hessian trees.
+
+    The step is the least-squares solution, so a singular Hessian (an
+    extremum that is a whole curve or torus of points) moves only across
+    the critical set.  A step is kept only if it is finite, stays within
+    a grid spacing of p0 on every axis and shrinks |grad f|; the first
+    refused step ends the refinement."""
+    lo = np.array([-np.inf if c.periodic else c.lo + BOUNDARY_COLLAR for c in M.coords])
+    hi = np.array([np.inf if c.periodic else c.hi - BOUNDARY_COLLAR for c in M.coords])
+    p = p0
+    grad = fd.gradient(p)
+    norm = float(np.linalg.norm(grad))
+    for _ in range(_NEWTON_STEPS):
+        if norm == 0.0:
+            break
+        step = np.linalg.lstsq(fd.coordinate_hessian(p), -grad, rcond=None)[0]
+        trial = np.clip(p + step, lo, hi)
+        if not np.all(np.isfinite(trial)):
+            break
         trial = M.wrap_point(trial)
-        val = sense * fd.value(trial)
-        if val < best:
-            p, best = trial, val
-            h[a] *= 1.5
-        else:
-            h[a] *= 0.5
+        if not _box_adjacent(M, spacings, trial, p0):
+            break
+        trial_grad = fd.gradient(trial)
+        trial_norm = float(np.linalg.norm(trial_grad))
+        if not trial_norm < norm:
+            break
+        p, grad, norm = trial, trial_grad, trial_norm
     return p
 
 
@@ -221,10 +226,10 @@ def _cluster_representatives(M: ManifoldSpec, spacings: np.ndarray,
 
 
 def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
-                 refine_steps: int = 200,
                  collar: float = SAMPLING_COLLAR) -> ScanResult:
-    """Grid-scan f = g(X,X)/2, refine local-neighbor candidates, and
-    classify them by the eigenvalues of the covariant Hessian.
+    """Grid-scan f = g(X,X)/2, refine local-neighbor candidates by
+    Newton steps on the exact derivative trees of f, and classify them
+    by the eigenvalues of the covariant Hessian.
 
     Non-periodic boundary slices never become candidates; plateau charts
     (>=90% of grid values tying within 1e-10) are flagged instead of
@@ -271,16 +276,10 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                               (max_mask, ExtremumKind.MAX, -1.0)):
         for p in _cluster_representatives(M, spacings, sense * F[mask], nodes[mask]):
-            refined = _refine(M, fd, p, sense, refine_steps, spacings)
+            refined = _refine(M, fd, p, spacings)
             rec = _make_record(M, xname, refined, kind, fd)
-            eigs = np.array(rec.hessian_eigs)
-            eig_tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs))))
-            if kind is ExtremumKind.MIN and np.any(eigs < -eig_tol):
-                rec = ExtremumRecord(rec.point, rec.f_value, ExtremumKind.SADDLE,
-                                     rec.causal, rec.hessian_eigs)
-            elif kind is ExtremumKind.MAX and np.any(eigs > eig_tol):
-                rec = ExtremumRecord(rec.point, rec.f_value, ExtremumKind.SADDLE,
-                                     rec.causal, rec.hessian_eigs)
+            if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
+                rec = replace(rec, kind=ExtremumKind.SADDLE)
             if not any(r.kind is rec.kind
                        and _box_adjacent(M, spacings, r.point, rec.point)
                        for r in records):

@@ -241,9 +241,10 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p, reps: np.ndarray,
         for k in range(n):
             mat[k, i] = float(reps[k] @ g @ img)
     # a vanishing operator preserves everything; floor its magnitude so
-    # pure float noise does not masquerade as a leak
+    # pure float noise (of df, which the leak equals) does not masquerade
+    # as a leak.  That noise grows with the curvature, and so does the floor.
     opmag = max((math.sqrt(riem_inner(g, img, img)) for img in images), default=0.0)
-    floor = 1e-9 * (1.0 + nrm_x)
+    floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
     leak = max((abs(float(img @ g @ X)) for img in images), default=0.0) / \
         (max(opmag, floor) * nrm_x)
     return mat, leak

@@ -304,7 +304,7 @@ class TestErrorParity:
         M = load_spec(MINK2 + '\n[field.X]\ncomponents = "1", "0"\n')
         collar = BOUNDARY_COLLAR / 10
         want = _first_error(self._scalar_grid_fill, M, 8, collar)
-        got = _first_error(scan_extrema, M, "X", 8, 200, collar)
+        got = _first_error(lambda: scan_extrema(M, "X", 8, collar=collar))
         assert type(got) is type(want) is DomainError
         assert str(got) == str(want)
 

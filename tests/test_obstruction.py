@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from lorentzgeo.catalog import _TORUS_FAMILY
+from lorentzgeo.curvature import ScalarDerivs
 from lorentzgeo.manifold import (
     CausalCharacter,
+    field_energy_expr,
     load_spec,
 )
 from lorentzgeo.obstruction import (
@@ -96,6 +99,84 @@ class TestScanExtrema:
     def test_resolution_floor(self, torus):
         with pytest.raises(ValueError):
             scan_extrema(torus.spec, "X", grid=4)
+
+
+# The torus_family chart with its profile shifted so that both extrema
+# fall between the nodes of a 100-point grid.
+TORUS_SHIFT = 0.0137
+TORUS_SHIFTED = _TORUS_FAMILY.replace("cos(2*pi*x)", f"cos(2*pi*(x - {TORUS_SHIFT}))")
+
+# A static 4-torus, X = d/dt Killing, whose energy f = -F/2 has many
+# isolated extrema off the grid nodes and curvature up to about 10^2.
+STATIC_FOUR_TORUS = """
+[manifold]
+dim = 4
+coords = x, y, z, t
+range.x = 0, 1
+range.y = 0, 1
+range.z = 0, 1
+range.t = 0, 1
+periodic = x, y, z, t
+signature = lorentzian
+
+[metric]
+g.0.0 = "1"
+g.1.1 = "1"
+g.2.2 = "1"
+g.3.3 = "-(3 + cos(2*pi*(x + 2*y)) + 0.3*cos(2*pi*(x - y + z)))"
+
+[field.X]
+components = "0", "0", "0", "1"
+"""
+
+
+class TestRefinement:
+    """Newton steps on the exact gradient and Hessian trees."""
+
+    def test_off_grid_torus_extrema_are_exact(self):
+        M = load_spec(TORUS_SHIFTED)
+        fd = ScalarDerivs(M, field_energy_expr(M, "X"))
+        scan = scan_extrema(M, "X", grid=100)
+        mins, maxs = scan.minima(), scan.maxima()
+        assert len(mins) == 1 and len(maxs) == 1 and len(scan.records) == 2
+        for rec in scan.records:
+            assert np.linalg.norm(fd.gradient(rec.point)) <= 1e-12
+        assert mins[0].point[0] == pytest.approx(0.5 + TORUS_SHIFT, abs=1e-12)
+        cls = classify_field(M, "X")
+        low = extremum_witness(M, "X", mins[0], classification=cls)
+        assert low.verdict is Verdict.PASS
+        assert low.value == pytest.approx(PI ** 2, abs=1e-9)
+        high = extremum_witness(M, "X", maxs[0], classification=cls)
+        assert high.verdict is Verdict.PASS
+        assert high.value == pytest.approx(-PI ** 2, abs=1e-4)
+
+    def test_few_gradient_evaluations_per_record(self, torus, count_calls):
+        calls = count_calls(ScalarDerivs, "gradient")
+        scan = scan_extrema(torus.spec, "X", grid=64)
+        assert scan.records
+        assert len(calls) <= 20 * len(scan.records)
+
+    def test_step_stays_within_a_grid_spacing(self, torus):
+        """From x = 0.27 the first Newton step lands near x = 0.53: it is
+        refused with a spacing of 0.01 and taken with a spacing of 0.5."""
+        M = torus.spec
+        fd = ScalarDerivs(M, field_energy_expr(M, "X"))
+        p0 = np.array([0.27, 0.3])
+        near = obstruction._refine(M, fd, p0, np.array([0.01, 0.01]))
+        assert near.tolist() == p0.tolist()
+        far = obstruction._refine(M, fd, p0, np.array([0.5, 0.5]))
+        assert far == pytest.approx([0.5, 0.3], abs=1e-12)
+
+    def test_static_four_torus_witnesses_all_pass(self):
+        """The leak guard must not read the rounding noise of a refined
+        gradient, scaled by large curvature, as a leak out of X-perp."""
+        M = load_spec(STATIC_FOUR_TORUS)
+        scan = scan_extrema(M, "X", grid=[24, 24, 24, 8])
+        assert len(scan.records) == 48
+        cls = classify_field(M, "X")
+        verdicts = [extremum_witness(M, "X", rec, classification=cls).verdict
+                    for rec in scan.records]
+        assert verdicts == [Verdict.PASS] * 48
 
 
 def _reference_clusters(M, spacings, values, points):

@@ -147,6 +147,19 @@ class TestRestrictedOperator:
         with pytest.raises(SubspaceError):
             restricted_operator(spec, "Xbar", [0.0, 0.2, 1.0], mode="orthogonal")
 
+    def test_leak_of_non_homothetic_field_is_refused(self, torus):
+        """Y = (1 + sin(2 pi x)/2) d/dy is neither Killing nor homothetic,
+        and x = 0.3 is not a critical point of its energy: A_Y does not
+        preserve Y-perp there, and the residual is of order one."""
+        speed = ex.parse_expression("1 + sin(2*pi*x)/2", torus.spec.coord_names())
+        spec = with_extra_field(torus.spec, "Y", [ex.ZERO, speed])
+        assert classify_field(spec, "Y").tag is FieldTag.NONE
+        p = np.array([0.3, 0.2])
+        _, leak = restriction_matrix(spec, "Y", p, orthogonal_complement_basis(spec, "Y", p))
+        assert leak > 1e-3
+        with pytest.raises(SubspaceError, match="does not preserve"):
+            restricted_operator(spec, "Y", p, mode="orthogonal", invariance_tol=1e-6)
+
     def test_quotient_at_null_locus(self, circle_lift_torus):
         """1x1 quotient operator with value 0; the field itself is a
         kernel eigenvector of A_X (Killing, so eigenvalue 0)."""
