@@ -175,7 +175,9 @@ class ScalarDerivs:
         self.expr = e
         names = M.coord_names()
         self.grad_trees = [ex.differentiate(e, n) for n in names]
-        self.hess_trees = [[ex.differentiate(gi, n) for n in names] for gi in self.grad_trees]
+        # the Hessian is symmetric: only its i <= j trees are built
+        self.hess_trees = {(i, j): ex.differentiate(self.grad_trees[i], names[j])
+                           for i in range(M.dim) for j in range(i, M.dim)}
 
     def value(self, p) -> float:
         return self.M.evaluate(self.expr, p)
@@ -186,12 +188,10 @@ class ScalarDerivs:
 
     def coordinate_hessian(self, p) -> np.ndarray:
         b = self.M.bindings(self.M.wrap_point(p))
-        m = self.M.dim
-        h = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                h[i, j] = ex.evaluate(self.hess_trees[i][j], b)
-        return 0.5 * (h + h.T)
+        h = np.empty((self.M.dim, self.M.dim))
+        for (i, j), t in self.hess_trees.items():
+            h[i, j] = h[j, i] = ex.evaluate(t, b)
+        return h
 
 
 def _as_scalar_expr(M: ManifoldSpec, phi) -> Expr:

@@ -1,10 +1,11 @@
 """Lie-derivative machinery and the skew operator A_X = -nabla X.
 
 Classifies vector fields by how their flow deforms the metric
-(isometric / homothetic / conformal), builds the restriction of A_X to
-the orthogonal complement of X (or to the quotient of that complement
-by X itself when X is lightlike), extracts kernel directions, and
-cross-checks the Hessian identity
+(isometric / homothetic / conformal) from the exact L_X g trees, sampling
+only when those do not all fold to zero at build time.  Builds the
+restriction of A_X to the orthogonal complement of X (or to the quotient
+of that complement by X itself when X is lightlike), extracts kernel
+directions, and cross-checks the Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
 
@@ -53,7 +54,10 @@ class FieldTag(enum.Enum):
 
 @dataclass(frozen=True)
 class FieldClass:
-    """Most specific symmetry tag whose residual passes tolerance."""
+    """Most specific symmetry tag whose residual passes tolerance.
+
+    ``sample_count == 0`` means the verdict is exact: every L_X g tree
+    folded to zero, and nothing was sampled."""
 
     tag: FieldTag
     lam: float | None
@@ -74,21 +78,14 @@ class KernelExtractionError(ValueError):
     """No near-kernel direction where one is guaranteed."""
 
 
-def _lie_derivative(M: ManifoldSpec, xname: str, p, g: np.ndarray,
-                    dg: np.ndarray) -> np.ndarray:
-    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    X = M.field_eval(xname, p)
-    dX = M.field_derivs(xname, p)           # dX[j,i] = d_j X^i
-    lead = np.einsum("k,kij->ij", X, dg)
-    return lead + dX @ g + (dX @ g).T
-
-
 def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p,
                              geo: PointGeometry | None = None) -> np.ndarray:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
     if geo is None:
         geo = point_geometry(M, p)
-    return _lie_derivative(M, xname, p, geo.metric, geo.dmetric)
+    X = M.field_eval(xname, p)
+    dXg = M.field_derivs(xname, p) @ geo.metric     # dX[j,i] = d_j X^i
+    return np.einsum("k,kij->ij", X, geo.dmetric) + dXg + dXg.T
 
 
 def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]:
@@ -110,38 +107,38 @@ def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]
 
 def classify_field(M: ManifoldSpec, xname: str, samples=None,
                    tol: float = CLASSIFY_TOL, rng=None) -> FieldClass:
-    """Fit L_X g against {0, lam*g, sigma(p)*g} over a sample set.
+    """Fit L_X g against {0, lam*g, sigma(p)*g}.
 
-    lam comes from a joint least-squares fit; sigma is the pointwise
-    trace(g^{-1} L)/m.  Residuals are max entrywise deviations after
-    normalizing by the metric magnitude at each point, and the most
-    specific tag under tolerance wins.
+    When every entry of the exact L_X g trees folds to zero at build
+    time, X is Killing exactly: residual 0 and ``sample_count == 0``,
+    with nothing sampled or evaluated.  Otherwise the trees are
+    evaluated over a sample set: lam comes from a joint least-squares
+    fit; sigma is the pointwise trace(g^{-1} L)/m.  Residuals are max
+    entrywise deviations after normalizing by the metric magnitude at
+    each point, and the most specific tag under tolerance wins.
     """
+    if samples is not None:
+        samples = np.asarray(samples, dtype=float)
+        if len(samples) < 8:
+            raise ValueError("need at least 8 sample points spread over the domain")
+    m = M.dim
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    trees = lie_derivative_metric_exprs(M, xname)
+    if all(trees[i][j] == ex.ZERO for i, j in upper):
+        return FieldClass(FieldTag.KILLING, 0.0, 0.0, 0)
     if samples is None:
-        rng = rng or np.random.default_rng(0)
-        samples = M.sample_points(24, rng)
-    samples = np.asarray(samples, dtype=float)
-    if len(samples) < 8:
-        raise ValueError("need at least 8 sample points spread over the domain")
+        samples = M.sample_points(24, rng or np.random.default_rng(0))
 
-    ls, gs, scales, sigmas = [], [], [], []
-    for p in samples:
-        # g and dg only: the curvature of point_geometry is not needed here
-        g, dg, _ = M.metric_derivs(p)
-        L = _lie_derivative(M, xname, p, g, dg)
-        scale = max(float(np.max(np.abs(g))), _TINY)
-        ls.append(L)
-        gs.append(g)
-        scales.append(scale)
-        sigmas.append(float(np.trace(np.linalg.inv(g) @ L)) / M.dim)
-
-    r_killing = max(float(np.max(np.abs(L))) / s for L, s in zip(ls, scales))
-    lam = sum(float(np.sum(L * g)) for L, g in zip(ls, gs)) / \
-        max(sum(float(np.sum(g * g)) for g in gs), _TINY)
-    r_homothetic = max(float(np.max(np.abs(L - lam * g))) / s
-                       for L, g, s in zip(ls, gs, scales))
-    r_conformal = max(float(np.max(np.abs(L - sig * g))) / s
-                      for L, g, sig, s in zip(ls, gs, sigmas, scales))
+    L, g = np.empty((2, len(samples), m, m))
+    for i, j in upper:
+        g[:, i, j] = g[:, j, i] = M.evaluate_points(M.metric[i][j], samples)
+        L[:, i, j] = L[:, j, i] = M.evaluate_points(trees[i][j], samples)
+    scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), _TINY)
+    sigmas = np.trace(np.linalg.inv(g) @ L, axis1=1, axis2=2) / m
+    lam = float(np.sum(L * g)) / max(float(np.sum(g * g)), _TINY)
+    r_killing, r_homothetic, r_conformal = (
+        float(np.max(np.max(np.abs(dev), axis=(1, 2)) / scales))
+        for dev in (L, L - lam * g, L - sigmas[:, None, None] * g))
 
     n = len(samples)
     if r_killing <= tol:

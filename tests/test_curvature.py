@@ -8,13 +8,17 @@ curvature.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from lorentzgeo import curvature
+from lorentzgeo import expr as ex
 from lorentzgeo.curvature import (
     DegeneratePlaneError,
     NullCurvatureInputError,
+    ScalarDerivs,
     christoffel_at,
     gradient_vector,
     hessian_scalar_at,
@@ -291,6 +295,23 @@ class TestHessianAndShapeOperator:
             X = spec.field_eval("X", p)
             grad = gradient_vector(spec, f, p)
             assert np.allclose(A @ X, grad, atol=1e-12)
+
+    def test_coordinate_hessian_walks_the_upper_triangle(self, entry, count_calls,
+                                                         monkeypatch):
+        """The coordinate Hessian is symmetric, so on the 4-D Schwarzschild
+        chart it walks its 10 trees with i <= j, not all 16.  f = m/r - 1/2
+        there, so the only nonzero entry is d_r d_r f = 2m/r^3."""
+        spec = entry("schwarzschild_exterior").spec
+        derivs = ScalarDerivs(spec, field_energy_expr(spec, "X"))
+        # count the tree walks curvature starts, not the walker's recursion
+        monkeypatch.setattr(curvature, "ex", types.SimpleNamespace(**vars(ex)))
+        walks = count_calls(curvature.ex, "evaluate")
+        p = np.array([1.0, 4.0, 1.2, 0.7])
+        h = derivs.coordinate_hessian(p)
+        assert len(walks) == 10
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 2 * spec.params["m"] / 4.0 ** 3
+        assert np.allclose(h, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestTensorProperties:

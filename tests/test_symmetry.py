@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from lorentzgeo import expr as ex
+from lorentzgeo.catalog import list_examples
 from lorentzgeo.manifold import ManifoldSpec
 from lorentzgeo.symmetry import (
     ConformalFactor,
+    FieldClass,
     FieldTag,
     KernelExtractionError,
     SubspaceError,
@@ -18,6 +20,7 @@ from lorentzgeo.symmetry import (
     hessian_identity_sides,
     kernel_direction,
     lie_derivative_metric_at,
+    lie_derivative_metric_exprs,
     orthogonal_complement_basis,
     restricted_operator,
     restriction_matrix,
@@ -97,6 +100,109 @@ def test_designated_fields_classify_killing_tightly(entry, name):
     fc = classify_field(entry(name).spec, entry(name).field_name)
     assert fc.tag is FieldTag.KILLING
     assert fc.residual < 1e-10
+
+
+@pytest.mark.parametrize("name", KILLING_ENTRIES)
+def test_exact_killing_fields_are_classified_without_sampling(entry, count_calls, name):
+    """Every L_X g tree of these fields folds to zero at build time, so
+    the verdict is exact and nothing is evaluated."""
+    spec, xname = entry(name).spec, entry(name).field_name
+    calls = [count_calls(ManifoldSpec, "metric_derivs"),
+             count_calls(ManifoldSpec, "evaluate_points"),
+             count_calls(ex, "evaluate")]
+    assert classify_field(spec, xname) == FieldClass(FieldTag.KILLING, 0.0, 0.0, 0)
+    assert [len(c) for c in calls] == [0, 0, 0]
+
+
+# (entry, field) -> (tag, lam) for every field of the catalog
+KILLING = (FieldTag.KILLING, 0.0)
+CATALOG_CLASSES = {
+    ("circle_lift_torus", "X"): KILLING,
+    ("circle_lift_torus", "Xbar"): KILLING,
+    ("conformal_counterexample", "X"): (FieldTag.CONFORMAL, None),
+    ("hopf_lorentz_s3", "X"): KILLING,
+    ("hopf_lorentz_s3", "U"): (FieldTag.NONE, None),
+    ("hopf_lorentz_s3", "IU"): (FieldTag.NONE, None),
+    ("minkowski2", "X"): KILLING,
+    ("minkowski2", "EULER"): (FieldTag.HOMOTHETIC, 2.0),
+    ("minkowski4", "X"): KILLING,
+    ("round_s3", "X"): KILLING,
+    ("schwarzschild_exterior", "X"): KILLING,
+    ("static_product", "X"): KILLING,
+    ("torus3_null_variant", "X"): KILLING,
+    ("torus_family", "X"): KILLING,
+    ("torus_family_mixed", "X"): KILLING,
+}
+
+
+def test_classes_table_covers_every_catalog_field(entry):
+    fields = {(name, x) for name in list_examples() for x in entry(name).spec.fields}
+    assert fields == set(CATALOG_CLASSES)
+
+
+@pytest.mark.parametrize("name,xname", sorted(CATALOG_CLASSES))
+def test_catalog_field_classes(entry, name, xname):
+    fc = classify_field(entry(name).spec, xname)
+    assert (fc.tag, fc.lam) == CATALOG_CLASSES[name, xname]
+
+
+def _pointwise_classify_residuals(spec, xname):
+    """The fit of classify_field as a loop over its 24 default samples,
+    with L_X g from the numeric formula: (r_killing, lam, r_homothetic,
+    r_conformal)."""
+    points = spec.sample_points(24, np.random.default_rng(0))
+    ls = [lie_derivative_metric_at(spec, xname, p) for p in points]
+    gs = [spec.metric_eval(p) for p in points]
+    scales = [np.max(np.abs(g)) for g in gs]
+    lam = sum(np.sum(L * g) for L, g in zip(ls, gs)) / sum(np.sum(g * g) for g in gs)
+    sigmas = [np.trace(np.linalg.inv(g) @ L) / spec.dim for L, g in zip(ls, gs)]
+    return (max(np.max(np.abs(L)) / s for L, s in zip(ls, scales)), lam,
+            max(np.max(np.abs(L - lam * g)) / s for L, g, s in zip(ls, gs, scales)),
+            max(np.max(np.abs(L - sig * g)) / s
+                for L, g, sig, s in zip(ls, gs, sigmas, scales)))
+
+
+@pytest.mark.parametrize("name,xname", [
+    ("conformal_counterexample", "X"), ("hopf_lorentz_s3", "U"),
+    ("hopf_lorentz_s3", "IU"), ("minkowski2", "EULER")])
+def test_sampled_fit_matches_the_pointwise_loop(entry, name, xname):
+    spec = entry(name).spec
+    fc = classify_field(spec, xname)
+    r_k, lam, r_h, r_c = _pointwise_classify_residuals(spec, xname)
+    expected = {FieldTag.HOMOTHETIC: r_h, FieldTag.CONFORMAL: r_c,
+                FieldTag.NONE: min(r_k, r_h, r_c)}[fc.tag]
+    assert fc.sample_count == 24
+    assert fc.residual == pytest.approx(expected, rel=1e-12, abs=1e-13)
+    if fc.tag is FieldTag.HOMOTHETIC:
+        assert fc.lam == pytest.approx(lam, rel=1e-12)
+
+
+def _round_s2_rotation(entry, phi_component):
+    spec = entry("round_s2").spec
+    names = spec.coord_names()
+    return with_extra_field(spec, "R", [ex.parse_expression("sin(phi)", names),
+                                        ex.parse_expression(phi_component, names)])
+
+
+def test_killing_field_with_nonzero_trees_is_sampled(entry):
+    """The rotation sin(phi) d_theta + cot(theta) cos(phi) d_phi of the
+    round sphere is Killing, but three of its four L_X g trees do not
+    fold to zero: the verdict comes from the 24 samples."""
+    spec = _round_s2_rotation(entry, "cos(theta)/sin(theta)*cos(phi)")
+    trees = lie_derivative_metric_exprs(spec, "R")
+    assert sum(t != ex.ZERO for row in trees for t in row) == 3
+    fc = classify_field(spec, "R")
+    assert fc.tag is FieldTag.KILLING
+    assert fc.sample_count == 24
+    assert fc.residual < 1e-10
+
+
+def test_perturbed_rotation_is_not_killing(entry):
+    spec = _round_s2_rotation(entry, "cos(theta)/sin(theta)*cos(phi) + 0.001*sin(theta)")
+    fc = classify_field(spec, "R")
+    assert fc.tag is FieldTag.NONE
+    assert fc.sample_count == 24
+    assert fc.residual == pytest.approx(3.8e-4, rel=0.05)
 
 
 class TestSkewResidual:
