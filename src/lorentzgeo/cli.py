@@ -193,7 +193,7 @@ def _cmd_curvature(args) -> Report:
             raise SystemExit("error: --plane needs two ';'-separated vectors")
         try:
             values["sectional"] = sectional_curvature(
-                spec, TangentPlane(p, vecs[0], vecs[1]), geo=geo)
+                spec, TangentPlane(p, vecs[0], vecs[1]))
         except DegeneratePlaneError as e:
             values["sectional"] = None
             values["sectional_error"] = str(e)
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         report = _HANDLERS[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if getattr(args, "json", None):

@@ -7,8 +7,12 @@ clarity beats symmetry-compressed storage).
 
 :func:`point_geometry` is the single evaluation of the metric jet at a
 point: it alone calls ``metric_derivs``, refuses a degenerate metric and
-inverts g.  A pointwise operation builds it once and hands it down as the
-``geo`` keyword, so g, Gamma and R are never rebuilt at the same point.
+inverts g.  The spec memoizes the geometry of the last point asked for
+(keyed on the wrapped point, so a periodic image hits too) and its arrays
+are read-only, so every helper simply asks for the geometry at its point:
+nothing is handed down, and g, Gamma and R are built once per point.
+:func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec
+and field.
 
 Sign conventions, pinned once for the whole engine:
 
@@ -38,8 +42,10 @@ from .manifold import (
     TangentVector,
     CausalCharacter,
     causal_character,
+    field_energy_expr,
     metric_inverse,
     plane_discriminant,
+    riem_frame,
     riem_inner,
 )
 
@@ -59,7 +65,8 @@ class NullCurvatureInputError(ValueError):
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Evaluated metric and curvature data at one point."""
+    """Evaluated metric and curvature data at one point.  The spec
+    memoizes it, so every array is read-only."""
 
     point: np.ndarray
     metric: np.ndarray          # g_ij
@@ -69,11 +76,17 @@ class PointGeometry:
     riemann: np.ndarray         # lowered, R[i,j,k,l] = g(R(e_i,e_j)e_l, e_k)
     ricci: np.ndarray
     scalar: float
+    riem_frame: tuple[np.ndarray, np.ndarray]   # manifold.riem_frame(g)
 
 
 def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
-    """Assemble connection and curvature tensors at one point."""
+    """Assemble connection and curvature tensors at one point, or return
+    the spec's memo when it holds that point."""
     p = M.wrap_point(p)
+    key = p.tobytes()
+    memo_key, memo = M._geometry
+    if key == memo_key:
+        return memo
     g, dg, ddg = M.metric_derivs(p)
     ginv = metric_inverse(g, p)
 
@@ -97,8 +110,13 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     lowered = np.einsum("km,mijl->ijkl", g, up)
     ricci = np.einsum("mmjk->jk", up)
     scalar = float(np.einsum("jk,jk->", ginv, ricci))
-    return PointGeometry(point=p, metric=g, inverse=ginv, dmetric=dg, christoffel=gamma,
-                         riemann=lowered, ricci=ricci, scalar=scalar)
+    frame = riem_frame(g)
+    for a in (p, g, ginv, dg, gamma, lowered, ricci) + frame:
+        a.flags.writeable = False
+    geo = PointGeometry(point=p, metric=g, inverse=ginv, dmetric=dg, christoffel=gamma,
+                        riemann=lowered, ricci=ricci, scalar=scalar, riem_frame=frame)
+    M._geometry = (key, geo)
+    return geo
 
 
 def christoffel_at(M: ManifoldSpec, p) -> np.ndarray:
@@ -121,16 +139,13 @@ def sectional_numerator(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> flo
     return float(np.einsum("ijkl,i,j,k,l->", geo.riemann, u, v, u, v))
 
 
-def sectional_curvature(M: ManifoldSpec, pi: TangentPlane,
-                        geo: PointGeometry | None = None) -> float:
+def sectional_curvature(M: ManifoldSpec, pi: TangentPlane) -> float:
     """K(plane) = g(R(u,v)v, u)/Q; basis independent, defined only away
     from degenerate planes (use the null sectional curvature there)."""
-    if geo is None:
-        geo = point_geometry(M, pi.point)
-    g = geo.metric
+    geo = point_geometry(M, pi.point)
     u, v = pi.u, pi.v
-    q = plane_discriminant(g, u, v)
-    nu, nv = riem_inner(g, u, u), riem_inner(g, v, v)
+    q = plane_discriminant(geo.metric, u, v)
+    nu, nv = riem_inner(geo.riem_frame, u, u), riem_inner(geo.riem_frame, v, v)
     if nu == 0.0 or nv == 0.0 or abs(q) <= PLANE_Q_TOL * nu * nv:
         raise DegeneratePlaneError(
             f"plane discriminant Q={q:e} is degenerate at {pi.point.tolist()}; "
@@ -138,16 +153,14 @@ def sectional_curvature(M: ManifoldSpec, pi: TangentPlane,
     return sectional_numerator(geo, u, v) / q
 
 
-def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVector,
-                             geo: PointGeometry | None = None) -> float:
+def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVector) -> float:
     """Curvature of the degenerate plane span{v, x} with respect to the
     lightlike vector x:  g(R(v,x)x, v) / g(v,v).
 
     Independent of which non-lightlike v in the plane is used and of the
     sign of x.
     """
-    if geo is None:
-        geo = point_geometry(M, p)
+    geo = point_geometry(M, p)
     g = geo.metric
     xc, vc = x.components, v.components
     if causal_character(M, TangentVector(p, xc), geo=geo) is not CausalCharacter.LIGHTLIKE:
@@ -155,7 +168,7 @@ def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVec
     cv = causal_character(M, TangentVector(p, vc), geo=geo)
     if cv in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
-    nx, nv = riem_inner(g, xc, xc), riem_inner(g, vc, vc)
+    nx, nv = riem_inner(geo.riem_frame, xc, xc), riem_inner(geo.riem_frame, vc, vc)
     gram = np.array([[np.dot(xc, xc), np.dot(xc, vc)], [np.dot(xc, vc), np.dot(vc, vc)]])
     if np.linalg.det(gram) <= 1e-12 * np.dot(xc, xc) * np.dot(vc, vc):
         raise NullCurvatureInputError("spanning vectors are linearly dependent")
@@ -194,6 +207,15 @@ class ScalarDerivs:
         return h
 
 
+def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
+    """:class:`ScalarDerivs` of the field energy f = g(X,X)/2, built once
+    per spec and field."""
+    derivs = M._energy.get(xname)
+    if derivs is None:
+        derivs = M._energy[xname] = ScalarDerivs(M, field_energy_expr(M, xname))
+    return derivs
+
+
 def _as_scalar_expr(M: ManifoldSpec, phi) -> Expr:
     if isinstance(phi, Expr):
         return phi
@@ -203,27 +225,22 @@ def _as_scalar_expr(M: ManifoldSpec, phi) -> Expr:
 
 
 def hessian_scalar_at(M: ManifoldSpec, phi, p,
-                      derivs: ScalarDerivs | None = None,
-                      geo: PointGeometry | None = None) -> np.ndarray:
+                      derivs: ScalarDerivs | None = None) -> np.ndarray:
     """Covariant Hessian (Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
     if derivs is None:
         derivs = ScalarDerivs(M, _as_scalar_expr(M, phi))
-    if geo is None:
-        geo = point_geometry(M, p)
+    gamma = point_geometry(M, p).christoffel
     grad = derivs.gradient(p)
-    h = derivs.coordinate_hessian(p) - np.einsum("kij,k->ij", geo.christoffel, grad)
+    h = derivs.coordinate_hessian(p) - np.einsum("kij,k->ij", gamma, grad)
     return 0.5 * (h + h.T)
 
 
-def shape_operator_at(M: ManifoldSpec, xname: str, p,
-                      geo: PointGeometry | None = None) -> np.ndarray:
+def shape_operator_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
     """Matrix of v -> -nabla_v X in the chart basis:
     A[i,j] = -(d_j X^i + Gamma^i_jk X^k)."""
-    if geo is None:
-        geo = point_geometry(M, p)
     X = M.field_eval(xname, p)
     dX = M.field_derivs(xname, p)       # dX[j,i] = d_j X^i
-    return -(dX.T + np.einsum("ijk,k->ij", geo.christoffel, X))
+    return -(dX.T + np.einsum("ijk,k->ij", point_geometry(M, p).christoffel, X))
 
 
 def gradient_vector(M: ManifoldSpec, phi, p) -> np.ndarray:

@@ -4,7 +4,10 @@ A :class:`ManifoldSpec` is a single chart: coordinate names with domain
 intervals and periodicity flags, a symmetric matrix of metric component
 expressions, optional real parameters, and named vector/scalar fields.
 Specs are immutable after construction; every pointwise query is a pure
-function, safe to call from many workers at once.
+function, safe to call from many workers at once.  That holds with the
+spec's memo of its last point geometry because the memo is one (key,
+geometry) tuple, replaced whole: two workers racing on one spec may
+recompute a geometry, but never read a wrong one.
 
 Charts load from a sectioned key-value text document::
 
@@ -71,6 +74,10 @@ class DomainError(ValueError):
 
 class DegenerateMetricError(ValueError):
     """|det g| below tolerance at the queried point."""
+
+
+# numpy warns on fmod(inf, period); the rows holding it are refused anyway
+_fmod_batch = np.errstate(invalid="ignore")(np.fmod)
 
 
 @contextmanager
@@ -155,6 +162,9 @@ class ManifoldSpec:
         self.params = dict(params or {})
         self.fields = {k: list(v) for k, v in (fields or {}).items()}
         self.scalars = dict(scalars or {})
+        # filled by curvature.point_geometry and curvature.energy_derivs
+        self._geometry = (None, None)
+        self._energy = {}
 
         m = self.dim
         if len(metric) != m or any(len(row) != m for row in metric):
@@ -218,8 +228,9 @@ class ManifoldSpec:
         return b
 
     def wrap_point(self, p, collar: float = BOUNDARY_COLLAR) -> np.ndarray:
-        """Wrap periodic coordinates into the fundamental domain and
-        refuse points within ``collar`` of a non-periodic boundary.
+        """Wrap periodic coordinates into the fundamental domain; refuse
+        non-finite coordinates and points within ``collar`` of a
+        non-periodic boundary.
 
         ``p`` is one point of shape (m,) or a batch of shape (N, m); a
         batch is refused at its first offending point, with the message
@@ -233,10 +244,14 @@ class ManifoldSpec:
         # for numpy columns (a batch) alike.
         batch = p.ndim == 2
         cols = list(p.T) if batch else p.tolist()
-        fmod = np.fmod if batch else math.fmod
+        fmod = _fmod_batch if batch else math.fmod
+        isfinite = np.isfinite if batch else math.isfinite
         inside = True
         for a, c in enumerate(self.coords):
             x = cols[a]
+            inside = inside & isfinite(x)
+            if inside is False:
+                raise DomainError(f"coordinate {c.name}={x!r} is not finite")
             if c.periodic:
                 x = c.lo + fmod(x - c.lo, c.period)
                 cols[a] = x + c.period * (x < c.lo)
@@ -244,7 +259,7 @@ class ManifoldSpec:
                 inside = inside & (c.lo + collar <= x) & (x <= c.hi - collar)
                 if inside is False:
                     raise DomainError(
-                        f"coordinate {c.name}={p[a]!r} outside ({c.lo}, {c.hi}) "
+                        f"coordinate {c.name}={x!r} outside ({c.lo}, {c.hi}) "
                         f"with collar {collar}")
         if not batch:
             return np.array(cols)
@@ -350,11 +365,18 @@ def metric_inverse(g: np.ndarray, p) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def riem_inner(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Riemannianized inner product: eigen-decompose g and pair with the
-    absolute eigenvalues.  Positive definite away from degeneracy."""
+def riem_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|w|, V) from one eigen-decomposition g = V diag(w) V^T: the
+    Riemannianized metric V diag(|w|) V^T that :func:`riem_inner` pairs with."""
     w, V = np.linalg.eigh(g)
-    return float(np.sum(np.abs(w) * (V.T @ a) * (V.T @ b)))
+    return np.abs(w), V
+
+
+def riem_inner(frame: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> float:
+    """Riemannianized inner product of a and b in the :func:`riem_frame`
+    of g.  Positive definite away from degeneracy."""
+    aw, V = frame
+    return float(np.sum(aw * (V.T @ a) * (V.T @ b)))
 
 
 def causal_character(M: ManifoldSpec, v: TangentVector,
@@ -367,8 +389,9 @@ def causal_character(M: ManifoldSpec, v: TangentVector,
     vector's base point, when the caller already holds it.
     """
     g = M.metric_eval(v.point) if geo is None else geo.metric
+    frame = riem_frame(g) if geo is None else geo.riem_frame
     comp = v.components
-    n2 = riem_inner(g, comp, comp)
+    n2 = riem_inner(frame, comp, comp)
     if n2 == 0.0:
         return CausalCharacter.ZERO
     gvv = float(comp @ g @ comp)
@@ -390,11 +413,12 @@ def plane_discriminant(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 def plane_type(M: ManifoldSpec, pi: TangentPlane, eps: float = PLANE_EPS) -> PlaneType:
     """Classify a tangent plane by the sign of its discriminant Q."""
     g = M.metric_eval(pi.point)
-    nu = riem_inner(g, pi.u, pi.u)
-    nv = riem_inner(g, pi.v, pi.v)
+    frame = riem_frame(g)
+    nu = riem_inner(frame, pi.u, pi.u)
+    nv = riem_inner(frame, pi.v, pi.v)
     if nu == 0.0 or nv == 0.0:
         raise DependentVectorsError("zero spanning vector")
-    nuv = riem_inner(g, pi.u, pi.v)
+    nuv = riem_inner(frame, pi.u, pi.v)
     if np.linalg.det(np.array([[nu, nuv], [nuv, nv]])) <= 1e-12 * nu * nv:
         raise DependentVectorsError("spanning vectors are linearly dependent")
     q = plane_discriminant(g, pi.u, pi.v)

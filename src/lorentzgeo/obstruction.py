@@ -21,8 +21,8 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import (
-    PointGeometry,
     ScalarDerivs,
+    energy_derivs,
     hessian_scalar_at,
     null_sectional_curvature,
     point_geometry,
@@ -38,7 +38,6 @@ from .manifold import (
     TangentPlane,
     TangentVector,
     causal_character,
-    field_energy_expr,
     metric_pairing_expr,
     plane_discriminant,
     validate_signature,
@@ -115,15 +114,12 @@ class ScanResult:
         return out
 
 
-def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind,
-                 f_derivs: ScalarDerivs | None = None) -> ExtremumRecord:
-    if f_derivs is None:
-        f_derivs = ScalarDerivs(M, field_energy_expr(M, xname))
+def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
+    f_derivs = energy_derivs(M, xname)
     p = M.wrap_point(p)
-    geo = point_geometry(M, p)
-    hess = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs, geo=geo)
+    hess = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
     eigs = tuple(float(w) for w in np.linalg.eigvalsh(hess))
-    cc = causal_character(M, M.field_vector(xname, p), geo=geo)
+    cc = causal_character(M, M.field_vector(xname, p), geo=point_geometry(M, p))
     return ExtremumRecord(point=p, f_value=f_derivs.value(p), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
@@ -238,7 +234,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
-    fd = ScalarDerivs(M, field_energy_expr(M, xname))
+    fd = energy_derivs(M, xname)
     axes = _grid_axes(M, per_axis, collar)
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
@@ -277,7 +273,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
                               (max_mask, ExtremumKind.MAX, -1.0)):
         for p in _cluster_representatives(M, spacings, sense * F[mask], nodes[mask]):
             refined = _refine(M, fd, p, spacings)
-            rec = _make_record(M, xname, refined, kind, fd)
+            rec = _make_record(M, xname, refined, kind)
             if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
                 rec = replace(rec, kind=ExtremumKind.SADDLE)
             if not any(r.kind is rec.kind
@@ -320,13 +316,13 @@ def _kernel_residual(matrix: np.ndarray, kv: np.ndarray) -> float:
     return res / opn if opn > 1e-10 else res
 
 
-def sample_planes_containing(M: ManifoldSpec, xname: str, p, count: int = 32,
-                             geo: PointGeometry | None = None) -> list[TangentPlane]:
+def sample_planes_containing(M: ManifoldSpec, xname: str, p,
+                             count: int = 32) -> list[TangentPlane]:
     """Planes span{X, v} with v rotating through an orthonormal frame of
     the spacelike complement of a timelike X."""
     p = M.wrap_point(p)
     X = M.field_eval(xname, p)
-    basis = orthogonal_complement_basis(M, xname, p, quotient=False, geo=geo)
+    basis = orthogonal_complement_basis(M, xname, p, quotient=False)
     d = len(basis)
     planes = []
     for k in range(count):
@@ -387,24 +383,23 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         return scope(f"timelike extremum needs even dimension, chart has m={m}")
     if cc is CausalCharacter.LIGHTLIKE and m % 2 != 1:
         return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
-    geo = point_geometry(M, p)
 
     if cc is CausalCharacter.TIMELIKE:
-        op = restricted_operator(M, xname, p, mode="orthogonal", geo=geo)
+        op = restricted_operator(M, xname, p, mode="orthogonal")
         kv = kernel_direction(op.matrix)
         if kv is None:
             return scope("restricted operator has trivial kernel")
         kres = _kernel_residual(op.matrix, kv)
         if record.kind is ExtremumKind.MIN:
             plane = TangentPlane(p, kv @ op.basis, X)
-            k_val = sectional_curvature(M, plane, geo=geo)
+            k_val = sectional_curvature(M, plane)
             verdict = Verdict.PASS if k_val >= -tol else Verdict.FAIL
             return WitnessReport(verdict=verdict, case="timelike_even", plane=plane,
                                  curvature_kind="sectional", value=k_val,
                                  inequality=">= 0", kernel_residual=kres,
                                  invariance_residual=op.invariance_residual, **base)
-        sample = sample_planes_containing(M, xname, p, planes, geo=geo)
-        sampled = [sectional_curvature(M, pl, geo=geo) for pl in sample]
+        sample = sample_planes_containing(M, xname, p, planes)
+        sampled = [sectional_curvature(M, pl) for pl in sample]
         worst = max(sampled)
         worst_plane = sample[int(np.argmax(sampled))]
         verdict = Verdict.PASS if worst <= tol else Verdict.FAIL
@@ -415,13 +410,13 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
                              sampled_values=tuple(sampled), **base)
 
     # lightlike
-    op = restricted_operator(M, xname, p, mode="quotient", geo=geo)
+    op = restricted_operator(M, xname, p, mode="quotient")
     kv = kernel_direction(op.matrix)
     if kv is None:
         return scope("quotient operator has trivial kernel")
     v = kv @ op.basis
     plane = TangentPlane(p, v, X)
-    k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, v), geo=geo)
+    k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, v))
     kres = _kernel_residual(op.matrix, kv)
     if record.kind is ExtremumKind.MIN:
         verdict = Verdict.PASS if k_val <= tol else Verdict.FAIL
@@ -511,11 +506,10 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
         X = xv.components
         if cc is CausalCharacter.TIMELIKE:
             values = [sectional_numerator(geo, pl.u, X) / plane_discriminant(g, pl.u, X)
-                      for pl in sample_planes_containing(M, xname, p, planes_per_point,
-                                                         geo=geo)]
+                      for pl in sample_planes_containing(M, xname, p, planes_per_point)]
             scans.append(PointScan(p, cc, "sectional", tuple(values)))
         else:
-            reps = orthogonal_complement_basis(M, xname, p, quotient=True, geo=geo)
+            reps = orthogonal_complement_basis(M, xname, p, quotient=True)
             vs = [reps[k % len(reps)] for k in range(planes_per_point)]
             values = [sectional_numerator(geo, v, X) / float(v @ g @ v) for v in vs]
             scans.append(PointScan(p, cc, "null_sectional", tuple(values)))
@@ -588,25 +582,24 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         raise ValueError(f"field must be timelike at the critical point, "
                          f"got {record.causal.value}")
 
-    geo = point_geometry(M, p)
     cf = ConformalFactor(M, xname)
-    sigma0 = cf.sigma(p, geo=geo)
+    sigma0 = cf.sigma(p)
     if abs(sigma0) > sigma_tol:
         raise ValueError(
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op = restricted_operator(M, xname, p, mode="orthogonal", geo=geo)
+    op = restricted_operator(M, xname, p, mode="orthogonal")
     kv = kernel_direction(op.matrix)
     if kv is None:
         raise ValueError("restricted operator has trivial kernel")
     v = kv @ op.basis
     X = M.field_eval(xname, p)
     plane = TangentPlane(p, v, X)
-    k_val = sectional_curvature(M, plane, geo=geo)
+    k_val = sectional_curvature(M, plane)
 
-    xs = cf.x_sigma(p, geo=geo)
-    gxx = float(X @ geo.metric @ X)
+    xs = cf.x_sigma(p)
+    gxx = float(X @ point_geometry(M, p).metric @ X)
     bound = 0.5 * xs / (-gxx)
     kres = _kernel_residual(op.matrix, kv)
     return ConformalBoundReport(

@@ -23,8 +23,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .curvature import (
-    PointGeometry,
-    ScalarDerivs,
+    energy_derivs,
     hessian_scalar_at,
     point_geometry,
     shape_operator_at,
@@ -33,7 +32,6 @@ from .manifold import (
     CausalCharacter,
     ManifoldSpec,
     causal_character,
-    field_energy_expr,
     riem_inner,
 )
 
@@ -78,11 +76,9 @@ class KernelExtractionError(ValueError):
     """No near-kernel direction where one is guaranteed."""
 
 
-def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p,
-                             geo: PointGeometry | None = None) -> np.ndarray:
+def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    if geo is None:
-        geo = point_geometry(M, p)
+    geo = point_geometry(M, p)
     X = M.field_eval(xname, p)
     dXg = M.field_derivs(xname, p) @ geo.metric     # dX[j,i] = d_j X^i
     return np.einsum("k,kij->ij", X, geo.dmetric) + dXg + dXg.T
@@ -153,9 +149,8 @@ def classify_field(M: ManifoldSpec, xname: str, samples=None,
 def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
     """max |g(A_X u, v) + g(u, A_X v)| over chart basis pairs, normalized
     by the operator's magnitude.  Zero exactly when X is Killing."""
-    geo = point_geometry(M, p)
-    g = geo.metric
-    A = shape_operator_at(M, xname, p, geo=geo)
+    g = point_geometry(M, p).metric
+    A = shape_operator_at(M, xname, p)
     sym = A.T @ g + g @ A                   # [u,v] slot: g(Au, v) + g(u, Av)
     denom = max(float(np.max(np.abs(g @ A))), float(np.max(np.abs(A.T @ g))), _TINY)
     return float(np.max(np.abs(sym))) / denom
@@ -172,8 +167,7 @@ def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
 
 
 def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
-                                quotient: bool = False,
-                                geo: PointGeometry | None = None) -> np.ndarray:
+                                quotient: bool = False) -> np.ndarray:
     """g-orthonormal basis (rows) of X-perp at p.
 
     With ``quotient=True`` (lightlike X) the returned rows represent the
@@ -182,11 +176,10 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
     Refuses metrically degenerate directions except for the X direction
     being quotiented away.
     """
-    if geo is None:
-        geo = point_geometry(M, p)
-    g = geo.metric
+    geo = point_geometry(M, p)
+    g, frame = geo.metric, geo.riem_frame
     X = M.field_eval(xname, p)
-    nX = riem_inner(g, X, X)
+    nX = riem_inner(frame, X, X)
     if nX == 0.0:
         raise SubspaceError("field vanishes at the base point")
     m = M.dim
@@ -213,7 +206,7 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
         for e in basis:
             w = w - float(w @ g @ e) * e
         gww = float(w @ g @ w)
-        if abs(gww) <= DEGENERATE_DIRECTION_TOL * max(riem_inner(g, w, w), _TINY):
+        if abs(gww) <= DEGENERATE_DIRECTION_TOL * max(riem_inner(frame, w, w), _TINY):
             raise SubspaceError("degenerate direction while building the basis")
         if gww < 0:
             raise SubspaceError("negative direction in what should be a spacelike basis")
@@ -221,18 +214,17 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
     return np.array(basis)
 
 
-def restriction_matrix(M: ManifoldSpec, xname: str, p, reps: np.ndarray,
-                       geo: PointGeometry | None = None) -> tuple[np.ndarray, float]:
+def restriction_matrix(M: ManifoldSpec, xname: str, p,
+                       reps: np.ndarray) -> tuple[np.ndarray, float]:
     """Matrix of A_X in the given g-orthonormal representative basis,
     plus the residual of A_X leaking out of X-perp."""
-    if geo is None:
-        geo = point_geometry(M, p)
-    g = geo.metric
-    A = shape_operator_at(M, xname, p, geo=geo)
+    geo = point_geometry(M, p)
+    g, frame = geo.metric, geo.riem_frame
+    A = shape_operator_at(M, xname, p)
     X = M.field_eval(xname, p)
     n = len(reps)
     mat = np.empty((n, n))
-    nrm_x = math.sqrt(max(riem_inner(g, X, X), _TINY))
+    nrm_x = math.sqrt(max(riem_inner(frame, X, X), _TINY))
     images = [A @ reps[i] for i in range(n)]
     for i, img in enumerate(images):
         for k in range(n):
@@ -240,7 +232,7 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p, reps: np.ndarray,
     # a vanishing operator preserves everything; floor its magnitude so
     # pure float noise (of df, which the leak equals) does not masquerade
     # as a leak.  That noise grows with the curvature, and so does the floor.
-    opmag = max((math.sqrt(riem_inner(g, img, img)) for img in images), default=0.0)
+    opmag = max((math.sqrt(riem_inner(frame, img, img)) for img in images), default=0.0)
     floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
     leak = max((abs(float(img @ g @ X)) for img in images), default=0.0) / \
         (max(opmag, floor) * nrm_x)
@@ -264,8 +256,7 @@ class RestrictedOperator:
 
 def restricted_operator(M: ManifoldSpec, xname: str, p,
                         mode: str = "orthogonal",
-                        invariance_tol: float = 1e-6,
-                        geo: PointGeometry | None = None) -> RestrictedOperator:
+                        invariance_tol: float = 1e-6) -> RestrictedOperator:
     """Build the restriction of A_X appropriate to the causal character
     of X at p.
 
@@ -278,15 +269,14 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
     want = {"orthogonal": CausalCharacter.TIMELIKE, "quotient": CausalCharacter.LIGHTLIKE}
     if mode not in want:
         raise ValueError(f"unknown mode '{mode}'")
-    if geo is None:
-        geo = point_geometry(M, p)
+    geo = point_geometry(M, p)
     p = geo.point
     cc = causal_character(M, M.field_vector(xname, p), geo=geo)
     if cc is not want[mode]:
         raise SubspaceError(f"{mode} mode needs {want[mode].value} X, got {cc.value}")
-    reps = orthogonal_complement_basis(M, xname, p, quotient=mode == "quotient", geo=geo)
+    reps = orthogonal_complement_basis(M, xname, p, quotient=mode == "quotient")
 
-    mat, leak = restriction_matrix(M, xname, p, reps, geo=geo)
+    mat, leak = restriction_matrix(M, xname, p, reps)
     if leak > invariance_tol:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
@@ -295,14 +285,14 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
     lam = None
     eig_res = None
     if mode == "quotient":
-        g = geo.metric
+        frame = geo.riem_frame
         X = M.field_eval(xname, p)
-        AX = shape_operator_at(M, xname, p, geo=geo) @ X
+        AX = shape_operator_at(M, xname, p) @ X
         lam = -float(AX @ X) / float(X @ X)
-        nX = riem_inner(g, X, X)
-        denom = max(np.sqrt(riem_inner(g, AX, AX) * nX), np.sqrt(nX), _TINY)
+        nX = riem_inner(frame, X, X)
+        denom = max(np.sqrt(riem_inner(frame, AX, AX) * nX), np.sqrt(nX), _TINY)
         r = AX + lam * X
-        eig_res = float(np.sqrt(riem_inner(g, r, r))) / denom
+        eig_res = float(np.sqrt(riem_inner(frame, r, r))) / denom
 
     return RestrictedOperator(mode=mode, point=p, basis=reps, matrix=mat,
                               invariance_residual=leak, lam=lam, eigen_residual=eig_res)
@@ -342,28 +332,24 @@ def kernel_direction(matrix: np.ndarray, skew_tol: float = 1e-6) -> np.ndarray |
 # The Hessian identity
 # ---------------------------------------------------------------------------
 
-def hessian_identity_sides(M: ManifoldSpec, xname: str, p,
-                           f_derivs: ScalarDerivs | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
+def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of Hess f = -g(R(.,X)X,.) + g(A_X ., A_X .) in the
     chart basis; valid when X is homothetic (Killing included)."""
     p = M.wrap_point(p)
-    if f_derivs is None:
-        f_derivs = ScalarDerivs(M, field_energy_expr(M, xname))
+    f_derivs = energy_derivs(M, xname)
     geo = point_geometry(M, p)
-    lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs, geo=geo)
+    lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
     X = M.field_eval(xname, p)
-    A = shape_operator_at(M, xname, p, geo=geo)
+    A = shape_operator_at(M, xname, p)
     r_term = np.einsum("iajb,a,b->ij", geo.riemann, X, X)
     rhs = -r_term + A.T @ geo.metric @ A
     return lhs, rhs
 
 
-def hessian_identity_residual(M: ManifoldSpec, xname: str, p,
-                              f_derivs: ScalarDerivs | None = None) -> float:
+def hessian_identity_residual(M: ManifoldSpec, xname: str, p) -> float:
     """Max entrywise mismatch of the Hessian identity, normalized by the
     larger side's magnitude (absolute when both sides are ~0)."""
-    lhs, rhs = hessian_identity_sides(M, xname, p, f_derivs)
+    lhs, rhs = hessian_identity_sides(M, xname, p)
     denom = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     diff = float(np.max(np.abs(lhs - rhs)))
     if denom < 1e-12:
@@ -390,22 +376,19 @@ class ConformalFactor:
             for n in names
         ]
 
-    def sigma(self, p, geo: PointGeometry | None = None) -> float:
-        if geo is None:
-            geo = point_geometry(self.M, p)
-        L = lie_derivative_metric_at(self.M, self.xname, p, geo=geo)
-        return float(np.trace(geo.inverse @ L)) / self.M.dim
+    def sigma(self, p) -> float:
+        L = lie_derivative_metric_at(self.M, self.xname, p)
+        return float(np.trace(point_geometry(self.M, p).inverse @ L)) / self.M.dim
 
-    def x_sigma(self, p, geo: PointGeometry | None = None) -> float:
+    def x_sigma(self, p) -> float:
         """X(sigma) at p via d_a sigma = tr(-G^-1 (d_a G) G^-1 L
         + G^-1 d_a L)/m contracted with X."""
         M = self.M
-        if geo is None:
-            geo = point_geometry(M, p)
+        geo = point_geometry(M, p)
         b = M.bindings(geo.point)
         m = M.dim
         ginv, dg = geo.inverse, geo.dmetric
-        L = lie_derivative_metric_at(M, self.xname, p, geo=geo)
+        L = lie_derivative_metric_at(M, self.xname, p)
         X = M.field_eval(self.xname, p)
         total = 0.0
         for a in range(m):

@@ -44,6 +44,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["curvature", "minkowski2", "--at", "zero,zero"])
 
+    @pytest.mark.parametrize("coord", ["nan", "inf"])
+    def test_non_finite_point_is_an_error_message(self, capsys, coord):
+        assert main(["curvature", "torus_family", "--at", f"0.5,{coord}"]) == 1
+        assert f"error: coordinate y={coord} is not finite" in capsys.readouterr().err
+
+    def test_grid_too_large_to_allocate_is_an_error_message(self, capsys):
+        # 10^16 nodes: the request exceeds the address space, so numpy
+        # refuses it at once without touching memory
+        assert main(["extrema", "schwarzschild_exterior", "--grid", "10000"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
 
 class TestReports:
     def test_flat_plane_curvature(self, tmp_path):

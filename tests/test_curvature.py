@@ -8,6 +8,8 @@ curvature.
 """
 
 import math
+import sys
+import threading
 import types
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from lorentzgeo import curvature
 from lorentzgeo import expr as ex
+from lorentzgeo.catalog import build_example
 from lorentzgeo.curvature import (
     DegeneratePlaneError,
     NullCurvatureInputError,
@@ -357,11 +360,12 @@ POINTWISE = {
 
 
 @pytest.mark.parametrize("case", sorted(POINTWISE))
-def test_one_metric_jet_per_point(entry, count_calls, case):
-    """A pointwise operation evaluates the metric jet once and passes it
-    down: one metric_derivs call and at most one metric_eval call."""
+def test_one_metric_jet_per_point(count_calls, case):
+    """A pointwise operation evaluates the metric jet once, on a spec that
+    has not seen the point before: one metric_derivs call and at most
+    one metric_eval call."""
     name, operation = POINTWISE[case]
-    e = entry(name)
+    e = build_example(name)
     cls = classify_field(e.spec, e.field_name)
     derivs = count_calls(ManifoldSpec, "metric_derivs")
     evals = count_calls(ManifoldSpec, "metric_eval")
@@ -370,3 +374,85 @@ def test_one_metric_jet_per_point(entry, count_calls, case):
         assert result.verdict.value == "PASS"
     assert len(derivs) == 1
     assert len(evals) <= 1
+
+
+class TestGeometryMemo:
+    """The spec memoizes the geometry of the last point asked for."""
+
+    def test_same_point_and_periodic_image_build_no_jet(self, count_calls):
+        M = build_example("torus_family").spec
+        derivs = count_calls(ManifoldSpec, "metric_derivs")
+        restricted_operator(M, "X", [0.5, 0.25])
+        assert len(derivs) == 1
+        restricted_operator(M, "X", [0.5, 0.25])
+        assert len(derivs) == 1
+        # wraps exactly onto (0.5, 0.25)
+        restricted_operator(M, "X", [1.5, -0.75])
+        assert len(derivs) == 1
+        restricted_operator(M, "X", [0.0, 0.25])
+        assert len(derivs) == 2
+
+    def test_memoized_geometry_is_fresh_and_read_only(self):
+        p = [0.6, 0.7, 1.9]
+        M = build_example("hopf_lorentz_s3").spec
+        first = point_geometry(M, p)
+        hessian_identity_residual(M, "X", p)
+        extremum_witness(M, "X", ExtremumRecord(np.array(p), 0.0, ExtremumKind.MAX,
+                                                CausalCharacter.TIMELIKE, ()))
+        geo = point_geometry(M, p)
+        assert geo is first
+        fresh = point_geometry(build_example("hopf_lorentz_s3").spec, p)
+        for name in ("point", "metric", "inverse", "dmetric", "christoffel",
+                     "riemann", "ricci", "scalar"):
+            a, b = getattr(geo, name), getattr(fresh, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        for a, b in zip(geo.riem_frame, fresh.riem_frame):
+            assert a.tobytes() == b.tobytes()
+        for target in (geo.metric, geo.riemann, geo.point, geo.riem_frame[1]):
+            with pytest.raises(ValueError):
+                target[0] = 1.0
+        assert geo.metric.tobytes() == fresh.metric.tobytes()
+
+    def test_threads_racing_on_one_spec_read_the_right_geometry(self):
+        """Workers alternating between points on one spec may recompute a
+        geometry but must never get the geometry of another point."""
+        M = build_example("torus_family").spec
+        points = [[0.1, 0.2], [0.3, 0.4], [0.7, 0.9]]
+        fresh = build_example("torus_family").spec
+        want = [point_geometry(fresh, p).metric.tobytes() for p in points]
+        wrong = []
+
+        def work(k):
+            for n in range(300):
+                i = (n + k) % len(points)
+                geo = point_geometry(M, points[i])
+                if geo.point.tolist() != points[i] or geo.metric.tobytes() != want[i]:
+                    wrong.append((k, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+
+    def test_energy_is_differentiated_once_per_spec(self, count_calls):
+        M = build_example("hopf_lorentz_s3").spec
+        built = count_calls(ScalarDerivs, "__init__")
+        hessian_identity_residual(M, "X", [0.6, 0.7, 1.9])
+        hessian_identity_residual(M, "X", [0.5, 1.1, 0.3])
+        assert len(built) == 1
+
+    def test_one_eigen_decomposition_per_point(self, count_calls):
+        """The Riemannianized norm decomposes g once, with the geometry."""
+        e = build_example("circle_lift_torus")
+        eigh = count_calls(np.linalg, "eigh")
+        op = restricted_operator(e.spec, e.field_name, [0.0, 0.3, 1.0], mode="quotient")
+        assert op.mode == "quotient"
+        assert len(eigh) == 1

@@ -209,6 +209,32 @@ class TestDomain:
         assert str(batch.value) == str(single.value)
         assert "x=" in str(batch.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_refused(self, torus, bad):
+        spec = torus.spec
+        msg = f"coordinate y={float(bad)!r} is not finite"
+        with pytest.raises(DomainError) as err:
+            spec.wrap_point([0.5, bad])
+        assert str(err.value) == msg
+        with pytest.raises(DomainError, match=msg):
+            spec.metric_eval([0.5, bad])
+
+    def test_batch_refuses_non_finite_row(self, torus):
+        """The energy of the torus depends on x alone, so a non-finite y
+        must be refused, not evaluated to a finite number."""
+        spec = torus.spec
+        f = field_energy_expr(spec, "X")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match=f"coordinate y={bad!r} is not finite"):
+                spec.evaluate_points(f, [[0.5, 0.25], [0.5, bad], [0.25, 0.5]])
+
+    def test_batch_refuses_non_finite_at_first_offending_row(self):
+        spec = load_spec(MINK2)
+        with pytest.raises(DomainError, match="coordinate x=nan is not finite"):
+            spec.wrap_point([[0.0, 0.0], [0.0, np.nan], [-1.0, 0.0]])
+        with pytest.raises(DomainError, match="coordinate t=-1.0 outside"):
+            spec.wrap_point([[0.0, 0.0], [-1.0, 0.0], [0.0, np.nan]])
+
 
 @pytest.mark.parametrize("name", list_examples())
 def test_evaluate_points_matches_pointwise_on_catalog_charts(entry, name):
