@@ -239,8 +239,7 @@ def _cmd_witness(args) -> Report:
         return rep
     cls = classify_field(spec, fieldname)
     for rec in records:
-        w = extremum_witness(spec, fieldname, rec, tol=args.tol,
-                             planes=args.planes, classification=cls)
+        w = extremum_witness(spec, fieldname, rec, tol=args.tol, classification=cls)
         values = {
             "point": _point_list(rec.point),
             "kind": rec.kind.value,
@@ -414,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=64)
     common(p)
 
-    p = sub.add_parser("witness", help="witness planes and sign verdicts per extremum")
+    p = sub.add_parser("witness", help="witness plane and sign verdict per extremum; "
+                       "exact over every plane through X at a timelike maximum")
     p.add_argument("spec")
     p.add_argument("--field")
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--planes", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)
     common(p)
 

@@ -139,6 +139,11 @@ def sectional_numerator(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> flo
     return float(np.einsum("ijkl,i,j,k,l->", geo.riemann, u, v, u, v))
 
 
+def jacobi_form(geo: PointGeometry, x: np.ndarray) -> np.ndarray:
+    """r_ij = g(R(e_i,x)x, e_j) in the chart basis: vᵀ r v = g(R(v,x)x, v)."""
+    return np.einsum("iajb,a,b->ij", geo.riemann, x, x)
+
+
 def sectional_curvature(M: ManifoldSpec, pi: TangentPlane) -> float:
     """K(plane) = g(R(u,v)v, u)/Q; basis independent, defined only away
     from degenerate planes (use the null sectional curvature there)."""

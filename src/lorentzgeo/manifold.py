@@ -283,6 +283,16 @@ class ManifoldSpec:
         columns.update(self.params)
         return ex.evaluate_batch(e, columns)
 
+    def evaluate_symmetric(self, trees: list[list[Expr]], points) -> np.ndarray:
+        """A symmetric m-by-m table of trees at each of N points, as an
+        (N, m, m) array; only the i <= j trees are walked, each once."""
+        m = self.dim
+        out = np.empty((len(points), m, m))
+        for i in range(m):
+            for j in range(i, m):
+                out[:, i, j] = out[:, j, i] = self.evaluate_points(trees[i][j], points)
+        return out
+
     def metric_eval(self, p) -> np.ndarray:
         b = self.bindings(self.wrap_point(p))
         m = self.dim
@@ -578,12 +588,8 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
     """
     rng = np.random.default_rng(seed)
     pts = M.sample_points(samples, rng)
-    m = M.dim
     try:
-        gs = np.empty((len(pts), m, m))
-        for i in range(m):
-            for j in range(i, m):
-                gs[:, i, j] = gs[:, j, i] = M.evaluate_points(M.metric[i][j], pts)
+        gs = M.evaluate_symmetric(M.metric, pts)
     except ex.EvalError:
         # a pole at some sample: evaluate point by point, so that a
         # signature violation at an earlier sample is still reported first

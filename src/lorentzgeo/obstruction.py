@@ -3,12 +3,14 @@
 Given a chart and a causal field X, this module locates extrema of the
 energy f = g(X,X)/2 on a grid (with Newton refinement),
 constructs the witness plane at a causal extremum from the kernel of
-the restricted skew operator, scans plane families along paths for
-curvature sign changes, checks the conformal lower bound at critical
-points of conformal fields, and builds two derived charts: the
-Lorentzian flip of a Riemannian metric along a nowhere-zero Killing
-field, and the circle lift that appends a flat periodic coordinate to
-trade a timelike field for a merely causal one.
+the restricted skew operator, or at a timelike maximum takes the exact
+largest curvature over every plane through X from the Jacobi form on
+X-perp, scans plane families along paths for curvature sign changes,
+checks the conformal lower bound at critical points of conformal fields,
+and builds two derived charts: the Lorentzian flip of a Riemannian
+metric along a nowhere-zero Killing field, and the circle lift that
+appends a flat periodic coordinate to trade a timelike field for a
+merely causal one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .curvature import (
     ScalarDerivs,
     energy_derivs,
     hessian_scalar_at,
+    jacobi_form,
     null_sectional_curvature,
     point_geometry,
     sectional_curvature,
@@ -46,9 +49,10 @@ from .symmetry import (
     ConformalFactor,
     FieldClass,
     FieldTag,
+    RestrictedOperator,
     classify_field,
     kernel_direction,
-    lie_derivative_metric_at,
+    lie_derivative_metric_exprs,
     orthogonal_complement_basis,
     restricted_operator,
 )
@@ -306,14 +310,19 @@ class WitnessReport:
     kernel_residual: float | None = None
     invariance_residual: float | None = None
     lam: float | None = None
-    sampled_values: tuple[float, ...] = ()
 
 
-def _kernel_residual(matrix: np.ndarray, kv: np.ndarray) -> float:
-    """|op v| relative to |op|, absolute when the operator is ~0."""
-    opn = float(np.linalg.norm(matrix, 2))
-    res = float(np.linalg.norm(matrix @ kv))
-    return res / opn if opn > 1e-10 else res
+def _kernel_plane(M: ManifoldSpec, xname: str, p,
+                  mode: str) -> tuple[RestrictedOperator, TangentPlane, float]:
+    """The restricted operator at p, the plane span{v, X} of its kernel
+    direction v, and |op v| relative to |op| (absolute when op is ~0).
+    Every caller's operator has odd dimension, so v exists."""
+    op = restricted_operator(M, xname, p, mode=mode)
+    kv = kernel_direction(op.matrix)
+    opn = float(np.linalg.norm(op.matrix, 2))
+    res = float(np.linalg.norm(op.matrix @ kv))
+    plane = TangentPlane(p, kv @ op.basis, M.field_eval(xname, p))
+    return op, plane, res / opn if opn > 1e-10 else res
 
 
 def sample_planes_containing(M: ManifoldSpec, xname: str, p,
@@ -337,7 +346,7 @@ def sample_planes_containing(M: ManifoldSpec, xname: str, p,
 
 
 def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
-                     tol: float = WITNESS_TOL, planes: int = 32,
+                     tol: float = WITNESS_TOL,
                      classification: FieldClass | None = None) -> WitnessReport:
     """Build the witness plane at a causal extremum and test the forced
     curvature sign.
@@ -346,9 +355,11 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     plane through X with sectional curvature >= 0; lightlike X on an
     odd-dimensional chart forces a degenerate plane through X with null
     sectional curvature <= 0.  At a local maximum the inequalities
-    reverse (for the timelike case the check runs over sampled planes,
-    all of which must satisfy K <= 0).  Parity or causality mismatches
-    are reported as out-of-scope, never raised.
+    reverse.  For timelike X every plane through X must then have
+    K <= 0, and the report gives the exact largest K over all of them:
+    the top eigenvalue of the Jacobi form g(R(.,X)X,.) on X-perp divided
+    by g(X,X), with the plane of its eigenvector.  Parity or causality
+    mismatches are reported as out-of-scope, never raised.
 
     For a causal field f <= 0 everywhere, so every lightlike point has
     f = 0 and is a global maximum of f: the paper's causal,
@@ -384,49 +395,28 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     if cc is CausalCharacter.LIGHTLIKE and m % 2 != 1:
         return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
 
+    minimum = record.kind is ExtremumKind.MIN
     if cc is CausalCharacter.TIMELIKE:
-        op = restricted_operator(M, xname, p, mode="orthogonal")
-        kv = kernel_direction(op.matrix)
-        if kv is None:
-            return scope("restricted operator has trivial kernel")
-        kres = _kernel_residual(op.matrix, kv)
-        if record.kind is ExtremumKind.MIN:
-            plane = TangentPlane(p, kv @ op.basis, X)
+        case, curvature_kind, nonnegative = "timelike_even", "sectional", minimum
+        op, plane, kres = _kernel_plane(M, xname, p, "orthogonal")
+        if minimum:
             k_val = sectional_curvature(M, plane)
-            verdict = Verdict.PASS if k_val >= -tol else Verdict.FAIL
-            return WitnessReport(verdict=verdict, case="timelike_even", plane=plane,
-                                 curvature_kind="sectional", value=k_val,
-                                 inequality=">= 0", kernel_residual=kres,
-                                 invariance_residual=op.invariance_residual, **base)
-        sample = sample_planes_containing(M, xname, p, planes)
-        sampled = [sectional_curvature(M, pl) for pl in sample]
-        worst = max(sampled)
-        worst_plane = sample[int(np.argmax(sampled))]
-        verdict = Verdict.PASS if worst <= tol else Verdict.FAIL
-        return WitnessReport(verdict=verdict, case="timelike_even", plane=worst_plane,
-                             curvature_kind="sectional", value=worst,
-                             inequality="<= 0", kernel_residual=kres,
-                             invariance_residual=op.invariance_residual,
-                             sampled_values=tuple(sampled), **base)
-
-    # lightlike
-    op = restricted_operator(M, xname, p, mode="quotient")
-    kv = kernel_direction(op.matrix)
-    if kv is None:
-        return scope("quotient operator has trivial kernel")
-    v = kv @ op.basis
-    plane = TangentPlane(p, v, X)
-    k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, v))
-    kres = _kernel_residual(op.matrix, kv)
-    if record.kind is ExtremumKind.MIN:
-        verdict = Verdict.PASS if k_val <= tol else Verdict.FAIL
-        ineq = "<= 0"
+        else:
+            # K(span{v,X}) = vᵀJv / g(X,X) for every unit v in X-perp
+            geo = point_geometry(M, p)
+            J = op.basis @ jacobi_form(geo, X) @ op.basis.T
+            ks, vecs = np.linalg.eigh(J / float(X @ geo.metric @ X))
+            top = int(np.argmax(ks))      # ties keep the first basis plane
+            k_val = float(ks[top])
+            plane = TangentPlane(p, vecs[:, top] @ op.basis, X)
     else:
-        verdict = Verdict.PASS if k_val >= -tol else Verdict.FAIL
-        ineq = ">= 0"
-    return WitnessReport(verdict=verdict, case="lightlike_odd", plane=plane,
-                         curvature_kind="null_sectional", value=k_val,
-                         inequality=ineq, kernel_residual=kres,
+        case, curvature_kind, nonnegative = "lightlike_odd", "null_sectional", not minimum
+        op, plane, kres = _kernel_plane(M, xname, p, "quotient")
+        k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, plane.u))
+    ok = k_val >= -tol if nonnegative else k_val <= tol
+    return WitnessReport(verdict=Verdict.PASS if ok else Verdict.FAIL, case=case,
+                         plane=plane, curvature_kind=curvature_kind, value=k_val,
+                         inequality=">= 0" if nonnegative else "<= 0", kernel_residual=kres,
                          invariance_residual=op.invariance_residual, **base)
 
 
@@ -589,19 +579,13 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op = restricted_operator(M, xname, p, mode="orthogonal")
-    kv = kernel_direction(op.matrix)
-    if kv is None:
-        raise ValueError("restricted operator has trivial kernel")
-    v = kv @ op.basis
-    X = M.field_eval(xname, p)
-    plane = TangentPlane(p, v, X)
+    _, plane, kres = _kernel_plane(M, xname, p, "orthogonal")
     k_val = sectional_curvature(M, plane)
 
     xs = cf.x_sigma(p)
+    X = M.field_eval(xname, p)
     gxx = float(X @ point_geometry(M, p).metric @ X)
     bound = 0.5 * xs / (-gxx)
-    kres = _kernel_residual(op.matrix, kv)
     return ConformalBoundReport(
         point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,
         curvature=k_val, plane=plane,
@@ -616,6 +600,15 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
 class LorentzianizeError(ValueError):
     pass
+
+
+def _first_failure(pts: np.ndarray, *checks) -> None:
+    """Raise the message of the first failed (ok, message) check at the
+    first sample failing any: what a point-by-point loop reports."""
+    for k, p in enumerate(pts):
+        for ok, message in checks:
+            if not ok[k]:
+                raise LorentzianizeError(message.format(p.tolist()))
 
 
 def lorentzianize(M: ManifoldSpec, xname: str, *, check_riemannian: bool = True,
@@ -651,39 +644,29 @@ def lorentzianize(M: ManifoldSpec, xname: str, *, check_riemannian: bool = True,
     if check_riemannian:
         if M.signature != "riemannian":
             raise LorentzianizeError("input chart must be Riemannian")
-        rng = np.random.default_rng(seed)
-        pts = M.sample_points(samples, rng)
-        for p in pts:
-            g = M.metric_eval(p)
-            eigs = np.linalg.eigvalsh(g)
-            if np.any(eigs <= 0):
-                raise LorentzianizeError(f"input metric not positive definite at {p.tolist()}")
-            Xp = M.field_eval(xname, p)
-            qv = float(Xp @ g @ Xp)
-            if qv <= 0:
-                raise LorentzianizeError(f"field vanishes (or is degenerate) at {p.tolist()}")
-            L = lie_derivative_metric_at(M, xname, p)
-            if float(np.max(np.abs(L))) > verify_tol * max(float(np.max(np.abs(g))), 1.0):
-                raise LorentzianizeError(f"field is not Killing for the input metric "
-                                         f"(residual at {p.tolist()})")
-        for p in pts:
-            g = M.metric_eval(p)
-            gn = flipped.metric_eval(p)
-            Xp = M.field_eval(xname, p)
-            scale = max(float(np.max(np.abs(g))), 1.0)
-            if abs(float(Xp @ gn @ Xp) + float(Xp @ g @ Xp)) > verify_tol * scale:
-                raise LorentzianizeError("flip postcondition g(X,X) = -g_R(X,X) failed")
-            gX = g @ Xp
-            qv = float(Xp @ gX)
-            for i in range(m):
-                w = np.eye(m)[i] - (gX[i] / qv) * Xp
-                for j in range(m):
-                    w2 = np.eye(m)[j] - (gX[j] / qv) * Xp
-                    if abs(float(w @ gn @ w2) - float(w @ g @ w2)) > verify_tol * scale:
-                        raise LorentzianizeError("flip postcondition g = g_R on X-perp failed")
-            Ln = lie_derivative_metric_at(flipped, xname, p)
-            if float(np.max(np.abs(Ln))) > 10 * verify_tol * scale:
-                raise LorentzianizeError("field is not Killing for the flipped metric")
+        pts = M.sample_points(samples, np.random.default_rng(seed))
+        g = M.evaluate_symmetric(M.metric, pts)
+        Xs = np.stack([M.evaluate_points(c, pts) for c in X], axis=1)
+        gX = np.einsum("nij,nj->ni", g, Xs)
+        qs = np.einsum("ni,ni->n", Xs, gX)
+        scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
+        definite = np.all(np.linalg.eigvalsh(g) > 0, axis=1)
+        L = M.evaluate_symmetric(lie_derivative_metric_exprs(M, xname), pts)
+        killing = np.max(np.abs(L), axis=(1, 2)) <= verify_tol * scales
+        _first_failure(pts, (definite, "input metric not positive definite at {}"),
+                       (qs > 0, "field vanishes (or is degenerate) at {}"),
+                       (killing, "field is not Killing for the input metric (residual at {})"))
+        gn = flipped.evaluate_symmetric(flipped.metric, pts)
+        flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= verify_tol * scales
+        # rows w_i = e_i - (g(e_i,X)/g(X,X)) X span X-perp
+        W = np.eye(m) - gX[:, :, None] * Xs[:, None, :] / qs[:, None, None]
+        perp = W @ (gn - g) @ W.transpose(0, 2, 1)
+        perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= verify_tol * scales
+        Ln = flipped.evaluate_symmetric(lie_derivative_metric_exprs(flipped, xname), pts)
+        killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * verify_tol * scales
+        _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
+                       (perp_ok, "flip postcondition g = g_R on X-perp failed"),
+                       (killing, "field is not Killing for the flipped metric"))
         validate_signature(flipped, samples=samples, seed=seed)
     return flipped
 

@@ -25,6 +25,7 @@ from .expr import Expr
 from .curvature import (
     energy_derivs,
     hessian_scalar_at,
+    jacobi_form,
     point_geometry,
     shape_operator_at,
 )
@@ -125,10 +126,8 @@ def classify_field(M: ManifoldSpec, xname: str, samples=None,
     if samples is None:
         samples = M.sample_points(24, rng or np.random.default_rng(0))
 
-    L, g = np.empty((2, len(samples), m, m))
-    for i, j in upper:
-        g[:, i, j] = g[:, j, i] = M.evaluate_points(M.metric[i][j], samples)
-        L[:, i, j] = L[:, j, i] = M.evaluate_points(trees[i][j], samples)
+    g = M.evaluate_symmetric(M.metric, samples)
+    L = M.evaluate_symmetric(trees, samples)
     scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), _TINY)
     sigmas = np.trace(np.linalg.inv(g) @ L, axis1=1, axis2=2) / m
     lam = float(np.sum(L * g)) / max(float(np.sum(g * g)), _TINY)
@@ -341,8 +340,7 @@ def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, 
     lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
     X = M.field_eval(xname, p)
     A = shape_operator_at(M, xname, p)
-    r_term = np.einsum("iajb,a,b->ij", geo.riemann, X, X)
-    rhs = -r_term + A.T @ geo.metric @ A
+    rhs = -jacobi_form(geo, X) + A.T @ geo.metric @ A
     return lhs, rhs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lorentzgeo.catalog import _TORUS_FAMILY
-from lorentzgeo.curvature import ScalarDerivs
+from lorentzgeo.curvature import ScalarDerivs, point_geometry, sectional_curvature
 from lorentzgeo.manifold import (
     CausalCharacter,
     field_energy_expr,
@@ -26,7 +26,7 @@ from lorentzgeo.obstruction import (
     scan_extrema,
 )
 from lorentzgeo import obstruction
-from lorentzgeo.symmetry import classify_field
+from lorentzgeo.symmetry import classify_field, lie_derivative_metric_at
 
 PI = math.pi
 
@@ -130,6 +130,12 @@ components = "0", "0", "0", "1"
 """
 
 
+@pytest.fixture(scope="module")
+def static_four_torus():
+    M = load_spec(STATIC_FOUR_TORUS)
+    return M, scan_extrema(M, "X", grid=[24, 24, 24, 8]), classify_field(M, "X")
+
+
 class TestRefinement:
     """Newton steps on the exact gradient and Hessian trees."""
 
@@ -167,13 +173,11 @@ class TestRefinement:
         far = obstruction._refine(M, fd, p0, np.array([0.5, 0.5]))
         assert far == pytest.approx([0.5, 0.3], abs=1e-12)
 
-    def test_static_four_torus_witnesses_all_pass(self):
+    def test_static_four_torus_witnesses_all_pass(self, static_four_torus):
         """The leak guard must not read the rounding noise of a refined
         gradient, scaled by large curvature, as a leak out of X-perp."""
-        M = load_spec(STATIC_FOUR_TORUS)
-        scan = scan_extrema(M, "X", grid=[24, 24, 24, 8])
+        M, scan, cls = static_four_torus
         assert len(scan.records) == 48
-        cls = classify_field(M, "X")
         verdicts = [extremum_witness(M, "X", rec, classification=cls).verdict
                     for rec in scan.records]
         assert verdicts == [Verdict.PASS] * 48
@@ -262,12 +266,32 @@ class TestWitness:
         assert rep.kernel_residual < 1e-7
 
     def test_torus_maximum_all_planes_nonpositive(self, torus):
+        # on a 2-D chart span{v, X} is the only plane through X
         scan = scan_extrema(torus.spec, "X", grid=64)
-        rep = extremum_witness(torus.spec, "X", scan.maxima()[0], planes=32)
+        rep = extremum_witness(torus.spec, "X", scan.maxima()[0])
         assert rep.verdict is Verdict.PASS
         assert rep.inequality == "<= 0"
-        assert len(rep.sampled_values) == 32
-        assert all(v == pytest.approx(-PI ** 2, abs=1e-6) for v in rep.sampled_values)
+        assert rep.value == pytest.approx(-PI ** 2, abs=1e-6)
+        assert rep.value <= 0
+
+    def test_static_four_torus_maximum_is_the_largest_k(self, static_four_torus):
+        """At a maximum the witness reports the largest K over every plane
+        through X: no random plane through X exceeds it, and it is the K
+        of the plane it reports."""
+        M, scan, cls = static_four_torus
+        rng = np.random.default_rng(11)
+        maxima = scan.maxima()
+        assert maxima
+        for rec in maxima:
+            rep = extremum_witness(M, "X", rec, classification=cls)
+            assert rep.verdict is Verdict.PASS and rep.inequality == "<= 0"
+            geo = point_geometry(M, rec.point)
+            g, X = geo.metric, M.field_eval("X", rec.point)
+            U = rng.standard_normal((2000, 4))
+            num = np.einsum("ijkl,ni,j,nk,l->n", geo.riemann, U, X, U, X)
+            q = np.einsum("ni,ij,nj->n", U, g, U) * (X @ g @ X) - (U @ g @ X) ** 2
+            assert np.all(rep.value >= num / q - 1e-9)
+            assert sectional_curvature(M, rep.plane) == pytest.approx(rep.value, abs=1e-9)
 
     def test_witness_plane_contains_field(self, torus):
         scan = scan_extrema(torus.spec, "X", grid=64)
@@ -404,7 +428,42 @@ class TestConformalBound:
             conformal_bound_check(e.spec, "X", shifted)
 
 
+def _reference_input_checks(M, xname, samples=30, seed=0, verify_tol=1e-8):
+    """The message of the first failed input check of lorentzianize, from
+    a point-by-point loop over the same samples; None when all pass."""
+    for p in M.sample_points(samples, np.random.default_rng(seed)):
+        g = M.metric_eval(p)
+        if np.any(np.linalg.eigvalsh(g) <= 0):
+            return f"input metric not positive definite at {p.tolist()}"
+        Xp = M.field_eval(xname, p)
+        if float(Xp @ g @ Xp) <= 0:
+            return f"field vanishes (or is degenerate) at {p.tolist()}"
+        L = lie_derivative_metric_at(M, xname, p)
+        if float(np.max(np.abs(L))) > verify_tol * max(float(np.max(np.abs(g))), 1.0):
+            return f"field is not Killing for the input metric (residual at {p.tolist()})"
+    return None
+
+
 class TestLorentzianize:
+    @pytest.mark.parametrize("g11, field", [
+        ("1", '"0", "1"'),            # passes
+        ("x", '"0", "1"'),            # indefinite where x < 0
+        ("x", '"1", "0"'),            # indefinite where x < 0, not Killing anywhere
+        ("1", '"0", "x"'),            # not Killing
+        ("1", '"0", "0"'),            # vanishes
+    ])
+    def test_input_checks_match_a_point_loop(self, g11, field):
+        doc = FLAT_R2_RIEMANNIAN.replace('g.1.1 = "1"', f'g.1.1 = "{g11}"') \
+            .replace('components = "0", "1"', f"components = {field}")
+        spec = load_spec(doc, validate=False)
+        want = _reference_input_checks(spec, "X")
+        if want is None:
+            assert lorentzianize(spec, "X").signature == "lorentzian"
+        else:
+            with pytest.raises(LorentzianizeError) as err:
+                lorentzianize(spec, "X")
+            assert str(err.value) == want
+
     def test_round_s3_matches_catalog_flip(self, entry, hopf, rng):
         s3 = entry("round_s3").spec
         flipped = lorentzianize(s3, "X")
