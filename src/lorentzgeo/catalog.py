@@ -6,6 +6,11 @@ Expected rows carry a provenance tag: ``published`` for values taken
 from the source material the examples come from, ``derived`` for values
 computed here from closed forms or independent oracles, and ``exact``
 for immediate arithmetic.
+
+A sampled row reduces a per-point number (by max or min) over points
+drawn from one generator seeded by the row: all the points first, then
+each point's own random numbers in turn.  That fixed order of draws
+keeps every report reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -104,8 +109,12 @@ def run_entry(entry: CatalogEntry) -> list[dict]:
 # Shared helpers for the expected-value computations
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int = 0) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _sampled(entry, n, seed, quantity, reduce=max):
+    """reduce(quantity(p, rng)) over n points of the entry's chart.  One
+    rng seeded by ``seed`` draws all n points first; the draws quantity
+    makes at each point follow, point by point."""
+    rng = np.random.default_rng(seed)
+    return reduce(quantity(p, rng) for p in entry.spec.sample_points(n, rng))
 
 
 def _random_independent(rng, dim):
@@ -117,46 +126,38 @@ def _random_independent(rng, dim):
             return u, v
 
 
-def _max_sectional_deviation(entry, target, n_points=50, seed=0):
+def _max_sectional_deviation(entry, target):
     """max |K(random plane) - target| over random points."""
     M = entry.spec
-    rng = _rng(seed)
-    worst = 0.0
-    for p in M.sample_points(n_points, rng):
-        u, v = _random_independent(rng, M.dim)
-        k = sectional_curvature(M, TangentPlane(p, u, v))
-        worst = max(worst, abs(k - target))
-    return worst
+    return _sampled(entry, 50, 0, lambda p, rng: abs(sectional_curvature(
+        M, TangentPlane(p, *_random_independent(rng, M.dim))) - target))
 
 
-def _max_field_plane_deviation(entry, target, n_points=50, seed=0):
+def _max_field_plane_deviation(entry, target, n, seed):
     """max |K(plane containing X) - target| over random points/planes."""
     M = entry.spec
-    rng = _rng(seed)
-    worst = 0.0
-    for p in M.sample_points(n_points, rng):
-        X = M.field_eval(entry.field_name, p)
+
+    def deviation(p, rng):
         w = rng.normal(size=M.dim)
-        k = sectional_curvature(M, TangentPlane(p, w, X))
-        worst = max(worst, abs(k - target))
-    return worst
+        return abs(sectional_curvature(
+            M, TangentPlane(p, w, M.field_eval(entry.field_name, p))) - target)
+    return _sampled(entry, n, seed, deviation)
 
 
-def _max_ricci_abs(entry, n_points=50, seed=0):
-    M = entry.spec
-    rng = _rng(seed)
-    worst = 0.0
-    for p in M.sample_points(n_points, rng):
-        ric, _ = ricci_at(M, p)
-        worst = max(worst, float(np.max(np.abs(ric))))
-    return worst
+def _max_ricci_abs(entry):
+    return _sampled(entry, 50, 0, lambda p, rng: float(
+        np.max(np.abs(ricci_at(entry.spec, p)[0]))))
 
 
-def _max_hessian_identity_residual(entry, n_points=20, seed=0):
-    M = entry.spec
-    rng = _rng(seed)
-    return max(hessian_identity_residual(M, entry.field_name, p)
-               for p in M.sample_points(n_points, rng))
+def _max_hessian_identity_residual(entry, seed=0):
+    return _sampled(entry, 20, seed, lambda p, rng: hessian_identity_residual(
+        entry.spec, entry.field_name, p))
+
+
+def _field_norm(spec, xname, p):
+    """g(X, X) at p."""
+    X = spec.field_eval(xname, p)
+    return float(X @ spec.metric_eval(p) @ X)
 
 
 def _memo(entry, key, compute):
@@ -421,7 +422,7 @@ components = "0", "0", "1"
 # Entry builders
 # ---------------------------------------------------------------------------
 
-def _plateau_witness_value(entry, seed=3):
+def _plateau_witness_value(entry):
     """Witness value at a plateau point (every point doubles as min/max)."""
     scan = _scan(entry, grid=12)
     if not scan.plateau:
@@ -471,23 +472,14 @@ def _build_minkowski4() -> CatalogEntry:
 
 def _build_round_s2() -> CatalogEntry:
     spec = load_spec(_ROUND_S2, name="round_s2")
-
-    def ricci_equals_metric(e):
-        rng = _rng(2)
-        worst = 0.0
-        for p in e.spec.sample_points(20, rng):
-            ric, _ = ricci_at(e.spec, p)
-            g = e.spec.metric_eval(p)
-            worst = max(worst, float(np.max(np.abs(ric - g))))
-        return worst
-
     rows = (
         ExpectedRow("sectional_deviation_from_1", 0.0, 1e-8, "derived",
                     lambda e: _max_sectional_deviation(e, 1.0)),
         ExpectedRow("scalar_curvature", 2.0, 1e-8, "derived",
                     lambda e: ricci_at(e.spec, [PI / 3, 1.0])[1]),
         ExpectedRow("ricci_equals_metric", 0.0, 1e-8, "derived",
-                    ricci_equals_metric),
+                    lambda e: _sampled(e, 20, 2, lambda p, rng: float(
+                        np.max(np.abs(ricci_at(e.spec, p)[0] - e.spec.metric_eval(p)))))),
     )
     return CatalogEntry("round_s2", "unit round 2-sphere", spec, "", {}, rows)
 
@@ -499,9 +491,7 @@ def _build_round_s3() -> CatalogEntry:
                     lambda e: _max_sectional_deviation(e, 1.0),
                     note="unit round sphere has constant curvature 1"),
         ExpectedRow("fiber_field_norm", 1.0, 1e-12, "published",
-                    lambda e: float(e.spec.field_eval("X", [PI / 4, 0.3, 0.8]) @
-                                    e.spec.metric_eval([PI / 4, 0.3, 0.8]) @
-                                    e.spec.field_eval("X", [PI / 4, 0.3, 0.8]))),
+                    lambda e: _field_norm(e.spec, "X", [PI / 4, 0.3, 0.8])),
         ExpectedRow("classify_X", "killing", None, "exact",
                     lambda e: _classify(e, "X").tag.value),
     )
@@ -511,47 +501,31 @@ def _build_round_s3() -> CatalogEntry:
 
 def _build_hopf_lorentz_s3() -> CatalogEntry:
     spec = load_spec(_HOPF_LORENTZ_S3, name="hopf_lorentz_s3")
-
-    def gxx(e):
-        rng = _rng(5)
-        worst = 0.0
-        for p in e.spec.sample_points(20, rng):
-            X = e.spec.field_eval("X", p)
-            g = e.spec.metric_eval(p)
-            worst = max(worst, abs(float(X @ g @ X) + 1.0))
-        return worst
+    p0 = np.array([PI / 5, 0.7, 1.9])
 
     def horizontal_k(e):
-        p = np.array([PI / 5, 0.7, 1.9])
-        u = e.spec.field_eval("U", p)
-        iu = e.spec.field_eval("IU", p)
-        return sectional_curvature(e.spec, TangentPlane(p, u, iu))
+        return sectional_curvature(
+            e.spec, TangentPlane(p0, e.spec.field_eval("U", p0), e.spec.field_eval("IU", p0)))
 
     def inferred_base_k(e):
-        p = np.array([PI / 5, 0.7, 1.9])
-        g = e.spec.metric_eval(p)
-        u = e.spec.field_eval("U", p)
-        iu = e.spec.field_eval("IU", p)
-        k = sectional_curvature(e.spec, TangentPlane(p, u, iu))
-        return k - 3.0 * float(iu @ g @ iu) ** 2
-
-    def max_skew(e):
-        rng = _rng(6)
-        return max(skew_adjoint_residual(e.spec, "X", p)
-                   for p in e.spec.sample_points(20, rng))
+        return horizontal_k(e) - 3.0 * _field_norm(e.spec, "IU", p0) ** 2
 
     rows = (
-        ExpectedRow("field_norm", -1.0 * 0.0, 1e-10, "published", gxx,
+        ExpectedRow("field_norm", -1.0 * 0.0, 1e-10, "published",
+                    lambda e: _sampled(e, 20, 5, lambda p, rng: abs(
+                        _field_norm(e.spec, "X", p) + 1.0)),
                     note="deviation of g(X,X) from -1"),
         ExpectedRow("k_planes_containing_X", 0.0, 1e-8, "published",
-                    lambda e: _max_field_plane_deviation(e, -1.0),
+                    lambda e: _max_field_plane_deviation(e, -1.0, 50, 0),
                     note="deviation of K from -1 over planes through X"),
         ExpectedRow("k_horizontal_holomorphic", 7.0, 1e-6, "derived",
                     horizontal_k,
                     note="submersion shift: base holomorphic value 4 plus 3"),
         ExpectedRow("k_inferred_base", 4.0, 1e-6, "derived", inferred_base_k,
                     note="K minus the 3*g(iu,v)^2 shift recovers the base value"),
-        ExpectedRow("max_skew_residual", 0.0, 1e-9, "published", max_skew),
+        ExpectedRow("max_skew_residual", 0.0, 1e-9, "published",
+                    lambda e: _sampled(e, 20, 6, lambda p, rng: skew_adjoint_residual(
+                        e.spec, "X", p))),
         ExpectedRow("hessian_identity_residual", 0.0, 1e-7, "derived",
                     _max_hessian_identity_residual),
         ExpectedRow("classify_X", "killing", None, "published",
@@ -566,13 +540,9 @@ def _build_torus_family() -> CatalogEntry:
     spec = load_spec(_TORUS_FAMILY, name="torus_family")
     paths = {"min_to_max": np.array([[0.5, 0.0], [0.0, 0.0]])}
 
-    def min_x(e):
-        rec = _find_extremum(_scan(e), ExtremumKind.MIN)
-        return min(rec.point[0], 1.0 - rec.point[0] if rec.point[0] > 0.5 else rec.point[0])
-
-    def max_x(e):
-        rec = _find_extremum(_scan(e), ExtremumKind.MAX)
-        x = rec.point[0]
+    def extremum_x(e, kind):
+        """x of the extremum, folded onto [0, 1/2] by the period"""
+        x = _find_extremum(_scan(e), kind).point[0]
         return min(x, 1.0 - x)
 
     def witness_k(e, kind):
@@ -593,8 +563,10 @@ def _build_torus_family() -> CatalogEntry:
                         e.spec, e.spec.field_vector("X", [0.37, 0.2])).value),
         ExpectedRow("classify_X", "killing", None, "exact",
                     lambda e: _classify(e, "X").tag.value),
-        ExpectedRow("local_min_x", 0.5, 1e-4, "derived", min_x),
-        ExpectedRow("local_max_x", 0.0, 1e-4, "derived", max_x),
+        ExpectedRow("local_min_x", 0.5, 1e-4, "derived",
+                    lambda e: extremum_x(e, ExtremumKind.MIN)),
+        ExpectedRow("local_max_x", 0.0, 1e-4, "derived",
+                    lambda e: extremum_x(e, ExtremumKind.MAX)),
         ExpectedRow("f_at_min", -1.25, 1e-9, "derived",
                     lambda e: _find_extremum(_scan(e), ExtremumKind.MIN).f_value),
         ExpectedRow("witness_k_at_min", PI ** 2, 1e-4, "derived",
@@ -633,17 +605,10 @@ def _build_torus_family_mixed() -> CatalogEntry:
 
 def _build_torus3_null_variant() -> CatalogEntry:
     spec = load_spec(_TORUS3_NULL_VARIANT, name="torus3_null_variant")
-
-    def max_sym_residual(e):
-        rng = _rng(7)
-        worst = 0.0
-        for p in e.spec.sample_points(20, rng):
-            res = symmetry_residuals(point_geometry(e.spec, p))
-            worst = max(worst, max(res.values()))
-        return worst
-
     rows = (
-        ExpectedRow("max_symmetry_residual", 0.0, 1e-8, "derived", max_sym_residual),
+        ExpectedRow("max_symmetry_residual", 0.0, 1e-8, "derived",
+                    lambda e: _sampled(e, 20, 7, lambda p, rng: max(
+                        symmetry_residuals(point_geometry(e.spec, p)).values()))),
         ExpectedRow("classify_X", "killing", None, "exact",
                     lambda e: _classify(e, "X").tag.value),
     )
@@ -665,11 +630,8 @@ def _build_conformal_counterexample() -> CatalogEntry:
             e.spec, TangentPlane([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))
 
     def k_sign_sampled(e):
-        rng = _rng(8)
-        worst = -math.inf
-        for p in e.spec.sample_points(100, rng):
-            k = sectional_curvature(e.spec, TangentPlane(p, [1.0, 0.0], [0.0, 1.0]))
-            worst = max(worst, k)
+        worst = _sampled(e, 100, 8, lambda p, rng: sectional_curvature(
+            e.spec, TangentPlane(p, [1.0, 0.0], [0.0, 1.0])))
         return "negative" if worst < 0 else "nonnegative"
 
     def _bound_report(e):
@@ -707,14 +669,10 @@ def _build_schwarzschild() -> CatalogEntry:
     spec = load_spec(_SCHWARZSCHILD, name="schwarzschild_exterior")
 
     def f_profile_dev(e):
-        rng = _rng(9)
         m_par = e.spec.params["m"]
         fexpr = field_energy_expr(e.spec, "X")
-        worst = 0.0
-        for p in e.spec.sample_points(30, rng):
-            r = p[1]
-            worst = max(worst, abs(e.spec.evaluate(fexpr, p) - (m_par / r - 0.5)))
-        return worst
+        return _sampled(e, 30, 9, lambda p, rng: abs(
+            e.spec.evaluate(fexpr, p) - (m_par / p[1] - 0.5)))
 
     def interior_min_count(e):
         scan = _scan(e, grid=[8, 16, 8, 8])
@@ -738,28 +696,17 @@ def _build_schwarzschild() -> CatalogEntry:
 def _build_static_product() -> CatalogEntry:
     spec = load_spec(_STATIC_PRODUCT, name="static_product")
 
-    def k_planes_bound(e):
-        rng = _rng(10)
-        worst = 0.0
-        for p in e.spec.sample_points(10, rng):
-            X = e.spec.field_eval("X", p)
-            w = rng.normal(size=3)
-            k = sectional_curvature(e.spec, TangentPlane(p, w, X))
-            worst = max(worst, abs(k))
-        return worst
-
     def min_timelike_ricci(e):
-        rng = _rng(11)
-        worst = math.inf
-        for p in e.spec.sample_points(10, rng):
+        def timelike_ricci(p, rng):
             ric, _ = ricci_at(e.spec, p)
             v = np.array([0.1, 0.1, 1.0]) + 0.05 * rng.normal(size=3)
-            worst = min(worst, float(v @ ric @ v))
-        return worst
+            return float(v @ ric @ v)
+        return _sampled(e, 10, 11, timelike_ricci, reduce=min)
 
     rows = (
         ExpectedRow("max_ricci_abs", 0.0, 1e-10, "derived", _max_ricci_abs),
-        ExpectedRow("k_planes_containing_X", 0.0, 1e-9, "published", k_planes_bound,
+        ExpectedRow("k_planes_containing_X", 0.0, 1e-9, "published",
+                    lambda e: _max_field_plane_deviation(e, 0.0, 10, 10),
                     note="with constant warping the product is flat and every "
                          "plane through the static field has zero curvature"),
         ExpectedRow("min_timelike_ricci", 0.0, 1e-10, "published",
@@ -798,12 +745,6 @@ def _build_circle_lift_torus() -> CatalogEntry:
                                         classification=_classify(e, "Xbar"))
         raise AssertionError("no lightlike maximum found")
 
-    def null_witness_value(e):
-        return _null_witness(e).value
-
-    def null_witness_verdict(e):
-        return _null_witness(e).verdict.value
-
     rows = (
         ExpectedRow("classify_Xbar", "killing", None, "published",
                     lambda e: _classify(e, "Xbar").tag.value),
@@ -813,17 +754,15 @@ def _build_circle_lift_torus() -> CatalogEntry:
                     note="the lift is lightlike exactly where g(X,X) peaks"),
         ExpectedRow("lightlike_locus_x", 0.0, 1e-6, "derived", locus_min_abs_x),
         ExpectedRow("null_witness_value", 1.5 * PI ** 2, 1e-6, "derived",
-                    null_witness_value,
+                    lambda e: _null_witness(e).value,
                     note="closed form -c^2 f''(0) = +1.5 pi^2; the locus is the "
                          "energy maximum, so the null curvature there is "
                          "nonnegative, not nonpositive"),
         ExpectedRow("null_witness_verdict", "PASS", None, "derived",
-                    null_witness_verdict,
+                    lambda e: _null_witness(e).verdict.value,
                     note="maximum-side inequality K_X >= 0"),
         ExpectedRow("hessian_identity_residual", 0.0, 1e-7, "derived",
-                    lambda e: max(
-                        hessian_identity_residual(e.spec, "Xbar", p)
-                        for p in e.spec.sample_points(20, _rng(12)))),
+                    lambda e: _max_hessian_identity_residual(e, seed=12)),
     )
     return CatalogEntry("circle_lift_torus",
                         "torus_family with a flat circle factor and lifted field",

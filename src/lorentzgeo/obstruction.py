@@ -60,6 +60,11 @@ from .symmetry import (
 WITNESS_TOL = 1e-6
 PLATEAU_BAND = 1e-10
 PLATEAU_FRACTION = 0.9
+CONFORMAL_TOL = 1e-9      # slack of the conformal bound and of sigma(p0) ~ 0
+FLIP_SAMPLES = 30         # sampled points checked by lorentzianize
+FLIP_TOL = 1e-8           # relative residual of its pre- and postconditions
+LIFT_TOL = 1e-6           # relative slack of c^2 = -max g(X,X) in circle_lift
+LIFTED_FIELD = "Xbar"     # the lifted field's name on the circle lift
 
 _TINY = 1e-300
 _NEWTON_STEPS = 8     # from a grid node Newton reaches float precision in 1-3
@@ -510,14 +515,11 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     ztol = 1e-9 * max(abs(k_min), abs(k_max), 1e-30)
 
     zeros: list[ScanZero] = []
-    seen_exact: set[tuple[int, int]] = set()
     for j in range(planes_per_point):
         trace = [s.values[j] for s in scans]
         for i, val in enumerate(trace):
             if abs(val) <= ztol:
-                if (i, j) not in seen_exact:
-                    seen_exact.add((i, j))
-                    zeros.append(ScanZero(float(i), scans[i].point, j))
+                zeros.append(ScanZero(float(i), scans[i].point, j))
         for i in range(n_pts - 1):
             a, b = trace[i], trace[i + 1]
             if abs(a) <= ztol or abs(b) <= ztol:
@@ -551,7 +553,6 @@ class ConformalBoundReport:
 
 
 def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
-                          tol: float = 1e-9, sigma_tol: float = 1e-9,
                           classification: FieldClass | None = None,
                           ) -> ConformalBoundReport:
     """At a critical point p0 of f with X timelike and L_X g = sigma*g,
@@ -574,7 +575,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
     cf = ConformalFactor(M, xname)
     sigma0 = cf.sigma(p)
-    if abs(sigma0) > sigma_tol:
+    if abs(sigma0) > CONFORMAL_TOL:
         raise ValueError(
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
@@ -589,8 +590,8 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     return ConformalBoundReport(
         point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,
         curvature=k_val, plane=plane,
-        bound_verdict=Verdict.PASS if k_val >= bound - tol else Verdict.FAIL,
-        nonnegativity_verdict=Verdict.PASS if k_val >= -tol else Verdict.FAIL,
+        bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
+        nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
         kernel_residual=kres, classification=classification)
 
 
@@ -611,9 +612,8 @@ def _first_failure(pts: np.ndarray, *checks) -> None:
                 raise LorentzianizeError(message.format(p.tolist()))
 
 
-def lorentzianize(M: ManifoldSpec, xname: str, *, check_riemannian: bool = True,
-                  samples: int = 30, seed: int = 0,
-                  verify_tol: float = 1e-8) -> ManifoldSpec:
+def lorentzianize(M: ManifoldSpec, xname: str, *,
+                  check_riemannian: bool = True) -> ManifoldSpec:
     """Flip g := g_R - (2/g_R(X,X)) w (x) w with w the g_R-dual of X.
 
     For a Riemannian input with nowhere-zero Killing X this produces a
@@ -644,7 +644,7 @@ def lorentzianize(M: ManifoldSpec, xname: str, *, check_riemannian: bool = True,
     if check_riemannian:
         if M.signature != "riemannian":
             raise LorentzianizeError("input chart must be Riemannian")
-        pts = M.sample_points(samples, np.random.default_rng(seed))
+        pts = M.sample_points(FLIP_SAMPLES, np.random.default_rng(0))
         g = M.evaluate_symmetric(M.metric, pts)
         Xs = np.stack([M.evaluate_points(c, pts) for c in X], axis=1)
         gX = np.einsum("nij,nj->ni", g, Xs)
@@ -652,22 +652,22 @@ def lorentzianize(M: ManifoldSpec, xname: str, *, check_riemannian: bool = True,
         scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
         definite = np.all(np.linalg.eigvalsh(g) > 0, axis=1)
         L = M.evaluate_symmetric(lie_derivative_metric_exprs(M, xname), pts)
-        killing = np.max(np.abs(L), axis=(1, 2)) <= verify_tol * scales
+        killing = np.max(np.abs(L), axis=(1, 2)) <= FLIP_TOL * scales
         _first_failure(pts, (definite, "input metric not positive definite at {}"),
                        (qs > 0, "field vanishes (or is degenerate) at {}"),
                        (killing, "field is not Killing for the input metric (residual at {})"))
         gn = flipped.evaluate_symmetric(flipped.metric, pts)
-        flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= verify_tol * scales
+        flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= FLIP_TOL * scales
         # rows w_i = e_i - (g(e_i,X)/g(X,X)) X span X-perp
         W = np.eye(m) - gX[:, :, None] * Xs[:, None, :] / qs[:, None, None]
         perp = W @ (gn - g) @ W.transpose(0, 2, 1)
-        perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= verify_tol * scales
+        perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= FLIP_TOL * scales
         Ln = flipped.evaluate_symmetric(lie_derivative_metric_exprs(flipped, xname), pts)
-        killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * verify_tol * scales
+        killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * FLIP_TOL * scales
         _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
                        (perp_ok, "flip postcondition g = g_R on X-perp failed"),
                        (killing, "field is not Killing for the flipped metric"))
-        validate_signature(flipped, samples=samples, seed=seed)
+        validate_signature(flipped, samples=FLIP_SAMPLES, seed=0)
     return flipped
 
 
@@ -688,11 +688,11 @@ class LiftResult:
 
 
 def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
-                mode: str = "lightlike_locus", grid: int = 48,
-                lifted_name: str = "Xbar", theta_name: str | None = None,
-                tol: float = 1e-6) -> LiftResult:
+                mode: str = "lightlike_locus", grid: int = 48) -> LiftResult:
     """Append a flat periodic coordinate and lift X to X + c*e_theta on
-    (M x S^1, g + dtheta^2).
+    (M x S^1, g + dtheta^2).  The lifted field is named ``LIFTED_FIELD``;
+    the new coordinate is ``theta``, or ``theta1``, ``theta2``, ... when
+    that name is taken.
 
     In ``lightlike_locus`` mode c^2 must equal -max g(X,X) over the scan
     grid (within tolerance), so the lifted field is causal everywhere
@@ -715,25 +715,24 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     c2 = c * c
     scale = max(1.0, abs(max_gxx), abs(min_gxx))
     if mode == "lightlike_locus":
-        if abs(c2 + max_gxx) > tol * scale:
+        if abs(c2 + max_gxx) > LIFT_TOL * scale:
             raise LiftError(
                 f"lightlike-locus lift needs c^2 = -max g(X,X) = {-max_gxx!r}, "
                 f"got c^2 = {c2!r}")
     elif mode != "general":
         raise LiftError(f"unknown lift mode '{mode}'")
 
-    causal_everywhere = c2 <= -max_gxx + tol * scale
-    nowhere_timelike = c2 >= -min_gxx - tol * scale
+    causal_everywhere = c2 <= -max_gxx + LIFT_TOL * scale
+    nowhere_timelike = c2 >= -min_gxx - LIFT_TOL * scale
     locus = tuple(np.append(p, 0.0) for val, p in zip(values, nodes)
                   if abs(val + c2) <= 1e-9 * scale)
 
-    if theta_name is None:
-        theta_name = "theta"
-        taken = set(M.coord_names()) | set(M.params)
-        k = 1
-        while theta_name in taken:
-            theta_name = f"theta{k}"
-            k += 1
+    theta_name = "theta"
+    taken = set(M.coord_names()) | set(M.params)
+    k = 1
+    while theta_name in taken:
+        theta_name = f"theta{k}"
+        k += 1
     m = M.dim
     coords = list(M.coords) + [Coordinate(theta_name, 0.0, 2 * math.pi, True)]
     new_metric = [[ex.ZERO] * (m + 1) for _ in range(m + 1)]
@@ -742,10 +741,10 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
             new_metric[i][j] = M.metric[i][j]
     new_metric[m][m] = ex.ONE
     fields = {name: list(comps) + [ex.ZERO] for name, comps in M.fields.items()}
-    fields[lifted_name] = list(M.fields[xname]) + [ex.Const(c)]
+    fields[LIFTED_FIELD] = list(M.fields[xname]) + [ex.Const(c)]
     lifted = ManifoldSpec(name=f"{M.name}_lift", coords=coords,
                           signature=M.signature, metric=new_metric,
                           params=M.params, fields=fields, scalars=M.scalars)
-    return LiftResult(spec=lifted, field=lifted_name, c=c, max_gxx=max_gxx,
+    return LiftResult(spec=lifted, field=LIFTED_FIELD, c=c, max_gxx=max_gxx,
                       min_gxx=min_gxx, causal_everywhere=causal_everywhere,
                       nowhere_timelike=nowhere_timelike, lightlike_locus=locus[:64])

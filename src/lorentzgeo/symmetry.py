@@ -40,6 +40,8 @@ CLASSIFY_TOL = 1e-8
 KERNEL_REL_TOL = 1e-7
 KERNEL_ABS_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-9
+SKEW_TOL = 1e-6           # relative |op + op^T| a kernel_direction input may carry
+INVARIANCE_TOL = 1e-6     # relative leak of A_X out of X-perp a restriction may carry
 
 _TINY = 1e-300
 
@@ -103,7 +105,7 @@ def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]
 
 
 def classify_field(M: ManifoldSpec, xname: str, samples=None,
-                   tol: float = CLASSIFY_TOL, rng=None) -> FieldClass:
+                   tol: float = CLASSIFY_TOL) -> FieldClass:
     """Fit L_X g against {0, lam*g, sigma(p)*g}.
 
     When every entry of the exact L_X g trees folds to zero at build
@@ -124,7 +126,7 @@ def classify_field(M: ManifoldSpec, xname: str, samples=None,
     if all(trees[i][j] == ex.ZERO for i, j in upper):
         return FieldClass(FieldTag.KILLING, 0.0, 0.0, 0)
     if samples is None:
-        samples = M.sample_points(24, rng or np.random.default_rng(0))
+        samples = M.sample_points(24, np.random.default_rng(0))
 
     g = M.evaluate_symmetric(M.metric, samples)
     L = M.evaluate_symmetric(trees, samples)
@@ -254,15 +256,14 @@ class RestrictedOperator:
 
 
 def restricted_operator(M: ManifoldSpec, xname: str, p,
-                        mode: str = "orthogonal",
-                        invariance_tol: float = 1e-6) -> RestrictedOperator:
+                        mode: str = "orthogonal") -> RestrictedOperator:
     """Build the restriction of A_X appropriate to the causal character
     of X at p.
 
     Orthogonal mode requires X timelike (spacelike complement of
     dimension m-1); quotient mode requires X lightlike and works on the
     (m-2)-dimensional quotient with its positive-definite induced
-    product.  A leak of A_X out of X-perp beyond ``invariance_tol``
+    product.  A leak of A_X out of X-perp beyond ``INVARIANCE_TOL``
     signals a non-homothetic input and raises :class:`SubspaceError`.
     """
     want = {"orthogonal": CausalCharacter.TIMELIKE, "quotient": CausalCharacter.LIGHTLIKE}
@@ -276,7 +277,7 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
     reps = orthogonal_complement_basis(M, xname, p, quotient=mode == "quotient")
 
     mat, leak = restriction_matrix(M, xname, p, reps)
-    if leak > invariance_tol:
+    if leak > INVARIANCE_TOL:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
@@ -297,18 +298,19 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
                               invariance_residual=leak, lam=lam, eigen_residual=eig_res)
 
 
-def kernel_direction(matrix: np.ndarray, skew_tol: float = 1e-6) -> np.ndarray | None:
+def kernel_direction(matrix: np.ndarray) -> np.ndarray:
     """Unit kernel direction of a skew operator on an inner-product space.
 
-    Odd dimension guarantees a kernel; failing to find one there raises
-    :class:`KernelExtractionError`.  An even-dimensional operator with
-    trivial kernel is a reported condition: the function returns None.
+    Odd dimension guarantees a kernel.  When none is found (an
+    even-dimensional operator may have none, an odd-dimensional one
+    only through an upstream inconsistency) this raises
+    :class:`KernelExtractionError`, as it does for a non-skew input.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     scale = float(np.max(np.abs(matrix)))
     if scale > KERNEL_ABS_TOL and \
-            float(np.max(np.abs(matrix + matrix.T))) / scale > skew_tol:
+            float(np.max(np.abs(matrix + matrix.T))) / scale > SKEW_TOL:
         raise KernelExtractionError("operator is not skew-adjoint within tolerance")
     if n == 1:
         return np.array([1.0])
@@ -318,13 +320,11 @@ def kernel_direction(matrix: np.ndarray, skew_tol: float = 1e-6) -> np.ndarray |
     resid = float(np.linalg.norm(matrix @ v))
     ok = resid <= KERNEL_REL_TOL * opnorm if opnorm > KERNEL_ABS_TOL \
         else resid <= KERNEL_ABS_TOL
-    if ok:
-        return v
-    if n % 2 == 1:
+    if not ok:
         raise KernelExtractionError(
-            f"odd-dimensional skew operator without a kernel direction "
+            f"{n}-dimensional skew operator without a kernel direction "
             f"(|op v| = {resid:.3e}, |op| = {opnorm:.3e})")
-    return None
+    return v
 
 
 # ---------------------------------------------------------------------------

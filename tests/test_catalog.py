@@ -1,11 +1,16 @@
 """Catalog entries: validity, expected-value tables, and round trips."""
 
+import dataclasses
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from lorentzgeo import catalog
 from lorentzgeo.catalog import build_example, list_examples, run_entry
-from lorentzgeo.manifold import load_spec, to_document, validate_signature
+from lorentzgeo.curvature import ricci_at, sectional_curvature
+from lorentzgeo.manifold import TangentPlane, load_spec, to_document, validate_signature
 from lorentzgeo.obstruction import lorentzianize
 
 PINNED = [
@@ -80,3 +85,76 @@ def test_each_entry_scans_each_grid_once(count_calls):
     classified = [(M.name, xname) for (M, xname), _ in classifications]
     assert len(classified) == len(set(classified)) == 10
     assert len(bounds) == 1
+
+
+# ---------------------------------------------------------------------------
+# Sampled rows against explicit point loops
+# ---------------------------------------------------------------------------
+
+def _row_value(e, quantity):
+    return next(r for r in e.expected if r.quantity == quantity).compute(e)
+
+
+def _random_plane_deviations(M, target, n, seed):
+    """|K - target| of a random plane at each point: all points first,
+    then two independent random vectors per point, from one generator."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in M.sample_points(n, rng):
+        while True:
+            u, v = rng.normal(size=M.dim), rng.normal(size=M.dim)
+            if np.linalg.det(np.array([[u @ u, u @ v], [u @ v, v @ v]])) > \
+                    1e-6 * (u @ u) * (v @ v):
+                break
+        out.append(abs(sectional_curvature(M, TangentPlane(p, u, v)) - target))
+    return out
+
+
+def _field_plane_deviations(M, xname, target, n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in M.sample_points(n, rng):
+        X = M.field_eval(xname, p)
+        w = rng.normal(size=M.dim)
+        out.append(abs(sectional_curvature(M, TangentPlane(p, w, X)) - target))
+    return out
+
+
+def _timelike_riccis(M, n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in M.sample_points(n, rng):
+        ric, _ = ricci_at(M, p)
+        v = np.array([0.1, 0.1, 1.0]) + 0.05 * rng.normal(size=3)
+        out.append(float(v @ ric @ v))
+    return out
+
+
+def test_sampled_rows_equal_explicit_point_loops(entry):
+    """Each sampled row is its point loop, bit for bit: the same seed, the
+    same points, the per-point draws after all the points, the same
+    reduction.  The flat static product gives 0 at every point, so its two
+    rows are also run on the curved 3-d chart of torus3_null_variant,
+    where the per-point values differ."""
+    s3, hopf, static = entry("round_s3"), entry("hopf_lorentz_s3"), entry("static_product")
+    curved = dataclasses.replace(static, spec=entry("torus3_null_variant").spec, memo={})
+
+    assert _row_value(s3, "sectional_deviation_from_1") == \
+        reduce(max, _random_plane_deviations(s3.spec, 1.0, 50, 0), 0.0)
+    assert _row_value(hopf, "k_planes_containing_X") == \
+        reduce(max, _field_plane_deviations(hopf.spec, "X", -1.0, 50, 0), 0.0)
+    for e in (static, curved):
+        assert _row_value(e, "k_planes_containing_X") == \
+            reduce(max, _field_plane_deviations(e.spec, "X", 0.0, 10, 10), 0.0)
+        assert _row_value(e, "min_timelike_ricci") == \
+            reduce(min, _timelike_riccis(e.spec, 10, 11), math.inf)
+    riccis = _timelike_riccis(curved.spec, 10, 11)
+    assert min(riccis) < max(riccis)          # the reduction is visible here
+
+    conformal = entry("conformal_counterexample")
+    rng = np.random.default_rng(8)
+    worst = reduce(max, (
+        sectional_curvature(conformal.spec, TangentPlane(p, [1.0, 0.0], [0.0, 1.0]))
+        for p in conformal.spec.sample_points(100, rng)), -math.inf)
+    assert worst < 0
+    assert _row_value(conformal, "k_sign_sampled") == "negative"
