@@ -10,6 +10,7 @@ but nothing failed, 1 on failures or errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -379,6 +380,9 @@ def _cmd_catalog(args) -> Report:
 
 # ---------------------------------------------------------------------------
 
+# built once per process: parse_args keeps no state on the parser, and
+# each call returns a fresh namespace
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorentzgeo",

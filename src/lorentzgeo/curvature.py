@@ -6,9 +6,10 @@ on top is plain dense numpy (dimensions in this engine are small, so
 clarity beats symmetry-compressed storage).
 
 :func:`point_geometry` is the single evaluation of the metric jet at a
-point: it alone calls ``metric_derivs``, refuses a degenerate metric and
-inverts g.  The spec memoizes the geometry of the last point asked for
-(keyed on the wrapped point, so a periodic image hits too) and its arrays
+point: in this module it alone calls ``metric_derivs`` (one call of the
+spec's compiled jet function), refuses a degenerate metric and inverts g.
+The spec memoizes the geometry of the last point asked for (keyed on the
+wrapped point, so a periodic image hits too) and its arrays
 are read-only, so every helper simply asks for the geometry at its point:
 nothing is handed down, and g, Gamma and R are built once per point.
 :func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec

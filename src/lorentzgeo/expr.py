@@ -24,6 +24,13 @@ a point-by-point loop would raise first.  The two walkers agree bit for
 bit on ``+ - * /``, ``sin``, ``cos``, ``sqrt`` and ``abs``; numpy's
 ``exp``, ``tan``, ``log`` and ``power`` may differ from :mod:`math` in
 the last unit or so.
+
+:func:`compile_trees` turns a fixed list of trees into one generated
+straight-line function for repeated evaluation at single points, each
+distinct subtree computed once.  It uses the scalar walker's own
+operations, so its values equal ``[evaluate(t, b) for t in trees]`` bit
+for bit; where the generated code raises or meets a non-finite number it
+re-runs the walker, so it raises exactly what the walker raises.
 """
 
 from __future__ import annotations
@@ -508,6 +515,96 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
         except (ValueError, OverflowError):
             raise EvalError("domain error", e)
     raise ExprError(f"cannot evaluate node {e!r}")
+
+
+def compile_trees(trees):
+    """One straight-line function for a fixed list of trees.
+
+    Returns ``run(bindings)``, which equals ``[evaluate(t, bindings) for
+    t in trees]`` bit for bit, errors and messages included.  Each
+    distinct subtree becomes one assignment, hash-consed on its operator
+    and the temporaries of its children, so a subtree shared by several
+    trees is computed once.  The generated code makes no finiteness
+    checks of its own: it returns the values with the sum of every
+    temporary, and if it raises or that sum is not finite (a non-finite
+    temporary makes it so), ``run`` re-runs the walker, which returns
+    the same values or raises what it raises.
+    """
+    trees = list(trees)
+    env = dict(_MATH_FN, _pow=_eval_pow, _evaluate=evaluate)
+    lines = []
+    text = {}   # id(node) -> the node's operand text
+    temp = {}   # (operator, operand texts) -> temporary
+
+    def emit(key, rhs):
+        name = temp.get(key)
+        if name is None:
+            name = temp[key] = f"t{len(lines)}"
+            lines.append(f"    {name} = {rhs}")
+        return name
+
+    def bind(value):
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
+
+    for root in trees:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in text:
+                stack.pop()
+                continue
+            if isinstance(node, Const):
+                v = node.value
+                text[id(node)] = repr(v) if type(v) is float and math.isfinite(v) else bind(v)
+                stack.pop()
+                continue
+            if isinstance(node, Var):
+                text[id(node)] = emit(("var", node.name), f"b[{node.name!r}]")
+                stack.pop()
+                continue
+            kids = ((node.arg,) if isinstance(node, (Neg, Call)) else
+                    (node.left, node.right) if isinstance(node, BinOp) else ())
+            todo = [k for k in kids if id(k) not in text]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            args = [text[id(k)] for k in kids]
+            if isinstance(node, Neg):
+                out = emit(("neg", *args), f"-{args[0]}")
+            elif isinstance(node, BinOp) and node.op in "+-*/":
+                out = emit((node.op, *args), f"{args[0]} {node.op} {args[1]}")
+            elif isinstance(node, BinOp) and node.op == "^":
+                # the node is passed for _eval_pow's messages; the walker
+                # re-raises whatever it raises anyway
+                out = emit(("^", *args), f"_pow({args[0]}, {args[1]}, {bind(node)})")
+            elif isinstance(node, Call) and node.fn in _MATH_FN:
+                out = emit((node.fn, *args), f"{node.fn}({args[0]})")
+            else:
+                # a node the walker itself refuses: it stays the walker's
+                out = emit(("node", id(node)), f"_evaluate({bind(node)}, b)")
+            text[id(node)] = out
+    temps = ", ".join(f"t{k}" for k in range(len(lines)))
+    source = "\n".join(["def _trees(b):", *lines,
+                        f"    return [{', '.join(text[id(t)] for t in trees)}], "
+                        f"sum(({temps}{',' if lines else ''}))"])
+    exec(compile(source, "<compile_trees>", "exec"), env)
+    straight = env["_trees"]
+
+    def run(bindings):
+        # a missing name is a KeyError, a pole a ZeroDivisionError or a
+        # math domain error; the walker turns each into its EvalError
+        try:
+            values, total = straight(bindings)
+            if math.isfinite(total):
+                return values
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            pass
+        return [evaluate(t, bindings) for t in trees]
+
+    return run
 
 
 def evaluate_batch(e: Expr, columns: dict) -> np.ndarray:

@@ -7,7 +7,8 @@ Specs are immutable after construction; every pointwise query is a pure
 function, safe to call from many workers at once.  That holds with the
 spec's memo of its last point geometry because the memo is one (key,
 geometry) tuple, replaced whole: two workers racing on one spec may
-recompute a geometry, but never read a wrong one.
+recompute a geometry, but never read a wrong one.  The compiled metric
+jet is likewise one attribute, set whole by the first jet.
 
 Charts load from a sectioned key-value text document::
 
@@ -144,7 +145,10 @@ class ManifoldSpec:
 
     Derivative trees of the metric and of every field component are
     differentiated once, eagerly, so that downstream curvature work is
-    pure array assembly.
+    pure array assembly.  Compilation is lazy: the first
+    :meth:`metric_derivs` call compiles the non-constant trees of g, dg
+    and ddg into one straight-line function (:func:`expr.compile_trees`),
+    so loading, exporting or flipping a chart compiles nothing.
     """
 
     def __init__(self, name: str, coords: list[Coordinate], signature: str,
@@ -165,6 +169,8 @@ class ManifoldSpec:
         # filled by curvature.point_geometry and curvature.energy_derivs
         self._geometry = (None, None)
         self._energy = {}
+        # the compiled metric jet: built by the first metric_derivs call
+        self._jet = None
 
         m = self.dim
         if len(metric) != m or any(len(row) != m for row in metric):
@@ -182,7 +188,8 @@ class ManifoldSpec:
         names = [c.name for c in self.coords]
         # g.j.i is the same tree as g.i.j, so each entry is differentiated
         # once and its derivatives are shared by both index orders; the
-        # mixed partials d_l d_k are distinct trees and stay separate
+        # mixed partials commute, so d_l d_k is built for l <= k only and
+        # d_k d_l shares its tree
         self._dg = [[[None] * m for _ in range(m)] for _ in range(m)]
         self._ddg = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
         for i in range(m):
@@ -194,8 +201,9 @@ class ManifoldSpec:
                     for k, kn in enumerate(names):
                         d = self._dg[k][i][j] = self._dg[k][j][i] = \
                             ex.differentiate(self.metric[i][j], kn)
-                        for l, ln in enumerate(names):
+                        for l, ln in enumerate(names[:k + 1]):
                             self._ddg[l][k][i][j] = self._ddg[l][k][j][i] = \
+                                self._ddg[k][l][i][j] = self._ddg[k][l][j][i] = \
                                 ex.differentiate(d, ln)
         self._dfields = {}
         for fname, comps in self.fields.items():
@@ -304,21 +312,55 @@ class ManifoldSpec:
 
     def metric_derivs(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, dg, ddg) at p with dg[k,i,j] = d_k g_ij and
-        ddg[l,k,i,j] = d_l d_k g_ij, all from exact trees."""
+        ddg[l,k,i,j] = d_l d_k g_ij, all from exact trees: each value
+        equals the walker's :func:`expr.evaluate` of its tree bit for bit,
+        and a pole raises the walker's error."""
         b = self.bindings(self.wrap_point(p))
+        plan = self._jet
+        if plan is None:
+            plan = self._jet = self._jet_plan()
+        template, index, source, run = plan
+        flat = template.copy()
+        flat[index] = np.array(run(b))[source]
         m = self.dim
-        g = np.empty((m, m))
-        dg = np.empty((m, m, m))
-        ddg = np.empty((m, m, m, m))
+        n1, n2 = m ** 2, m ** 2 + m ** 3
+        return (flat[:n1].reshape(m, m), flat[n1:n2].reshape(m, m, m),
+                flat[n2:].reshape(m, m, m, m))
+
+    def _jet_plan(self):
+        """(template, index, source, run) for :meth:`metric_derivs`: g, dg
+        and ddg laid out flat, with the constant entries filled in the
+        template; the non-constant ones go to ``index`` from the values
+        ``run`` computes, ``source`` naming the value of each.  The
+        distinct trees are listed in the order a loop over the upper
+        triangle reaches them, so the first error is the walker's."""
+        m = self.dim
+        n1, n2 = m ** 2, m ** 2 + m ** 3
+        G = np.arange(n1).reshape(m, m).tolist()
+        DG = np.arange(n1, n2).reshape(m, m, m).tolist()
+        DDG = np.arange(n2, n2 + m ** 4).reshape(m, m, m, m).tolist()
+        template = np.zeros(n2 + m ** 4)
+        trees, position, index, source = [], {}, [], []
+
+        def put(tree, a, b):
+            if isinstance(tree, ex.Const):
+                template[a] = template[b] = tree.value
+                return
+            k = position.setdefault(id(tree), len(trees))
+            if k == len(trees):
+                trees.append(tree)
+            index.extend((a, b))
+            source.extend((k, k))
+
         for i in range(m):
             for j in range(i, m):
-                g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
+                put(self.metric[i][j], G[i][j], G[j][i])
                 for k in range(m):
-                    dg[k, i, j] = dg[k, j, i] = ex.evaluate(self._dg[k][i][j], b)
+                    put(self._dg[k][i][j], DG[k][i][j], DG[k][j][i])
                     for l in range(m):
-                        ddg[l, k, i, j] = ddg[l, k, j, i] = \
-                            ex.evaluate(self._ddg[l][k][i][j], b)
-        return g, dg, ddg
+                        put(self._ddg[l][k][i][j], DDG[l][k][i][j], DDG[l][k][j][i])
+        return template, np.array(index, dtype=int), np.array(source, dtype=int), \
+            ex.compile_trees(trees)
 
     def field_eval(self, name: str, p) -> np.ndarray:
         comps = self.fields[name]
@@ -465,9 +507,13 @@ def field_energy_expr(M: ManifoldSpec, xname: str) -> Expr:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise SpecError(f"{what}: '{text}' is not a decimal number")
+        raise SpecError(f"{what}: '{text}' is not a decimal number") from None
+    # float() also reads 'inf', 'nan' and overflowing literals
+    if not math.isfinite(value):
+        raise SpecError(f"{what}: '{text}' is not a finite decimal number")
+    return value
 
 
 def _strip_quotes(s: str) -> str:

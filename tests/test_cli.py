@@ -81,6 +81,16 @@ class TestReports:
         run_cli("catalog", "run", "minkowski2", json_path=tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_consecutive_calls_keep_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; a flag of one call must
+        # not carry over into the next
+        first = tmp_path / "first.json"
+        assert main(["catalog", "run", "minkowski2", "--json", str(first)]) == 0
+        before = sorted(tmp_path.iterdir())
+        assert main(["catalog", "run", "minkowski2"]) == 0
+        assert sorted(tmp_path.iterdir()) == before
+        assert first.stat().st_size > 0
+
     def test_classify_report(self, tmp_path):
         code, rep = run_cli("classify", "torus_family", json_path=tmp_path / "r.json")
         assert code == 0
@@ -163,6 +173,18 @@ class TestDocumentIO:
         assert main(["validate", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("range_x,params,message", [
+        ("0, inf", "", "error: range.x: 'inf' is not a finite decimal number"),
+        ("-1, 1", "[params]\na = nan\n", "error: param a: 'nan' is not a finite decimal number"),
+    ], ids=["range-inf", "param-nan"])
+    def test_non_finite_decimal_is_an_error_message(self, tmp_path, capsys,
+                                                    range_x, params, message):
+        path = tmp_path / "bad.chart"
+        path.write_text('[manifold]\ndim = 2\ncoords = t, x\nrange.t = -1, 1\n'
+                        f'range.x = {range_x}\nsignature = lorentzian\n\n{params}'
+                        '[metric]\ng.0.0 = "-1"\ng.1.1 = "1"\n')
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err.splitlines()
 
     def test_entry_too_deep_for_the_tree_walkers_is_an_error_message(self, tmp_path, capsys):
         terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))

@@ -393,3 +393,87 @@ class TestEvaluateBatch:
     def test_missing_binding(self):
         with pytest.raises(MissingBindingError):
             ex.evaluate_batch(parse_expression("x + y", XY), {"x": np.zeros(3)})
+
+
+# ---------------------------------------------------------------------------
+# Compiled tree lists
+# ---------------------------------------------------------------------------
+
+def _walked(trees, bindings):
+    """Reference: the scalar walker over the list, or its first error."""
+    try:
+        return [evaluate(t, bindings) for t in trees]
+    except EvalError as err:
+        return err
+
+
+# WRAPPERS, plus a product that overflows without raising: the
+# straight-line code computes inf there, and only the walker reports it
+COMPILED_WRAPPERS = [w for w, _ in WRAPPERS] + [
+    lambda e: ex.mul(Const(1e300), ex.call("exp", ex.mul(Const(20.0), e)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000),
+       wraps=st.lists(st.integers(0, len(COMPILED_WRAPPERS) - 1), min_size=1, max_size=4),
+       x=coordinate, y=coordinate)
+def test_compiled_trees_equal_the_walker(seed, wraps, x, y):
+    """compile_trees returns the walker's values bit for bit, or raises
+    its first error with the same message.  The trees share subtrees (and
+    derivatives of one another), so the hash-consing is exercised."""
+    rng = np.random.default_rng(seed)
+    base = random_expr(rng)
+    trees = [COMPILED_WRAPPERS[w](base if k % 2 else random_expr(rng))
+             for k, w in enumerate(wraps)]
+    trees += [differentiate(t, "x") for t in trees] + [Const(1.5), base]
+    b = {"x": x, "y": y}
+    want = _walked(trees, b)
+    run = ex.compile_trees(trees)
+    if isinstance(want, EvalError):
+        with pytest.raises(type(want)) as err:
+            run(b)
+        assert str(err.value) == str(want)
+        return
+    got = run(b)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestCompileTrees:
+    def test_missing_binding(self):
+        run = ex.compile_trees([parse_expression("x + y", XY)])
+        with pytest.raises(MissingBindingError, match="no binding for 'y'"):
+            run({"x": 1.0})
+
+    def test_single_tree_and_empty_list(self):
+        e = parse_expression("sin(x)*y - y^3/2", XY)
+        b = {"x": 0.7, "y": -1.3}
+        assert ex.compile_trees([e])(b) == [evaluate(e, b)]
+        assert ex.compile_trees([])(b) == []
+
+    def test_pole_names_the_walkers_subtree(self):
+        trees = [parse_expression(t, XY) for t in ("x*y", "1/(x - y)", "log(x - y)")]
+        with pytest.raises(EvalError) as err:
+            ex.compile_trees(trees)({"x": 0.5, "y": 0.5})
+        assert str(err.value) == "division by zero in '1/(x-y)'"
+
+    def test_non_finite_value_without_an_exception(self):
+        # 1e200*x overflows to inf silently in the straight-line code;
+        # only the walker's check reports it
+        e = parse_expression("1e200*x*y", XY)
+        with pytest.raises(EvalError, match="non-finite value"):
+            ex.compile_trees([e])({"x": 1e200, "y": 1.0})
+
+    def test_shared_subtrees_are_computed_once(self, monkeypatch):
+        # equal subtrees hash-cons into one temporary even when they are
+        # distinct objects; a negative zero stays apart from a positive one
+        calls = []
+        monkeypatch.setitem(ex._MATH_FN, "sin", lambda v: calls.append(v) or math.sin(v))
+        a = parse_expression("sin(x + y)", XY)
+        b = parse_expression("sin(x + y)", XY)
+        assert a is not b
+        trees = [BinOp("*", a, Const(-0.0)), BinOp("*", b, Const(0.0)), ex.add(a, b)]
+        point = {"x": 0.1, "y": 0.2}
+        got = ex.compile_trees(trees)(point)
+        assert len(calls) == 1
+        assert [v.hex() for v in got] == [evaluate(t, point).hex() for t in trees]
+        assert math.copysign(1.0, got[0]) == -1.0 and math.copysign(1.0, got[1]) == 1.0

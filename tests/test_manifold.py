@@ -12,6 +12,7 @@ from lorentzgeo.manifold import (
     CausalCharacter,
     DegenerateMetricError,
     DomainError,
+    ManifoldSpec,
     PlaneType,
     SignatureError,
     SpecError,
@@ -25,7 +26,7 @@ from lorentzgeo.manifold import (
     to_document,
     validate_signature,
 )
-from lorentzgeo.obstruction import _grid_axes, _grid_points, scan_extrema
+from lorentzgeo.obstruction import _grid_axes, _grid_points, lorentzianize, scan_extrema
 
 MINK2 = """
 [manifold]
@@ -132,6 +133,23 @@ g.0.1 = "1 + u^2"
         terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
         doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "3 + 0.001*({terms})"')
         with pytest.raises(SpecError, match=r"metric entry g\.1\.1 is nested too deeply"):
+            load_spec(doc)
+
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("[metric]", "[params]\na = nan\n\n[metric]", "param a"),
+        ("[metric]", "[params]\na = -inf\n\n[metric]", "param a"),
+        ("range.x = -1, 1", "range.x = inf, 1", "range.x"),
+        ("range.x = -1, 1", "range.x = 0, inf", "range.x"),
+        ("range.x = -1, 1", "range.x = -1, 1e400", "range.x"),
+        ("dim = 2", "dim = nan", "dim"),
+        ("dim = 2", "dim = inf", "dim"),
+    ], ids=["param-nan", "param-inf", "range-lo", "range-hi", "range-overflow",
+            "dim-nan", "dim-inf"])
+    def test_non_finite_decimal_is_a_spec_error(self, old, new, key):
+        doc = MINK2.replace(old, new)
+        assert doc != MINK2
+        with pytest.raises(SpecError, match=f"^{key}: .* is not a finite decimal number"):
             load_spec(doc)
 
 
@@ -267,6 +285,24 @@ def test_metric_derivs_equal_each_tree_bit_for_bit(hopf, rng):
                     assert dg[k, i, j] == ex.evaluate(d, b)
                     for l, ln in enumerate(names):
                         assert ddg[l, k, i, j] == ex.evaluate(ex.differentiate(d, ln), b)
+
+
+def test_metric_derivs_compile_on_the_first_jet(count_calls, entry):
+    """Loading, exporting and rebuilding a generated-size chart, and
+    flipping a catalog chart, compile nothing: the jet's plan is built by
+    the first metric_derivs call."""
+    terms = " + ".join(f"0.001*sin({k}*t + x)*x^2" for k in range(1, 61))
+    doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "2 + {terms}"')
+    calls = count_calls(ManifoldSpec, "metric_derivs")
+    compiled = count_calls(ex, "compile_trees")
+    M = load_spec(doc)
+    load_spec(to_document(M))
+    lorentzianize(entry("round_s3").spec, "X")
+    assert calls == [] and compiled == [] and M._jet is None
+    g, dg, ddg = M.metric_derivs([0.3, 0.4])
+    assert len(compiled) == 1 and M._jet is not None
+    assert ddg[0, 1, 1, 1] == ddg[1, 0, 1, 1]
+    assert M._ddg[0][1][1][1] is M._ddg[1][0][1][1]
 
 
 POLE_ON_GRID = """
