@@ -25,12 +25,9 @@ from .manifold import (
 )
 from .curvature import (
     PointGeometry,
-    christoffel_at,
     hessian_scalar_at,
     null_sectional_curvature,
     point_geometry,
-    ricci_at,
-    riemann_at,
     sectional_curvature,
     shape_operator_at,
 )

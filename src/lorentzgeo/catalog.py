@@ -22,7 +22,6 @@ import numpy as np
 
 from .curvature import (
     point_geometry,
-    ricci_at,
     sectional_curvature,
     symmetry_residuals,
 )
@@ -146,7 +145,7 @@ def _max_field_plane_deviation(entry, target, n, seed):
 
 def _max_ricci_abs(entry):
     return _sampled(entry, 50, 0, lambda p, rng: float(
-        np.max(np.abs(ricci_at(entry.spec, p)[0]))))
+        np.max(np.abs(point_geometry(entry.spec, p).ricci))))
 
 
 def _max_hessian_identity_residual(entry, seed=0):
@@ -476,10 +475,10 @@ def _build_round_s2() -> CatalogEntry:
         ExpectedRow("sectional_deviation_from_1", 0.0, 1e-8, "derived",
                     lambda e: _max_sectional_deviation(e, 1.0)),
         ExpectedRow("scalar_curvature", 2.0, 1e-8, "derived",
-                    lambda e: ricci_at(e.spec, [PI / 3, 1.0])[1]),
+                    lambda e: point_geometry(e.spec, [PI / 3, 1.0]).scalar),
         ExpectedRow("ricci_equals_metric", 0.0, 1e-8, "derived",
                     lambda e: _sampled(e, 20, 2, lambda p, rng: float(
-                        np.max(np.abs(ricci_at(e.spec, p)[0] - e.spec.metric_eval(p)))))),
+                        np.max(np.abs(point_geometry(e.spec, p).ricci - e.spec.metric_eval(p)))))),
     )
     return CatalogEntry("round_s2", "unit round 2-sphere", spec, "", {}, rows)
 
@@ -698,7 +697,7 @@ def _build_static_product() -> CatalogEntry:
 
     def min_timelike_ricci(e):
         def timelike_ricci(p, rng):
-            ric, _ = ricci_at(e.spec, p)
+            ric = point_geometry(e.spec, p).ricci
             v = np.array([0.1, 0.1, 1.0]) + 0.05 * rng.normal(size=3)
             return float(v @ ric @ v)
         return _sampled(e, 10, 11, timelike_ricci, reduce=min)

@@ -21,6 +21,14 @@ Sign conventions, pinned once for the whole engine:
   - \\nabla_[U,V] W
 * lowered tensor      R[i,j,k,l] = g(R(e_i,e_j) e_l, e_k), which satisfies
   R_ijkl = -R_jikl = -R_ijlk = R_klij and the cyclic first-index identity
+* Christoffel symbols of the first kind
+  Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, and
+  Gamma^a_ij = g^al Gamma_{l,ij}
+* the lowered tensor is built from the 2-jet without raising an index:
+  R_ijkl = (d_i d_l g_kj - d_i d_k g_jl - d_j d_l g_ki + d_j d_k g_il) / 2
+  + Gamma_{p,jk} Gamma^p_il - Gamma_{p,ik} Gamma^p_jl
+* Ricci is contracted from the lowered tensor, Ric_jk = g^mb R_mjbk, and
+  the scalar curvature is g^jk Ric_jk
 * sectional curvature K(plane) = g(R(u,v)v, u) / Q with
   Q = g(u,u)g(v,v) - g(u,v)^2
 
@@ -92,24 +100,18 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     ginv = metric_inverse(g, p)
 
     # dg[k,i,j] = d_k g_ij ; ddg[l,k,i,j] = d_l d_k g_ij
-    # term[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("al,ijl->aij", ginv, term)
+    # low[l,i,j] = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
+    gamma = np.einsum("al,lij->aij", ginv, low)                        # Gamma^a_ij
 
-    dginv = -np.einsum("ac,bcd,dl->bal", ginv, dg, ginv)               # d_b g^al
-    # dterm[b,i,j,l] = d_b term[i,j,l]
-    dterm = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
-    dgamma = 0.5 * (np.einsum("bal,ijl->baij", dginv, term)
-                    + np.einsum("al,bijl->baij", ginv, dterm))         # d_b Gamma^a_ij
-
-    # up[a,i,j,k]: a-component of R(e_i,e_j) e_k
-    up = (np.einsum("iajk->aijk", dgamma)
-          - np.einsum("jaik->aijk", dgamma)
-          + np.einsum("aim,mjk->aijk", gamma, gamma)
-          - np.einsum("ajm,mik->aijk", gamma, gamma))
-
-    lowered = np.einsum("km,mijl->ijkl", g, up)
-    ricci = np.einsum("mmjk->jk", up)
+    # R by the first-kind formula of the module docstring, with
+    # s[i,j,k,l] = d_i d_k g_jl
+    s = ddg.transpose(0, 2, 1, 3)
+    gg = np.einsum("pjk,pil->ijkl", low, gamma)                        # Gamma_{p,jk} Gamma^p_il
+    lowered = (0.5 * (s.transpose(0, 1, 3, 2) - s - s.transpose(1, 0, 3, 2)
+                      + s.transpose(1, 0, 2, 3))
+               + gg - gg.transpose(1, 0, 2, 3))
+    ricci = np.einsum("mb,mjbk->jk", ginv, lowered)
     scalar = float(np.einsum("jk,jk->", ginv, ricci))
     frame = riem_frame(g)
     for a in (p, g, ginv, dg, gamma, lowered, ricci) + frame:
@@ -118,21 +120,6 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
                         riemann=lowered, ricci=ricci, scalar=scalar, riem_frame=frame)
     M._geometry = (key, geo)
     return geo
-
-
-def christoffel_at(M: ManifoldSpec, p) -> np.ndarray:
-    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    return point_geometry(M, p).christoffel
-
-
-def riemann_at(M: ManifoldSpec, p) -> np.ndarray:
-    """Lowered curvature tensor R[i,j,k,l] = g(R(e_i,e_j)e_l, e_k)."""
-    return point_geometry(M, p).riemann
-
-
-def ricci_at(M: ManifoldSpec, p) -> tuple[np.ndarray, float]:
-    geo = point_geometry(M, p)
-    return geo.ricci, geo.scalar
 
 
 def sectional_numerator(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> float:
@@ -249,14 +236,6 @@ def shape_operator_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
     return -(dX.T + np.einsum("ijk,k->ij", point_geometry(M, p).christoffel, X))
 
 
-def gradient_vector(M: ManifoldSpec, phi, p) -> np.ndarray:
-    """grad phi = g^{ij} d_j phi as chart components."""
-    e = _as_scalar_expr(M, phi)
-    b = M.bindings(M.wrap_point(p))
-    grad = np.array([ex.evaluate(ex.differentiate(e, n), b) for n in M.coord_names()])
-    return point_geometry(M, p).inverse @ grad
-
-
 def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:
     """Max deviation from the curvature tensor symmetries and the cyclic
     first-Bianchi identity, relative to the tensor's magnitude."""
@@ -271,13 +250,3 @@ def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:
     }
     return out
 
-
-def metric_compatibility_residual(M: ManifoldSpec, p) -> float:
-    """Covariant derivative of g computed from Gamma; vanishes for the
-    Levi-Civita connection."""
-    geo = point_geometry(M, p)
-    g, dg, gamma = geo.metric, geo.dmetric, geo.christoffel
-    # nabla_k g_ij = d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il
-    cov = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    return float(np.max(np.abs(cov))) / scale

@@ -44,7 +44,7 @@ import enum
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -540,7 +540,10 @@ def load_spec(document: str, *, name: str = "", validate: bool = True,
     for key in ("dim", "coords", "signature"):
         if key not in man:
             raise SpecError(f"[manifold] missing '{key}'")
-    dim = int(_parse_float(man["dim"], "dim"))
+    dim = _parse_float(man["dim"], "dim")
+    if not dim.is_integer():
+        raise SpecError(f"dim: '{man['dim']}' is not an integer")
+    dim = int(dim)
     names = [s.strip() for s in man["coords"].split(",") if s.strip()]
     if len(names) != dim:
         raise SpecError(f"dim={dim} but {len(names)} coordinate names given")

@@ -251,8 +251,6 @@ class RestrictedOperator:
     basis: np.ndarray              # rows: representative vectors
     matrix: np.ndarray
     invariance_residual: float
-    lam: float | None = None       # quotient mode: A_X(X) = -lam X
-    eigen_residual: float | None = None
 
 
 def restricted_operator(M: ManifoldSpec, xname: str, p,
@@ -282,20 +280,8 @@ def restricted_operator(M: ManifoldSpec, xname: str, p,
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
 
-    lam = None
-    eig_res = None
-    if mode == "quotient":
-        frame = geo.riem_frame
-        X = M.field_eval(xname, p)
-        AX = shape_operator_at(M, xname, p) @ X
-        lam = -float(AX @ X) / float(X @ X)
-        nX = riem_inner(frame, X, X)
-        denom = max(np.sqrt(riem_inner(frame, AX, AX) * nX), np.sqrt(nX), _TINY)
-        r = AX + lam * X
-        eig_res = float(np.sqrt(riem_inner(frame, r, r))) / denom
-
     return RestrictedOperator(mode=mode, point=p, basis=reps, matrix=mat,
-                              invariance_residual=leak, lam=lam, eigen_residual=eig_res)
+                              invariance_residual=leak)
 
 
 def kernel_direction(matrix: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from lorentzgeo import catalog
 from lorentzgeo.catalog import build_example, list_examples, run_entry
-from lorentzgeo.curvature import ricci_at, sectional_curvature
+from lorentzgeo.curvature import point_geometry, sectional_curvature
 from lorentzgeo.manifold import TangentPlane, load_spec, to_document, validate_signature
 from lorentzgeo.obstruction import lorentzianize
 
@@ -124,7 +124,7 @@ def _timelike_riccis(M, n, seed):
     rng = np.random.default_rng(seed)
     out = []
     for p in M.sample_points(n, rng):
-        ric, _ = ricci_at(M, p)
+        ric = point_geometry(M, p).ricci
         v = np.array([0.1, 0.1, 1.0]) + 0.05 * rng.normal(size=3)
         out.append(float(v @ ric @ v))
     return out

@@ -4,9 +4,12 @@ Oracle values come from independent hand computations on the catalog
 metrics: the round-sphere Christoffels/curvatures, the null-coordinate
 torus family (all nonzero symbols are built from the profile derivative
 alone), and the conformally flat chart with its explicit Gauss
-curvature.
+curvature.  R and Ric are also checked against sympy's derivatives of
+the chart texts, assembled by the second-kind route (d Gamma and the
+raised tensor) that the engine does not take.
 """
 
+import configparser
 import math
 import sys
 import threading
@@ -22,14 +25,10 @@ from lorentzgeo.curvature import (
     DegeneratePlaneError,
     NullCurvatureInputError,
     ScalarDerivs,
-    christoffel_at,
-    gradient_vector,
+    energy_derivs,
     hessian_scalar_at,
-    metric_compatibility_residual,
     null_sectional_curvature,
     point_geometry,
-    ricci_at,
-    riemann_at,
     sectional_curvature,
     shape_operator_at,
     symmetry_residuals,
@@ -40,6 +39,7 @@ from lorentzgeo.manifold import (
     TangentPlane,
     TangentVector,
     field_energy_expr,
+    to_document,
 )
 from lorentzgeo.obstruction import (
     ExtremumKind,
@@ -65,14 +65,14 @@ def torus_profile(x):
 
 class TestChristoffel:
     def test_minkowski_vanishes(self, mink2):
-        assert np.max(np.abs(christoffel_at(mink2.spec, [0.0, 0.0]))) == 0.0
+        assert np.max(np.abs(point_geometry(mink2.spec, [0.0, 0.0]).christoffel)) == 0.0
 
     def test_round_sphere_closed_form(self, entry):
         """g = d(theta)^2 + sin^2(theta) d(phi)^2 has
         Gamma^th_phph = -sin cos and Gamma^ph_thph = cot."""
         s2 = entry("round_s2").spec
         th = PI / 3
-        gam = christoffel_at(s2, [th, 1.0])
+        gam = point_geometry(s2, [th, 1.0]).christoffel
         assert gam[0, 1, 1] == pytest.approx(-math.sin(th) * math.cos(th), abs=1e-12)
         assert gam[0, 1, 1] == pytest.approx(-math.sqrt(3) / 4, abs=1e-12)
         assert gam[1, 0, 1] == pytest.approx(1 / math.tan(th), abs=1e-12)
@@ -83,7 +83,7 @@ class TestChristoffel:
         spec = torus.spec
         for x in (0.1, 0.37, 0.8):
             f, fp, _ = torus_profile(x)
-            gam = christoffel_at(spec, [x, 0.0])
+            gam = point_geometry(spec, [x, 0.0]).christoffel
             expect = np.zeros((2, 2, 2))
             expect[0, 0, 1] = expect[0, 1, 0] = fp
             expect[0, 1, 1] = 2 * f * fp
@@ -93,14 +93,14 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_minkowski_vanishes(self, entry):
-        assert np.max(np.abs(riemann_at(entry("minkowski4").spec,
-                                        [0.0, 0.0, 0.0, 0.0]))) == 0.0
+        assert np.max(np.abs(point_geometry(entry("minkowski4").spec,
+                                            [0.0, 0.0, 0.0, 0.0]).riemann)) == 0.0
 
     def test_round_sphere_component(self, entry):
         """R_[th,ph,th,ph] = sin^2(theta) under the engine convention."""
         s2 = entry("round_s2").spec
         for th in (PI / 6, PI / 3, 2.0):
-            R = riemann_at(s2, [th, 1.0])
+            R = point_geometry(s2, [th, 1.0]).riemann
             assert R[0, 1, 0, 1] == pytest.approx(math.sin(th) ** 2, rel=1e-12)
 
     def test_round_s3_constant_curvature_one(self, entry, rng):
@@ -113,20 +113,20 @@ class TestRiemann:
 
 class TestRicci:
     def test_minkowski(self, entry):
-        ric, scal = ricci_at(entry("minkowski4").spec, [0.0, 0.0, 0.0, 0.0])
-        assert np.max(np.abs(ric)) == 0.0 and scal == 0.0
+        geo = point_geometry(entry("minkowski4").spec, [0.0, 0.0, 0.0, 0.0])
+        assert np.max(np.abs(geo.ricci)) == 0.0 and geo.scalar == 0.0
 
     def test_schwarzschild_vacuum_point(self, entry):
-        ric, _ = ricci_at(entry("schwarzschild_exterior").spec,
-                          [1.0, 4.0, PI / 2, 1.0])
+        ric = point_geometry(entry("schwarzschild_exterior").spec,
+                             [1.0, 4.0, PI / 2, 1.0]).ricci
         assert np.max(np.abs(ric)) < 1e-8
 
     def test_round_sphere_is_einstein(self, entry):
         s2 = entry("round_s2").spec
         p = [PI / 3, 1.0]
-        ric, scal = ricci_at(s2, p)
-        assert np.allclose(ric, s2.metric_eval(p), atol=1e-12)
-        assert scal == pytest.approx(2.0, abs=1e-12)
+        geo = point_geometry(s2, p)
+        assert np.allclose(geo.ricci, s2.metric_eval(p), atol=1e-12)
+        assert geo.scalar == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSectional:
@@ -210,7 +210,7 @@ class TestNullSectional:
         tensor, and vs the closed form -c^2 f''(0) = 1.5 pi^2."""
         spec, p, X, v = self._locus_frame(circle_lift_torus)
         k = null_sectional_curvature(spec, p, TangentVector(p, X), TangentVector(p, v))
-        R = riemann_at(spec, p)
+        R = point_geometry(spec, p).riemann
         g = spec.metric_eval(p)
         num = 0.0
         for i in range(3):
@@ -292,11 +292,10 @@ class TestHessianAndShapeOperator:
         """A_X(X) equals the metric gradient of the energy f = g(X,X)/2
         for a Killing field."""
         spec = torus.spec
-        f = field_energy_expr(spec, "X")
         for p in spec.sample_points(10, rng):
             A = shape_operator_at(spec, "X", p)
             X = spec.field_eval("X", p)
-            grad = gradient_vector(spec, f, p)
+            grad = point_geometry(spec, p).inverse @ energy_derivs(spec, "X").gradient(p)
             assert np.allclose(A @ X, grad, atol=1e-12)
 
     def test_coordinate_hessian_walks_the_upper_triangle(self, entry, count_calls,
@@ -317,6 +316,15 @@ class TestHessianAndShapeOperator:
         assert np.allclose(h, expected, rtol=1e-12, atol=1e-15)
 
 
+def _metric_compatibility_residual(geo):
+    """max |nabla_k g_ij| / max |g| from the engine's Gamma: zero for the
+    Levi-Civita connection."""
+    g, dg, gamma = geo.metric, geo.dmetric, geo.christoffel
+    # nabla_k g_ij = d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il
+    cov = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
+    return float(np.max(np.abs(cov))) / float(np.max(np.abs(g)))
+
+
 class TestTensorProperties:
     NAMES = ("torus_family", "hopf_lorentz_s3", "schwarzschild_exterior",
              "torus3_null_variant", "conformal_counterexample")
@@ -332,7 +340,69 @@ class TestTensorProperties:
     def test_metric_compatibility(self, entry, rng, name):
         spec = entry(name).spec
         for p in spec.sample_points(10, rng):
-            assert metric_compatibility_residual(spec, p) < 1e-10
+            assert _metric_compatibility_residual(point_geometry(spec, p)) < 1e-10
+
+
+def _sympy_jet(spec, p):
+    """(g, dg, ddg) at p from sympy's derivatives of the chart's entry
+    texts, laid out as ManifoldSpec.metric_derivs lays them out."""
+    sp = pytest.importorskip("sympy")
+    doc = configparser.ConfigParser(interpolation=None)
+    doc.optionxform = str
+    doc.read_string(to_document(spec))
+    names = spec.coord_names()
+    syms = sp.symbols(names)
+    local = dict(zip(names, syms))
+    if doc.has_section("params"):
+        local.update({k: sp.Float(v, 17) for k, v in doc["params"].items()})
+    at = {s: sp.Float(float(c), 17) for s, c in zip(syms, p)}
+    m = spec.dim
+    g, dg, ddg = np.zeros((m, m)), np.zeros((m, m, m)), np.zeros((m, m, m, m))
+    for key, text in doc["metric"].items():
+        i, j = (int(n) for n in key.split(".")[1:])
+        e = sp.sympify(text.strip('"').replace("^", "**"), locals=local)
+        for a, b in {(i, j), (j, i)}:
+            g[a, b] = float(e.xreplace(at))
+            for k in range(m):
+                dg[k, a, b] = float(sp.diff(e, syms[k]).xreplace(at))
+                for l in range(m):
+                    ddg[k, l, a, b] = float(sp.diff(e, syms[k], syms[l]).xreplace(at))
+    return g, dg, ddg
+
+
+def _second_kind_curvature(g, dg, ddg):
+    """(R, Ric) through Gamma^a_ij, its derivative and the raised tensor
+    up[a,i,j,k] = (R(e_i,e_j) e_k)^a, lowered with g at the end."""
+    ginv = np.linalg.inv(g)
+    # term[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij, dterm[b] = d_b term
+    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    dterm = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("al,ijl->aij", ginv, term)
+    dginv = -np.einsum("ac,bcd,dl->bal", ginv, dg, ginv)               # d_b g^al
+    dgamma = 0.5 * (np.einsum("bal,ijl->baij", dginv, term)
+                    + np.einsum("al,bijl->baij", ginv, dterm))         # d_b Gamma^a_ij
+    up = (np.einsum("iajk->aijk", dgamma) - np.einsum("jaik->aijk", dgamma)
+          + np.einsum("aim,mjk->aijk", gamma, gamma)
+          - np.einsum("ajm,mik->aijk", gamma, gamma))
+    return np.einsum("km,mijl->ijkl", g, up), np.einsum("mmjk->jk", up)
+
+
+class TestSympyOracle:
+    """The engine's first-kind assembly against the second-kind route on
+    sympy's jet: no code path is shared beyond the chart document."""
+
+    @pytest.mark.parametrize("name", ("hopf_lorentz_s3", "torus3_null_variant",
+                                      "schwarzschild_exterior"))
+    def test_riemann_and_ricci_match(self, entry, name):
+        spec = entry(name).spec
+        for p in spec.sample_points(3, np.random.default_rng(12)):
+            geo = point_geometry(spec, p)
+            R, ric = _second_kind_curvature(*_sympy_jet(spec, geo.point))
+            scale = float(np.max(np.abs(R)))
+            assert scale > 0.0
+            assert np.max(np.abs(geo.riemann - R)) <= 1e-10 * scale, (name, p)
+            ric_scale = scale * float(np.max(np.abs(geo.inverse)))
+            assert np.max(np.abs(geo.ricci - ric)) <= 1e-10 * ric_scale, (name, p)
 
 
 def _witness_at(point, kind, causal):

@@ -152,6 +152,12 @@ g.0.1 = "1 + u^2"
         with pytest.raises(SpecError, match=f"^{key}: .* is not a finite decimal number"):
             load_spec(doc)
 
+    def test_non_integer_dim_is_a_spec_error(self):
+        doc = MINK2.replace("dim = 2", "dim = 2.7")
+        assert doc != MINK2
+        with pytest.raises(SpecError, match="^dim: '2.7' is not an integer"):
+            load_spec(doc)
+
 
 class TestMetricAt:
     def test_inverse_accuracy(self, entry, rng):
