@@ -15,18 +15,16 @@ from .manifold import (
     ManifoldSpec,
     PlaneType,
     TangentPlane,
-    TangentVector,
-    causal_character,
     load_spec,
     metric_at,
-    plane_type,
     to_document,
     validate_signature,
 )
 from .curvature import (
     PointGeometry,
-    hessian_scalar_at,
+    causal_character,
     null_sectional_curvature,
+    plane_type,
     point_geometry,
     sectional_curvature,
     shape_operator_at,

@@ -1,4 +1,4 @@
-"""Connection and curvature kernel.
+"""Connection and curvature kernel, and the pointwise causal classes.
 
 Everything here is a pure function of (spec, point).  Metric derivatives
 come from exact expression trees evaluated pointwise; the tensor algebra
@@ -12,6 +12,8 @@ The spec memoizes the geometry of the last point asked for (keyed on the
 wrapped point, so a periodic image hits too) and its arrays
 are read-only, so every helper simply asks for the geometry at its point:
 nothing is handed down, and g, Gamma and R are built once per point.
+The causal character of a vector and the type of a plane read g and
+its Riemannianized frame from the same geometry.
 :func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec
 and field.
 
@@ -46,11 +48,11 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .manifold import (
-    ManifoldSpec,
-    TangentPlane,
-    TangentVector,
     CausalCharacter,
-    causal_character,
+    DependentVectorsError,
+    ManifoldSpec,
+    PlaneType,
+    TangentPlane,
     field_energy_expr,
     metric_inverse,
     plane_discriminant,
@@ -58,9 +60,13 @@ from .manifold import (
     riem_inner,
 )
 
-# |Q| at or below this (Riemannianized) threshold routes to the
-# degenerate-plane error; callers then use the null sectional curvature.
-PLANE_Q_TOL = 1e-9
+# Lightlike and degenerate-plane bands, relative to the Riemannianized
+# norms of the riem_frame of g, so both are scale-free: |g(v,v)| at or
+# below CAUSAL_EPS |v|^2 is lightlike, and |Q| at or below
+# PLANE_EPS |u|^2 |v|^2 is a degenerate plane (the sectional curvature
+# refuses it; callers then use the null sectional curvature).
+CAUSAL_EPS = 1e-9
+PLANE_EPS = 1e-9
 SYMMETRY_TOL = 1e-8
 
 
@@ -122,6 +128,44 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     return geo
 
 
+def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
+    """Classify the tangent vector v at p, with a scale-free lightlike
+    band.
+
+    The zero vector gets its own tag rather than counting as spacelike;
+    callers that need a genuinely causal vector must check for ZERO.
+    """
+    geo = point_geometry(M, p)
+    v = np.asarray(v, dtype=float)
+    n2 = riem_inner(geo.riem_frame, v, v)
+    if n2 == 0.0:
+        return CausalCharacter.ZERO
+    gvv = float(v @ geo.metric @ v)
+    if abs(gvv) <= CAUSAL_EPS * n2:
+        return CausalCharacter.LIGHTLIKE
+    return CausalCharacter.TIMELIKE if gvv < 0 else CausalCharacter.SPACELIKE
+
+
+def plane_type(M: ManifoldSpec, pi: TangentPlane) -> PlaneType:
+    """Classify a tangent plane by the sign of its discriminant Q."""
+    geo = point_geometry(M, pi.point)
+    frame = geo.riem_frame
+    nu = riem_inner(frame, pi.u, pi.u)
+    nv = riem_inner(frame, pi.v, pi.v)
+    if nu == 0.0 or nv == 0.0:
+        raise DependentVectorsError("zero spanning vector")
+    nuv = riem_inner(frame, pi.u, pi.v)
+    if np.linalg.det(np.array([[nu, nuv], [nuv, nv]])) <= 1e-12 * nu * nv:
+        raise DependentVectorsError("spanning vectors are linearly dependent")
+    q = plane_discriminant(geo.metric, pi.u, pi.v)
+    band = PLANE_EPS * nu * nv
+    if q < -band:
+        return PlaneType.TIMELIKE
+    if q > band:
+        return PlaneType.SPACELIKE
+    return PlaneType.DEGENERATE
+
+
 def sectional_numerator(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> float:
     """g(R(u,v)v, u), the curvature pairing of a spanning pair."""
     return float(np.einsum("ijkl,i,j,k,l->", geo.riemann, u, v, u, v))
@@ -139,26 +183,26 @@ def sectional_curvature(M: ManifoldSpec, pi: TangentPlane) -> float:
     u, v = pi.u, pi.v
     q = plane_discriminant(geo.metric, u, v)
     nu, nv = riem_inner(geo.riem_frame, u, u), riem_inner(geo.riem_frame, v, v)
-    if nu == 0.0 or nv == 0.0 or abs(q) <= PLANE_Q_TOL * nu * nv:
+    if nu == 0.0 or nv == 0.0 or abs(q) <= PLANE_EPS * nu * nv:
         raise DegeneratePlaneError(
             f"plane discriminant Q={q:e} is degenerate at {pi.point.tolist()}; "
             "use null_sectional_curvature")
     return sectional_numerator(geo, u, v) / q
 
 
-def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVector) -> float:
-    """Curvature of the degenerate plane span{v, x} with respect to the
-    lightlike vector x:  g(R(v,x)x, v) / g(v,v).
+def null_sectional_curvature(M: ManifoldSpec, p, x, v) -> float:
+    """Curvature of the degenerate plane span{v, x} at p with respect to
+    the lightlike vector x:  g(R(v,x)x, v) / g(v,v).
 
     Independent of which non-lightlike v in the plane is used and of the
     sign of x.
     """
     geo = point_geometry(M, p)
     g = geo.metric
-    xc, vc = x.components, v.components
-    if causal_character(M, TangentVector(p, xc), geo=geo) is not CausalCharacter.LIGHTLIKE:
+    xc, vc = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if causal_character(M, p, xc) is not CausalCharacter.LIGHTLIKE:
         raise NullCurvatureInputError("reference vector is not lightlike")
-    cv = causal_character(M, TangentVector(p, vc), geo=geo)
+    cv = causal_character(M, p, vc)
     if cv in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
     nx, nv = riem_inner(geo.riem_frame, xc, xc), riem_inner(geo.riem_frame, vc, vc)
@@ -166,7 +210,7 @@ def null_sectional_curvature(M: ManifoldSpec, p, x: TangentVector, v: TangentVec
     if np.linalg.det(gram) <= 1e-12 * np.dot(xc, xc) * np.dot(vc, vc):
         raise NullCurvatureInputError("spanning vectors are linearly dependent")
     gxv = float(xc @ g @ vc)
-    if abs(gxv) > PLANE_Q_TOL * np.sqrt(nx * nv):
+    if abs(gxv) > PLANE_EPS * np.sqrt(nx * nv):
         raise NullCurvatureInputError(
             f"span{{v, x}} is not degenerate (g(v,x)={gxv:e}); use sectional_curvature")
     return sectional_numerator(geo, vc, xc) / float(vc @ g @ vc)
@@ -199,6 +243,13 @@ class ScalarDerivs:
             h[i, j] = h[j, i] = ex.evaluate(t, b)
         return h
 
+    def covariant_hessian(self, p) -> np.ndarray:
+        """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
+        gamma = point_geometry(self.M, p).christoffel
+        grad = self.gradient(p)
+        h = self.coordinate_hessian(p) - np.einsum("kij,k->ij", gamma, grad)
+        return 0.5 * (h + h.T)
+
 
 def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
     """:class:`ScalarDerivs` of the field energy f = g(X,X)/2, built once
@@ -207,25 +258,6 @@ def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
     if derivs is None:
         derivs = M._energy[xname] = ScalarDerivs(M, field_energy_expr(M, xname))
     return derivs
-
-
-def _as_scalar_expr(M: ManifoldSpec, phi) -> Expr:
-    if isinstance(phi, Expr):
-        return phi
-    if isinstance(phi, str):
-        return M.scalars[phi]
-    raise TypeError("phi must be a scalar-field name or an expression")
-
-
-def hessian_scalar_at(M: ManifoldSpec, phi, p,
-                      derivs: ScalarDerivs | None = None) -> np.ndarray:
-    """Covariant Hessian (Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-    if derivs is None:
-        derivs = ScalarDerivs(M, _as_scalar_expr(M, phi))
-    gamma = point_geometry(M, p).christoffel
-    grad = derivs.gradient(p)
-    h = derivs.coordinate_hessian(p) - np.einsum("kij,k->ij", gamma, grad)
-    return 0.5 * (h + h.T)
 
 
 def shape_operator_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Chart data model: metrics, fields, and pointwise causal classification.
+"""Chart data model: metrics, fields, and pointwise metric queries.
 
 A :class:`ManifoldSpec` is a single chart: coordinate names with domain
 intervals and periodicity flags, a symmetric matrix of metric component
@@ -51,11 +51,6 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 
-# Pointwise classification tolerances.  The causal tolerance is relative
-# to a Riemannianized norm built from |eigenvalues| of g, so it is
-# scale-free.
-CAUSAL_EPS = 1e-9
-PLANE_EPS = 1e-9
 DEGENERACY_TOL = 1e-12
 BOUNDARY_COLLAR = 1e-6
 SAMPLING_COLLAR = 1e-3
@@ -114,16 +109,6 @@ class Coordinate:
     @property
     def period(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    point: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -378,10 +363,6 @@ class ManifoldSpec:
                 out[j, i] = ex.evaluate(dtrees[j][i], b)
         return out
 
-    def field_vector(self, name: str, p) -> TangentVector:
-        p = self.wrap_point(p)
-        return TangentVector(p, self.field_eval(name, p))
-
     # -- helpers for tests and scans ----------------------------------------
 
     def sample_points(self, n: int, rng: np.random.Generator,
@@ -431,27 +412,6 @@ def riem_inner(frame: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarra
     return float(np.sum(aw * (V.T @ a) * (V.T @ b)))
 
 
-def causal_character(M: ManifoldSpec, v: TangentVector,
-                     eps: float = CAUSAL_EPS, geo=None) -> CausalCharacter:
-    """Classify a tangent vector, with a scale-free lightlike band.
-
-    The zero vector gets its own tag rather than counting as spacelike;
-    callers that need a genuinely causal vector must check for ZERO.
-    ``geo`` is the :class:`~lorentzgeo.curvature.PointGeometry` at the
-    vector's base point, when the caller already holds it.
-    """
-    g = M.metric_eval(v.point) if geo is None else geo.metric
-    frame = riem_frame(g) if geo is None else geo.riem_frame
-    comp = v.components
-    n2 = riem_inner(frame, comp, comp)
-    if n2 == 0.0:
-        return CausalCharacter.ZERO
-    gvv = float(comp @ g @ comp)
-    if abs(gvv) <= eps * n2:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.TIMELIKE if gvv < 0 else CausalCharacter.SPACELIKE
-
-
 class DependentVectorsError(ValueError):
     """Spanning vectors of a plane are linearly dependent."""
 
@@ -460,26 +420,6 @@ def plane_discriminant(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Q = g(u,u) g(v,v) - g(u,v)^2 for a spanning pair."""
     guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
     return guu * gvv - guv * guv
-
-
-def plane_type(M: ManifoldSpec, pi: TangentPlane, eps: float = PLANE_EPS) -> PlaneType:
-    """Classify a tangent plane by the sign of its discriminant Q."""
-    g = M.metric_eval(pi.point)
-    frame = riem_frame(g)
-    nu = riem_inner(frame, pi.u, pi.u)
-    nv = riem_inner(frame, pi.v, pi.v)
-    if nu == 0.0 or nv == 0.0:
-        raise DependentVectorsError("zero spanning vector")
-    nuv = riem_inner(frame, pi.u, pi.v)
-    if np.linalg.det(np.array([[nu, nuv], [nuv, nv]])) <= 1e-12 * nu * nv:
-        raise DependentVectorsError("spanning vectors are linearly dependent")
-    q = plane_discriminant(g, pi.u, pi.v)
-    band = eps * nu * nv
-    if q < -band:
-        return PlaneType.TIMELIKE
-    if q > band:
-        return PlaneType.SPACELIKE
-    return PlaneType.DEGENERATE
 
 
 # ---------------------------------------------------------------------------

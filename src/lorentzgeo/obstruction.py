@@ -24,8 +24,8 @@ import numpy as np
 from . import expr as ex
 from .curvature import (
     ScalarDerivs,
+    causal_character,
     energy_derivs,
-    hessian_scalar_at,
     jacobi_form,
     null_sectional_curvature,
     point_geometry,
@@ -39,8 +39,6 @@ from .manifold import (
     Coordinate,
     ManifoldSpec,
     TangentPlane,
-    TangentVector,
-    causal_character,
     metric_pairing_expr,
     plane_discriminant,
     validate_signature,
@@ -50,6 +48,7 @@ from .symmetry import (
     FieldClass,
     FieldTag,
     RestrictedOperator,
+    SubspaceError,
     classify_field,
     kernel_direction,
     lie_derivative_metric_exprs,
@@ -126,9 +125,9 @@ class ScanResult:
 def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
     f_derivs = energy_derivs(M, xname)
     p = M.wrap_point(p)
-    hess = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
+    hess = f_derivs.covariant_hessian(p)
     eigs = tuple(float(w) for w in np.linalg.eigvalsh(hess))
-    cc = causal_character(M, M.field_vector(xname, p), geo=point_geometry(M, p))
+    cc = causal_character(M, p, M.field_eval(xname, p))
     return ExtremumRecord(point=p, f_value=f_derivs.value(p), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
@@ -310,19 +309,17 @@ class WitnessReport:
     curvature_kind: str | None = None       # "sectional" / "null_sectional"
     value: float | None = None
     inequality: str | None = None           # ">= 0" / "<= 0"
-    tolerance: float = WITNESS_TOL
     scope_reason: str | None = None
     kernel_residual: float | None = None
     invariance_residual: float | None = None
-    lam: float | None = None
 
 
-def _kernel_plane(M: ManifoldSpec, xname: str, p,
-                  mode: str) -> tuple[RestrictedOperator, TangentPlane, float]:
+def _kernel_plane(M: ManifoldSpec, xname: str,
+                  p) -> tuple[RestrictedOperator, TangentPlane, float]:
     """The restricted operator at p, the plane span{v, X} of its kernel
     direction v, and |op v| relative to |op| (absolute when op is ~0).
     Every caller's operator has odd dimension, so v exists."""
-    op = restricted_operator(M, xname, p, mode=mode)
+    op = restricted_operator(M, xname, p)
     kv = kernel_direction(op.matrix)
     opn = float(np.linalg.norm(op.matrix, 2))
     res = float(np.linalg.norm(op.matrix @ kv))
@@ -333,10 +330,14 @@ def _kernel_plane(M: ManifoldSpec, xname: str, p,
 def sample_planes_containing(M: ManifoldSpec, xname: str, p,
                              count: int = 32) -> list[TangentPlane]:
     """Planes span{X, v} with v rotating through an orthonormal frame of
-    the spacelike complement of a timelike X."""
+    the spacelike complement of a timelike X; any other X raises
+    :class:`~lorentzgeo.symmetry.SubspaceError`."""
     p = M.wrap_point(p)
     X = M.field_eval(xname, p)
-    basis = orthogonal_complement_basis(M, xname, p, quotient=False)
+    basis = orthogonal_complement_basis(M, xname, p)
+    if len(basis) != M.dim - 1:
+        raise SubspaceError("planes through X are sampled for a timelike X only; "
+                            "X is lightlike")
     d = len(basis)
     planes = []
     for k in range(count):
@@ -373,8 +374,7 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     """
     if classification is None:
         classification = classify_field(M, xname)
-    base = dict(extremum=record, field=xname, tolerance=tol,
-                lam=classification.lam)
+    base = dict(extremum=record, field=xname)
 
     def scope(reason: str) -> WitnessReport:
         return WitnessReport(verdict=Verdict.SCOPE, scope_reason=reason, **base)
@@ -403,7 +403,7 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     minimum = record.kind is ExtremumKind.MIN
     if cc is CausalCharacter.TIMELIKE:
         case, curvature_kind, nonnegative = "timelike_even", "sectional", minimum
-        op, plane, kres = _kernel_plane(M, xname, p, "orthogonal")
+        op, plane, kres = _kernel_plane(M, xname, p)
         if minimum:
             k_val = sectional_curvature(M, plane)
         else:
@@ -416,8 +416,8 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             plane = TangentPlane(p, vecs[:, top] @ op.basis, X)
     else:
         case, curvature_kind, nonnegative = "lightlike_odd", "null_sectional", not minimum
-        op, plane, kres = _kernel_plane(M, xname, p, "quotient")
-        k_val = null_sectional_curvature(M, p, TangentVector(p, X), TangentVector(p, plane.u))
+        op, plane, kres = _kernel_plane(M, xname, p)
+        k_val = null_sectional_curvature(M, p, X, plane.u)
     ok = k_val >= -tol if nonnegative else k_val <= tol
     return WitnessReport(verdict=Verdict.PASS if ok else Verdict.FAIL, case=case,
                          plane=plane, curvature_kind=curvature_kind, value=k_val,
@@ -490,21 +490,20 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     for p in points:
         p = M.wrap_point(p)
         geo = point_geometry(M, p)
-        xv = M.field_vector(xname, p)
-        cc = causal_character(M, xv, geo=geo)
+        X = M.field_eval(xname, p)
+        cc = causal_character(M, p, X)
         if cc is CausalCharacter.ZERO:
             raise ValueError(f"field vanishes on the path at {p.tolist()}")
         if cc is CausalCharacter.SPACELIKE:
             raise ValueError(f"field is spacelike on the path at {p.tolist()}; "
                              "the scan requires a causal field")
         g = geo.metric
-        X = xv.components
         if cc is CausalCharacter.TIMELIKE:
             values = [sectional_numerator(geo, pl.u, X) / plane_discriminant(g, pl.u, X)
                       for pl in sample_planes_containing(M, xname, p, planes_per_point)]
             scans.append(PointScan(p, cc, "sectional", tuple(values)))
         else:
-            reps = orthogonal_complement_basis(M, xname, p, quotient=True)
+            reps = orthogonal_complement_basis(M, xname, p)
             vs = [reps[k % len(reps)] for k in range(planes_per_point)]
             values = [sectional_numerator(geo, v, X) / float(v @ g @ v) for v in vs]
             scans.append(PointScan(p, cc, "null_sectional", tuple(values)))
@@ -549,7 +548,6 @@ class ConformalBoundReport:
     bound_verdict: Verdict                   # K >= bound/2-style lower bound
     nonnegativity_verdict: Verdict           # the unconditional K >= 0 check
     kernel_residual: float
-    classification: FieldClass
 
 
 def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
@@ -580,7 +578,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    _, plane, kres = _kernel_plane(M, xname, p, "orthogonal")
+    _, plane, kres = _kernel_plane(M, xname, p)
     k_val = sectional_curvature(M, plane)
 
     xs = cf.x_sigma(p)
@@ -592,7 +590,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         curvature=k_val, plane=plane,
         bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
         nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
-        kernel_residual=kres, classification=classification)
+        kernel_residual=kres)
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +698,8 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     ``general`` mode accepts any c > 0 and simply reports the causal
     status.  X must be Killing for the base metric.
     """
-    if c <= 0:
-        raise LiftError("lift constant c must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise LiftError(f"lift constant c must be positive and finite, got {c!r}")
     cls = classify_field(M, xname)
     if cls.tag is not FieldTag.KILLING:
         raise LiftError(f"field must be Killing for the base metric, "

@@ -3,9 +3,11 @@
 Classifies vector fields by how their flow deforms the metric
 (isometric / homothetic / conformal) from the exact L_X g trees, sampling
 only when those do not all fold to zero at build time.  Builds the
-restriction of A_X to the orthogonal complement of X (or to the quotient
-of that complement by X itself when X is lightlike), extracts kernel
-directions, and cross-checks the Hessian identity
+restriction of A_X to the orthogonal complement of X, or to the quotient
+of that complement by X itself: the causal character of X at the point
+picks which (timelike X the complement, lightlike X the quotient), and
+no caller chooses it.  Extracts kernel directions, and cross-checks the
+Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
 
@@ -23,8 +25,8 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .curvature import (
+    causal_character,
     energy_derivs,
-    hessian_scalar_at,
     jacobi_form,
     point_geometry,
     shape_operator_at,
@@ -32,14 +34,12 @@ from .curvature import (
 from .manifold import (
     CausalCharacter,
     ManifoldSpec,
-    causal_character,
     riem_inner,
 )
 
 CLASSIFY_TOL = 1e-8
 KERNEL_REL_TOL = 1e-7
 KERNEL_ABS_TOL = 1e-10
-DEGENERATE_DIRECTION_TOL = 1e-9
 SKEW_TOL = 1e-6           # relative |op + op^T| a kernel_direction input may carry
 INVARIANCE_TOL = 1e-6     # relative leak of A_X out of X-perp a restriction may carry
 
@@ -71,8 +71,8 @@ class FieldClass:
 
 
 class SubspaceError(ValueError):
-    """A_X fails to preserve the requested subspace, or a basis direction
-    is metrically degenerate."""
+    """X is neither timelike nor lightlike, so X-perp has no construction,
+    or A_X fails to preserve X-perp."""
 
 
 class KernelExtractionError(ValueError):
@@ -167,51 +167,48 @@ def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
     return vt[:rank]
 
 
-def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p,
-                                quotient: bool = False) -> np.ndarray:
-    """g-orthonormal basis (rows) of X-perp at p.
+def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p) -> np.ndarray:
+    """Basis (rows) of X-perp at p, orthonormal for the induced product;
+    the causal character of X at p picks the construction.
 
-    With ``quotient=True`` (lightlike X) the returned rows represent the
-    quotient X-perp / span{X}: they span a complement of X inside X-perp
-    and are orthonormal for the induced positive-definite product.
-    Refuses metrically degenerate directions except for the X direction
-    being quotiented away.
+    Timelike X: the m-1 rows span X-perp, which is spacelike.  Lightlike
+    X lies in its own X-perp: the m-2 rows then represent the quotient
+    X-perp / span{X}, spanning a complement of X inside X-perp on which
+    the induced product is positive definite.  A spacelike or zero X
+    raises :class:`SubspaceError` naming the character.
+
+    The causal band is the only guard the basis needs.  In a frame where
+    g = diag(-1, 1, ..., 1) and the Riemannianized metric is the
+    identity, the least g(w,w)/|w|^2 over X-perp equals |g(X,X)|/|X|^2,
+    so outside the lightlike band no direction of X-perp nears the null
+    cone.
     """
     geo = point_geometry(M, p)
-    g, frame = geo.metric, geo.riem_frame
+    g = geo.metric
     X = M.field_eval(xname, p)
-    nX = riem_inner(frame, X, X)
-    if nX == 0.0:
-        raise SubspaceError("field vanishes at the base point")
+    cc = causal_character(M, p, X)
     m = M.dim
-
     gX = g @ X
-    if not quotient:
-        gXX = float(X @ gX)
-        if abs(gXX) <= DEGENERATE_DIRECTION_TOL * nX:
-            raise SubspaceError("g(X,X) degenerate; use quotient mode for lightlike X")
+    if cc is CausalCharacter.TIMELIKE:
         # rows: e_i - (g(e_i,X)/g(X,X)) X, the g-projection onto X-perp
-        proj = np.eye(m) - np.outer(gX, X) / gXX
+        proj = np.eye(m) - np.outer(gX, X) / float(X @ gX)
         candidates = _span_basis(proj, m - 1)
-    else:
+    elif cc is CausalCharacter.LIGHTLIKE:
         # X-perp = euclidean nullspace of the covector gX
         _, _, vt = np.linalg.svd(gX.reshape(1, -1))
         perp = vt[1:]                      # m-1 rows spanning X-perp
         # drop the X direction from the representatives
         reduced = perp - np.outer(perp @ X, X) / float(X @ X)
         candidates = _span_basis(reduced, m - 2)
+    else:
+        raise SubspaceError(f"field '{xname}' is {cc.value} at {geo.point.tolist()}; "
+                            "X-perp is built for a timelike or lightlike X only")
 
     basis = []
-    for cand in candidates:
-        w = cand.astype(float)
+    for w in candidates:
         for e in basis:
             w = w - float(w @ g @ e) * e
-        gww = float(w @ g @ w)
-        if abs(gww) <= DEGENERATE_DIRECTION_TOL * max(riem_inner(frame, w, w), _TINY):
-            raise SubspaceError("degenerate direction while building the basis")
-        if gww < 0:
-            raise SubspaceError("negative direction in what should be a spacelike basis")
-        basis.append(w / np.sqrt(gww))
+        basis.append(w / np.sqrt(float(w @ g @ w)))
     return np.array(basis)
 
 
@@ -242,9 +239,9 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p,
 
 @dataclass(frozen=True)
 class RestrictedOperator:
-    """A_X restricted to X-perp (mode 'orthogonal') or induced on
-    X-perp / span{X} (mode 'quotient'), in a basis that is orthonormal
-    for the induced product."""
+    """A_X restricted to X-perp (mode 'orthogonal', timelike X) or
+    induced on X-perp / span{X} (mode 'quotient', lightlike X), in a
+    basis that is orthonormal for the induced product."""
 
     mode: str
     point: np.ndarray
@@ -253,33 +250,25 @@ class RestrictedOperator:
     invariance_residual: float
 
 
-def restricted_operator(M: ManifoldSpec, xname: str, p,
-                        mode: str = "orthogonal") -> RestrictedOperator:
-    """Build the restriction of A_X appropriate to the causal character
-    of X at p.
+def restricted_operator(M: ManifoldSpec, xname: str, p) -> RestrictedOperator:
+    """Build the restriction of A_X that the causal character of X at p
+    calls for, on the basis of :func:`orthogonal_complement_basis`.
 
-    Orthogonal mode requires X timelike (spacelike complement of
-    dimension m-1); quotient mode requires X lightlike and works on the
+    Timelike X gives mode 'orthogonal', on the spacelike complement of
+    dimension m-1; lightlike X gives mode 'quotient', on the
     (m-2)-dimensional quotient with its positive-definite induced
-    product.  A leak of A_X out of X-perp beyond ``INVARIANCE_TOL``
-    signals a non-homothetic input and raises :class:`SubspaceError`.
+    product.  A spacelike or zero X raises :class:`SubspaceError`, and so
+    does a leak of A_X out of X-perp beyond ``INVARIANCE_TOL``, which
+    signals a non-homothetic input.
     """
-    want = {"orthogonal": CausalCharacter.TIMELIKE, "quotient": CausalCharacter.LIGHTLIKE}
-    if mode not in want:
-        raise ValueError(f"unknown mode '{mode}'")
-    geo = point_geometry(M, p)
-    p = geo.point
-    cc = causal_character(M, M.field_vector(xname, p), geo=geo)
-    if cc is not want[mode]:
-        raise SubspaceError(f"{mode} mode needs {want[mode].value} X, got {cc.value}")
-    reps = orthogonal_complement_basis(M, xname, p, quotient=mode == "quotient")
-
+    p = M.wrap_point(p)
+    reps = orthogonal_complement_basis(M, xname, p)
     mat, leak = restriction_matrix(M, xname, p, reps)
     if leak > INVARIANCE_TOL:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
-
+    mode = "orthogonal" if len(reps) == M.dim - 1 else "quotient"
     return RestrictedOperator(mode=mode, point=p, basis=reps, matrix=mat,
                               invariance_residual=leak)
 
@@ -321,9 +310,8 @@ def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, 
     """Both sides of Hess f = -g(R(.,X)X,.) + g(A_X ., A_X .) in the
     chart basis; valid when X is homothetic (Killing included)."""
     p = M.wrap_point(p)
-    f_derivs = energy_derivs(M, xname)
     geo = point_geometry(M, p)
-    lhs = hessian_scalar_at(M, f_derivs.expr, p, derivs=f_derivs)
+    lhs = energy_derivs(M, xname).covariant_hessian(p)
     X = M.field_eval(xname, p)
     A = shape_operator_at(M, xname, p)
     rhs = -jacobi_form(geo, X) + A.T @ geo.metric @ A

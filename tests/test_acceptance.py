@@ -19,7 +19,7 @@ import numpy as np
 
 from lorentzgeo.catalog import build_example, list_examples
 from lorentzgeo.curvature import (
-    hessian_scalar_at,
+    ScalarDerivs,
     point_geometry,
     sectional_curvature,
     symmetry_residuals,
@@ -27,7 +27,6 @@ from lorentzgeo.curvature import (
 from lorentzgeo.manifold import (
     CausalCharacter,
     TangentPlane,
-    TangentVector,
     field_energy_expr,
 )
 from lorentzgeo.obstruction import (
@@ -161,15 +160,14 @@ def test_04a_null_witness_construction_and_oracle():
 
     spec = lift.spec
     p = np.array([0.0, 0.25, 0.5])
-    op = restricted_operator(spec, "Xbar", p, mode="quotient")
+    op = restricted_operator(spec, "Xbar", p)
     kv = kernel_direction(op.matrix)
     ok_quotient = kv is not None and op.matrix.shape == (1, 1)
 
     v = kv @ op.basis
     X = spec.field_eval("Xbar", p)
     from lorentzgeo.curvature import null_sectional_curvature
-    k_engine = null_sectional_curvature(spec, p, TangentVector(p, X),
-                                        TangentVector(p, v))
+    k_engine = null_sectional_curvature(spec, p, X, v)
     R = point_geometry(spec, p).riemann
     g = spec.metric_eval(p)
     num = 0.0
@@ -226,7 +224,7 @@ def test_04b_null_witness_minimum_side_inequality():
     ok_sign = w.value >= -1e-6
 
     v = w.plane.u
-    hess = hessian_scalar_at(spec, field_energy_expr(spec, "Xbar"), rec.point)
+    hess = ScalarDerivs(spec, field_energy_expr(spec, "Xbar")).covariant_hessian(rec.point)
     k_hess = -float(v @ hess @ v) / float(v @ spec.metric_eval(rec.point) @ v)
     ok_hess = abs(w.value - k_hess) <= 1e-9 * abs(k_hess)
 

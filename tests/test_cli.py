@@ -147,6 +147,13 @@ class TestDocumentIO:
         assert spec.dim == 3
         assert "Xbar" in spec.fields
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_lift_refuses_non_finite_constant(self, tmp_path, capsys, c):
+        out = tmp_path / "lift.chart"
+        assert main(["lift", "torus_family", "--c", c, "--out", str(out)]) == 1
+        assert "lift constant c must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lorentzianize_writes_document(self, tmp_path):
         out = tmp_path / "flip.chart"
         code = main(["lorentzianize", "round_s3", "--out", str(out)])

@@ -26,7 +26,6 @@ from lorentzgeo.curvature import (
     NullCurvatureInputError,
     ScalarDerivs,
     energy_derivs,
-    hessian_scalar_at,
     null_sectional_curvature,
     point_geometry,
     sectional_curvature,
@@ -37,7 +36,6 @@ from lorentzgeo.manifold import (
     CausalCharacter,
     ManifoldSpec,
     TangentPlane,
-    TangentVector,
     field_energy_expr,
     to_document,
 )
@@ -186,30 +184,28 @@ class TestNullSectional:
     def test_minkowski_flat(self, entry):
         spec = entry("minkowski4").spec
         p = [0.0] * 4
-        k = null_sectional_curvature(spec, p,
-                                     TangentVector(p, [1.0, 1.0, 0.0, 0.0]),
-                                     TangentVector(p, [0.0, 0.0, 1.0, 0.0]))
+        k = null_sectional_curvature(spec, p, [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])
         assert k == 0.0
 
     def test_independent_of_spanning_vector(self, circle_lift_torus):
         """Replacing v by v + t X or by 2 v leaves the value unchanged."""
         spec, p, X, v = self._locus_frame(circle_lift_torus)
-        base = null_sectional_curvature(spec, p, TangentVector(p, X), TangentVector(p, v))
+        base = null_sectional_curvature(spec, p, X, v)
         for w in (v + 0.7 * X, 2.0 * v, v - 1.3 * X):
-            k = null_sectional_curvature(spec, p, TangentVector(p, X), TangentVector(p, w))
+            k = null_sectional_curvature(spec, p, X, w)
             assert k == pytest.approx(base, abs=1e-10)
 
     def test_sign_reversal_of_reference(self, circle_lift_torus):
         spec, p, X, v = self._locus_frame(circle_lift_torus)
-        a = null_sectional_curvature(spec, p, TangentVector(p, X), TangentVector(p, v))
-        b = null_sectional_curvature(spec, p, TangentVector(p, -X), TangentVector(p, v))
+        a = null_sectional_curvature(spec, p, X, v)
+        b = null_sectional_curvature(spec, p, -X, v)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_brute_force_contraction(self, circle_lift_torus):
         """Engine value vs an explicit loop contraction of the lowered
         tensor, and vs the closed form -c^2 f''(0) = 1.5 pi^2."""
         spec, p, X, v = self._locus_frame(circle_lift_torus)
-        k = null_sectional_curvature(spec, p, TangentVector(p, X), TangentVector(p, v))
+        k = null_sectional_curvature(spec, p, X, v)
         R = point_geometry(spec, p).riemann
         g = spec.metric_eval(p)
         num = 0.0
@@ -225,18 +221,16 @@ class TestNullSectional:
     def test_input_validation(self, circle_lift_torus):
         spec, p, X, v = self._locus_frame(circle_lift_torus)
         with pytest.raises(NullCurvatureInputError):
-            null_sectional_curvature(spec, p, TangentVector(p, v), TangentVector(p, X))
+            null_sectional_curvature(spec, p, v, X)
         with pytest.raises(NullCurvatureInputError):
-            null_sectional_curvature(spec, p, TangentVector(p, X),
-                                     TangentVector(p, 2.0 * X))
+            null_sectional_curvature(spec, p, X, 2.0 * X)
 
     def test_null_limit_continuity(self, circle_lift_torus):
         """Timelike planes through the lifted field degenerating to the
         null plane: Q*K converges to the null numerator."""
         spec, p0, X0, v = self._locus_frame(circle_lift_torus)
         g0 = spec.metric_eval(p0)
-        target = null_sectional_curvature(
-            spec, p0, TangentVector(p0, X0), TangentVector(p0, v)) * float(v @ g0 @ v)
+        target = null_sectional_curvature(spec, p0, X0, v) * float(v @ g0 @ v)
         errs = []
         for x in (0.1, 0.05, 0.025, 0.0125):
             p = np.array([x, 0.2, 1.0])
@@ -257,18 +251,19 @@ class TestHessianAndShapeOperator:
     def test_flat_quadratic(self, mink2):
         from lorentzgeo.expr import parse_expression
         e = parse_expression("x^2", frozenset({"t", "x"}))
-        h = hessian_scalar_at(mink2.spec, e, [0.3, 0.1])
+        h = ScalarDerivs(mink2.spec, e).covariant_hessian([0.3, 0.1])
         assert np.allclose(h, np.diag([0.0, 2.0]))
 
     def test_torus_energy_hessian_at_minimum(self, torus):
         spec = torus.spec
-        h = hessian_scalar_at(spec, field_energy_expr(spec, "X"), [0.5, 0.0])
+        h = ScalarDerivs(spec, field_energy_expr(spec, "X")).covariant_hessian([0.5, 0.0])
         assert np.allclose(h, np.diag([PI ** 2, 0.0]), atol=1e-9)
         assert np.min(np.linalg.eigvalsh(h)) >= -1e-9
 
     def test_constant_energy_hessian_vanishes(self, hopf):
         spec = hopf.spec
-        h = hessian_scalar_at(spec, field_energy_expr(spec, "X"), [PI / 5, 0.3, 2.0])
+        h = ScalarDerivs(spec, field_energy_expr(spec, "X")).covariant_hessian(
+            [PI / 5, 0.3, 2.0])
         assert np.max(np.abs(h)) < 1e-12
 
     def test_shape_operator_flat(self, entry):
@@ -417,7 +412,7 @@ POINTWISE = {
     "restricted_orthogonal": ("torus_family", lambda M, x, cls:
                               restricted_operator(M, x, [0.5, 0.0])),
     "restricted_quotient": ("circle_lift_torus", lambda M, x, cls:
-                            restricted_operator(M, x, [0.0, 0.3, 1.0], mode="quotient")),
+                            restricted_operator(M, x, [0.0, 0.3, 1.0])),
     "witness_torus_min": ("torus_family", _witness_at(
         [0.5, 0.0], ExtremumKind.MIN, CausalCharacter.TIMELIKE)),
     "witness_torus_max": ("torus_family", _witness_at(
@@ -523,6 +518,6 @@ class TestGeometryMemo:
         """The Riemannianized norm decomposes g once, with the geometry."""
         e = build_example("circle_lift_torus")
         eigh = count_calls(np.linalg, "eigh")
-        op = restricted_operator(e.spec, e.field_name, [0.0, 0.3, 1.0], mode="quotient")
+        op = restricted_operator(e.spec, e.field_name, [0.0, 0.3, 1.0])
         assert op.mode == "quotient"
         assert len(eigh) == 1

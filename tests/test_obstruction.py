@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from lorentzgeo.catalog import _TORUS_FAMILY
-from lorentzgeo.curvature import ScalarDerivs, point_geometry, sectional_curvature
+from lorentzgeo.catalog import _TORUS_FAMILY, list_examples
+from lorentzgeo.curvature import (
+    ScalarDerivs,
+    causal_character,
+    point_geometry,
+    sectional_curvature,
+)
 from lorentzgeo.manifold import (
     CausalCharacter,
     field_energy_expr,
@@ -26,7 +31,12 @@ from lorentzgeo.obstruction import (
     scan_extrema,
 )
 from lorentzgeo import obstruction
-from lorentzgeo.symmetry import classify_field, lie_derivative_metric_at
+from lorentzgeo.symmetry import (
+    SubspaceError,
+    classify_field,
+    lie_derivative_metric_at,
+    restricted_operator,
+)
 
 PI = math.pi
 
@@ -181,6 +191,52 @@ class TestRefinement:
         verdicts = [extremum_witness(M, "X", rec, classification=cls).verdict
                     for rec in scan.records]
         assert verdicts == [Verdict.PASS] * 48
+
+
+def construction_mismatches(M, xname, records):
+    """Records at which the restricted operator does not follow the
+    record's causal character: a timelike X must give mode 'orthogonal'
+    on m-1 basis rows, a lightlike X mode 'quotient' on m-2, and a
+    spacelike or zero X a SubspaceError naming the character."""
+    want = {CausalCharacter.TIMELIKE: ("orthogonal", M.dim - 1),
+            CausalCharacter.LIGHTLIKE: ("quotient", M.dim - 2)}
+    bad = []
+    for rec in records:
+        try:
+            op = restricted_operator(M, xname, rec.point)
+            got = (op.mode, len(op.basis))
+        except SubspaceError as e:
+            got = str(e)
+        ok = got == want[rec.causal] if rec.causal in want \
+            else f"is {rec.causal.value} at" in got
+        if not ok:
+            bad.append((rec.point.tolist(), rec.causal.value, got))
+    return bad
+
+
+class TestDerivedConstruction:
+    """The causal character of X at each witness record picks the X-perp
+    construction."""
+
+    def test_catalog_witness_records(self, entry):
+        """Every entry with a designated field, on a 16-point grid; the
+        records cover the timelike, lightlike and spacelike cases."""
+        bad, seen = [], set()
+        for name in list_examples():
+            e = entry(name)
+            if not e.field_name:
+                continue
+            scan = scan_extrema(e.spec, e.field_name, grid=16)
+            records = scan.witness_records(e.spec, e.field_name)
+            bad += [(name,) + b for b in construction_mismatches(e.spec, e.field_name, records)]
+            seen |= {r.causal for r in records}
+        assert bad == []
+        assert seen == {CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE,
+                        CausalCharacter.SPACELIKE}
+
+    def test_static_four_torus_records(self, static_four_torus):
+        M, scan, _ = static_four_torus
+        assert construction_mismatches(M, "X", scan.records) == []
 
 
 def _reference_clusters(M, spacings, values, points):
@@ -512,29 +568,33 @@ class TestCircleLift:
         assert xs[0] == pytest.approx(0.0, abs=1e-9)
         spec = lift.spec
         assert spec.dim == 3
-        cc = spec.field_vector("Xbar", [0.0, 0.0, 0.0])
-        from lorentzgeo.manifold import causal_character
-        assert causal_character(spec, cc) is CausalCharacter.LIGHTLIKE
-        assert causal_character(
-            spec, spec.field_vector("Xbar", [0.3, 0.0, 0.0])) is CausalCharacter.TIMELIKE
+        for p, want in (([0.0, 0.0, 0.0], CausalCharacter.LIGHTLIKE),
+                        ([0.3, 0.0, 0.0], CausalCharacter.TIMELIKE)):
+            assert causal_character(spec, p, spec.field_eval("Xbar", p)) is want
 
     def test_general_mode_minimum_constant_gives_nowhere_timelike(self, torus):
         lift = circle_lift(torus.spec, "X", math.sqrt(2.5), mode="general", grid=64)
         assert lift.nowhere_timelike
         assert not lift.causal_everywhere
-        from lorentzgeo.manifold import causal_character
-        assert causal_character(
-            lift.spec, lift.spec.field_vector("Xbar", [0.5, 0.0, 0.0])) \
+        p = [0.5, 0.0, 0.0]
+        assert causal_character(lift.spec, p, lift.spec.field_eval("Xbar", p)) \
             is CausalCharacter.LIGHTLIKE
 
     def test_everywhere_lightlike_lift_of_flat_chart(self, mink2):
         lift = circle_lift(mink2.spec, "X", 1.0, grid=16)
         assert lift.causal_everywhere and lift.nowhere_timelike
-        from lorentzgeo.manifold import causal_character
         rng = np.random.default_rng(2)
         for p in lift.spec.sample_points(10, rng):
-            assert causal_character(lift.spec, lift.spec.field_vector("Xbar", p)) \
+            assert causal_character(lift.spec, p, lift.spec.field_eval("Xbar", p)) \
                 is CausalCharacter.LIGHTLIKE
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_rejected(self, torus, c):
+        """nan passes both c <= 0 and the locus tolerance test unless it
+        is refused first, and would be written out as a component."""
+        for mode in ("lightlike_locus", "general"):
+            with pytest.raises(LiftError, match="positive and finite"):
+                circle_lift(torus.spec, "X", c, mode=mode, grid=16)
 
     def test_wrong_constant_rejected_in_locus_mode(self, torus):
         with pytest.raises(LiftError):
@@ -561,3 +621,11 @@ class TestPlaneSampling:
             assert np.allclose(pl.v, X)
             stack = np.stack([pl.u, pl.v])
             assert np.linalg.matrix_rank(stack, tol=1e-9) == 2
+
+    def test_non_timelike_field_is_refused(self, entry, circle_lift_torus):
+        """The lightlike X of the lifted torus at x = 0 gets the quotient
+        basis, which has no planes to sample; a spacelike X has no basis."""
+        with pytest.raises(SubspaceError, match="timelike X only"):
+            sample_planes_containing(circle_lift_torus.spec, "Xbar", [0.0, 0.2, 1.0])
+        with pytest.raises(SubspaceError, match="is spacelike at"):
+            sample_planes_containing(entry("torus_family_mixed").spec, "X", [0.0, 0.0])

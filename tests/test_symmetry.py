@@ -223,7 +223,7 @@ class TestSkewResidual:
 
 class TestRestrictedOperator:
     def test_torus_minimum_gives_trivial_operator(self, torus):
-        op = restricted_operator(torus.spec, "X", [0.5, 0.0], mode="orthogonal")
+        op = restricted_operator(torus.spec, "X", [0.5, 0.0])
         assert op.matrix.shape == (1, 1)
         assert abs(op.matrix[0, 0]) < 1e-12
         assert op.invariance_residual < 1e-6
@@ -242,17 +242,26 @@ class TestRestrictedOperator:
         with unit off-diagonal entries."""
         spec = hopf.spec
         for p in spec.sample_points(5, rng):
-            op = restricted_operator(spec, "X", p, mode="orthogonal")
+            op = restricted_operator(spec, "X", p)
             m = op.matrix
             assert m.shape == (2, 2)
             assert abs(m[0, 0]) < 1e-9 and abs(m[1, 1]) < 1e-9
             assert abs(abs(m[0, 1]) - 1.0) < 1e-9
             assert abs(m[0, 1] + m[1, 0]) < 1e-9
 
-    def test_orthogonal_mode_requires_timelike(self, circle_lift_torus):
-        spec = circle_lift_torus.spec
-        with pytest.raises(SubspaceError):
-            restricted_operator(spec, "Xbar", [0.0, 0.2, 1.0], mode="orthogonal")
+    def test_orthogonal_mode_requires_timelike(self, entry, torus):
+        """The causal character at p picks the construction, and the
+        orthogonal one is taken for a timelike X only: a spacelike X
+        (torus_family_mixed at x = 0) and a zero X are refused, with the
+        character named, by the basis builder and the operator alike."""
+        mixed = entry("torus_family_mixed").spec
+        assert restricted_operator(mixed, "X", [0.5, 0.0]).mode == "orthogonal"
+        zero = with_extra_field(torus.spec, "Z", [ex.ZERO, ex.ZERO])
+        for spec, x, p, cc in ((mixed, "X", [0.0, 0.0], "spacelike"),
+                               (zero, "Z", [0.5, 0.0], "zero")):
+            for build in (restricted_operator, orthogonal_complement_basis):
+                with pytest.raises(SubspaceError, match=f"field '{x}' is {cc} at"):
+                    build(spec, x, p)
 
     def test_leak_of_non_homothetic_field_is_refused(self, torus):
         """Y = (1 + sin(2 pi x)/2) d/dy is neither Killing nor homothetic,
@@ -265,14 +274,14 @@ class TestRestrictedOperator:
         _, leak = restriction_matrix(spec, "Y", p, orthogonal_complement_basis(spec, "Y", p))
         assert leak > 1e-3
         with pytest.raises(SubspaceError, match="does not preserve"):
-            restricted_operator(spec, "Y", p, mode="orthogonal")
+            restricted_operator(spec, "Y", p)
 
     def test_quotient_at_null_locus(self, circle_lift_torus):
         """1x1 quotient operator with value 0; the field itself is a
         kernel eigenvector of A_X (Killing, so eigenvalue 0)."""
         spec = circle_lift_torus.spec
         p = np.array([0.0, 0.2, 1.0])
-        op = restricted_operator(spec, "Xbar", p, mode="quotient")
+        op = restricted_operator(spec, "Xbar", p)
         assert op.matrix.shape == (1, 1)
         assert abs(op.matrix[0, 0]) < 1e-10
         X = spec.field_eval("Xbar", p)
@@ -281,14 +290,19 @@ class TestRestrictedOperator:
         assert lam == pytest.approx(0.0, abs=1e-10)
         assert np.linalg.norm(AX + lam * X) <= 1e-9 * np.linalg.norm(X)
 
-    def test_quotient_mode_requires_lightlike(self, torus):
-        with pytest.raises(SubspaceError):
-            restricted_operator(torus.spec, "X", [0.5, 0.0], mode="quotient")
+    def test_quotient_mode_requires_lightlike(self, circle_lift_torus):
+        """On the lifted torus Xbar is lightlike on x = 0, where the
+        operator acts on the 1-dimensional quotient, and timelike at
+        x = 0.5, where it acts on the 2-dimensional X-perp."""
+        spec = circle_lift_torus.spec
+        for x, mode, rows in ((0.0, "quotient", 1), (0.5, "orthogonal", 2)):
+            op = restricted_operator(spec, "Xbar", [x, 0.2, 1.0])
+            assert (op.mode, op.basis.shape) == (mode, (rows, 3))
 
     def test_quotient_matrix_unchanged_by_representative_shifts(self, circle_lift_torus, rng):
         spec = circle_lift_torus.spec
         p = np.array([0.0, 0.2, 1.0])
-        op = restricted_operator(spec, "Xbar", p, mode="quotient")
+        op = restricted_operator(spec, "Xbar", p)
         X = spec.field_eval("Xbar", p)
         for _ in range(5):
             shifts = rng.normal(size=len(op.basis))
