@@ -377,14 +377,20 @@ def parse_expression(text: str, declared) -> Expr:
 
     Every free name must appear in ``declared`` (coordinates plus
     parameters of the owning chart); anything else raises
-    :class:`UndeclaredNameError` with its position.
+    :class:`UndeclaredNameError` with its position.  Nesting deeper than
+    the recursive descent can follow raises :class:`ParseError` at the
+    token where it gave up.
     """
     declared = frozenset(declared)
     clash = declared & set(RESERVED)
     if clash:
         raise ExprError(f"declared names shadow reserved words: {sorted(clash)}")
     parser = _Parser(_tokenize(text), declared)
-    node = parser.expression()
+    try:
+        node = parser.expression()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply",
+                         parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos) from None
     parser.expect("end")
     return node
 

@@ -4,13 +4,16 @@ Given a chart and a causal field X, this module locates extrema of the
 energy f = g(X,X)/2 on a grid (with Newton refinement),
 constructs the witness plane at a causal extremum from the kernel of
 the restricted skew operator, or at a timelike maximum takes the exact
-largest curvature over every plane through X from the Jacobi form on
-X-perp, scans plane families along paths for curvature sign changes,
-checks the conformal lower bound at critical points of conformal fields,
-and builds two derived charts: the Lorentzian flip of a Riemannian
-metric along a nowhere-zero Killing field, and the circle lift that
-appends a flat periodic coordinate to trade a timelike field for a
-merely causal one.
+largest curvature over every plane through X, scans plane families
+along paths for curvature sign changes, checks the conformal lower
+bound at critical points of conformal fields, and builds two derived
+charts: the Lorentzian flip of a Riemannian metric along a nowhere-zero
+Killing field, and the circle lift that appends a flat periodic
+coordinate to trade a timelike field for a merely causal one.
+
+Every curvature of a plane through X is cᵀJc of one Jacobi form J on
+the X-perp frame (:func:`_jacobi_on_frame`): the witness reads it at the
+kernel direction or takes its top eigenvalue, the sign scan on sampled c_k.
 """
 
 from __future__ import annotations
@@ -27,10 +30,7 @@ from .curvature import (
     causal_character,
     energy_derivs,
     jacobi_form,
-    null_sectional_curvature,
     point_geometry,
-    sectional_curvature,
-    sectional_numerator,
 )
 from .manifold import (
     BOUNDARY_COLLAR,
@@ -40,7 +40,6 @@ from .manifold import (
     ManifoldSpec,
     TangentPlane,
     metric_pairing_expr,
-    plane_discriminant,
     validate_signature,
 )
 from .symmetry import (
@@ -48,7 +47,6 @@ from .symmetry import (
     FieldClass,
     FieldTag,
     RestrictedOperator,
-    SubspaceError,
     classify_field,
     kernel_direction,
     lie_derivative_metric_exprs,
@@ -314,41 +312,31 @@ class WitnessReport:
     invariance_residual: float | None = None
 
 
+def _jacobi_on_frame(M: ManifoldSpec, p, X: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """J_X on the g-orthonormal rows B of ``basis``: span{cB, X} of a unit
+    c has curvature cᵀJc.  m-1 rows span X-perp of a timelike X, where
+    Q = g(X,X), so cᵀJc is the sectional curvature; m-2 rows represent
+    X-perp/X of a lightlike X, and cᵀJc = g(R(v,X)X,v)/g(v,v) is the
+    null sectional curvature."""
+    geo = point_geometry(M, p)
+    J = basis @ jacobi_form(geo, X) @ basis.T
+    if len(basis) == M.dim - 1:
+        J = J / float(X @ geo.metric @ X)
+    return J
+
+
 def _kernel_plane(M: ManifoldSpec, xname: str,
-                  p) -> tuple[RestrictedOperator, TangentPlane, float]:
-    """The restricted operator at p, the plane span{v, X} of its kernel
-    direction v, and |op v| relative to |op| (absolute when op is ~0).
-    Every caller's operator has odd dimension, so v exists."""
+                  p) -> tuple[RestrictedOperator, np.ndarray, np.ndarray, float]:
+    """The restricted operator at p, the Jacobi form J on its basis, the
+    kernel direction c of the operator (plane span{c·basis, X}, curvature
+    cᵀJc), and |op c| relative to |op| (absolute when op is ~0).  Every
+    caller's operator has odd dimension, so c exists."""
     op = restricted_operator(M, xname, p)
     kv = kernel_direction(op.matrix)
     opn = float(np.linalg.norm(op.matrix, 2))
     res = float(np.linalg.norm(op.matrix @ kv))
-    plane = TangentPlane(p, kv @ op.basis, M.field_eval(xname, p))
-    return op, plane, res / opn if opn > 1e-10 else res
-
-
-def sample_planes_containing(M: ManifoldSpec, xname: str, p,
-                             count: int = 32) -> list[TangentPlane]:
-    """Planes span{X, v} with v rotating through an orthonormal frame of
-    the spacelike complement of a timelike X; any other X raises
-    :class:`~lorentzgeo.symmetry.SubspaceError`."""
-    p = M.wrap_point(p)
-    X = M.field_eval(xname, p)
-    basis = orthogonal_complement_basis(M, xname, p)
-    if len(basis) != M.dim - 1:
-        raise SubspaceError("planes through X are sampled for a timelike X only; "
-                            "X is lightlike")
-    d = len(basis)
-    planes = []
-    for k in range(count):
-        if d == 1:
-            v = basis[0]
-        else:
-            alpha = math.pi * k / count
-            q = k % (d - 1)
-            v = math.cos(alpha) * basis[q] + math.sin(alpha) * basis[q + 1]
-        planes.append(TangentPlane(p, v, X))
-    return planes
+    J = _jacobi_on_frame(M, p, M.field_eval(xname, p), op.basis)
+    return op, J, kv, res / opn if opn > 1e-10 else res
 
 
 def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
@@ -363,9 +351,10 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     sectional curvature <= 0.  At a local maximum the inequalities
     reverse.  For timelike X every plane through X must then have
     K <= 0, and the report gives the exact largest K over all of them:
-    the top eigenvalue of the Jacobi form g(R(.,X)X,.) on X-perp divided
-    by g(X,X), with the plane of its eigenvector.  Parity or causality
-    mismatches are reported as out-of-scope, never raised.
+    the top eigenvalue of the Jacobi form J of :func:`_jacobi_on_frame`,
+    with the plane of its eigenvector; every other value is cᵀJc at the
+    kernel direction c.  Parity or causality mismatches are reported as
+    out-of-scope, never raised.
 
     For a causal field f <= 0 everywhere, so every lightlike point has
     f = 0 and is a global maximum of f: the paper's causal,
@@ -401,26 +390,20 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
 
     minimum = record.kind is ExtremumKind.MIN
+    op, J, kv, kres = _kernel_plane(M, xname, p)
+    k_val = float(kv @ J @ kv)
     if cc is CausalCharacter.TIMELIKE:
         case, curvature_kind, nonnegative = "timelike_even", "sectional", minimum
-        op, plane, kres = _kernel_plane(M, xname, p)
-        if minimum:
-            k_val = sectional_curvature(M, plane)
-        else:
-            # K(span{v,X}) = vᵀJv / g(X,X) for every unit v in X-perp
-            geo = point_geometry(M, p)
-            J = op.basis @ jacobi_form(geo, X) @ op.basis.T
-            ks, vecs = np.linalg.eigh(J / float(X @ geo.metric @ X))
+        if not minimum:
+            ks, vecs = np.linalg.eigh(J)
             top = int(np.argmax(ks))      # ties keep the first basis plane
-            k_val = float(ks[top])
-            plane = TangentPlane(p, vecs[:, top] @ op.basis, X)
+            k_val, kv = float(ks[top]), vecs[:, top]
     else:
         case, curvature_kind, nonnegative = "lightlike_odd", "null_sectional", not minimum
-        op, plane, kres = _kernel_plane(M, xname, p)
-        k_val = null_sectional_curvature(M, p, X, plane.u)
     ok = k_val >= -tol if nonnegative else k_val <= tol
     return WitnessReport(verdict=Verdict.PASS if ok else Verdict.FAIL, case=case,
-                         plane=plane, curvature_kind=curvature_kind, value=k_val,
+                         plane=TangentPlane(p, kv @ op.basis, X),
+                         curvature_kind=curvature_kind, value=k_val,
                          inequality=">= 0" if nonnegative else "<= 0", kernel_residual=kres,
                          invariance_residual=op.invariance_residual, **base)
 
@@ -481,15 +464,17 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     """Sample plane families containing X along the path and locate
     curvature zeros / sign changes.
 
-    X must stay causal along the path.  At lightlike points the plane
-    family through X is degenerate, so the scan records the null
-    sectional curvature instead.
+    X must stay causal along the path.  The k-th value at a point is
+    c_kᵀJc_k of :func:`_jacobi_on_frame` on the X-perp basis: sectional
+    at timelike points, null sectional at lightlike ones.  c_k is e_0 on
+    a 1-row frame, else e_q turned towards e_{q+1} by pi k /
+    planes_per_point, q = k mod (d-1).  A lightlike X in dimension 2 has
+    no degenerate plane through it and is refused.
     """
     points = np.asarray(points, dtype=float)
     scans: list[PointScan] = []
     for p in points:
         p = M.wrap_point(p)
-        geo = point_geometry(M, p)
         X = M.field_eval(xname, p)
         cc = causal_character(M, p, X)
         if cc is CausalCharacter.ZERO:
@@ -497,16 +482,21 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
         if cc is CausalCharacter.SPACELIKE:
             raise ValueError(f"field is spacelike on the path at {p.tolist()}; "
                              "the scan requires a causal field")
-        g = geo.metric
-        if cc is CausalCharacter.TIMELIKE:
-            values = [sectional_numerator(geo, pl.u, X) / plane_discriminant(g, pl.u, X)
-                      for pl in sample_planes_containing(M, xname, p, planes_per_point)]
-            scans.append(PointScan(p, cc, "sectional", tuple(values)))
-        else:
-            reps = orthogonal_complement_basis(M, xname, p)
-            vs = [reps[k % len(reps)] for k in range(planes_per_point)]
-            values = [sectional_numerator(geo, v, X) / float(v @ g @ v) for v in vs]
-            scans.append(PointScan(p, cc, "null_sectional", tuple(values)))
+        basis = orthogonal_complement_basis(M, xname, p)
+        d = len(basis)
+        if d == 0:
+            raise ValueError(f"field is lightlike on the path at {p.tolist()} on a "
+                             "2-dimensional chart; no degenerate plane contains it")
+        J = _jacobi_on_frame(M, p, X, basis)
+        cs = np.zeros((planes_per_point, d))
+        for k, c in enumerate(cs):
+            if d == 1:
+                c[0] = 1.0
+            else:
+                alpha, q = math.pi * k / planes_per_point, k % (d - 1)
+                c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
+        kind = "sectional" if cc is CausalCharacter.TIMELIKE else "null_sectional"
+        scans.append(PointScan(p, cc, kind, tuple(float(c @ J @ c) for c in cs)))
 
     n_pts = len(scans)
     k_all = [v for s in scans for v in s.values]
@@ -578,8 +568,8 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    _, plane, kres = _kernel_plane(M, xname, p)
-    k_val = sectional_curvature(M, plane)
+    op, J, kv, kres = _kernel_plane(M, xname, p)
+    k_val = float(kv @ J @ kv)
 
     xs = cf.x_sigma(p)
     X = M.field_eval(xname, p)
@@ -587,7 +577,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
         point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,
-        curvature=k_val, plane=plane,
+        curvature=k_val, plane=TangentPlane(p, kv @ op.basis, X),
         bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
         nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
         kernel_residual=kres)

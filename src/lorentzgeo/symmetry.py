@@ -220,20 +220,16 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p,
     g, frame = geo.metric, geo.riem_frame
     A = shape_operator_at(M, xname, p)
     X = M.field_eval(xname, p)
-    n = len(reps)
-    mat = np.empty((n, n))
     nrm_x = math.sqrt(max(riem_inner(frame, X, X), _TINY))
-    images = [A @ reps[i] for i in range(n)]
-    for i, img in enumerate(images):
-        for k in range(n):
-            mat[k, i] = float(reps[k] @ g @ img)
+    reps = np.reshape(reps, (-1, M.dim))    # a 2-D quotient basis has no rows
+    images = A @ reps.T                     # column i: A_X applied to reps[i]
+    mat = reps @ g @ images
     # a vanishing operator preserves everything; floor its magnitude so
     # pure float noise (of df, which the leak equals) does not masquerade
     # as a leak.  That noise grows with the curvature, and so does the floor.
-    opmag = max((math.sqrt(riem_inner(frame, img, img)) for img in images), default=0.0)
+    opmag = max((math.sqrt(riem_inner(frame, img, img)) for img in images.T), default=0.0)
     floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
-    leak = max((abs(float(img @ g @ X)) for img in images), default=0.0) / \
-        (max(opmag, floor) * nrm_x)
+    leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
     return mat, leak
 
 

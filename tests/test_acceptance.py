@@ -37,7 +37,6 @@ from lorentzgeo.obstruction import (
     interpolate_path,
     lorentzianize,
     plane_sign_scan,
-    sample_planes_containing,
     scan_extrema,
 )
 from lorentzgeo.symmetry import (
@@ -125,8 +124,8 @@ def test_02_hessian_identity():
 
 def test_03_timelike_witness_torus():
     """Minimum at x = 0.5 (1e-4) with witness curvature pi^2 (1e-4) and
-    verdict PASS; at the maximum x = 0 all 32 sampled planes through the
-    field have curvature -pi^2 (1e-4), nonpositive."""
+    verdict PASS; at the maximum x = 0 the planes span{w, X} of 32 seeded
+    random vectors w have curvature -pi^2 (1e-4), nonpositive."""
     entry = build_example("torus_family")
     scan = scan_extrema(entry.spec, "X", grid=64)
     rec_min = scan.minima()[0]
@@ -137,8 +136,9 @@ def test_03_timelike_witness_torus():
     rec_max = scan.maxima()[0]
     x_max = min(rec_max.point[0], 1.0 - rec_max.point[0])
     ok_max_loc = x_max <= 1e-4
-    planes = sample_planes_containing(entry.spec, "X", rec_max.point, count=32)
-    vals = [sectional_curvature(entry.spec, pl) for pl in planes]
+    X = entry.spec.field_eval("X", rec_max.point)
+    ws = np.random.default_rng(3).standard_normal((32, 2))
+    vals = [sectional_curvature(entry.spec, TangentPlane(rec_max.point, w, X)) for w in ws]
     ok_max_val = all(abs(v + PI ** 2) <= 1e-4 and v <= 1e-6 for v in vals)
 
     ok = ok_min_loc and ok_min_val and ok_max_loc and ok_max_val

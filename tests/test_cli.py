@@ -202,6 +202,16 @@ class TestDocumentIO:
         assert main(["validate", str(path)]) == 1
         assert "metric entry g.1.1 is nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deep", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
+                             ids=["parentheses", "unary-minus"])
+    def test_entry_too_deep_for_the_parser_is_an_error_message(self, tmp_path, capsys, deep):
+        path = tmp_path / "deep.chart"
+        path.write_text('[manifold]\ndim = 2\ncoords = t, x\nrange.t = -1, 1\n'
+                        'range.x = -1, 1\nsignature = lorentzian\n\n[metric]\n'
+                        f'g.0.0 = "-1"\ng.1.1 = "{deep}"\n')
+        assert main(["validate", str(path)]) == 1
+        assert "error: metric g.1.1: expression is nested too deeply" in capsys.readouterr().err
+
 
 def test_module_entry_point_runs():
     # the child imports the same package as this process, installed or not

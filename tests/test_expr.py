@@ -83,6 +83,14 @@ class TestParse:
         e = parse_expression("-x^2", frozenset({"x"}))
         assert evaluate(e, {"x": 3.0}) == -9.0
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
+                             ids=["parentheses", "unary-minus"])
+    def test_nesting_too_deep_is_a_parse_error(self, text):
+        """The recursive descent gives up as a ParseError, not a
+        RecursionError."""
+        with pytest.raises(ParseError, match=r"nested too deeply \(at position \d+\)"):
+            parse_expression(text, XY)
+
 
 class TestDifferentiate:
     def test_square(self):

@@ -133,6 +133,18 @@ g.0.1 = "1 + u^2"
         with pytest.raises(SpecError, match=r"metric entry g\.1\.1 is nested too deeply"):
             load_spec(doc)
 
+    @pytest.mark.parametrize("deep", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
+                             ids=["parentheses", "unary-minus"])
+    @pytest.mark.parametrize("where,lines", [
+        ("metric g.0.1", 'g.0.1 = "{}"'),          # MINK2 ends in its [metric] section
+        ("field X", '\n[field.X]\ncomponents = "{}", "0"'),
+        ("scalar s", '\n[scalar.s]\nexpr = "{}"'),
+    ], ids=["metric", "field", "scalar"])
+    def test_entry_too_deep_for_the_parser_is_a_spec_error(self, deep, where, lines):
+        doc = MINK2 + lines.format(deep) + "\n"
+        with pytest.raises(SpecError, match=f"^{where}: expression is nested too deeply"):
+            load_spec(doc)
+
 
     @pytest.mark.parametrize("old,new,key", [
         ("[metric]", "[params]\na = nan\n\n[metric]", "param a"),

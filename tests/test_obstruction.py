@@ -9,11 +9,13 @@ from lorentzgeo.catalog import _TORUS_FAMILY, list_examples
 from lorentzgeo.curvature import (
     ScalarDerivs,
     causal_character,
+    null_sectional_curvature,
     point_geometry,
     sectional_curvature,
 )
 from lorentzgeo.manifold import (
     CausalCharacter,
+    TangentPlane,
     field_energy_expr,
     load_spec,
 )
@@ -27,7 +29,6 @@ from lorentzgeo.obstruction import (
     interpolate_path,
     lorentzianize,
     plane_sign_scan,
-    sample_planes_containing,
     scan_extrema,
 )
 from lorentzgeo import obstruction
@@ -35,6 +36,7 @@ from lorentzgeo.symmetry import (
     SubspaceError,
     classify_field,
     lie_derivative_metric_at,
+    orthogonal_complement_basis,
     restricted_operator,
 )
 
@@ -214,21 +216,29 @@ def construction_mismatches(M, xname, records):
     return bad
 
 
+@pytest.fixture(scope="module")
+def catalog_witness_records(entry):
+    """(name, spec, field, witness records) of every entry with a
+    designated field, on a 16-point grid."""
+    out = []
+    for name in list_examples():
+        e = entry(name)
+        if e.field_name:
+            scan = scan_extrema(e.spec, e.field_name, grid=16)
+            out.append((name, e.spec, e.field_name,
+                        scan.witness_records(e.spec, e.field_name)))
+    return out
+
+
 class TestDerivedConstruction:
     """The causal character of X at each witness record picks the X-perp
     construction."""
 
-    def test_catalog_witness_records(self, entry):
-        """Every entry with a designated field, on a 16-point grid; the
-        records cover the timelike, lightlike and spacelike cases."""
+    def test_catalog_witness_records(self, catalog_witness_records):
+        """The records cover the timelike, lightlike and spacelike cases."""
         bad, seen = [], set()
-        for name in list_examples():
-            e = entry(name)
-            if not e.field_name:
-                continue
-            scan = scan_extrema(e.spec, e.field_name, grid=16)
-            records = scan.witness_records(e.spec, e.field_name)
-            bad += [(name,) + b for b in construction_mismatches(e.spec, e.field_name, records)]
+        for name, M, xname, records in catalog_witness_records:
+            bad += [(name,) + b for b in construction_mismatches(M, xname, records)]
             seen |= {r.causal for r in records}
         assert bad == []
         assert seen == {CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE,
@@ -237,6 +247,104 @@ class TestDerivedConstruction:
     def test_static_four_torus_records(self, static_four_torus):
         M, scan, _ = static_four_torus
         assert construction_mismatches(M, "X", scan.records) == []
+
+
+def oracle_curvature(M, p, X, v):
+    """Curvature of span{v, X} from the guarded public functions, which
+    do not read the Jacobi form."""
+    if causal_character(M, p, X) is CausalCharacter.LIGHTLIKE:
+        return null_sectional_curvature(M, p, X, v)
+    return sectional_curvature(M, TangentPlane(p, v, X))
+
+
+def form_mismatches(M, xname, p, coefficients, values):
+    """(point, c, value, oracle) where a value read on the unit
+    coefficient row c of the X-perp basis at p differs from the oracle
+    of span{c·basis, X} by more than 1e-12 of the largest oracle value
+    at p."""
+    X = M.field_eval(xname, p)
+    basis = orthogonal_complement_basis(M, xname, p)
+    want = [oracle_curvature(M, p, X, c @ basis) for c in coefficients]
+    scale = max(abs(w) for w in want)
+    return [(p.tolist(), c.tolist(), got, w) for c, got, w in zip(coefficients, values, want)
+            if not abs(got - w) <= 1e-12 * scale]
+
+
+def jacobi_mismatches(M, xname, records, rng):
+    """form_mismatches of cᵀJc on the frame axes and four seeded random
+    unit rows, at every timelike or lightlike record."""
+    bad = []
+    for rec in records:
+        if rec.causal not in (CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE):
+            continue
+        p, X = rec.point, M.field_eval(xname, rec.point)
+        basis = orthogonal_complement_basis(M, xname, p)
+        J = obstruction._jacobi_on_frame(M, p, X, basis)
+        random = rng.standard_normal((4, len(basis)))
+        cs = np.vstack([np.eye(len(basis)), random / np.linalg.norm(random, axis=1)[:, None]])
+        bad += form_mismatches(M, xname, p, cs, [float(c @ J @ c) for c in cs])
+    return bad
+
+
+def scan_family(d, count):
+    """The scan's unit coefficient rows: e_0 on a 1-row frame, otherwise
+    e_q turned towards e_{q+1} by pi k / count with q = k mod (d-1)."""
+    cs = np.zeros((count, d))
+    for k in range(count):
+        if d == 1:
+            cs[k, 0] = 1.0
+        else:
+            q = k % (d - 1)
+            cs[k, q], cs[k, q + 1] = math.cos(math.pi * k / count), math.sin(math.pi * k / count)
+    return cs
+
+
+def scan_mismatches(M, xname, waypoints, count=8):
+    """form_mismatches of every value of a 32-step sign scan against its
+    family plane, and the curvature kinds the scan reported."""
+    rep = plane_sign_scan(M, xname, interpolate_path(waypoints, 32), count)
+    bad = []
+    for s in rep.scans:
+        d = len(orthogonal_complement_basis(M, xname, s.point))
+        bad += form_mismatches(M, xname, s.point, scan_family(d, count), s.values)
+    return bad, {s.curvature_kind for s in rep.scans}
+
+
+class TestJacobiForm:
+    """Every curvature of a plane through X is cᵀJc of the one Jacobi
+    form on the X-perp frame; the guarded sectional and null sectional
+    curvatures are its oracle."""
+
+    def test_catalog_witness_records(self, catalog_witness_records, rng):
+        bad, seen = [], set()
+        for name, M, xname, records in catalog_witness_records:
+            bad += [(name,) + b for b in jacobi_mismatches(M, xname, records, rng)]
+            seen |= {(r.causal, M.dim) for r in records}
+        assert bad == []
+        assert {(CausalCharacter.TIMELIKE, 2), (CausalCharacter.TIMELIKE, 4),
+                (CausalCharacter.LIGHTLIKE, 3)} <= seen
+
+    def test_static_four_torus_records(self, static_four_torus, rng):
+        M, scan, _ = static_four_torus
+        assert jacobi_mismatches(M, "X", scan.records, rng) == []
+
+    @pytest.mark.parametrize("name,xname,path,kinds", [
+        ("torus_family", "X", "min_to_max", {"sectional"}),
+        ("circle_lift_torus", "Xbar", "across_locus", {"sectional", "null_sectional"}),
+        ("hopf_lorentz_s3", "X", [[PI / 6, 0.2, 0.2], [PI / 3, 2.0, 1.0]], {"sectional"}),
+    ], ids=["torus", "circle-lift", "hopf"])
+    def test_sign_scan_values(self, entry, name, xname, path, kinds):
+        """Each scan value is the oracle curvature of its family plane,
+        at timelike and lightlike points, on 1- and 2-row frames."""
+        e = entry(name)
+        waypoints = e.paths[path] if isinstance(path, str) else np.array(path)
+        assert scan_mismatches(e.spec, xname, waypoints) == ([], kinds)
+
+    def test_sign_scan_values_on_a_three_row_frame(self, static_four_torus):
+        """The family turns e_q towards e_{q+1} for q = 0 and 1 in turn."""
+        M, _, _ = static_four_torus
+        waypoints = np.array([[0.0, 0.25, 0.75, 0.0], [0.5, 0.25, 0.75, 0.0]])
+        assert scan_mismatches(M, "X", waypoints) == ([], {"sectional"})
 
 
 def _reference_clusters(M, spacings, values, points):
@@ -439,6 +547,14 @@ class TestSignScan:
         with pytest.raises(ValueError):
             plane_sign_scan(mixed.spec, "X", pts)
 
+    def test_lightlike_field_in_dimension_two_rejected(self, entry):
+        """X-perp/X of a lightlike X on a 2-D chart has no rows: no
+        degenerate plane contains X."""
+        mixed = entry("torus_family_mixed")
+        pts = interpolate_path(np.array([[1 / 6, 0.0], [0.5, 0.0]]), 1)
+        with pytest.raises(ValueError, match=r"lightlike on the path at \[0\.16666666666666666, 0\.0\]"):
+            plane_sign_scan(mixed.spec, "X", pts)
+
     def test_scan_crossing_null_locus_uses_null_values(self, circle_lift_torus):
         spec = circle_lift_torus.spec
         pts = interpolate_path(np.array([[0.4, 0.0, 0.0], [0.0, 0.0, 0.0]]), 16)
@@ -609,23 +725,3 @@ class TestCircleLift:
         lift = circle_lift(spec, "X", math.sqrt(1.0 - 2.0 / 20.0 + 1e-12),
                            mode="general", grid=8)
         assert lift.spec.coord_names()[-1] == "theta1"
-
-
-class TestPlaneSampling:
-    def test_planes_contain_field(self, hopf, rng):
-        spec = hopf.spec
-        p = spec.sample_points(1, rng)[0]
-        planes = sample_planes_containing(spec, "X", p, count=8)
-        X = spec.field_eval("X", p)
-        for pl in planes:
-            assert np.allclose(pl.v, X)
-            stack = np.stack([pl.u, pl.v])
-            assert np.linalg.matrix_rank(stack, tol=1e-9) == 2
-
-    def test_non_timelike_field_is_refused(self, entry, circle_lift_torus):
-        """The lightlike X of the lifted torus at x = 0 gets the quotient
-        basis, which has no planes to sample; a spacelike X has no basis."""
-        with pytest.raises(SubspaceError, match="timelike X only"):
-            sample_planes_containing(circle_lift_torus.spec, "Xbar", [0.0, 0.2, 1.0])
-        with pytest.raises(SubspaceError, match="is spacelike at"):
-            sample_planes_containing(entry("torus_family_mixed").spec, "X", [0.0, 0.0])

@@ -290,14 +290,18 @@ class TestRestrictedOperator:
         assert lam == pytest.approx(0.0, abs=1e-10)
         assert np.linalg.norm(AX + lam * X) <= 1e-9 * np.linalg.norm(X)
 
-    def test_quotient_mode_requires_lightlike(self, circle_lift_torus):
+    def test_quotient_mode_requires_lightlike(self, circle_lift_torus, entry):
         """On the lifted torus Xbar is lightlike on x = 0, where the
         operator acts on the 1-dimensional quotient, and timelike at
-        x = 0.5, where it acts on the 2-dimensional X-perp."""
+        x = 0.5, where it acts on the 2-dimensional X-perp.  A lightlike
+        X on a 2-D chart has a 0-dimensional quotient and an empty
+        operator."""
         spec = circle_lift_torus.spec
         for x, mode, rows in ((0.0, "quotient", 1), (0.5, "orthogonal", 2)):
             op = restricted_operator(spec, "Xbar", [x, 0.2, 1.0])
             assert (op.mode, op.basis.shape) == (mode, (rows, 3))
+        op = restricted_operator(entry("torus_family_mixed").spec, "X", [1 / 6, 0.0])
+        assert (op.mode, op.matrix.shape, op.invariance_residual) == ("quotient", (0, 0), 0.0)
 
     def test_quotient_matrix_unchanged_by_representative_shifts(self, circle_lift_torus, rng):
         spec = circle_lift_torus.spec
