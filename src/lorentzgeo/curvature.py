@@ -7,7 +7,9 @@ clarity beats symmetry-compressed storage).
 
 :func:`point_geometry` is the single evaluation of the metric jet at a
 point: in this module it alone calls ``metric_derivs`` (one call of the
-spec's compiled jet function), refuses a degenerate metric and inverts g.
+spec's compiled jet function), refuses a degenerate metric by
+``manifold.require_nondegenerate`` on the eigenvalues of its Riemannianized
+frame (the rule ``validate_signature`` and ``metric_at`` apply) and inverts g.
 The spec memoizes the geometry of the last point asked for (keyed on the
 wrapped point, so a periodic image hits too) and its arrays
 are read-only, so every helper simply asks for the geometry at its point:
@@ -49,13 +51,11 @@ from . import expr as ex
 from .expr import Expr
 from .manifold import (
     CausalCharacter,
-    DependentVectorsError,
     ManifoldSpec,
     PlaneType,
     TangentPlane,
     field_energy_expr,
-    metric_inverse,
-    plane_discriminant,
+    require_nondegenerate,
     riem_frame,
     riem_inner,
 )
@@ -64,14 +64,22 @@ from .manifold import (
 # norms of the riem_frame of g, so both are scale-free: |g(v,v)| at or
 # below CAUSAL_EPS |v|^2 is lightlike, and |Q| at or below
 # PLANE_EPS |u|^2 |v|^2 is a degenerate plane (the sectional curvature
-# refuses it; callers then use the null sectional curvature).
+# refuses it; callers then use the null sectional curvature).  A pair
+# whose Gram determinant there is at or below DEPENDENCE_EPS |u|^2 |v|^2
+# (the squared sine of their angle) is linearly dependent.
 CAUSAL_EPS = 1e-9
 PLANE_EPS = 1e-9
+DEPENDENCE_EPS = 1e-12
 SYMMETRY_TOL = 1e-8
+_TINY = 1e-300            # floor of a magnitude that divides
 
 
 class DegeneratePlaneError(ValueError):
     """Plane discriminant too small for ordinary sectional curvature."""
+
+
+class DependentVectorsError(DegeneratePlaneError):
+    """Spanning vectors of a plane are zero or linearly dependent."""
 
 
 class NullCurvatureInputError(ValueError):
@@ -103,7 +111,9 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     if key == memo_key:
         return memo
     g, dg, ddg = M.metric_derivs(p)
-    ginv = metric_inverse(g, p)
+    frame = riem_frame(g)
+    require_nondegenerate(frame[0], p)
+    ginv = np.linalg.inv(g)
 
     # dg[k,i,j] = d_k g_ij ; ddg[l,k,i,j] = d_l d_k g_ij
     # low[l,i,j] = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
@@ -119,7 +129,6 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
                + gg - gg.transpose(1, 0, 2, 3))
     ricci = np.einsum("mb,mjbk->jk", ginv, lowered)
     scalar = float(np.einsum("jk,jk->", ginv, ricci))
-    frame = riem_frame(g)
     for a in (p, g, ginv, dg, gamma, lowered, ricci) + frame:
         a.flags.writeable = False
     geo = PointGeometry(point=p, metric=g, inverse=ginv, dmetric=dg, christoffel=gamma,
@@ -146,24 +155,31 @@ def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
     return CausalCharacter.TIMELIKE if gvv < 0 else CausalCharacter.SPACELIKE
 
 
-def plane_type(M: ManifoldSpec, pi: TangentPlane) -> PlaneType:
-    """Classify a tangent plane by the sign of its discriminant Q."""
-    geo = point_geometry(M, pi.point)
+def _spanning_pair(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> tuple[PlaneType, float]:
+    """The type of span{u, v} and Q = g(u,u) g(v,v) - g(u,v)^2, with the
+    bands on |u|^2 and |v|^2 in the riem_frame of g; a zero or dependent
+    pair raises :class:`DependentVectorsError`."""
     frame = geo.riem_frame
-    nu = riem_inner(frame, pi.u, pi.u)
-    nv = riem_inner(frame, pi.v, pi.v)
+    nu, nv, nuv = riem_inner(frame, u, u), riem_inner(frame, v, v), riem_inner(frame, u, v)
     if nu == 0.0 or nv == 0.0:
-        raise DependentVectorsError("zero spanning vector")
-    nuv = riem_inner(frame, pi.u, pi.v)
-    if np.linalg.det(np.array([[nu, nuv], [nuv, nv]])) <= 1e-12 * nu * nv:
-        raise DependentVectorsError("spanning vectors are linearly dependent")
-    q = plane_discriminant(geo.metric, pi.u, pi.v)
+        raise DependentVectorsError(f"zero spanning vector at {geo.point.tolist()}")
+    if nu * nv - nuv * nuv <= DEPENDENCE_EPS * nu * nv:
+        raise DependentVectorsError(
+            f"spanning vectors are linearly dependent at {geo.point.tolist()}")
+    g = geo.metric
+    guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
+    q = guu * gvv - guv * guv
     band = PLANE_EPS * nu * nv
     if q < -band:
-        return PlaneType.TIMELIKE
+        return PlaneType.TIMELIKE, q
     if q > band:
-        return PlaneType.SPACELIKE
-    return PlaneType.DEGENERATE
+        return PlaneType.SPACELIKE, q
+    return PlaneType.DEGENERATE, q
+
+
+def plane_type(M: ManifoldSpec, pi: TangentPlane) -> PlaneType:
+    """Classify a tangent plane by the sign of its discriminant Q."""
+    return _spanning_pair(point_geometry(M, pi.point), pi.u, pi.v)[0]
 
 
 def sectional_numerator(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> float:
@@ -181,9 +197,8 @@ def sectional_curvature(M: ManifoldSpec, pi: TangentPlane) -> float:
     from degenerate planes (use the null sectional curvature there)."""
     geo = point_geometry(M, pi.point)
     u, v = pi.u, pi.v
-    q = plane_discriminant(geo.metric, u, v)
-    nu, nv = riem_inner(geo.riem_frame, u, u), riem_inner(geo.riem_frame, v, v)
-    if nu == 0.0 or nv == 0.0 or abs(q) <= PLANE_EPS * nu * nv:
+    kind, q = _spanning_pair(geo, u, v)
+    if kind is PlaneType.DEGENERATE:
         raise DegeneratePlaneError(
             f"plane discriminant Q={q:e} is degenerate at {pi.point.tolist()}; "
             "use null_sectional_curvature")
@@ -205,10 +220,11 @@ def null_sectional_curvature(M: ManifoldSpec, p, x, v) -> float:
     cv = causal_character(M, p, vc)
     if cv in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
+    try:
+        _spanning_pair(geo, vc, xc)
+    except DependentVectorsError as e:
+        raise NullCurvatureInputError(str(e)) from None
     nx, nv = riem_inner(geo.riem_frame, xc, xc), riem_inner(geo.riem_frame, vc, vc)
-    gram = np.array([[np.dot(xc, xc), np.dot(xc, vc)], [np.dot(xc, vc), np.dot(vc, vc)]])
-    if np.linalg.det(gram) <= 1e-12 * np.dot(xc, xc) * np.dot(vc, vc):
-        raise NullCurvatureInputError("spanning vectors are linearly dependent")
     gxv = float(xc @ g @ vc)
     if abs(gxv) > PLANE_EPS * np.sqrt(nx * nv):
         raise NullCurvatureInputError(
@@ -272,7 +288,7 @@ def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:
     """Max deviation from the curvature tensor symmetries and the cyclic
     first-Bianchi identity, relative to the tensor's magnitude."""
     R = geo.riemann
-    scale = max(float(np.max(np.abs(R))), 1e-300)
+    scale = max(float(np.max(np.abs(R))), _TINY)
     out = {
         "antisym_first": float(np.max(np.abs(R + R.transpose(1, 0, 2, 3)))) / scale,
         "antisym_last": float(np.max(np.abs(R + R.transpose(0, 1, 3, 2)))) / scale,

@@ -68,8 +68,9 @@ class DomainError(ValueError):
     """Point outside the chart domain (or hugging a non-periodic edge)."""
 
 
-class DegenerateMetricError(ValueError):
-    """|det g| below tolerance at the queried point."""
+class DegenerateMetricError(SignatureError):
+    """The metric at a point fails :func:`require_nondegenerate`, so it
+    has no signature."""
 
 
 # numpy warns on fmod(inf, period); the rows holding it are refused anyway
@@ -383,19 +384,18 @@ class ManifoldSpec:
 def metric_at(M: ManifoldSpec, p) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Evaluated metric, its inverse, and the eigenvalue sign pattern at p."""
     g = M.metric_eval(p)
-    inv = metric_inverse(g, p)
-    signs = tuple(int(np.sign(w)) for w in np.linalg.eigvalsh(g))
-    return g, inv, signs
+    w = np.linalg.eigvalsh(g)
+    require_nondegenerate(w, p)
+    return g, np.linalg.inv(g), tuple(int(np.sign(x)) for x in w)
 
 
-def metric_inverse(g: np.ndarray, p) -> np.ndarray:
-    """g^-1 of the metric evaluated at p; :class:`DegenerateMetricError`
-    when |det g| falls below the degeneracy tolerance relative to g's scale."""
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    det = float(np.linalg.det(g))
-    if abs(det) <= DEGENERACY_TOL * scale ** len(g):
-        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}: det={det:e}")
-    return np.linalg.inv(g)
+def require_nondegenerate(w: np.ndarray, p) -> None:
+    """The one degeneracy rule, scale-free: the metric at p with eigenvalues
+    w (or their magnitudes) is degenerate when min|w| <= DEGENERACY_TOL max|w|."""
+    a = np.abs(w)
+    if not a.min() > DEGENERACY_TOL * a.max():
+        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}: "
+                                    f"eigenvalue magnitudes {a.tolist()}")
 
 
 def riem_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,16 +410,6 @@ def riem_inner(frame: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarra
     of g.  Positive definite away from degeneracy."""
     aw, V = frame
     return float(np.sum(aw * (V.T @ a) * (V.T @ b)))
-
-
-class DependentVectorsError(ValueError):
-    """Spanning vectors of a plane are linearly dependent."""
-
-
-def plane_discriminant(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Q = g(u,u) g(v,v) - g(u,v)^2 for a spanning pair."""
-    guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
-    return guu * gvv - guv * guv
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +453,9 @@ def _strip_quotes(s: str) -> str:
     return s
 
 
-def load_spec(document: str, *, name: str = "", validate: bool = True,
-              samples: int = 30, seed: int = 0) -> ManifoldSpec:
+def load_spec(document: str, *, name: str = "", validate: bool = True) -> ManifoldSpec:
     """Parse a chart document and (optionally) spot-check its signature
-    at ``samples`` interior points."""
+    with :func:`validate_signature`."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -564,7 +553,7 @@ def load_spec(document: str, *, name: str = "", validate: bool = True,
                         signature=signature, metric=metric, params=params,
                         fields=fields, scalars=scalars)
     if validate:
-        validate_signature(spec, samples=samples, seed=seed)
+        validate_signature(spec)
     return spec
 
 
@@ -573,7 +562,8 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
 
     Lorentzian means exactly one negative eigenvalue; Riemannian means
     all positive.  Raises :class:`SignatureError` naming the violating
-    point and its eigenvalues.
+    point and its eigenvalues (:class:`DegenerateMetricError` for a
+    degenerate metric).
     """
     rng = np.random.default_rng(seed)
     pts = M.sample_points(samples, rng)
@@ -586,10 +576,8 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
     for k, p in enumerate(pts):
         g = M.metric_eval(p) if gs is None else gs[k]
         eigs = np.linalg.eigvalsh(g)
+        require_nondegenerate(eigs, p)
         neg = int(np.sum(eigs < 0))
-        zero = int(np.sum(np.abs(eigs) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(eigs))))))
-        if zero:
-            raise SignatureError(f"degenerate metric at {p.tolist()}: eigenvalues {eigs.tolist()}")
         want = 1 if M.signature == "lorentzian" else 0
         if neg != want:
             raise SignatureError(

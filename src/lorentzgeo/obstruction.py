@@ -26,6 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import (
+    _TINY,
     ScalarDerivs,
     causal_character,
     energy_derivs,
@@ -63,7 +64,6 @@ FLIP_TOL = 1e-8           # relative residual of its pre- and postconditions
 LIFT_TOL = 1e-6           # relative slack of c^2 = -max g(X,X) in circle_lift
 LIFTED_FIELD = "Xbar"     # the lifted field's name on the circle lift
 
-_TINY = 1e-300
 _NEWTON_STEPS = 8     # from a grid node Newton reaches float precision in 1-3
 
 
@@ -329,14 +329,12 @@ def _kernel_plane(M: ManifoldSpec, xname: str,
                   p) -> tuple[RestrictedOperator, np.ndarray, np.ndarray, float]:
     """The restricted operator at p, the Jacobi form J on its basis, the
     kernel direction c of the operator (plane span{c·basis, X}, curvature
-    cᵀJc), and |op c| relative to |op| (absolute when op is ~0).  Every
+    cᵀJc), and the residual of c from :func:`kernel_direction`.  Every
     caller's operator has odd dimension, so c exists."""
     op = restricted_operator(M, xname, p)
-    kv = kernel_direction(op.matrix)
-    opn = float(np.linalg.norm(op.matrix, 2))
-    res = float(np.linalg.norm(op.matrix @ kv))
+    kv, residual = kernel_direction(op.matrix)
     J = _jacobi_on_frame(M, p, M.field_eval(xname, p), op.basis)
-    return op, J, kv, res / opn if opn > 1e-10 else res
+    return op, J, kv, residual
 
 
 def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
@@ -442,6 +440,8 @@ class SignScanReport:
 def interpolate_path(waypoints, steps: int) -> np.ndarray:
     """Piecewise-linear chart path through the waypoints with ``steps``
     segments in total (steps+1 points)."""
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim != 2 or len(wp) < 2:
         raise ValueError("need at least two waypoints")
@@ -464,24 +464,21 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     """Sample plane families containing X along the path and locate
     curvature zeros / sign changes.
 
-    X must stay causal along the path.  The k-th value at a point is
-    c_kᵀJc_k of :func:`_jacobi_on_frame` on the X-perp basis: sectional
-    at timelike points, null sectional at lightlike ones.  c_k is e_0 on
-    a 1-row frame, else e_q turned towards e_{q+1} by pi k /
-    planes_per_point, q = k mod (d-1).  A lightlike X in dimension 2 has
-    no degenerate plane through it and is refused.
+    X must stay causal along the path: the X-perp basis refuses it
+    otherwise, and its row count tells timelike from lightlike.  The k-th
+    value at a point is c_kᵀJc_k of :func:`_jacobi_on_frame` on that
+    basis: sectional at timelike points, null sectional at lightlike
+    ones.  c_k is e_0 on a 1-row frame, else e_q turned towards e_{q+1}
+    by pi k / planes_per_point, q = k mod (d-1).  A lightlike X in
+    dimension 2 has no degenerate plane through it and is refused.
     """
+    if planes_per_point < 1:
+        raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
     points = np.asarray(points, dtype=float)
     scans: list[PointScan] = []
     for p in points:
         p = M.wrap_point(p)
         X = M.field_eval(xname, p)
-        cc = causal_character(M, p, X)
-        if cc is CausalCharacter.ZERO:
-            raise ValueError(f"field vanishes on the path at {p.tolist()}")
-        if cc is CausalCharacter.SPACELIKE:
-            raise ValueError(f"field is spacelike on the path at {p.tolist()}; "
-                             "the scan requires a causal field")
         basis = orthogonal_complement_basis(M, xname, p)
         d = len(basis)
         if d == 0:
@@ -495,7 +492,8 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
             else:
                 alpha, q = math.pi * k / planes_per_point, k % (d - 1)
                 c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
-        kind = "sectional" if cc is CausalCharacter.TIMELIKE else "null_sectional"
+        cc, kind = ((CausalCharacter.TIMELIKE, "sectional") if d == M.dim - 1
+                    else (CausalCharacter.LIGHTLIKE, "null_sectional"))
         scans.append(PointScan(p, cc, kind, tuple(float(c @ J @ c) for c in cs)))
 
     n_pts = len(scans)

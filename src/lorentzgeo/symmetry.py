@@ -25,6 +25,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .curvature import (
+    _TINY,
     causal_character,
     energy_derivs,
     jacobi_form,
@@ -42,8 +43,6 @@ KERNEL_REL_TOL = 1e-7
 KERNEL_ABS_TOL = 1e-10
 SKEW_TOL = 1e-6           # relative |op + op^T| a kernel_direction input may carry
 INVARIANCE_TOL = 1e-6     # relative leak of A_X out of X-perp a restriction may carry
-
-_TINY = 1e-300
 
 
 class FieldTag(enum.Enum):
@@ -104,29 +103,23 @@ def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]
     return out
 
 
-def classify_field(M: ManifoldSpec, xname: str, samples=None,
-                   tol: float = CLASSIFY_TOL) -> FieldClass:
+def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> FieldClass:
     """Fit L_X g against {0, lam*g, sigma(p)*g}.
 
     When every entry of the exact L_X g trees folds to zero at build
     time, X is Killing exactly: residual 0 and ``sample_count == 0``,
     with nothing sampled or evaluated.  Otherwise the trees are
-    evaluated over a sample set: lam comes from a joint least-squares
+    evaluated at 24 seeded samples: lam comes from a joint least-squares
     fit; sigma is the pointwise trace(g^{-1} L)/m.  Residuals are max
     entrywise deviations after normalizing by the metric magnitude at
     each point, and the most specific tag under tolerance wins.
     """
-    if samples is not None:
-        samples = np.asarray(samples, dtype=float)
-        if len(samples) < 8:
-            raise ValueError("need at least 8 sample points spread over the domain")
     m = M.dim
     upper = [(i, j) for i in range(m) for j in range(i, m)]
     trees = lie_derivative_metric_exprs(M, xname)
     if all(trees[i][j] == ex.ZERO for i, j in upper):
         return FieldClass(FieldTag.KILLING, 0.0, 0.0, 0)
-    if samples is None:
-        samples = M.sample_points(24, np.random.default_rng(0))
+    samples = M.sample_points(24, np.random.default_rng(0))
 
     g = M.evaluate_symmetric(M.metric, samples)
     L = M.evaluate_symmetric(trees, samples)
@@ -269,8 +262,10 @@ def restricted_operator(M: ManifoldSpec, xname: str, p) -> RestrictedOperator:
                               invariance_residual=leak)
 
 
-def kernel_direction(matrix: np.ndarray) -> np.ndarray:
-    """Unit kernel direction of a skew operator on an inner-product space.
+def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit kernel direction v of a skew operator on an inner-product
+    space, and its residual |op v| / |op| (|op v| when |op| is at or below
+    ``KERNEL_ABS_TOL``), which decides whether v is accepted.
 
     Odd dimension guarantees a kernel.  When none is found (an
     even-dimensional operator may have none, an odd-dimensional one
@@ -284,18 +279,18 @@ def kernel_direction(matrix: np.ndarray) -> np.ndarray:
             float(np.max(np.abs(matrix + matrix.T))) / scale > SKEW_TOL:
         raise KernelExtractionError("operator is not skew-adjoint within tolerance")
     if n == 1:
-        return np.array([1.0])
-    _, s, vt = np.linalg.svd(matrix)
-    v = vt[-1]
-    opnorm = float(s[0])
-    resid = float(np.linalg.norm(matrix @ v))
-    ok = resid <= KERNEL_REL_TOL * opnorm if opnorm > KERNEL_ABS_TOL \
-        else resid <= KERNEL_ABS_TOL
-    if not ok:
+        v, s = np.array([1.0]), np.abs(matrix[0])
+    else:
+        _, s, vt = np.linalg.svd(matrix)
+        v = vt[-1]
+    opnorm, resid = float(s[0]), float(np.linalg.norm(matrix @ v))
+    relative = opnorm > KERNEL_ABS_TOL
+    residual = resid / opnorm if relative else resid
+    if not residual <= (KERNEL_REL_TOL if relative else KERNEL_ABS_TOL):
         raise KernelExtractionError(
             f"{n}-dimensional skew operator without a kernel direction "
             f"(|op v| = {resid:.3e}, |op| = {opnorm:.3e})")
-    return v
+    return v, residual
 
 
 # ---------------------------------------------------------------------------

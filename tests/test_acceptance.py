@@ -161,7 +161,7 @@ def test_04a_null_witness_construction_and_oracle():
     spec = lift.spec
     p = np.array([0.0, 0.25, 0.5])
     op = restricted_operator(spec, "Xbar", p)
-    kv = kernel_direction(op.matrix)
+    kv, _ = kernel_direction(op.matrix)
     ok_quotient = kv is not None and op.matrix.shape == (1, 1)
 
     v = kv @ op.basis

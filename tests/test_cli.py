@@ -49,6 +49,14 @@ class TestExitCodes:
         assert main(["curvature", "torus_family", "--at", f"0.5,{coord}"]) == 1
         assert f"error: coordinate y={coord} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,message", [
+        (["--planes", "0"], "error: planes_per_point must be at least 1, got 0"),
+        (["--steps", "-1"], "error: steps must be at least 0, got -1"),
+    ])
+    def test_signscan_size_below_range_is_an_error_message(self, capsys, option, message):
+        assert main(["signscan", "torus_family"] + option) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_grid_too_large_to_allocate_is_an_error_message(self, capsys):
         # 10^16 nodes: the request exceeds the address space, so numpy
         # refuses it at once without touching memory

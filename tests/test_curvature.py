@@ -171,6 +171,17 @@ class TestSectional:
         with pytest.raises(DegeneratePlaneError):
             sectional_curvature(spec, pi)
 
+    @pytest.mark.parametrize("u,v,message", [
+        # Q = 2e-12 lies inside the band: K would read the flat chart's 0
+        ([1.0, 1.0 + 1e-12, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], "is degenerate at"),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], "zero spanning vector at"),
+        ([1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], "linearly dependent at"),
+    ], ids=["near_null", "zero", "dependent"])
+    def test_every_unusable_pair_routed_to_error(self, entry, u, v, message):
+        spec = entry("minkowski4").spec
+        with pytest.raises(DegeneratePlaneError, match=message):
+            sectional_curvature(spec, TangentPlane([0.0] * 4, u, v))
+
 
 class TestNullSectional:
     def _locus_frame(self, circle_lift_torus):

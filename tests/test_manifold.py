@@ -5,7 +5,8 @@ import pytest
 
 from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
-from lorentzgeo.curvature import causal_character, plane_type
+from lorentzgeo.cli import main
+from lorentzgeo.curvature import causal_character, plane_type, point_geometry
 from lorentzgeo.expr import EvalError
 from lorentzgeo.manifold import (
     BOUNDARY_COLLAR,
@@ -185,7 +186,12 @@ class TestMetricAt:
             assert float(X @ g @ X) == pytest.approx(-1.0, abs=1e-12)
 
     def test_degenerate_metric_reported(self):
-        doc = """
+        spec = load_spec(DEGENERATE_AT_ORIGIN, validate=False)
+        with pytest.raises(DegenerateMetricError):
+            metric_at(spec, [0.0, 0.0])
+
+
+DEGENERATE_AT_ORIGIN = """
 [manifold]
 dim = 2
 coords = x, y
@@ -197,9 +203,56 @@ signature = riemannian
 g.0.0 = "x"
 g.1.1 = "1"
 """
-        spec = load_spec(doc, validate=False)
-        with pytest.raises(DegenerateMetricError):
-            metric_at(spec, [0.0, 0.0])
+
+
+def diagonal_chart(*entries):
+    """A 4-D Lorentzian chart with the given constant diagonal metric."""
+    rows = "\n".join(f'g.{i}.{i} = "{e}"' for i, e in enumerate(entries))
+    return ("[manifold]\ndim = 4\ncoords = t, x, y, z\n"
+            + "".join(f"range.{c} = -1, 1\n" for c in "txyz")
+            + f"signature = lorentzian\n\n[metric]\n{rows}\n")
+
+
+class TestDegeneracyRule:
+    """validate_signature, metric_at and point_geometry, and through
+    them the validate and curvature commands, apply one scale-free rule:
+    g is degenerate when min|w| <= DEGENERACY_TOL max|w| over its
+    eigenvalues w."""
+
+    @pytest.fixture
+    def samples_at_origin(self, monkeypatch):
+        """validate_signature checks the metric at the origin only."""
+        monkeypatch.setattr(ManifoldSpec, "sample_points",
+                            lambda self, n, rng, collar=SAMPLING_COLLAR: np.zeros((n, self.dim)))
+
+    @pytest.mark.parametrize("doc", [diagonal_chart(-1, 1, 1e-7, 1e-7),
+                                     diagonal_chart(-1e-13, 1e-13, 1e-13, 1e-13)],
+                             ids=["thin", "rescaled"])
+    def test_accepted_at_every_site(self, doc, tmp_path, samples_at_origin):
+        spec = load_spec(doc)
+        validate_signature(spec)
+        p = np.zeros(4)
+        g, inv, signs = metric_at(spec, p)
+        assert signs == (-1, 1, 1, 1)
+        assert point_geometry(spec, p).inverse.tolist() == inv.tolist()
+        path = tmp_path / "chart.txt"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 0
+        assert main(["curvature", str(path), "--at", "0,0,0,0"]) == 0
+
+    def test_refused_at_every_site(self, tmp_path, capsys, samples_at_origin):
+        message = r"metric degenerate at \[0\.0, 0\.0\]: eigenvalue magnitudes \[0\.0, 1\.0\]"
+        spec = load_spec(DEGENERATE_AT_ORIGIN, validate=False)
+        with pytest.raises(DegenerateMetricError, match=message):
+            validate_signature(spec)
+        for site in (metric_at, point_geometry):
+            with pytest.raises(DegenerateMetricError, match=message):
+                site(spec, [0.0, 0.0])
+        path = tmp_path / "chart.txt"
+        path.write_text(DEGENERATE_AT_ORIGIN)
+        for argv in (["validate", str(path)], ["curvature", str(path), "--at", "0,0"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: metric degenerate at [0.0, 0.0]")
 
 
 class TestDomain:
@@ -467,7 +520,7 @@ class TestPlaneType:
 
     def test_dependent_vectors_rejected(self):
         spec = load_spec(MINK2)
-        from lorentzgeo.manifold import DependentVectorsError
+        from lorentzgeo.curvature import DependentVectorsError
         with pytest.raises(DependentVectorsError):
             plane_type(spec, TangentPlane([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
 

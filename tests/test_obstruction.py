@@ -35,6 +35,7 @@ from lorentzgeo import obstruction
 from lorentzgeo.symmetry import (
     SubspaceError,
     classify_field,
+    kernel_direction,
     lie_derivative_metric_at,
     orthogonal_complement_basis,
     restricted_operator,
@@ -247,6 +248,46 @@ class TestDerivedConstruction:
     def test_static_four_torus_records(self, static_four_torus):
         M, scan, _ = static_four_torus
         assert construction_mismatches(M, "X", scan.records) == []
+
+
+def kernel_residual_mismatches(M, xname, records, cls):
+    """(point, shape, reported, recomputed) where a witness's
+    kernel_residual differs from |op c| / |op| (|op c| when |op| <= 1e-10)
+    recomputed with a second SVD: bit for bit on a 1x1 operator, within
+    1e-12 relative otherwise.  Also returns the operator shapes checked."""
+    bad, shapes = [], set()
+    for rec in records:
+        w = extremum_witness(M, xname, rec, classification=cls)
+        if w.kernel_residual is None:
+            continue
+        op = restricted_operator(M, xname, rec.point).matrix
+        kv, _ = kernel_direction(op)
+        opn, res = float(np.linalg.norm(op, 2)), float(np.linalg.norm(op @ kv))
+        want = res / opn if opn > 1e-10 else res
+        ok = w.kernel_residual == want if op.shape == (1, 1) \
+            else abs(w.kernel_residual - want) <= 1e-12 * want
+        if not ok:
+            bad.append((rec.point.tolist(), op.shape, w.kernel_residual, want))
+        shapes.add(op.shape)
+    return bad, shapes
+
+
+class TestKernelResidual:
+    """The witness reports the residual that kernel_direction accepted
+    its kernel direction by, not a recomputation."""
+
+    def test_catalog_witness_records(self, catalog_witness_records):
+        bad, shapes = [], set()
+        for name, M, xname, records in catalog_witness_records:
+            b, s = kernel_residual_mismatches(M, xname, records, classify_field(M, xname))
+            bad += [(name,) + x for x in b]
+            shapes |= s
+        assert bad == []
+        assert (1, 1) in shapes
+
+    def test_static_four_torus_records(self, static_four_torus):
+        M, scan, cls = static_four_torus
+        assert kernel_residual_mismatches(M, "X", scan.records, cls) == ([], {(3, 3)})
 
 
 def oracle_curvature(M, p, X, v):
@@ -542,10 +583,20 @@ class TestSignScan:
         assert rep.zeros        # every sampled value is an exact zero
 
     def test_spacelike_field_rejected(self, entry):
-        mixed = entry("torus_family_mixed")
+        """The X-perp basis refuses a spacelike or zero X on the path,
+        naming field and character."""
+        mixed = entry("torus_family_mixed").spec
+        zero = load_spec(_TORUS_FAMILY + '\n[field.Z]\ncomponents = "0", "0"\n')
         pts = interpolate_path(np.array([[0.5, 0.0], [0.0, 0.0]]), 16)
-        with pytest.raises(ValueError):
-            plane_sign_scan(mixed.spec, "X", pts)
+        for spec, x, cc in ((mixed, "X", "spacelike"), (zero, "Z", "zero")):
+            with pytest.raises(SubspaceError, match=f"field '{x}' is {cc} at"):
+                plane_sign_scan(spec, x, pts)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_planes_per_point_below_one_refused(self, torus, count):
+        pts = interpolate_path(torus.paths["min_to_max"], 4)
+        with pytest.raises(ValueError, match=f"planes_per_point must be at least 1, got {count}"):
+            plane_sign_scan(torus.spec, "X", pts, planes_per_point=count)
 
     def test_lightlike_field_in_dimension_two_rejected(self, entry):
         """X-perp/X of a lightlike X on a 2-D chart has no rows: no
@@ -567,6 +618,10 @@ class TestSignScan:
             interpolate_path(np.array([[0.0, 0.0]]), 8)
         with pytest.raises(ValueError):
             interpolate_path(np.array([[0.0, 0.0], [0.0, 0.0]]), 8)
+        for steps in (-1, -2):
+            with pytest.raises(ValueError, match=f"steps must be at least 0, got {steps}"):
+                interpolate_path(np.array([[0.0, 0.0], [1.0, 0.0]]), steps)
+        assert interpolate_path(np.array([[0.5, 0.0], [1.0, 0.0]]), 0).tolist() == [[0.5, 0.0]]
 
 
 class TestConformalBound:
