@@ -8,7 +8,10 @@ function, safe to call from many workers at once.  That holds with the
 spec's memo of its last point geometry because the memo is one (key,
 geometry) tuple, replaced whole: two workers racing on one spec may
 recompute a geometry, but never read a wrong one.  The compiled metric
-jet is likewise one attribute, set whole by the first jet.
+jet is likewise one attribute, set whole by the first jet, and so is each
+derivative table (dg, ddg, the field derivatives): two workers racing on
+a fresh spec may each build a table, but each sets it whole and both
+copies are equal trees.
 
 Charts load from a sectioned key-value text document::
 
@@ -45,6 +48,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +84,10 @@ _fmod_batch = np.errstate(invalid="ignore")(np.fmod)
 @contextmanager
 def _entry(what: str):
     """Report an entry nested too deeply for the recursive tree walkers
-    as a :class:`SpecError` that names it."""
+    as a :class:`SpecError` that names it.  Guards the name checks at
+    load and the lazy derivative builders of :class:`ManifoldSpec` alike,
+    so an entry whose derivative trees are too deep is refused at their
+    first read."""
     try:
         yield
     except RecursionError:
@@ -129,12 +136,16 @@ class TangentPlane:
 class ManifoldSpec:
     """One chart with metric, parameters, and named fields.
 
-    Derivative trees of the metric and of every field component are
-    differentiated once, eagerly, so that downstream curvature work is
-    pure array assembly.  Compilation is lazy: the first
-    :meth:`metric_derivs` call compiles the non-constant trees of g, dg
-    and ddg into one straight-line function (:func:`expr.compile_trees`),
-    so loading, exporting or flipping a chart compiles nothing.
+    Names are checked at construction; derivative trees are built on
+    first need.  The trees of dg, ddg and the field derivatives are each
+    differentiated once per spec, by the first read of ``_dg``, ``_ddg``
+    or ``_dfields``, so that downstream curvature work is pure array
+    assembly.  The first :meth:`metric_derivs` call builds dg and ddg and
+    compiles the non-constant trees of g, dg and ddg into one
+    straight-line function (:func:`expr.compile_trees`).  Loading or
+    exporting a chart differentiates and compiles nothing; flipping one
+    builds only the dg and field derivatives that its Killing check
+    reads.
     """
 
     def __init__(self, name: str, coords: list[Coordinate], signature: str,
@@ -171,27 +182,12 @@ class ManifoldSpec:
                 self.metric[j][i] = g
 
         declared = self.declared_names()
-        names = [c.name for c in self.coords]
-        # g.j.i is the same tree as g.i.j, so each entry is differentiated
-        # once and its derivatives are shared by both index orders; the
-        # mixed partials commute, so d_l d_k is built for l <= k only and
-        # d_k d_l shares its tree
-        self._dg = [[[None] * m for _ in range(m)] for _ in range(m)]
-        self._ddg = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 with _entry(f"metric entry g.{i}.{j}"):
                     bad = ex.free_names(self.metric[i][j]) - declared
-                    if bad:
-                        raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
-                    for k, kn in enumerate(names):
-                        d = self._dg[k][i][j] = self._dg[k][j][i] = \
-                            ex.differentiate(self.metric[i][j], kn)
-                        for l, ln in enumerate(names[:k + 1]):
-                            self._ddg[l][k][i][j] = self._ddg[l][k][j][i] = \
-                                self._ddg[k][l][i][j] = self._ddg[k][l][j][i] = \
-                                ex.differentiate(d, ln)
-        self._dfields = {}
+                if bad:
+                    raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
         for fname, comps in self.fields.items():
             if len(comps) != m:
                 raise SpecError(f"field '{fname}' must have {m} components")
@@ -200,13 +196,53 @@ class ManifoldSpec:
                     bad = ex.free_names(c) - declared
                     if bad:
                         raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
-                self._dfields[fname] = [[ex.differentiate(comp, k) for comp in comps]
-                                        for k in names]
         for sname, e in self.scalars.items():
             with _entry(f"scalar '{sname}'"):
                 bad = ex.free_names(e) - declared
             if bad:
                 raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
+
+    # -- derivative trees, built on first read -------------------------------
+
+    @cached_property
+    def _dg(self) -> list:
+        """dg[k][i][j] = d_k g_ij as trees.  g.j.i is the same tree as
+        g.i.j, so each entry is differentiated once and both index orders
+        share its derivatives."""
+        m, names = self.dim, self.coord_names()
+        dg = [[[None] * m for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                with _entry(f"metric entry g.{i}.{j}"):
+                    for k, kn in enumerate(names):
+                        dg[k][i][j] = dg[k][j][i] = ex.differentiate(self.metric[i][j], kn)
+        return dg
+
+    @cached_property
+    def _ddg(self) -> list:
+        """ddg[l][k][i][j] = d_l d_k g_ij as trees.  The mixed partials
+        commute, so d_l d_k is built for l <= k only and d_k d_l shares
+        its tree."""
+        m, names, dg = self.dim, self.coord_names(), self._dg
+        ddg = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                with _entry(f"metric entry g.{i}.{j}"):
+                    for k in range(m):
+                        for l, ln in enumerate(names[:k + 1]):
+                            ddg[l][k][i][j] = ddg[l][k][j][i] = ddg[k][l][i][j] = \
+                                ddg[k][l][j][i] = ex.differentiate(dg[k][i][j], ln)
+        return ddg
+
+    @cached_property
+    def _dfields(self) -> dict[str, list[list[Expr]]]:
+        """For each field X, dX[j][i] = d_j X^i as trees."""
+        out = {}
+        for fname, comps in self.fields.items():
+            with _entry(f"field '{fname}'"):
+                out[fname] = [[ex.differentiate(c, k) for c in comps]
+                              for k in self.coord_names()]
+        return out
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -563,8 +599,10 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
     Lorentzian means exactly one negative eigenvalue; Riemannian means
     all positive.  Raises :class:`SignatureError` naming the violating
     point and its eigenvalues (:class:`DegenerateMetricError` for a
-    degenerate metric).
+    degenerate metric).  ``samples`` must be at least 1.
     """
+    if samples < 1:
+        raise SpecError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     pts = M.sample_points(samples, rng)
     try:

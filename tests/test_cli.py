@@ -57,6 +57,11 @@ class TestExitCodes:
         assert main(["signscan", "torus_family"] + option) == 1
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_validate_samples_below_one_is_an_error_message(self, capsys, samples):
+        assert main(["validate", "minkowski2", "--samples", samples]) == 1
+        assert capsys.readouterr().err == f"error: samples must be at least 1, got {samples}\n"
+
     def test_grid_too_large_to_allocate_is_an_error_message(self, capsys):
         # 10^16 nodes: the request exceeds the address space, so numpy
         # refuses it at once without touching memory

@@ -1,5 +1,8 @@
 """Chart loading, pointwise metric queries, causal classification."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,12 @@ g.1.1 = "2*(-1 + cos(2*pi*x)/4)"
         assert g[0, 1] == 1.0 and g[1, 0] == 1.0
         assert g[1, 1] == pytest.approx(-1.5)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_is_a_spec_error(self, samples):
+        spec = load_spec(MINK2)
+        with pytest.raises(SpecError, match=f"^samples must be at least 1, got {samples}$"):
+            validate_signature(spec, samples=samples)
+
     def test_wrong_signature_declaration(self):
         doc = MINK2.replace('g.0.0 = "-1"', 'g.0.0 = "1"')
         with pytest.raises(SignatureError) as err:
@@ -133,6 +142,21 @@ g.0.1 = "1 + u^2"
         doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "3 + 0.001*({terms})"')
         with pytest.raises(SpecError, match=r"metric entry g\.1\.1 is nested too deeply"):
             load_spec(doc)
+
+    def test_entry_with_too_deep_derivatives_is_refused_at_first_need(self, tmp_path, capsys):
+        # the product loads and validates, but its derivative trees are
+        # deeper than the recursive differentiation can follow
+        prod = "*".join(["(1 + 0.001*sin(x))"] * 500)
+        doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "{prod}"')
+        M = load_spec(doc)
+        validate_signature(M)
+        message = "metric entry g.1.1 is nested too deeply to process"
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            M.metric_derivs([0.1, 0.2])
+        path = tmp_path / "deep_product.chart"
+        path.write_text(doc)
+        assert main(["curvature", str(path), "--at", "0.1,0.2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("deep", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
                              ids=["parentheses", "unary-minus"])
@@ -357,21 +381,68 @@ def test_metric_derivs_equal_each_tree_bit_for_bit(hopf, rng):
 
 
 def test_metric_derivs_compile_on_the_first_jet(count_calls, entry):
-    """Loading, exporting and rebuilding a generated-size chart, and
-    flipping a catalog chart, compile nothing: the jet's plan is built by
-    the first metric_derivs call."""
+    """Loading, exporting and rebuilding a generated-size chart
+    differentiates and compiles nothing, and flipping a catalog chart
+    compiles nothing and builds no ddg: the first metric_derivs call
+    builds dg and ddg once and the jet's plan, and a second call
+    differentiates nothing."""
     terms = " + ".join(f"0.001*sin({k}*t + x)*x^2" for k in range(1, 61))
     doc = MINK2.replace('g.1.1 = "1"', f'g.1.1 = "2 + {terms}"')
     calls = count_calls(ManifoldSpec, "metric_derivs")
     compiled = count_calls(ex, "compile_trees")
+    diffs = count_calls(ex, "differentiate")
     M = load_spec(doc)
     load_spec(to_document(M))
-    lorentzianize(entry("round_s3").spec, "X")
+    assert diffs == []
+    flipped = lorentzianize(entry("round_s3").spec, "X")
     assert calls == [] and compiled == [] and M._jet is None
+    assert "_dg" in flipped.__dict__ and "_ddg" not in flipped.__dict__
     g, dg, ddg = M.metric_derivs([0.3, 0.4])
     assert len(compiled) == 1 and M._jet is not None
+    roots = [args[0] for args, _ in diffs]
+    # d_t and d_x of g.1.1 once each, and d_t and d_x of d_x g.1.1 once each
+    assert sum(r is M.metric[1][1] for r in roots) == 2
+    assert sum(r is M._dg[1][1][1] for r in roots) == 2
+    n = len(diffs)
+    M.metric_derivs([0.5, -0.2])
+    assert len(diffs) == n
     assert ddg[0, 1, 1, 1] == ddg[1, 0, 1, 1]
     assert M._ddg[0][1][1][1] is M._ddg[1][0][1][1]
+
+
+def test_threads_racing_on_a_fresh_spec_read_the_right_jet():
+    """Workers whose first reads build the derivative tables of one spec
+    may each build a table, but every jet and field derivative they read
+    equals that of a spec built alone."""
+    doc = MINK2 + '\n[field.X]\ncomponents = "x^2*t", "sin(t*x)"\n'
+    doc = doc.replace('g.1.1 = "1"', 'g.1.1 = "2 + 0.1*sin(t + x)*x^2"')
+    points = [[0.1, 0.2], [0.3, -0.4], [-0.7, 0.9]]
+    alone = load_spec(doc)
+    want = [(alone.field_derivs("X", p).tobytes(),
+             *(a.tobytes() for a in alone.metric_derivs(p))) for p in points]
+    M = load_spec(doc)
+    wrong = []
+
+    def work(k):
+        for n in range(50):
+            i = (n + k) % len(points)
+            got = (M.field_derivs("X", points[i]).tobytes(),
+                   *(a.tobytes() for a in M.metric_derivs(points[i])))
+            if got != want[i]:
+                wrong.append((k, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
 
 
 POLE_ON_GRID = """
