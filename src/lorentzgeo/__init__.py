@@ -25,6 +25,7 @@ from .curvature import (
     causal_character,
     null_sectional_curvature,
     plane_type,
+    point_geometries,
     point_geometry,
     sectional_curvature,
     shape_operator_at,

@@ -484,7 +484,9 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except (ValueError, KeyError, MemoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 1
     if getattr(args, "json", None):
         report.write_json(args.json)

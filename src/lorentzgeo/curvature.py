@@ -6,14 +6,20 @@ on top is plain dense numpy (dimensions in this engine are small, so
 clarity beats symmetry-compressed storage).
 
 :func:`point_geometry` is the single evaluation of the metric jet at a
-point: in this module it alone calls ``metric_derivs`` (one call of the
-spec's compiled jet function), refuses a degenerate metric by
+point, and :func:`point_geometries` the same at each row of a set of
+points: in this module they alone call ``metric_derivs`` (one call of the
+spec's compiled jet function per point), refuse a degenerate metric by
 ``manifold.require_nondegenerate`` on the eigenvalues of its Riemannianized
-frame (the rule ``validate_signature`` and ``metric_at`` apply) and inverts g.
-The spec memoizes the geometry of the last point asked for (keyed on the
-wrapped point, so a periodic image hits too) and its arrays
-are read-only, so every helper simply asks for the geometry at its point:
-nothing is handed down, and g, Gamma and R are built once per point.
+frame (the rule ``validate_signature`` and ``metric_at`` apply) and invert
+g.  Both run one tensor assembly, written over leading point axes, so a
+batch does the algebra once over the stacked points and gives each point
+the geometry :func:`point_geometry` gives, bit for bit.  The spec memoizes
+the geometries of the last batch asked for, a single point being a batch
+of one (keyed on the wrapped point, so a periodic image hits too), and
+their arrays are read-only, so every helper simply asks for the geometry
+at its point: nothing is handed down, and g, Gamma and R are built once
+per point.  A caller that visits a known set of points asks for their
+geometries in one batch first.
 The causal character of a vector and the type of a plane read g and
 its Riemannianized frame from the same geometry.
 :func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec
@@ -43,6 +49,7 @@ identity) to a single convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,34 +114,95 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     the spec's memo when it holds that point."""
     p = M.wrap_point(p)
     key = p.tobytes()
-    memo_key, memo = M._geometry
-    if key == memo_key:
-        return memo
-    g, dg, ddg = M.metric_derivs(p)
+    geo = M._geometry.get(key)
+    if geo is None:
+        geo = _geometry_row(_geometry_arrays(p, *M.metric_derivs(p)), ())
+        M._geometry = {key: geo}
+    return geo
+
+
+def point_geometries(M: ManifoldSpec, points) -> list[PointGeometry]:
+    """:func:`point_geometry` at each row of an (N, m) array of points,
+    with the tensor algebra done once over the stacked rows.
+
+    Each row's jet comes from ``metric_derivs``, so every geometry equals
+    the one :func:`point_geometry` builds, bit for bit.  Rows the memo
+    holds (or that repeat an earlier row, after wrapping) are reused, and
+    the memo then holds this batch.  Raises what a loop of
+    :func:`point_geometry` over the rows raises first, except that every
+    row is wrapped before any jet is evaluated, as in
+    ``ManifoldSpec.evaluate_points``.
+    """
+    pts = M.wrap_point(np.atleast_2d(points))
+    memo = M._geometry
+    keys = [row.tobytes() for row in pts]
+    batch = {key: memo[key] for key in keys if key in memo}
+    todo = {}                       # key -> first row that needs a jet
+    for k, key in enumerate(keys):
+        if key not in batch:
+            todo.setdefault(key, k)
+    if todo:
+        rows = list(todo.values())
+        batch.update(zip(todo, _stacked_geometries(M, pts[rows])))
+    M._geometry = batch
+    return [batch[key] for key in keys]
+
+
+def _stacked_geometries(M: ManifoldSpec, pts: np.ndarray) -> list[PointGeometry]:
+    """The geometry at each row of wrapped points, one jet per row and the
+    algebra once over the stack; raises what a loop of
+    :func:`point_geometry` raises first."""
+    m = M.dim
+    jets = tuple(np.empty((len(pts),) + (m,) * d) for d in (2, 3, 4))    # g, dg, ddg
+    done, failure = 0, None
+    for p in pts:
+        try:
+            jets[0][done], jets[1][done], jets[2][done] = M.metric_derivs(p)
+        except Exception as e:      # re-raised once the earlier rows pass the degeneracy rule
+            failure = e
+            break
+        done += 1
+    arrays = _geometry_arrays(pts[:done], *(a[:done] for a in jets))
+    if failure is not None:
+        raise failure
+    return [_geometry_row(arrays, r) for r in range(done)]
+
+
+def _geometry_arrays(p: np.ndarray, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple:
+    """The fields of :class:`PointGeometry`, read-only, from the 2-jet
+    (g, dg, ddg) at p, or at each of N points stacked along a leading
+    axis; a degenerate metric is refused at its first point.  Index
+    permutations act on the trailing axes only (``swapaxes`` with
+    negative axes), so one point and a stack run the same code."""
     frame = riem_frame(g)
     require_nondegenerate(frame[0], p)
     ginv = np.linalg.inv(g)
 
     # dg[k,i,j] = d_k g_ij ; ddg[l,k,i,j] = d_l d_k g_ij
     # low[l,i,j] = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
-    gamma = np.einsum("al,lij->aij", ginv, low)                        # Gamma^a_ij
+    low = 0.5 * (dg.swapaxes(-1, -3).swapaxes(-1, -2) + dg.swapaxes(-1, -3) - dg)
+    gamma = np.einsum("...al,...lij->...aij", ginv, low)              # Gamma^a_ij
 
     # R by the first-kind formula of the module docstring, with
     # s[i,j,k,l] = d_i d_k g_jl
-    s = ddg.transpose(0, 2, 1, 3)
-    gg = np.einsum("pjk,pil->ijkl", low, gamma)                        # Gamma_{p,jk} Gamma^p_il
-    lowered = (0.5 * (s.transpose(0, 1, 3, 2) - s - s.transpose(1, 0, 3, 2)
-                      + s.transpose(1, 0, 2, 3))
-               + gg - gg.transpose(1, 0, 2, 3))
-    ricci = np.einsum("mb,mjbk->jk", ginv, lowered)
-    scalar = float(np.einsum("jk,jk->", ginv, ricci))
+    s = ddg.swapaxes(-3, -2)
+    gg = np.einsum("...pjk,...pil->...ijkl", low, gamma)              # Gamma_{p,jk} Gamma^p_il
+    lowered = (0.5 * (s.swapaxes(-2, -1) - s - s.swapaxes(-4, -3).swapaxes(-2, -1)
+                      + s.swapaxes(-4, -3))
+               + gg - gg.swapaxes(-4, -3))
+    ricci = np.einsum("...mb,...mjbk->...jk", ginv, lowered)
+    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
     for a in (p, g, ginv, dg, gamma, lowered, ricci) + frame:
         a.flags.writeable = False
-    geo = PointGeometry(point=p, metric=g, inverse=ginv, dmetric=dg, christoffel=gamma,
-                        riemann=lowered, ricci=ricci, scalar=scalar, riem_frame=frame)
-    M._geometry = (key, geo)
-    return geo
+    return p, g, ginv, dg, gamma, lowered, ricci, scalar, frame
+
+
+def _geometry_row(arrays: tuple, r) -> PointGeometry:
+    """The :class:`PointGeometry` at index r of :func:`_geometry_arrays`
+    (``r = ()`` for the arrays of one point)."""
+    p, g, ginv, dg, gamma, riemann, ricci, scalar, (aw, V) = arrays
+    return PointGeometry(p[r], g[r], ginv[r], dg[r], gamma[r], riemann[r], ricci[r],
+                         float(scalar[r]), (aw[r], V[r]))
 
 
 def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
@@ -249,30 +317,39 @@ class ScalarDerivs:
         return self.M.evaluate(self.expr, p)
 
     def gradient(self, p) -> np.ndarray:
-        b = self.M.bindings(self.M.wrap_point(p))
-        return np.array([ex.evaluate(t, b) for t in self.grad_trees])
+        return self._gradient(self.M.bindings(self.M.wrap_point(p)))
 
     def coordinate_hessian(self, p) -> np.ndarray:
-        b = self.M.bindings(self.M.wrap_point(p))
+        return self._hessian(self.M.bindings(self.M.wrap_point(p)))
+
+    def covariant_hessian(self, p) -> np.ndarray:
+        """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
+        geo = point_geometry(self.M, p)
+        b = self.M.bindings(geo.point)
+        grad = self._gradient(b)
+        h = self._hessian(b) - np.einsum("kij,k->ij", geo.christoffel, grad)
+        return 0.5 * (h + h.T)
+
+    def _gradient(self, b: dict[str, float]) -> np.ndarray:
+        return np.array([ex.evaluate(t, b) for t in self.grad_trees])
+
+    def _hessian(self, b: dict[str, float]) -> np.ndarray:
         h = np.empty((self.M.dim, self.M.dim))
         for (i, j), t in self.hess_trees.items():
             h[i, j] = h[j, i] = ex.evaluate(t, b)
         return h
 
-    def covariant_hessian(self, p) -> np.ndarray:
-        """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-        gamma = point_geometry(self.M, p).christoffel
-        grad = self.gradient(p)
-        h = self.coordinate_hessian(p) - np.einsum("kij,k->ij", gamma, grad)
-        return 0.5 * (h + h.T)
-
 
 def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
     """:class:`ScalarDerivs` of the field energy f = g(X,X)/2, built once
-    per spec and field."""
+    per spec and field.
+
+    The spec keeps them, so they refer to the spec weakly: a reference
+    cycle would keep a spec nobody holds, with its memo of the last batch
+    of geometries, alive until the cyclic garbage collector runs."""
     derivs = M._energy.get(xname)
     if derivs is None:
-        derivs = M._energy[xname] = ScalarDerivs(M, field_energy_expr(M, xname))
+        derivs = M._energy[xname] = ScalarDerivs(weakref.proxy(M), field_energy_expr(M, xname))
     return derivs
 
 

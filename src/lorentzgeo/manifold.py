@@ -5,13 +5,14 @@ intervals and periodicity flags, a symmetric matrix of metric component
 expressions, optional real parameters, and named vector/scalar fields.
 Specs are immutable after construction; every pointwise query is a pure
 function, safe to call from many workers at once.  That holds with the
-spec's memo of its last point geometry because the memo is one (key,
-geometry) tuple, replaced whole: two workers racing on one spec may
-recompute a geometry, but never read a wrong one.  The compiled metric
-jet is likewise one attribute, set whole by the first jet, and so is each
-derivative table (dg, ddg, the field derivatives): two workers racing on
-a fresh spec may each build a table, but each sets it whole and both
-copies are equal trees.
+spec's memo of point geometries because the memo is one dict from wrapped
+point to geometry that holds the last batch (a single point is a batch of
+one) and is never changed, only replaced whole: two workers racing on one
+spec may recompute a geometry, but never read a wrong one.  The compiled
+metric jet is likewise one attribute, set whole by the first jet, and so
+is each derivative table (dg, ddg, the field derivatives): two workers
+racing on a fresh spec may each build a table, but each sets it whole and
+both copies are equal trees.
 
 Charts load from a sectioned key-value text document::
 
@@ -79,6 +80,8 @@ class DegenerateMetricError(SignatureError):
 
 # numpy warns on fmod(inf, period); the rows holding it are refused anyway
 _fmod_batch = np.errstate(invalid="ignore")(np.fmod)
+# batches of at most this many rows are wrapped one row at a time
+_FEW_ROWS = 8
 
 
 @contextmanager
@@ -163,8 +166,8 @@ class ManifoldSpec:
         self.params = dict(params or {})
         self.fields = {k: list(v) for k, v in (fields or {}).items()}
         self.scalars = dict(scalars or {})
-        # filled by curvature.point_geometry and curvature.energy_derivs
-        self._geometry = (None, None)
+        # filled by curvature.point_geometry(ies) and curvature.energy_derivs
+        self._geometry = {}
         self._energy = {}
         # the compiled metric jet: built by the first metric_derivs call
         self._jet = None
@@ -271,8 +274,11 @@ class ManifoldSpec:
             raise DomainError(f"point must have {self.dim} coordinates, got {p.shape}")
         # The rule is written once, for Python floats (one point: numpy
         # calls on single values would cost more than the arithmetic) and
-        # for numpy columns (a batch) alike.
+        # for numpy columns (a batch) alike.  A batch of a few rows is
+        # wrapped row by row, for the same reason.
         batch = p.ndim == 2
+        if batch and len(p) <= _FEW_ROWS:
+            return np.array([self.wrap_point(row, collar) for row in p]).reshape(p.shape)
         cols = list(p.T) if batch else p.tolist()
         fmod = _fmod_batch if batch else math.fmod
         isfinite = np.isfinite if batch else math.isfinite
@@ -427,11 +433,17 @@ def metric_at(M: ManifoldSpec, p) -> tuple[np.ndarray, np.ndarray, tuple[int, ..
 
 def require_nondegenerate(w: np.ndarray, p) -> None:
     """The one degeneracy rule, scale-free: the metric at p with eigenvalues
-    w (or their magnitudes) is degenerate when min|w| <= DEGENERACY_TOL max|w|."""
+    w (or their magnitudes) is degenerate when min|w| <= DEGENERACY_TOL max|w|.
+
+    ``w`` of shape (N, m) with points ``p`` of shape (N, m) checks N
+    metrics and refuses the first degenerate row, with the message that
+    row alone would give."""
     a = np.abs(w)
-    if not a.min() > DEGENERACY_TOL * a.max():
-        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p).tolist()}: "
-                                    f"eigenvalue magnitudes {a.tolist()}")
+    ok = a.min(axis=-1) > DEGENERACY_TOL * a.max(axis=-1)
+    if not np.logical_and.reduce(ok, axis=None):
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise DegenerateMetricError(f"metric degenerate at {np.asarray(p)[k].tolist()}: "
+                                    f"eigenvalue magnitudes {a[k].tolist()}")
 
 
 def riem_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

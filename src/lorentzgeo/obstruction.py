@@ -31,6 +31,7 @@ from .curvature import (
     causal_character,
     energy_derivs,
     jacobi_form,
+    point_geometries,
     point_geometry,
 )
 from .manifold import (
@@ -52,6 +53,7 @@ from .symmetry import (
     kernel_direction,
     lie_derivative_metric_exprs,
     orthogonal_complement_basis,
+    require_tolerance,
     restricted_operator,
 )
 
@@ -358,7 +360,10 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     f = 0 and is a global maximum of f: the paper's causal,
     odd-dimensional statement is the maximum-side branch K_X >= 0.  The
     lightlike-minimum branch serves only non-causal homothetic fields.
+    ``tol``, the band the sign test allows, must be finite and
+    non-negative.
     """
+    require_tolerance(tol)
     if classification is None:
         classification = classify_field(M, xname)
     base = dict(extremum=record, field=xname)
@@ -474,10 +479,9 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
-    points = np.asarray(points, dtype=float)
     scans: list[PointScan] = []
-    for p in points:
-        p = M.wrap_point(p)
+    for geo in point_geometries(M, points):
+        p = geo.point
         X = M.field_eval(xname, p)
         basis = orthogonal_complement_basis(M, xname, p)
         d = len(basis)

@@ -103,6 +103,14 @@ def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]
     return out
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance keyword that is negative or not finite: a nan
+    band passes nothing, an infinite one everything, and a negative one
+    is no band at all."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> FieldClass:
     """Fit L_X g against {0, lam*g, sigma(p)*g}.
 
@@ -112,8 +120,10 @@ def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> Fi
     evaluated at 24 seeded samples: lam comes from a joint least-squares
     fit; sigma is the pointwise trace(g^{-1} L)/m.  Residuals are max
     entrywise deviations after normalizing by the metric magnitude at
-    each point, and the most specific tag under tolerance wins.
+    each point, and the most specific tag under tolerance wins.  ``tol``
+    must be finite and non-negative.
     """
+    require_tolerance(tol)
     m = M.dim
     upper = [(i, j) for i in range(m) for j in range(i, m)]
     trees = lie_derivative_metric_exprs(M, xname)

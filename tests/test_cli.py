@@ -62,6 +62,18 @@ class TestExitCodes:
         assert main(["validate", "minkowski2", "--samples", samples]) == 1
         assert capsys.readouterr().err == f"error: samples must be at least 1, got {samples}\n"
 
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_outside_range_is_an_error_message(self, capsys, command, tol):
+        assert main([command, "torus_family", "--tol", tol]) == 1
+        assert capsys.readouterr().err == \
+            f"error: tol must be finite and non-negative, got {float(tol)!r}\n"
+
+    def test_unknown_catalog_entry_is_an_unquoted_message(self, capsys):
+        assert main(["catalog", "run", "nosuch"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown catalog entry 'nosuch'; available: circle_lift_torus, ")
+
     def test_grid_too_large_to_allocate_is_an_error_message(self, capsys):
         # 10^16 nodes: the request exceeds the address space, so numpy
         # refuses it at once without touching memory

@@ -10,23 +10,27 @@ raised tensor) that the engine does not take.
 """
 
 import configparser
+import gc
 import math
 import sys
 import threading
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from lorentzgeo import curvature
 from lorentzgeo import expr as ex
-from lorentzgeo.catalog import build_example
+from lorentzgeo import catalog
+from lorentzgeo.catalog import build_example, list_examples
 from lorentzgeo.curvature import (
     DegeneratePlaneError,
     NullCurvatureInputError,
     ScalarDerivs,
     energy_derivs,
     null_sectional_curvature,
+    point_geometries,
     point_geometry,
     sectional_curvature,
     shape_operator_at,
@@ -34,9 +38,12 @@ from lorentzgeo.curvature import (
 )
 from lorentzgeo.manifold import (
     CausalCharacter,
+    DegenerateMetricError,
+    DomainError,
     ManifoldSpec,
     TangentPlane,
     field_energy_expr,
+    load_spec,
     to_document,
 )
 from lorentzgeo.obstruction import (
@@ -321,6 +328,21 @@ class TestHessianAndShapeOperator:
         expected[1, 1] = 2 * spec.params["m"] / 4.0 ** 3
         assert np.allclose(h, expected, rtol=1e-12, atol=1e-15)
 
+    def test_covariant_hessian_binds_the_point_once(self, entry, count_calls):
+        """The covariant Hessian wraps and binds p once (point_geometry's
+        wrap), and equals its parts bit for bit."""
+        spec = entry("hopf_lorentz_s3").spec
+        derivs = energy_derivs(spec, "X")
+        p = [0.6, 7.0, -1.9]
+        geo = point_geometry(spec, p)
+        wraps = count_calls(ManifoldSpec, "wrap_point")
+        binds = count_calls(ManifoldSpec, "bindings")
+        h = derivs.covariant_hessian(p)
+        assert (len(wraps), len(binds)) == (1, 1)
+        parts = derivs.coordinate_hessian(p) - np.einsum(
+            "kij,k->ij", geo.christoffel, derivs.gradient(p))
+        assert h.tobytes() == (0.5 * (parts + parts.T)).tobytes()
+
 
 def _metric_compatibility_residual(geo):
     """max |nabla_k g_ij| / max |g| from the engine's Gamma: zero for the
@@ -452,8 +474,34 @@ def test_one_metric_jet_per_point(count_calls, case):
     assert len(evals) <= 1
 
 
+GEOMETRY_FIELDS = ("point", "metric", "inverse", "dmetric", "christoffel",
+                   "riemann", "ricci", "scalar")
+
+
+def geometry_bytes(geo):
+    """Every field of a PointGeometry, riem_frame included, as bytes."""
+    return [np.asarray(getattr(geo, f)).tobytes() for f in GEOMETRY_FIELDS] + \
+        [a.tobytes() for a in geo.riem_frame]
+
+
+# degenerate on x = 0, a pole on y = 0.5
+DEGENERATE_AND_POLE = """
+[manifold]
+dim = 2
+coords = x, y
+range.x = -1, 1
+range.y = -1, 1
+signature = riemannian
+
+[metric]
+g.0.0 = "x"
+g.1.1 = "1/(y - 0.5)"
+"""
+
+
 class TestGeometryMemo:
-    """The spec memoizes the geometry of the last point asked for."""
+    """The spec memoizes the geometries of the last batch of points asked
+    for; a single point is a batch of one."""
 
     def test_same_point_and_periodic_image_build_no_jet(self, count_calls):
         M = build_example("torus_family").spec
@@ -490,20 +538,30 @@ class TestGeometryMemo:
         assert geo.metric.tobytes() == fresh.metric.tobytes()
 
     def test_threads_racing_on_one_spec_read_the_right_geometry(self):
-        """Workers alternating between points on one spec may recompute a
-        geometry but must never get the geometry of another point."""
+        """Workers alternating between points, and between batches and
+        single points, on one spec may recompute a geometry but must never
+        get the geometry of another point."""
         M = build_example("torus_family").spec
         points = [[0.1, 0.2], [0.3, 0.4], [0.7, 0.9]]
+        batches = [points, points[::-1], points[1:], [points[2], points[0]]]
         fresh = build_example("torus_family").spec
         want = [point_geometry(fresh, p).metric.tobytes() for p in points]
         wrong = []
 
+        def check(k, n, p, geo):
+            i = points.index(p)
+            if geo.point.tolist() != p or geo.metric.tobytes() != want[i]:
+                wrong.append((k, n))
+
         def work(k):
             for n in range(300):
-                i = (n + k) % len(points)
-                geo = point_geometry(M, points[i])
-                if geo.point.tolist() != points[i] or geo.metric.tobytes() != want[i]:
-                    wrong.append((k, n))
+                if (n + k) % 2:
+                    batch = batches[(n + k) % len(batches)]
+                    for p, geo in zip(batch, point_geometries(M, batch)):
+                        check(k, n, p, geo)
+                else:
+                    p = points[(n + k) % len(points)]
+                    check(k, n, p, point_geometry(M, p))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -518,12 +576,96 @@ class TestGeometryMemo:
         assert not any(w.is_alive() for w in workers)
         assert wrong == []
 
+    @pytest.mark.parametrize("name", list_examples())
+    def test_batch_equals_a_loop_of_single_points(self, name):
+        """Every field of every geometry of a batch, riem_frame included,
+        is byte for byte what point_geometry gives on a fresh spec."""
+        M = build_example(name).spec
+        points = M.sample_points(20, np.random.default_rng(17))
+        batch = point_geometries(M, points)
+        assert len(batch) == len(points)
+        for p, geo in zip(points, batch):
+            assert geometry_bytes(geo) == geometry_bytes(point_geometry(build_example(name).spec, p))
+
+    def test_sampled_row_builds_each_point_once(self, count_calls):
+        e = build_example("hopf_lorentz_s3")
+        derivs = count_calls(ManifoldSpec, "metric_derivs")
+        batches = count_calls(catalog, "point_geometries")
+        catalog._max_hessian_identity_residual(e)
+        assert len(batches) == 1
+        assert len(derivs) == 20
+
+    def test_batch_points_and_their_images_are_read_from_the_memo(self, count_calls):
+        M = build_example("torus_family").spec
+        points = np.array([[0.125, 0.25], [0.5, 0.75], [0.875, 0.0625]])
+        first = point_geometries(M, points)
+        derivs = count_calls(ManifoldSpec, "metric_derivs")
+        for p, geo in zip(points, first):
+            assert point_geometry(M, p) is geo
+            assert point_geometry(M, p + [2.0, -1.0]) is geo
+        # a batch of held rows, images and repeats builds nothing either
+        again = point_geometries(M, np.vstack([points[::-1], points + [-1.0, 3.0]]))
+        assert again == first[::-1] + first
+        assert len(derivs) == 0
+
+    def test_batch_reuses_held_rows_and_repeats(self, count_calls):
+        M = build_example("torus_family").spec
+        held = point_geometry(M, [0.25, 0.5])
+        derivs = count_calls(ManifoldSpec, "metric_derivs")
+        batch = point_geometries(M, [[0.25, 0.5], [0.375, 0.5], [1.375, 0.5]])
+        assert batch[0] is held
+        assert batch[1] is batch[2]
+        assert len(derivs) == 1
+
+    def test_sign_scan_at_a_held_point_builds_nothing(self, count_calls):
+        M = build_example("hopf_lorentz_s3").spec
+        p = [0.6, 0.7, 1.9]
+        point_geometry(M, p)
+        derivs = count_calls(ManifoldSpec, "metric_derivs")
+        plane_sign_scan(M, "X", [p])
+        assert len(derivs) == 0
+
+    def test_batch_raises_what_a_loop_raises_first(self):
+        M = load_spec(DEGENERATE_AND_POLE, validate=False)
+        degenerate_first = [[0.5, 0.1], [0.0, 0.2], [0.3, 0.5]]
+        pole_first = [[0.5, 0.1], [0.3, 0.5], [0.0, 0.2]]
+        with pytest.raises(DegenerateMetricError, match=r"at \[0\.0, 0\.2\]"):
+            point_geometries(M, degenerate_first)
+        with pytest.raises(ex.EvalError):
+            point_geometries(M, pole_first)
+        for rows, error in ((degenerate_first, DegenerateMetricError),
+                            (pole_first, ex.EvalError)):
+            with pytest.raises(error):
+                for p in rows:
+                    point_geometry(M, p)
+        # every row is wrapped before any jet is evaluated
+        with pytest.raises(DomainError):
+            point_geometries(M, degenerate_first + [[2.0, 0.0]])
+
     def test_energy_is_differentiated_once_per_spec(self, count_calls):
         M = build_example("hopf_lorentz_s3").spec
         built = count_calls(ScalarDerivs, "__init__")
         hessian_identity_residual(M, "X", [0.6, 0.7, 1.9])
         hessian_identity_residual(M, "X", [0.5, 1.1, 0.3])
         assert len(built) == 1
+
+    def test_a_spec_nobody_holds_is_freed_at_once(self):
+        """The energy derivatives the spec keeps do not keep the spec (and
+        its memo of the last batch) alive until the cyclic collector runs."""
+        M = build_example("hopf_lorentz_s3").spec
+        points = M.sample_points(20, np.random.default_rng(3))
+        point_geometries(M, points)
+        for p in points:
+            hessian_identity_residual(M, "X", p)
+        ref = weakref.ref(M)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del M
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_one_eigen_decomposition_per_point(self, count_calls):
         """The Riemannianized norm decomposes g once, with the geometry."""

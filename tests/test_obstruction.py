@@ -470,6 +470,12 @@ class TestWitness:
         assert rep.value == pytest.approx(PI ** 2, abs=1e-6)
         assert rep.kernel_residual < 1e-7
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, torus, tol):
+        rec = scan_extrema(torus.spec, "X", grid=16).minima()[0]
+        with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+            extremum_witness(torus.spec, "X", rec, tol=tol)
+
     def test_torus_maximum_all_planes_nonpositive(self, torus):
         # on a 2-D chart span{v, X} is the only plane through X
         scan = scan_extrema(torus.spec, "X", grid=64)

@@ -79,6 +79,13 @@ class TestClassify:
         assert fc.tag is FieldTag.CONFORMAL
         assert ConformalFactor(spec, "X").sigma([0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, torus, mink2, tol):
+        # the exactly Killing torus field is refused before its early return
+        for spec, field in ((torus.spec, "X"), (mink2.spec, "EULER")):
+            with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+                classify_field(spec, field, tol=tol)
+
     def test_generic_field_unclassified(self, mink2):
         spec = with_extra_field(
             mink2.spec, "W",
