@@ -363,9 +363,10 @@ def _cmd_catalog(args) -> Report:
         raise SystemExit("error: catalog run/export need an entry name")
     entry = catalog.build_example(args.name)
     if args.action == "export":
-        sys.stdout.write(to_document(entry.spec))
+        doc = to_document(entry.spec)
+        sys.stdout.write(doc)
         rep = Report(f"catalog export {args.name}", entry.spec)
-        rep.add("catalog_export", {"name": args.name}, {"bytes": len(to_document(entry.spec))}, "PASS")
+        rep.add("catalog_export", {"name": args.name}, {"bytes": len(doc)}, "PASS")
         return rep
     # run
     rep = Report(f"catalog run {args.name}", entry.spec)

@@ -77,7 +77,6 @@ from .manifold import (
 CAUSAL_EPS = 1e-9
 PLANE_EPS = 1e-9
 DEPENDENCE_EPS = 1e-12
-SYMMETRY_TOL = 1e-8
 _TINY = 1e-300            # floor of a magnitude that divides
 
 

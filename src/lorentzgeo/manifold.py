@@ -260,9 +260,9 @@ class ManifoldSpec:
         b.update(self.params)
         return b
 
-    def wrap_point(self, p, collar: float = BOUNDARY_COLLAR) -> np.ndarray:
+    def wrap_point(self, p) -> np.ndarray:
         """Wrap periodic coordinates into the fundamental domain; refuse
-        non-finite coordinates and points within ``collar`` of a
+        non-finite coordinates and points within ``BOUNDARY_COLLAR`` of a
         non-periodic boundary.
 
         ``p`` is one point of shape (m,) or a batch of shape (N, m); a
@@ -278,7 +278,7 @@ class ManifoldSpec:
         # wrapped row by row, for the same reason.
         batch = p.ndim == 2
         if batch and len(p) <= _FEW_ROWS:
-            return np.array([self.wrap_point(row, collar) for row in p]).reshape(p.shape)
+            return np.array([self.wrap_point(row) for row in p]).reshape(p.shape)
         cols = list(p.T) if batch else p.tolist()
         fmod = _fmod_batch if batch else math.fmod
         isfinite = np.isfinite if batch else math.isfinite
@@ -292,15 +292,15 @@ class ManifoldSpec:
                 x = c.lo + fmod(x - c.lo, c.period)
                 cols[a] = x + c.period * (x < c.lo)
             else:
-                inside = inside & (c.lo + collar <= x) & (x <= c.hi - collar)
+                inside = inside & (c.lo + BOUNDARY_COLLAR <= x) & (x <= c.hi - BOUNDARY_COLLAR)
                 if inside is False:
                     raise DomainError(
                         f"coordinate {c.name}={x!r} outside ({c.lo}, {c.hi}) "
-                        f"with collar {collar}")
+                        f"with collar {BOUNDARY_COLLAR}")
         if not batch:
             return np.array(cols)
         if not np.all(inside):
-            self.wrap_point(p[np.argmin(inside)], collar)
+            self.wrap_point(p[np.argmin(inside)])
         return np.stack(cols, axis=-1)
 
     # -- pointwise evaluation ----------------------------------------------

@@ -11,8 +11,9 @@ charts: the Lorentzian flip of a Riemannian metric along a nowhere-zero
 Killing field, and the circle lift that appends a flat periodic
 coordinate to trade a timelike field for a merely causal one.
 
-Every curvature of a plane through X is cᵀJc of one Jacobi form J on
-the X-perp frame (:func:`_jacobi_on_frame`): the witness reads it at the
+Every curvature of a plane through X is cᵀJc of the Jacobi form J of
+the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives X,
+the X-perp basis and the curvature kind: the witness reads J at the
 kernel direction or takes its top eigenvalue, the sign scan on sampled c_k.
 """
 
@@ -30,7 +31,6 @@ from .curvature import (
     ScalarDerivs,
     causal_character,
     energy_derivs,
-    jacobi_form,
     point_geometries,
     point_geometry,
 )
@@ -48,11 +48,10 @@ from .symmetry import (
     ConformalFactor,
     FieldClass,
     FieldTag,
-    RestrictedOperator,
     classify_field,
     kernel_direction,
     lie_derivative_metric_exprs,
-    orthogonal_complement_basis,
+    perp_frame,
     require_tolerance,
     restricted_operator,
 )
@@ -117,8 +116,8 @@ class ScanResult:
             return list(self.records)
         out = []
         for p in self.plateau_points:
-            for kind in (ExtremumKind.MIN, ExtremumKind.MAX):
-                out.append(_make_record(M, xname, p, kind))
+            rec = _make_record(M, xname, p, ExtremumKind.MIN)
+            out += [rec, replace(rec, kind=ExtremumKind.MAX)]
         return out
 
 
@@ -136,13 +135,13 @@ def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> Extremum
 # Grid scan with Newton refinement
 # ---------------------------------------------------------------------------
 
-def _grid_axes(M: ManifoldSpec, per_axis: list[int], collar: float) -> list[np.ndarray]:
+def _grid_axes(M: ManifoldSpec, per_axis: list[int]) -> list[np.ndarray]:
     axes = []
     for c, n in zip(M.coords, per_axis):
         if c.periodic:
             axes.append(np.linspace(c.lo, c.hi, n, endpoint=False))
         else:
-            axes.append(np.linspace(c.lo + collar, c.hi - collar, n))
+            axes.append(np.linspace(c.lo + SAMPLING_COLLAR, c.hi - SAMPLING_COLLAR, n))
     return axes
 
 
@@ -229,8 +228,7 @@ def _cluster_representatives(M: ManifoldSpec, spacings: np.ndarray,
     return reps
 
 
-def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
-                 collar: float = SAMPLING_COLLAR) -> ScanResult:
+def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> ScanResult:
     """Grid-scan f = g(X,X)/2, refine local-neighbor candidates by
     Newton steps on the exact derivative trees of f, and classify them
     by the eigenvalues of the covariant Hessian.
@@ -243,7 +241,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
-    axes = _grid_axes(M, per_axis, collar)
+    axes = _grid_axes(M, per_axis)
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
@@ -254,7 +252,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64,
     plateau = bool(np.mean(np.abs(F - med) <= PLATEAU_BAND) >= PLATEAU_FRACTION)
     if plateau:
         rng = np.random.default_rng(1)
-        pts = tuple(M.wrap_point(p) for p in M.sample_points(8, rng, collar))
+        pts = tuple(M.wrap_point(p) for p in M.sample_points(8, rng))
         return ScanResult(records=(), plateau=True, f_min=f_min, f_max=f_max,
                           plateau_points=pts)
 
@@ -311,32 +309,6 @@ class WitnessReport:
     inequality: str | None = None           # ">= 0" / "<= 0"
     scope_reason: str | None = None
     kernel_residual: float | None = None
-    invariance_residual: float | None = None
-
-
-def _jacobi_on_frame(M: ManifoldSpec, p, X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """J_X on the g-orthonormal rows B of ``basis``: span{cB, X} of a unit
-    c has curvature cᵀJc.  m-1 rows span X-perp of a timelike X, where
-    Q = g(X,X), so cᵀJc is the sectional curvature; m-2 rows represent
-    X-perp/X of a lightlike X, and cᵀJc = g(R(v,X)X,v)/g(v,v) is the
-    null sectional curvature."""
-    geo = point_geometry(M, p)
-    J = basis @ jacobi_form(geo, X) @ basis.T
-    if len(basis) == M.dim - 1:
-        J = J / float(X @ geo.metric @ X)
-    return J
-
-
-def _kernel_plane(M: ManifoldSpec, xname: str,
-                  p) -> tuple[RestrictedOperator, np.ndarray, np.ndarray, float]:
-    """The restricted operator at p, the Jacobi form J on its basis, the
-    kernel direction c of the operator (plane span{c·basis, X}, curvature
-    cᵀJc), and the residual of c from :func:`kernel_direction`.  Every
-    caller's operator has odd dimension, so c exists."""
-    op = restricted_operator(M, xname, p)
-    kv, residual = kernel_direction(op.matrix)
-    J = _jacobi_on_frame(M, p, M.field_eval(xname, p), op.basis)
-    return op, J, kv, residual
 
 
 def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
@@ -351,10 +323,11 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     sectional curvature <= 0.  At a local maximum the inequalities
     reverse.  For timelike X every plane through X must then have
     K <= 0, and the report gives the exact largest K over all of them:
-    the top eigenvalue of the Jacobi form J of :func:`_jacobi_on_frame`,
-    with the plane of its eigenvector; every other value is cᵀJc at the
-    kernel direction c.  Parity or causality mismatches are reported as
-    out-of-scope, never raised.
+    the top eigenvalue of the Jacobi form J of the
+    :func:`~lorentzgeo.symmetry.perp_frame` at the extremum, with the
+    plane of its eigenvector; every other value is cᵀJc at the kernel
+    direction c of A_X restricted to that frame.  Parity or causality
+    mismatches are reported as out-of-scope, never raised.
 
     For a causal field f <= 0 everywhere, so every lightlike point has
     f = 0 and is a global maximum of f: the paper's causal,
@@ -380,7 +353,6 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     p = record.point
     cc = record.causal
     m = M.dim
-    X = M.field_eval(xname, p)
 
     if cc is CausalCharacter.ZERO:
         return scope("field vanishes at the extremum")
@@ -393,22 +365,24 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
 
     minimum = record.kind is ExtremumKind.MIN
-    op, J, kv, kres = _kernel_plane(M, xname, p)
-    k_val = float(kv @ J @ kv)
-    if cc is CausalCharacter.TIMELIKE:
-        case, curvature_kind, nonnegative = "timelike_even", "sectional", minimum
+    op = restricted_operator(M, xname, p)
+    frame = op.frame
+    kv, kres = kernel_direction(op.matrix)
+    k_val = float(kv @ frame.jacobi @ kv)
+    if frame.causal is CausalCharacter.TIMELIKE:
+        case, nonnegative = "timelike_even", minimum
         if not minimum:
-            ks, vecs = np.linalg.eigh(J)
+            ks, vecs = np.linalg.eigh(frame.jacobi)
             top = int(np.argmax(ks))      # ties keep the first basis plane
             k_val, kv = float(ks[top]), vecs[:, top]
     else:
-        case, curvature_kind, nonnegative = "lightlike_odd", "null_sectional", not minimum
+        case, nonnegative = "lightlike_odd", not minimum
     ok = k_val >= -tol if nonnegative else k_val <= tol
     return WitnessReport(verdict=Verdict.PASS if ok else Verdict.FAIL, case=case,
-                         plane=TangentPlane(p, kv @ op.basis, X),
-                         curvature_kind=curvature_kind, value=k_val,
-                         inequality=">= 0" if nonnegative else "<= 0", kernel_residual=kres,
-                         invariance_residual=op.invariance_residual, **base)
+                         plane=TangentPlane(p, kv @ frame.basis, frame.field),
+                         curvature_kind=frame.curvature_kind, value=k_val,
+                         inequality=">= 0" if nonnegative else "<= 0",
+                         kernel_residual=kres, **base)
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +443,24 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     """Sample plane families containing X along the path and locate
     curvature zeros / sign changes.
 
-    X must stay causal along the path: the X-perp basis refuses it
-    otherwise, and its row count tells timelike from lightlike.  The k-th
-    value at a point is c_kᵀJc_k of :func:`_jacobi_on_frame` on that
-    basis: sectional at timelike points, null sectional at lightlike
-    ones.  c_k is e_0 on a 1-row frame, else e_q turned towards e_{q+1}
-    by pi k / planes_per_point, q = k mod (d-1).  A lightlike X in
+    X must stay causal along the path: the
+    :func:`~lorentzgeo.symmetry.perp_frame` of each point refuses it
+    otherwise, and gives its causal character and curvature kind.  The
+    k-th value at a point is c_kᵀJc_k of the frame's Jacobi form:
+    sectional at timelike points, null sectional at lightlike ones.  c_k
+    is e_0 on a 1-row frame, else e_q turned towards e_{q+1} by
+    pi k / planes_per_point, q = k mod (d-1).  A lightlike X in
     dimension 2 has no degenerate plane through it and is refused.
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
     scans: list[PointScan] = []
     for geo in point_geometries(M, points):
-        p = geo.point
-        X = M.field_eval(xname, p)
-        basis = orthogonal_complement_basis(M, xname, p)
-        d = len(basis)
+        frame = perp_frame(M, xname, geo.point)
+        d = len(frame.basis)
         if d == 0:
-            raise ValueError(f"field is lightlike on the path at {p.tolist()} on a "
+            raise ValueError(f"field is lightlike on the path at {geo.point.tolist()} on a "
                              "2-dimensional chart; no degenerate plane contains it")
-        J = _jacobi_on_frame(M, p, X, basis)
         cs = np.zeros((planes_per_point, d))
         for k, c in enumerate(cs):
             if d == 1:
@@ -496,9 +468,8 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
             else:
                 alpha, q = math.pi * k / planes_per_point, k % (d - 1)
                 c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
-        cc, kind = ((CausalCharacter.TIMELIKE, "sectional") if d == M.dim - 1
-                    else (CausalCharacter.LIGHTLIKE, "null_sectional"))
-        scans.append(PointScan(p, cc, kind, tuple(float(c @ J @ c) for c in cs)))
+        scans.append(PointScan(geo.point, frame.causal, frame.curvature_kind,
+                               tuple(float(c @ frame.jacobi @ c) for c in cs)))
 
     n_pts = len(scans)
     k_all = [v for s in scans for v in s.values]
@@ -570,16 +541,18 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op, J, kv, kres = _kernel_plane(M, xname, p)
-    k_val = float(kv @ J @ kv)
+    op = restricted_operator(M, xname, p)
+    frame = op.frame
+    kv, kres = kernel_direction(op.matrix)
+    k_val = float(kv @ frame.jacobi @ kv)
 
     xs = cf.x_sigma(p)
-    X = M.field_eval(xname, p)
+    X = frame.field
     gxx = float(X @ point_geometry(M, p).metric @ X)
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
         point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,
-        curvature=k_val, plane=TangentPlane(p, kv @ op.basis, X),
+        curvature=k_val, plane=TangentPlane(p, kv @ frame.basis, X),
         bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
         nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
         kernel_residual=kres)
@@ -602,17 +575,10 @@ def _first_failure(pts: np.ndarray, *checks) -> None:
                 raise LorentzianizeError(message.format(p.tolist()))
 
 
-def lorentzianize(M: ManifoldSpec, xname: str, *,
-                  check_riemannian: bool = True) -> ManifoldSpec:
-    """Flip g := g_R - (2/g_R(X,X)) w (x) w with w the g_R-dual of X.
-
-    For a Riemannian input with nowhere-zero Killing X this produces a
-    Lorentzian chart on which X is timelike with g(X,X) = -g_R(X,X),
-    g agrees with g_R on the complement of X, and X stays Killing; these
-    postconditions are verified by sampling.  ``check_riemannian=False``
-    skips the input checks so the flip can be applied twice (the flip is
-    an involution).
-    """
+def _flip(M: ManifoldSpec, xname: str) -> ManifoldSpec:
+    """g := g_R - (2/g_R(X,X)) w (x) w with w the g_R-dual of X, the
+    signature label swapped, and nothing checked: the flip is an
+    involution, so applying it twice gives the input back."""
     m = M.dim
     X = M.fields[xname]
     omega = []
@@ -626,38 +592,48 @@ def lorentzianize(M: ManifoldSpec, xname: str, *,
                           ex.div(ex.mul(ex.Const(2.0), ex.mul(omega[i], omega[j])), q))
                    for j in range(m)] for i in range(m)]
     new_signature = "lorentzian" if M.signature == "riemannian" else "riemannian"
+    return ManifoldSpec(name=f"{M.name}_flip", coords=M.coords,
+                        signature=new_signature, metric=new_metric,
+                        params=M.params, fields=M.fields, scalars=M.scalars)
 
-    flipped = ManifoldSpec(name=f"{M.name}_flip", coords=M.coords,
-                           signature=new_signature, metric=new_metric,
-                           params=M.params, fields=M.fields, scalars=M.scalars)
 
-    if check_riemannian:
-        if M.signature != "riemannian":
-            raise LorentzianizeError("input chart must be Riemannian")
-        pts = M.sample_points(FLIP_SAMPLES, np.random.default_rng(0))
-        g = M.evaluate_symmetric(M.metric, pts)
-        Xs = np.stack([M.evaluate_points(c, pts) for c in X], axis=1)
-        gX = np.einsum("nij,nj->ni", g, Xs)
-        qs = np.einsum("ni,ni->n", Xs, gX)
-        scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
-        definite = np.all(np.linalg.eigvalsh(g) > 0, axis=1)
-        L = M.evaluate_symmetric(lie_derivative_metric_exprs(M, xname), pts)
-        killing = np.max(np.abs(L), axis=(1, 2)) <= FLIP_TOL * scales
-        _first_failure(pts, (definite, "input metric not positive definite at {}"),
-                       (qs > 0, "field vanishes (or is degenerate) at {}"),
-                       (killing, "field is not Killing for the input metric (residual at {})"))
-        gn = flipped.evaluate_symmetric(flipped.metric, pts)
-        flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= FLIP_TOL * scales
-        # rows w_i = e_i - (g(e_i,X)/g(X,X)) X span X-perp
-        W = np.eye(m) - gX[:, :, None] * Xs[:, None, :] / qs[:, None, None]
-        perp = W @ (gn - g) @ W.transpose(0, 2, 1)
-        perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= FLIP_TOL * scales
-        Ln = flipped.evaluate_symmetric(lie_derivative_metric_exprs(flipped, xname), pts)
-        killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * FLIP_TOL * scales
-        _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
-                       (perp_ok, "flip postcondition g = g_R on X-perp failed"),
-                       (killing, "field is not Killing for the flipped metric"))
-        validate_signature(flipped, samples=FLIP_SAMPLES, seed=0)
+def lorentzianize(M: ManifoldSpec, xname: str) -> ManifoldSpec:
+    """Flip g := g_R - (2/g_R(X,X)) w (x) w with w the g_R-dual of X.
+
+    For a Riemannian input with nowhere-zero Killing X this produces a
+    Lorentzian chart on which X is timelike with g(X,X) = -g_R(X,X),
+    g agrees with g_R on the complement of X, and X stays Killing; these
+    postconditions and the input's are verified by sampling.
+    """
+    if M.signature != "riemannian":
+        raise LorentzianizeError("input chart must be Riemannian")
+    flipped = _flip(M, xname)
+    m = M.dim
+    X = M.fields[xname]
+    pts = M.sample_points(FLIP_SAMPLES, np.random.default_rng(0))
+    g = M.evaluate_symmetric(M.metric, pts)
+    Xs = np.stack([M.evaluate_points(c, pts) for c in X], axis=1)
+    gX = np.einsum("nij,nj->ni", g, Xs)
+    qs = np.einsum("ni,ni->n", Xs, gX)
+    scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
+    definite = np.all(np.linalg.eigvalsh(g) > 0, axis=1)
+    L = M.evaluate_symmetric(lie_derivative_metric_exprs(M, xname), pts)
+    killing = np.max(np.abs(L), axis=(1, 2)) <= FLIP_TOL * scales
+    _first_failure(pts, (definite, "input metric not positive definite at {}"),
+                   (qs > 0, "field vanishes (or is degenerate) at {}"),
+                   (killing, "field is not Killing for the input metric (residual at {})"))
+    gn = flipped.evaluate_symmetric(flipped.metric, pts)
+    flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= FLIP_TOL * scales
+    # rows w_i = e_i - (g(e_i,X)/g(X,X)) X span X-perp
+    W = np.eye(m) - gX[:, :, None] * Xs[:, None, :] / qs[:, None, None]
+    perp = W @ (gn - g) @ W.transpose(0, 2, 1)
+    perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= FLIP_TOL * scales
+    Ln = flipped.evaluate_symmetric(lie_derivative_metric_exprs(flipped, xname), pts)
+    killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * FLIP_TOL * scales
+    _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
+                   (perp_ok, "flip postcondition g = g_R on X-perp failed"),
+                   (killing, "field is not Killing for the flipped metric"))
+    validate_signature(flipped, samples=FLIP_SAMPLES, seed=0)
     return flipped
 
 
@@ -698,7 +674,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
                         f"classifies as {cls.tag.value}")
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
-    nodes = _grid_points(_grid_axes(M, [grid] * M.dim, SAMPLING_COLLAR))
+    nodes = _grid_points(_grid_axes(M, [grid] * M.dim))
     values = M.evaluate_points(gxx_expr, nodes)
     max_gxx, min_gxx = float(values.max()), float(values.min())
 

@@ -2,12 +2,11 @@
 
 Classifies vector fields by how their flow deforms the metric
 (isometric / homothetic / conformal) from the exact L_X g trees, sampling
-only when those do not all fold to zero at build time.  Builds the
-restriction of A_X to the orthogonal complement of X, or to the quotient
-of that complement by X itself: the causal character of X at the point
-picks which (timelike X the complement, lightlike X the quotient), and
-no caller chooses it.  Extracts kernel directions, and cross-checks the
-Hessian identity
+only when those do not all fold to zero at build time.  Builds the X-perp
+frame of a point once (:func:`perp_frame`: the orthogonal complement of
+a timelike X, or its quotient by a lightlike X, with the Jacobi form on
+it) and the restriction of A_X to that frame.  Extracts kernel
+directions, and cross-checks the Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
 
@@ -170,15 +169,35 @@ def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
     return vt[:rank]
 
 
-def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p) -> np.ndarray:
-    """Basis (rows) of X-perp at p, orthonormal for the induced product;
-    the causal character of X at p picks the construction.
+@dataclass(frozen=True)
+class PerpFrame:
+    """X-perp at one point: the wrapped point, X there, its causal
+    character, a basis B (rows) orthonormal for the induced product, and
+    the Jacobi form J on B: span{cB, X} of a unit c has curvature cᵀJc,
+    of kind ``curvature_kind``."""
 
-    Timelike X: the m-1 rows span X-perp, which is spacelike.  Lightlike
-    X lies in its own X-perp: the m-2 rows then represent the quotient
-    X-perp / span{X}, spanning a complement of X inside X-perp on which
-    the induced product is positive definite.  A spacelike or zero X
-    raises :class:`SubspaceError` naming the character.
+    point: np.ndarray
+    field: np.ndarray
+    causal: CausalCharacter        # TIMELIKE or LIGHTLIKE
+    basis: np.ndarray
+    jacobi: np.ndarray
+
+    @property
+    def curvature_kind(self) -> str:
+        return "sectional" if self.causal is CausalCharacter.TIMELIKE else "null_sectional"
+
+
+def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
+    """The :class:`PerpFrame` of X at p.  The causal character of X at p
+    picks the construction, here and nowhere else.
+
+    Timelike X: the m-1 rows span X-perp, which is spacelike, and
+    J = B r Bᵀ / g(X,X) (r of :func:`jacobi_form`) holds sectional
+    curvatures.  Lightlike X lies in its own X-perp: the m-2 rows then
+    represent the quotient X-perp / span{X}, spanning a complement of X
+    inside X-perp on which the induced product is positive definite, and
+    J = B r Bᵀ holds null sectional curvatures g(R(v,X)X,v)/g(v,v).  A
+    spacelike or zero X raises :class:`SubspaceError` naming the character.
 
     The causal band is the only guard the basis needs.  In a frame where
     g = diag(-1, 1, ..., 1) and the Riemannianized metric is the
@@ -186,6 +205,7 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p) -> np.ndarray:
     so outside the lightlike band no direction of X-perp nears the null
     cone.
     """
+    p = M.wrap_point(p)
     geo = point_geometry(M, p)
     g = geo.metric
     X = M.field_eval(xname, p)
@@ -207,12 +227,16 @@ def orthogonal_complement_basis(M: ManifoldSpec, xname: str, p) -> np.ndarray:
         raise SubspaceError(f"field '{xname}' is {cc.value} at {geo.point.tolist()}; "
                             "X-perp is built for a timelike or lightlike X only")
 
-    basis = []
+    rows = []
     for w in candidates:
-        for e in basis:
+        for e in rows:
             w = w - float(w @ g @ e) * e
-        basis.append(w / np.sqrt(float(w @ g @ w)))
-    return np.array(basis)
+        rows.append(w / np.sqrt(float(w @ g @ w)))
+    basis = np.array(rows).reshape(-1, m)    # a 2-D quotient has no rows
+    J = basis @ jacobi_form(geo, X) @ basis.T
+    if cc is CausalCharacter.TIMELIKE:
+        J = J / float(X @ gX)
+    return PerpFrame(point=p, field=X, causal=cc, basis=basis, jacobi=J)
 
 
 def restriction_matrix(M: ManifoldSpec, xname: str, p,
@@ -224,7 +248,6 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p,
     A = shape_operator_at(M, xname, p)
     X = M.field_eval(xname, p)
     nrm_x = math.sqrt(max(riem_inner(frame, X, X), _TINY))
-    reps = np.reshape(reps, (-1, M.dim))    # a 2-D quotient basis has no rows
     images = A @ reps.T                     # column i: A_X applied to reps[i]
     mat = reps @ g @ images
     # a vanishing operator preserves everything; floor its magnitude so
@@ -238,38 +261,29 @@ def restriction_matrix(M: ManifoldSpec, xname: str, p,
 
 @dataclass(frozen=True)
 class RestrictedOperator:
-    """A_X restricted to X-perp (mode 'orthogonal', timelike X) or
-    induced on X-perp / span{X} (mode 'quotient', lightlike X), in a
-    basis that is orthonormal for the induced product."""
+    """A_X restricted to X-perp (timelike X) or induced on X-perp / span{X}
+    (lightlike X), on the basis of its :class:`PerpFrame`."""
 
-    mode: str
-    point: np.ndarray
-    basis: np.ndarray              # rows: representative vectors
+    frame: PerpFrame
     matrix: np.ndarray
     invariance_residual: float
 
 
 def restricted_operator(M: ManifoldSpec, xname: str, p) -> RestrictedOperator:
-    """Build the restriction of A_X that the causal character of X at p
-    calls for, on the basis of :func:`orthogonal_complement_basis`.
-
-    Timelike X gives mode 'orthogonal', on the spacelike complement of
-    dimension m-1; lightlike X gives mode 'quotient', on the
+    """Build the restriction of A_X on the :func:`perp_frame` of X at p:
+    on the spacelike complement of dimension m-1 for a timelike X, on the
     (m-2)-dimensional quotient with its positive-definite induced
-    product.  A spacelike or zero X raises :class:`SubspaceError`, and so
-    does a leak of A_X out of X-perp beyond ``INVARIANCE_TOL``, which
-    signals a non-homothetic input.
+    product for a lightlike X.  A spacelike or zero X raises
+    :class:`SubspaceError`, and so does a leak of A_X out of X-perp
+    beyond ``INVARIANCE_TOL``, which signals a non-homothetic input.
     """
-    p = M.wrap_point(p)
-    reps = orthogonal_complement_basis(M, xname, p)
-    mat, leak = restriction_matrix(M, xname, p, reps)
+    frame = perp_frame(M, xname, p)
+    mat, leak = restriction_matrix(M, xname, frame.point, frame.basis)
     if leak > INVARIANCE_TOL:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
-    mode = "orthogonal" if len(reps) == M.dim - 1 else "quotient"
-    return RestrictedOperator(mode=mode, point=p, basis=reps, matrix=mat,
-                              invariance_residual=leak)
+    return RestrictedOperator(frame=frame, matrix=mat, invariance_residual=leak)
 
 
 def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:

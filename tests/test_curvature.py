@@ -461,17 +461,21 @@ POINTWISE = {
 def test_one_metric_jet_per_point(count_calls, case):
     """A pointwise operation evaluates the metric jet once, on a spec that
     has not seen the point before: one metric_derivs call and at most
-    one metric_eval call."""
+    one metric_eval call.  It evaluates X at most three times: once for
+    its X-perp frame, once each for A_X and the invariance leak; a sign
+    scan reads only the frame."""
     name, operation = POINTWISE[case]
     e = build_example(name)
     cls = classify_field(e.spec, e.field_name)
     derivs = count_calls(ManifoldSpec, "metric_derivs")
     evals = count_calls(ManifoldSpec, "metric_eval")
+    fields = count_calls(ManifoldSpec, "field_eval")
     result = operation(e.spec, e.field_name, cls)
     if case.startswith("witness"):
         assert result.verdict.value == "PASS"
     assert len(derivs) == 1
     assert len(evals) <= 1
+    assert len(fields) <= (1 if case == "sign_scan_one_point" else 3)
 
 
 GEOMETRY_FIELDS = ("point", "metric", "inverse", "dmetric", "christoffel",
@@ -672,5 +676,5 @@ class TestGeometryMemo:
         e = build_example("circle_lift_torus")
         eigh = count_calls(np.linalg, "eigh")
         op = restricted_operator(e.spec, e.field_name, [0.0, 0.3, 1.0])
-        assert op.mode == "quotient"
+        assert op.frame.causal is CausalCharacter.LIGHTLIKE
         assert len(eigh) == 1

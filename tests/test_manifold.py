@@ -12,7 +12,6 @@ from lorentzgeo.cli import main
 from lorentzgeo.curvature import causal_character, plane_type, point_geometry
 from lorentzgeo.expr import EvalError
 from lorentzgeo.manifold import (
-    BOUNDARY_COLLAR,
     SAMPLING_COLLAR,
     CausalCharacter,
     DegenerateMetricError,
@@ -353,7 +352,7 @@ def test_evaluate_points_matches_pointwise_on_catalog_charts(entry, name):
     batched walker against the scalar walker at each node."""
     M = entry(name).spec
     n = {2: 12, 3: 7, 4: 5}[M.dim]
-    pts = _grid_points(_grid_axes(M, [n] * M.dim, SAMPLING_COLLAR))
+    pts = _grid_points(_grid_axes(M, [n] * M.dim))
     trees = [M.metric[i][j] for i in range(M.dim) for j in range(i, M.dim)]
     trees += [field_energy_expr(M, f) for f in M.fields]
     for e in trees:
@@ -489,26 +488,18 @@ def _first_error(fn, *args):
 class TestErrorParity:
     """The batched paths raise what the point-by-point loops raised."""
 
-    def _scalar_grid_fill(self, M, grid, collar):
+    def _scalar_grid_fill(self, M, grid):
         f = field_energy_expr(M, "X")
-        for p in _grid_points(_grid_axes(M, [grid] * M.dim, collar)):
+        for p in _grid_points(_grid_axes(M, [grid] * M.dim)):
             M.evaluate(f, p)
 
     def test_pole_on_the_grid(self):
         M = load_spec(POLE_ON_GRID, validate=False)
-        want = _first_error(self._scalar_grid_fill, M, 16, SAMPLING_COLLAR)
+        want = _first_error(self._scalar_grid_fill, M, 16)
         got = _first_error(scan_extrema, M, "X", 16)
         assert type(got) is type(want) and isinstance(got, EvalError)
         assert str(got) == str(want)
         assert "division by zero" in str(got)
-
-    def test_collar_below_boundary_collar(self):
-        M = load_spec(MINK2 + '\n[field.X]\ncomponents = "1", "0"\n')
-        collar = BOUNDARY_COLLAR / 10
-        want = _first_error(self._scalar_grid_fill, M, 8, collar)
-        got = _first_error(lambda: scan_extrema(M, "X", 8, collar=collar))
-        assert type(got) is type(want) is DomainError
-        assert str(got) == str(want)
 
     @staticmethod
     def _scalar_validate(M, samples, seed):

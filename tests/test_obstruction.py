@@ -9,6 +9,7 @@ from lorentzgeo.catalog import _TORUS_FAMILY, list_examples
 from lorentzgeo.curvature import (
     ScalarDerivs,
     causal_character,
+    energy_derivs,
     null_sectional_curvature,
     point_geometry,
     sectional_curvature,
@@ -33,11 +34,12 @@ from lorentzgeo.obstruction import (
 )
 from lorentzgeo import obstruction
 from lorentzgeo.symmetry import (
+    FieldTag,
     SubspaceError,
     classify_field,
     kernel_direction,
     lie_derivative_metric_at,
-    orthogonal_complement_basis,
+    perp_frame,
     restricted_operator,
 )
 
@@ -143,6 +145,38 @@ components = "0", "0", "0", "1"
 """
 
 
+# A stationary 4-torus, X = d/dt Killing, whose twist g_tz makes A_X
+# restricted to X-perp a non-zero 3x3 skew operator at both extrema of
+# f = g_tt/2: the witness plane there depends on the kernel step.
+TWISTED_FOUR_TORUS = """
+[manifold]
+dim = 4
+coords = t, x, y, z
+range.t = 0, 1
+range.x = 0, 1
+range.y = 0, 1
+range.z = 0, 1
+periodic = t, x, y, z
+signature = lorentzian
+
+[metric]
+g.0.0 = "-(3 + cos(2*pi*x) + 0.5*cos(2*pi*y))"
+g.0.3 = "0.4*sin(2*pi*(x + 1/8))"
+g.1.1 = "1"
+g.2.2 = "1"
+g.3.3 = "1"
+
+[field.X]
+components = "1", "0", "0", "0"
+"""
+
+
+@pytest.fixture(scope="module")
+def twisted_four_torus():
+    M = load_spec(TWISTED_FOUR_TORUS)
+    return M, scan_extrema(M, "X", grid=[8, 24, 24, 8]), classify_field(M, "X")
+
+
 @pytest.fixture(scope="module")
 def static_four_torus():
     M = load_spec(STATIC_FOUR_TORUS)
@@ -198,16 +232,16 @@ class TestRefinement:
 
 def construction_mismatches(M, xname, records):
     """Records at which the restricted operator does not follow the
-    record's causal character: a timelike X must give mode 'orthogonal'
-    on m-1 basis rows, a lightlike X mode 'quotient' on m-2, and a
+    record's causal character: a timelike X must give a timelike frame
+    of m-1 basis rows, a lightlike X a lightlike frame of m-2, and a
     spacelike or zero X a SubspaceError naming the character."""
-    want = {CausalCharacter.TIMELIKE: ("orthogonal", M.dim - 1),
-            CausalCharacter.LIGHTLIKE: ("quotient", M.dim - 2)}
+    want = {CausalCharacter.TIMELIKE: (CausalCharacter.TIMELIKE, M.dim - 1),
+            CausalCharacter.LIGHTLIKE: (CausalCharacter.LIGHTLIKE, M.dim - 2)}
     bad = []
     for rec in records:
         try:
             op = restricted_operator(M, xname, rec.point)
-            got = (op.mode, len(op.basis))
+            got = (op.frame.causal, len(op.frame.basis))
         except SubspaceError as e:
             got = str(e)
         ok = got == want[rec.causal] if rec.causal in want \
@@ -304,7 +338,7 @@ def form_mismatches(M, xname, p, coefficients, values):
     of span{c·basis, X} by more than 1e-12 of the largest oracle value
     at p."""
     X = M.field_eval(xname, p)
-    basis = orthogonal_complement_basis(M, xname, p)
+    basis = perp_frame(M, xname, p).basis
     want = [oracle_curvature(M, p, X, c @ basis) for c in coefficients]
     scale = max(abs(w) for w in want)
     return [(p.tolist(), c.tolist(), got, w) for c, got, w in zip(coefficients, values, want)
@@ -318,12 +352,11 @@ def jacobi_mismatches(M, xname, records, rng):
     for rec in records:
         if rec.causal not in (CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE):
             continue
-        p, X = rec.point, M.field_eval(xname, rec.point)
-        basis = orthogonal_complement_basis(M, xname, p)
-        J = obstruction._jacobi_on_frame(M, p, X, basis)
+        frame = perp_frame(M, xname, rec.point)
+        basis, J = frame.basis, frame.jacobi
         random = rng.standard_normal((4, len(basis)))
         cs = np.vstack([np.eye(len(basis)), random / np.linalg.norm(random, axis=1)[:, None]])
-        bad += form_mismatches(M, xname, p, cs, [float(c @ J @ c) for c in cs])
+        bad += form_mismatches(M, xname, rec.point, cs, [float(c @ J @ c) for c in cs])
     return bad
 
 
@@ -346,7 +379,7 @@ def scan_mismatches(M, xname, waypoints, count=8):
     rep = plane_sign_scan(M, xname, interpolate_path(waypoints, 32), count)
     bad = []
     for s in rep.scans:
-        d = len(orthogonal_complement_basis(M, xname, s.point))
+        d = len(perp_frame(M, xname, s.point).basis)
         bad += form_mismatches(M, xname, s.point, scan_family(d, count), s.values)
     return bad, {s.curvature_kind for s in rep.scans}
 
@@ -449,7 +482,7 @@ def test_clustering_in_blocks(monkeypatch, rng):
     """Candidates split over several blocks of the adjacency test, with
     clusters across the periodic seam, cluster as in one block."""
     M = load_spec(FLAT_TORUS_RIEMANNIAN)
-    axes = obstruction._grid_axes(M, [16, 16], 0.0)
+    axes = obstruction._grid_axes(M, [16, 16])
     nodes = obstruction._grid_points(axes)
     spacings = np.array([1 / 16, 1 / 16])
     pick = nodes[rng.random(len(nodes)) < 0.3]
@@ -562,6 +595,59 @@ class TestWitness:
         rep = extremum_witness(spec, "X", scan.minima()[0])
         assert rep.verdict is Verdict.SCOPE
         assert "conformal" in rep.scope_reason
+
+
+class TestTwistedFourTorus:
+    """The paper's kernel step end to end: at the timelike minimum the
+    witness plane is span{v, X} for the kernel v of a non-zero 3x3 skew
+    operator, and its curvature is neither end of the range of planes
+    through X."""
+
+    def test_field_is_killing_exactly(self, twisted_four_torus):
+        _, _, cls = twisted_four_torus
+        assert (cls.tag, cls.sample_count) == (FieldTag.KILLING, 0)
+
+    def test_one_timelike_minimum_and_maximum(self, twisted_four_torus):
+        _, scan, _ = twisted_four_torus
+        (low,), (high,) = scan.minima(), scan.maxima()
+        assert low.causal is high.causal is CausalCharacter.TIMELIKE
+        assert low.point[1:3] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert high.point[1:3] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    def test_minimum_witness_is_the_kernel_plane(self, twisted_four_torus):
+        """K of the kernel plane equals Hess f(v,v) / (-g(X,X) g(v,v)), the
+        Hessian identity with A_X v = 0, read from the exact Hessian of f
+        and no curvature tensor."""
+        M, scan, cls = twisted_four_torus
+        rec = scan.minima()[0]
+        op = restricted_operator(M, "X", rec.point)
+        assert op.matrix.shape == (3, 3) and np.max(np.abs(op.matrix)) > 0.8
+        rep = extremum_witness(M, "X", rec, classification=cls)
+        assert rep.verdict is Verdict.PASS
+        assert rep.value == pytest.approx(2.1932454224643, abs=1e-12)
+        v, X = rep.plane.u, rep.plane.v
+        g = point_geometry(M, rec.point).metric
+        hess = energy_derivs(M, "X").covariant_hessian(rec.point)
+        oracle = float(v @ hess @ v) / (-float(X @ g @ X) * float(v @ g @ v))
+        assert rep.value == pytest.approx(oracle, rel=1e-9)
+
+    def test_maximum_witness_is_the_top_jacobi_eigenvalue(self, twisted_four_torus):
+        M, scan, cls = twisted_four_torus
+        rec = scan.maxima()[0]
+        rep = extremum_witness(M, "X", rec, classification=cls)
+        assert rep.verdict is Verdict.PASS
+        assert rep.value == pytest.approx(-0.49972680511845, abs=1e-12)
+        top = np.linalg.eigvalsh(perp_frame(M, "X", rec.point).jacobi)[-1]
+        assert rep.value == pytest.approx(top, rel=1e-12)
+
+    def test_first_basis_row_in_place_of_the_kernel_fails(self, twisted_four_torus,
+                                                         monkeypatch):
+        M, scan, cls = twisted_four_torus
+        monkeypatch.setattr(obstruction, "kernel_direction",
+                            lambda op: (np.eye(len(op))[0], 0.0))
+        rep = extremum_witness(M, "X", scan.minima()[0], classification=cls)
+        assert rep.verdict is Verdict.FAIL
+        assert rep.value == pytest.approx(-0.1724, abs=1e-4)
 
 
 class TestSignScan:
@@ -719,7 +805,7 @@ class TestLorentzianize:
     def test_double_flip_is_identity(self, entry, rng):
         s3 = entry("round_s3").spec
         once = lorentzianize(s3, "X")
-        twice = lorentzianize(once, "X", check_riemannian=False)
+        twice = obstruction._flip(once, "X")
         for p in s3.sample_points(20, rng):
             assert np.max(np.abs(twice.metric_eval(p) - s3.metric_eval(p))) < 1e-12
 

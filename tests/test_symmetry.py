@@ -9,7 +9,7 @@ import pytest
 from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
 from lorentzgeo.curvature import shape_operator_at
-from lorentzgeo.manifold import ManifoldSpec
+from lorentzgeo.manifold import CausalCharacter, ManifoldSpec
 from lorentzgeo.symmetry import (
     ConformalFactor,
     FieldClass,
@@ -22,7 +22,7 @@ from lorentzgeo.symmetry import (
     kernel_direction,
     lie_derivative_metric_at,
     lie_derivative_metric_exprs,
-    orthogonal_complement_basis,
+    perp_frame,
     restricted_operator,
     restriction_matrix,
     skew_adjoint_residual,
@@ -234,7 +234,7 @@ class TestRestrictedOperator:
     def test_basis_is_g_orthonormal_and_orthogonal_to_field(self, hopf, rng):
         spec = hopf.spec
         for p in spec.sample_points(5, rng):
-            basis = orthogonal_complement_basis(spec, "X", p)
+            basis = perp_frame(spec, "X", p).basis
             g = spec.metric_eval(p)
             X = spec.field_eval("X", p)
             assert np.allclose(basis @ g @ basis.T, np.eye(2), atol=1e-10)
@@ -258,11 +258,11 @@ class TestRestrictedOperator:
         (torus_family_mixed at x = 0) and a zero X are refused, with the
         character named, by the basis builder and the operator alike."""
         mixed = entry("torus_family_mixed").spec
-        assert restricted_operator(mixed, "X", [0.5, 0.0]).mode == "orthogonal"
+        assert restricted_operator(mixed, "X", [0.5, 0.0]).frame.causal is CausalCharacter.TIMELIKE
         zero = with_extra_field(torus.spec, "Z", [ex.ZERO, ex.ZERO])
         for spec, x, p, cc in ((mixed, "X", [0.0, 0.0], "spacelike"),
                                (zero, "Z", [0.5, 0.0], "zero")):
-            for build in (restricted_operator, orthogonal_complement_basis):
+            for build in (restricted_operator, perp_frame):
                 with pytest.raises(SubspaceError, match=f"field '{x}' is {cc} at"):
                     build(spec, x, p)
 
@@ -274,7 +274,7 @@ class TestRestrictedOperator:
         spec = with_extra_field(torus.spec, "Y", [ex.ZERO, speed])
         assert classify_field(spec, "Y").tag is FieldTag.NONE
         p = np.array([0.3, 0.2])
-        _, leak = restriction_matrix(spec, "Y", p, orthogonal_complement_basis(spec, "Y", p))
+        _, leak = restriction_matrix(spec, "Y", p, perp_frame(spec, "Y", p).basis)
         assert leak > 1e-3
         with pytest.raises(SubspaceError, match="does not preserve"):
             restricted_operator(spec, "Y", p)
@@ -300,11 +300,13 @@ class TestRestrictedOperator:
         X on a 2-D chart has a 0-dimensional quotient and an empty
         operator."""
         spec = circle_lift_torus.spec
-        for x, mode, rows in ((0.0, "quotient", 1), (0.5, "orthogonal", 2)):
+        for x, causal, rows in ((0.0, CausalCharacter.LIGHTLIKE, 1),
+                                (0.5, CausalCharacter.TIMELIKE, 2)):
             op = restricted_operator(spec, "Xbar", [x, 0.2, 1.0])
-            assert (op.mode, op.basis.shape) == (mode, (rows, 3))
+            assert (op.frame.causal, op.frame.basis.shape) == (causal, (rows, 3))
         op = restricted_operator(entry("torus_family_mixed").spec, "X", [1 / 6, 0.0])
-        assert (op.mode, op.matrix.shape, op.invariance_residual) == ("quotient", (0, 0), 0.0)
+        assert (op.frame.causal, op.matrix.shape, op.invariance_residual) == \
+            (CausalCharacter.LIGHTLIKE, (0, 0), 0.0)
 
     def test_quotient_matrix_unchanged_by_representative_shifts(self, circle_lift_torus, rng):
         spec = circle_lift_torus.spec
@@ -312,8 +314,8 @@ class TestRestrictedOperator:
         op = restricted_operator(spec, "Xbar", p)
         X = spec.field_eval("Xbar", p)
         for _ in range(5):
-            shifts = rng.normal(size=len(op.basis))
-            shifted = op.basis + np.outer(shifts, X)
+            shifts = rng.normal(size=len(op.frame.basis))
+            shifted = op.frame.basis + np.outer(shifts, X)
             mat, _ = restriction_matrix(spec, "Xbar", p, shifted)
             assert np.max(np.abs(mat - op.matrix)) < 1e-9
 
@@ -321,8 +323,8 @@ class TestRestrictedOperator:
         spec = with_extra_field(hopf.spec, "XNEG",
                                 [ex.neg(c) for c in hopf.spec.fields["X"]])
         p = np.array([PI / 5, 0.4, 2.2])
-        b1 = orthogonal_complement_basis(spec, "X", p)
-        b2 = orthogonal_complement_basis(spec, "XNEG", p)
+        b1 = perp_frame(spec, "X", p).basis
+        b2 = perp_frame(spec, "XNEG", p).basis
         # same 2-plane: projecting one basis on the other loses nothing
         coeff = np.linalg.lstsq(b1.T, b2.T, rcond=None)[0]
         assert np.max(np.abs(coeff.T @ b1 - b2)) < 1e-9
