@@ -28,7 +28,7 @@ from .curvature import (
     point_geometries,
     point_geometry,
     sectional_curvature,
-    shape_operator_at,
+    shape_operator,
 )
 from .symmetry import (
     FieldClass,

@@ -32,6 +32,7 @@ from .manifold import (
     validate_signature,
 )
 from .obstruction import (
+    WITNESS_TOL,
     circle_lift,
     conformal_bound_check,
     extremum_witness,
@@ -40,7 +41,7 @@ from .obstruction import (
     plane_sign_scan,
     scan_extrema,
 )
-from .symmetry import classify_field
+from .symmetry import CLASSIFY_TOL, classify_field
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="Killing/homothetic/conformal classification")
     p.add_argument("spec")
     p.add_argument("--field")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
     common(p)
 
     p = sub.add_parser("extrema", help="scan the field energy for local extrema")
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--field")
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=WITNESS_TOL)
     common(p)
 
     p = sub.add_parser("signscan", help="scan plane curvatures along a path")

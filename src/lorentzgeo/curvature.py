@@ -1,9 +1,9 @@
 """Connection and curvature kernel, and the pointwise causal classes.
 
-Everything here is a pure function of (spec, point).  Metric derivatives
-come from exact expression trees evaluated pointwise; the tensor algebra
-on top is plain dense numpy (dimensions in this engine are small, so
-clarity beats symmetry-compressed storage).
+Everything here is a pure function of (spec, point) or of a point's
+geometry.  Metric derivatives come from exact expression trees evaluated
+pointwise; the tensor algebra on top is plain dense numpy (dimensions in
+this engine are small, so clarity beats symmetry-compressed storage).
 
 :func:`point_geometry` is the single evaluation of the metric jet at a
 point, and :func:`point_geometries` the same at each row of a set of
@@ -21,7 +21,8 @@ at its point: nothing is handed down, and g, Gamma and R are built once
 per point.  A caller that visits a known set of points asks for their
 geometries in one batch first.
 The causal character of a vector and the type of a plane read g and
-its Riemannianized frame from the same geometry.
+its Riemannianized frame from the same geometry, and refuse a
+non-finite |v|^2, Q or |u|^2 |v|^2 and vectors of the wrong length.
 :func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec
 and field.
 
@@ -49,6 +50,7 @@ identity) to a single convention.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -209,11 +211,15 @@ def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
     band.
 
     The zero vector gets its own tag rather than counting as spacelike;
-    callers that need a genuinely causal vector must check for ZERO.
+    callers that need a genuinely causal vector must check for ZERO.  A
+    non-finite |v|^2 raises ValueError.
     """
     geo = point_geometry(M, p)
     v = np.asarray(v, dtype=float)
-    n2 = riem_inner(geo.riem_frame, v, v)
+    with np.errstate(over="ignore", invalid="ignore"):      # refused just below
+        n2 = riem_inner(geo.riem_frame, v, v)
+    if not math.isfinite(n2):
+        raise ValueError(f"vector {v.tolist()} has non-finite |v|^2 at {geo.point.tolist()}")
     if n2 == 0.0:
         return CausalCharacter.ZERO
     gvv = float(v @ geo.metric @ v)
@@ -225,17 +231,24 @@ def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
 def _spanning_pair(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> tuple[PlaneType, float]:
     """The type of span{u, v} and Q = g(u,u) g(v,v) - g(u,v)^2, with the
     bands on |u|^2 and |v|^2 in the riem_frame of g; a zero or dependent
-    pair raises :class:`DependentVectorsError`."""
-    frame = geo.riem_frame
-    nu, nv, nuv = riem_inner(frame, u, u), riem_inner(frame, v, v), riem_inner(frame, u, v)
+    pair raises :class:`DependentVectorsError`, vectors of the wrong length
+    or with a non-finite Q or |u|^2 |v|^2 a plain ValueError."""
+    m = len(geo.point)
+    if u.shape != (m,) or v.shape != (m,):
+        raise ValueError(f"plane vectors need {m} components, got {u.tolist()}, {v.tolist()}")
+    frame, g = geo.riem_frame, geo.metric
+    with np.errstate(over="ignore", invalid="ignore"):      # refused just below
+        nu, nv, nuv = riem_inner(frame, u, u), riem_inner(frame, v, v), riem_inner(frame, u, v)
+        guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
+        q = guu * gvv - guv * guv
+    if not (math.isfinite(q) and math.isfinite(nu * nv)):
+        raise ValueError(f"plane discriminant Q={q:e} of {u.tolist()}, {v.tolist()} "
+                         f"is not finite at {geo.point.tolist()}")
     if nu == 0.0 or nv == 0.0:
         raise DependentVectorsError(f"zero spanning vector at {geo.point.tolist()}")
     if nu * nv - nuv * nuv <= DEPENDENCE_EPS * nu * nv:
         raise DependentVectorsError(
             f"spanning vectors are linearly dependent at {geo.point.tolist()}")
-    g = geo.metric
-    guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
-    q = guu * gvv - guv * guv
     band = PLANE_EPS * nu * nv
     if q < -band:
         return PlaneType.TIMELIKE, q
@@ -352,12 +365,10 @@ def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
     return derivs
 
 
-def shape_operator_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
-    """Matrix of v -> -nabla_v X in the chart basis:
-    A[i,j] = -(d_j X^i + Gamma^i_jk X^k)."""
-    X = M.field_eval(xname, p)
-    dX = M.field_derivs(xname, p)       # dX[j,i] = d_j X^i
-    return -(dX.T + np.einsum("ijk,k->ij", point_geometry(M, p).christoffel, X))
+def shape_operator(geo: PointGeometry, X: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """Matrix of v -> -nabla_v X in the chart basis, from X and
+    dX[j,i] = d_j X^i at the point of ``geo``: A[i,j] = -(d_j X^i + Gamma^i_jk X^k)."""
+    return -(dX.T + np.einsum("ijk,k->ij", geo.christoffel, X))
 
 
 def symmetry_residuals(geo: PointGeometry) -> dict[str, float]:

@@ -12,9 +12,10 @@ Killing field, and the circle lift that appends a flat periodic
 coordinate to trade a timelike field for a merely causal one.
 
 Every curvature of a plane through X is cᵀJc of the Jacobi form J of
-the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives X,
-the X-perp basis and the curvature kind: the witness reads J at the
-kernel direction or takes its top eigenvalue, the sign scan on sampled c_k.
+the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives the
+point's geometry, X, the X-perp basis and the curvature kind: the witness
+reads J at the kernel direction or takes its top eigenvalue, the sign
+scan on sampled c_k.  The conformal check builds no derivative tree.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .curvature import (
     causal_character,
     energy_derivs,
     point_geometries,
-    point_geometry,
 )
 from .manifold import (
     BOUNDARY_COLLAR,
@@ -45,9 +45,9 @@ from .manifold import (
     validate_signature,
 )
 from .symmetry import (
-    ConformalFactor,
     FieldClass,
     FieldTag,
+    _conformal_factor,
     classify_field,
     kernel_direction,
     lie_derivative_metric_exprs,
@@ -534,8 +534,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         raise ValueError(f"field must be timelike at the critical point, "
                          f"got {record.causal.value}")
 
-    cf = ConformalFactor(M, xname)
-    sigma0 = cf.sigma(p)
+    sigma0, xs = _conformal_factor(M, xname, p)
     if abs(sigma0) > CONFORMAL_TOL:
         raise ValueError(
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
@@ -546,9 +545,8 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     kv, kres = kernel_direction(op.matrix)
     k_val = float(kv @ frame.jacobi @ kv)
 
-    xs = cf.x_sigma(p)
     X = frame.field
-    gxx = float(X @ point_geometry(M, p).metric @ X)
+    gxx = float(X @ frame.geo.metric @ X)
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
         point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,

@@ -5,12 +5,17 @@ Classifies vector fields by how their flow deforms the metric
 only when those do not all fold to zero at build time.  Builds the X-perp
 frame of a point once (:func:`perp_frame`: the orthogonal complement of
 a timelike X, or its quotient by a lightlike X, with the Jacobi form on
-it) and the restriction of A_X to that frame.  Extracts kernel
+it, the point's geometry and X) and restricts A_X to it; X and dX are
+evaluated once per point and passed on.  Extracts kernel
 directions, and cross-checks the Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
 
 which ties the expression, curvature, and symmetry pipelines together.
+
+A conformal L_X g = sigma g gives X(f) = sigma f, so where f != 0
+
+    X(sigma) = X(X(f))/f - sigma^2,   X(X(f)) = Xᵀ (d^2 f) X + X dX df.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ from . import expr as ex
 from .expr import Expr
 from .curvature import (
     _TINY,
+    PointGeometry,
     causal_character,
     energy_derivs,
     jacobi_form,
     point_geometry,
-    shape_operator_at,
+    shape_operator,
 )
 from .manifold import (
     CausalCharacter,
@@ -152,8 +158,8 @@ def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> Fi
 def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
     """max |g(A_X u, v) + g(u, A_X v)| over chart basis pairs, normalized
     by the operator's magnitude.  Zero exactly when X is Killing."""
-    g = point_geometry(M, p).metric
-    A = shape_operator_at(M, xname, p)
+    geo = point_geometry(M, p)
+    g, A = geo.metric, shape_operator(geo, M.field_eval(xname, p), M.field_derivs(xname, p))
     sym = A.T @ g + g @ A                   # [u,v] slot: g(Au, v) + g(u, Av)
     denom = max(float(np.max(np.abs(g @ A))), float(np.max(np.abs(A.T @ g))), _TINY)
     return float(np.max(np.abs(sym))) / denom
@@ -171,12 +177,12 @@ def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerpFrame:
-    """X-perp at one point: the wrapped point, X there, its causal
+    """X-perp at one point: the point's geometry, X there, its causal
     character, a basis B (rows) orthonormal for the induced product, and
     the Jacobi form J on B: span{cB, X} of a unit c has curvature cᵀJc,
     of kind ``curvature_kind``."""
 
-    point: np.ndarray
+    geo: PointGeometry
     field: np.ndarray
     causal: CausalCharacter        # TIMELIKE or LIGHTLIKE
     basis: np.ndarray
@@ -236,24 +242,22 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     J = basis @ jacobi_form(geo, X) @ basis.T
     if cc is CausalCharacter.TIMELIKE:
         J = J / float(X @ gX)
-    return PerpFrame(point=p, field=X, causal=cc, basis=basis, jacobi=J)
+    return PerpFrame(geo=geo, field=X, causal=cc, basis=basis, jacobi=J)
 
 
-def restriction_matrix(M: ManifoldSpec, xname: str, p,
+def restriction_matrix(frame: PerpFrame, A: np.ndarray,
                        reps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Matrix of A_X in the given g-orthonormal representative basis,
-    plus the residual of A_X leaking out of X-perp."""
-    geo = point_geometry(M, p)
-    g, frame = geo.metric, geo.riem_frame
-    A = shape_operator_at(M, xname, p)
-    X = M.field_eval(xname, p)
-    nrm_x = math.sqrt(max(riem_inner(frame, X, X), _TINY))
+    """Matrix of A = A_X at the frame's point in the given g-orthonormal
+    representative basis, plus the residual of A leaking out of X-perp."""
+    geo, X = frame.geo, frame.field
+    g, rframe = geo.metric, geo.riem_frame
+    nrm_x = math.sqrt(max(riem_inner(rframe, X, X), _TINY))
     images = A @ reps.T                     # column i: A_X applied to reps[i]
     mat = reps @ g @ images
     # a vanishing operator preserves everything; floor its magnitude so
     # pure float noise (of df, which the leak equals) does not masquerade
     # as a leak.  That noise grows with the curvature, and so does the floor.
-    opmag = max((math.sqrt(riem_inner(frame, img, img)) for img in images.T), default=0.0)
+    opmag = max((math.sqrt(riem_inner(rframe, img, img)) for img in images.T), default=0.0)
     floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
     leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
     return mat, leak
@@ -278,7 +282,8 @@ def restricted_operator(M: ManifoldSpec, xname: str, p) -> RestrictedOperator:
     beyond ``INVARIANCE_TOL``, which signals a non-homothetic input.
     """
     frame = perp_frame(M, xname, p)
-    mat, leak = restriction_matrix(M, xname, frame.point, frame.basis)
+    A = shape_operator(frame.geo, frame.field, M.field_derivs(xname, frame.geo.point))
+    mat, leak = restriction_matrix(frame, A, frame.basis)
     if leak > INVARIANCE_TOL:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
@@ -328,7 +333,7 @@ def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, 
     geo = point_geometry(M, p)
     lhs = energy_derivs(M, xname).covariant_hessian(p)
     X = M.field_eval(xname, p)
-    A = shape_operator_at(M, xname, p)
+    A = shape_operator(geo, X, M.field_derivs(xname, p))
     rhs = -jacobi_form(geo, X) + A.T @ geo.metric @ A
     return lhs, rhs
 
@@ -344,43 +349,13 @@ def hessian_identity_residual(M: ManifoldSpec, xname: str, p) -> float:
     return diff / denom
 
 
-# ---------------------------------------------------------------------------
-# Conformal factor sigma with exact directional derivatives
-# ---------------------------------------------------------------------------
-
-class ConformalFactor:
-    """sigma(p) = trace(g^{-1} L_X g)/m and its derivative along X,
-    assembled from exact derivative trees (no finite differences)."""
-
-    def __init__(self, M: ManifoldSpec, xname: str):
-        self.M = M
-        self.xname = xname
-        self._l_trees = lie_derivative_metric_exprs(M, xname)
-        names = M.coord_names()
-        self._dl_trees = [
-            [[ex.differentiate(self._l_trees[i][j], n) for j in range(M.dim)]
-             for i in range(M.dim)]
-            for n in names
-        ]
-
-    def sigma(self, p) -> float:
-        L = lie_derivative_metric_at(self.M, self.xname, p)
-        return float(np.trace(point_geometry(self.M, p).inverse @ L)) / self.M.dim
-
-    def x_sigma(self, p) -> float:
-        """X(sigma) at p via d_a sigma = tr(-G^-1 (d_a G) G^-1 L
-        + G^-1 d_a L)/m contracted with X."""
-        M = self.M
-        geo = point_geometry(M, p)
-        b = M.bindings(geo.point)
-        m = M.dim
-        ginv, dg = geo.inverse, geo.dmetric
-        L = lie_derivative_metric_at(M, self.xname, p)
-        X = M.field_eval(self.xname, p)
-        total = 0.0
-        for a in range(m):
-            dL = np.array([[ex.evaluate(self._dl_trees[a][i][j], b)
-                            for j in range(m)] for i in range(m)])
-            d_sigma = float(np.trace(-ginv @ dg[a] @ ginv @ L + ginv @ dL)) / m
-            total += X[a] * d_sigma
-        return total
+def _conformal_factor(M: ManifoldSpec, xname: str, p) -> tuple[float, float]:
+    """sigma at p, from :func:`lie_derivative_metric_at`, and X(sigma) by
+    the identity of the module docstring; X must not be lightlike at p."""
+    L = lie_derivative_metric_at(M, xname, p)
+    sigma = float(np.trace(point_geometry(M, p).inverse @ L)) / M.dim
+    fd = energy_derivs(M, xname)
+    X, dX = M.field_eval(xname, p), M.field_derivs(xname, p)
+    xxf = float(X @ fd.coordinate_hessian(p) @ X + X @ dX @ fd.gradient(p))
+    # + 0.0: for a Killing X over a negative f the quotient is -0.0
+    return sigma, xxf / fd.value(p) - sigma * sigma + 0.0

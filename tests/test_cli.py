@@ -49,6 +49,17 @@ class TestExitCodes:
         assert main(["curvature", "torus_family", "--at", f"0.5,{coord}"]) == 1
         assert f"error: coordinate y={coord} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plane,message", [
+        ("nan,0;0,1", "error: plane discriminant Q=nan of [nan, 0.0], [0.0, 1.0] is not finite"),
+        ("inf,0;0,1", "error: plane discriminant Q=nan of [inf, 0.0], [0.0, 1.0] is not finite"),
+        ("1e200,0;0,1e200", "error: plane discriminant Q=nan of [1e+200, 0.0], [0.0, 1e+200]"),
+        ("1,0,0;0,1,0", "error: plane vectors need 2 components, got [1.0, 0.0, 0.0], "),
+    ])
+    def test_bad_plane_vectors_are_an_error_message(self, capsys, plane, message):
+        assert main(["curvature", "torus_family", "--at", "0.1,0.2", "--plane", plane]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("option,message", [
         (["--planes", "0"], "error: planes_per_point must be at least 1, got 0"),
         (["--steps", "-1"], "error: steps must be at least 0, got -1"),

@@ -30,10 +30,11 @@ from lorentzgeo.curvature import (
     ScalarDerivs,
     energy_derivs,
     null_sectional_curvature,
+    plane_type,
     point_geometries,
     point_geometry,
     sectional_curvature,
-    shape_operator_at,
+    shape_operator,
     symmetry_residuals,
 )
 from lorentzgeo.manifold import (
@@ -49,6 +50,7 @@ from lorentzgeo.manifold import (
 from lorentzgeo.obstruction import (
     ExtremumKind,
     ExtremumRecord,
+    conformal_bound_check,
     extremum_witness,
     plane_sign_scan,
 )
@@ -189,6 +191,23 @@ class TestSectional:
         with pytest.raises(DegeneratePlaneError, match=message):
             sectional_curvature(spec, TangentPlane([0.0] * 4, u, v))
 
+    @pytest.mark.parametrize("u,v,message", [
+        ([math.nan, 0.0], [0.0, 1.0], r"^plane discriminant Q=nan .* is not finite at"),
+        ([math.inf, 0.0], [0.0, 1.0], r"^plane discriminant Q=nan .* is not finite at"),
+        ([1e200, 0.0], [0.0, 1e200], r"^plane discriminant Q=nan .* is not finite at"),
+        ([0.0, 1.0], [-math.inf, 1.0], r"^plane discriminant Q=.* is not finite at"),
+        ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], r"^plane vectors need 2 components, got"),
+        ([1.0], [0.0, 1.0], r"^plane vectors need 2 components, got"),
+    ], ids=["nan", "inf", "overflow", "inf_second", "too_long", "too_short"])
+    def test_bad_plane_vectors_are_a_plain_value_error(self, torus, u, v, message):
+        """Not a degenerate plane, which the CLI reports as a value: a
+        plain ValueError naming the cause, from every plane reader."""
+        pi = TangentPlane([0.1, 0.2], u, v)
+        for read in (sectional_curvature, plane_type):
+            with pytest.raises(ValueError, match=message) as info:
+                read(torus.spec, pi)
+            assert not isinstance(info.value, DegeneratePlaneError)
+
 
 class TestNullSectional:
     def _locus_frame(self, circle_lift_torus):
@@ -286,7 +305,9 @@ class TestHessianAndShapeOperator:
 
     def test_shape_operator_flat(self, entry):
         spec = entry("minkowski4").spec
-        A = shape_operator_at(spec, "X", [0.0, 0.0, 0.0, 0.0])
+        p = [0.0, 0.0, 0.0, 0.0]
+        A = shape_operator(point_geometry(spec, p), spec.field_eval("X", p),
+                           spec.field_derivs("X", p))
         assert np.max(np.abs(A)) == 0.0
 
     def test_hopf_operator_is_pointwise_isometry_on_complement(self, hopf, rng):
@@ -295,7 +316,7 @@ class TestHessianAndShapeOperator:
         for p in spec.sample_points(10, rng):
             g = spec.metric_eval(p)
             X = spec.field_eval("X", p)
-            A = shape_operator_at(spec, "X", p)
+            A = shape_operator(point_geometry(spec, p), X, spec.field_derivs("X", p))
             w = rng.normal(size=3)
             v = w - (float(w @ g @ X) / float(X @ g @ X)) * X
             av = A @ v
@@ -306,8 +327,8 @@ class TestHessianAndShapeOperator:
         for a Killing field."""
         spec = torus.spec
         for p in spec.sample_points(10, rng):
-            A = shape_operator_at(spec, "X", p)
             X = spec.field_eval("X", p)
+            A = shape_operator(point_geometry(spec, p), X, spec.field_derivs("X", p))
             grad = point_geometry(spec, p).inverse @ energy_derivs(spec, "X").gradient(p)
             assert np.allclose(A @ X, grad, atol=1e-12)
 
@@ -454,6 +475,9 @@ POINTWISE = {
         [0.0, 0.3, 1.0], ExtremumKind.MAX, CausalCharacter.LIGHTLIKE)),
     "sign_scan_one_point": ("torus_family", lambda M, x, cls:
                             plane_sign_scan(M, x, [[0.37, 0.2]])),
+    "conformal_bound": ("conformal_counterexample", lambda M, x, cls: conformal_bound_check(
+        M, x, ExtremumRecord(np.zeros(2), 0.0, ExtremumKind.MIN, CausalCharacter.TIMELIKE, ()),
+        classification=cls)),
 }
 
 
@@ -461,21 +485,32 @@ POINTWISE = {
 def test_one_metric_jet_per_point(count_calls, case):
     """A pointwise operation evaluates the metric jet once, on a spec that
     has not seen the point before: one metric_derivs call and at most
-    one metric_eval call.  It evaluates X at most three times: once for
-    its X-perp frame, once each for A_X and the invariance leak; a sign
-    scan reads only the frame."""
+    one metric_eval call.  It evaluates X once, for its X-perp frame or
+    for the Hessian identity, and passes it on; a sign scan reads only
+    the frame, so it evaluates no dX.  The conformal check evaluates X
+    once each for sigma, X(sigma) and the frame, and a repeated check
+    builds no derivative tree: X(sigma) comes from the spec's cached
+    derivatives of f."""
     name, operation = POINTWISE[case]
     e = build_example(name)
     cls = classify_field(e.spec, e.field_name)
     derivs = count_calls(ManifoldSpec, "metric_derivs")
     evals = count_calls(ManifoldSpec, "metric_eval")
     fields = count_calls(ManifoldSpec, "field_eval")
+    field_derivs = count_calls(ManifoldSpec, "field_derivs")
+    trees = count_calls(ex, "differentiate")
     result = operation(e.spec, e.field_name, cls)
     if case.startswith("witness"):
         assert result.verdict.value == "PASS"
     assert len(derivs) == 1
     assert len(evals) <= 1
-    assert len(fields) <= (1 if case == "sign_scan_one_point" else 3)
+    assert len(fields) <= (3 if case == "conformal_bound" else 1)
+    if case == "sign_scan_one_point":
+        assert not field_derivs
+    if case == "conformal_bound":
+        del fields[:], trees[:]
+        assert operation(e.spec, e.field_name, cls).x_sigma == result.x_sigma == -8.0
+        assert (len(trees), len(fields) <= 3) == (0, True)
 
 
 GEOMETRY_FIELDS = ("point", "metric", "inverse", "dmetric", "christoffel",

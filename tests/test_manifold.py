@@ -1,5 +1,6 @@
 """Chart loading, pointwise metric queries, causal classification."""
 
+import math
 import sys
 import threading
 
@@ -548,6 +549,12 @@ class TestCausalCharacter:
         for p in spec.sample_points(10, rng):
             assert causal_character(spec, p, spec.field_eval("X", p)) \
                 is CausalCharacter.TIMELIKE
+
+    @pytest.mark.parametrize("v", [(math.nan, 0.0), (0.0, math.inf), (1e200, 0.0)])
+    def test_non_finite_norm_is_refused(self, v):
+        """nan compares false with every band, so it would read spacelike."""
+        with pytest.raises(ValueError, match=r"has non-finite \|v\|\^2 at \[0.0, 0.0\]"):
+            causal_character(load_spec(MINK2), [0.0, 0.0], v)
 
     def test_sign_reversal_invariance(self, rng):
         spec = load_spec(MINK2)

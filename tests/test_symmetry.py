@@ -8,14 +8,14 @@ import pytest
 
 from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
-from lorentzgeo.curvature import shape_operator_at
-from lorentzgeo.manifold import CausalCharacter, ManifoldSpec
+from lorentzgeo.curvature import point_geometry, shape_operator
+from lorentzgeo.manifold import CausalCharacter, ManifoldSpec, load_spec
 from lorentzgeo.symmetry import (
-    ConformalFactor,
     FieldClass,
     FieldTag,
     KernelExtractionError,
     SubspaceError,
+    _conformal_factor,
     classify_field,
     hessian_identity_residual,
     hessian_identity_sides,
@@ -77,7 +77,7 @@ class TestClassify:
         spec = entry("conformal_counterexample").spec
         fc = classify_field(spec, "X")
         assert fc.tag is FieldTag.CONFORMAL
-        assert ConformalFactor(spec, "X").sigma([0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert _conformal_factor(spec, "X", [0.0, 0.0])[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_tolerance_must_be_finite_and_non_negative(self, torus, mink2, tol):
@@ -274,7 +274,9 @@ class TestRestrictedOperator:
         spec = with_extra_field(torus.spec, "Y", [ex.ZERO, speed])
         assert classify_field(spec, "Y").tag is FieldTag.NONE
         p = np.array([0.3, 0.2])
-        _, leak = restriction_matrix(spec, "Y", p, perp_frame(spec, "Y", p).basis)
+        frame = perp_frame(spec, "Y", p)
+        A = shape_operator(frame.geo, frame.field, spec.field_derivs("Y", p))
+        _, leak = restriction_matrix(frame, A, frame.basis)
         assert leak > 1e-3
         with pytest.raises(SubspaceError, match="does not preserve"):
             restricted_operator(spec, "Y", p)
@@ -288,7 +290,7 @@ class TestRestrictedOperator:
         assert op.matrix.shape == (1, 1)
         assert abs(op.matrix[0, 0]) < 1e-10
         X = spec.field_eval("Xbar", p)
-        AX = shape_operator_at(spec, "Xbar", p) @ X
+        AX = shape_operator(point_geometry(spec, p), X, spec.field_derivs("Xbar", p)) @ X
         lam = -float(AX @ X) / float(X @ X)
         assert lam == pytest.approx(0.0, abs=1e-10)
         assert np.linalg.norm(AX + lam * X) <= 1e-9 * np.linalg.norm(X)
@@ -312,11 +314,12 @@ class TestRestrictedOperator:
         spec = circle_lift_torus.spec
         p = np.array([0.0, 0.2, 1.0])
         op = restricted_operator(spec, "Xbar", p)
-        X = spec.field_eval("Xbar", p)
+        X = op.frame.field
+        A = shape_operator(op.frame.geo, X, spec.field_derivs("Xbar", p))
         for _ in range(5):
             shifts = rng.normal(size=len(op.frame.basis))
             shifted = op.frame.basis + np.outer(shifts, X)
-            mat, _ = restriction_matrix(spec, "Xbar", p, shifted)
+            mat, _ = restriction_matrix(op.frame, A, shifted)
             assert np.max(np.abs(mat - op.matrix)) < 1e-9
 
     def test_reversed_field_spans_same_subspace(self, hopf):
@@ -397,20 +400,51 @@ class TestHessianIdentity:
             assert np.max(np.abs(rhs)) < 1e-9
 
 
+# flat (t, x) with W = ((t+x)^2/2 + 1/2, (t+x)^2/2): L_W g = 2(t+x) g, so W
+# is conformal with sigma = 2(t+x) and W(sigma) = 2((t+x)^2 + 1/2), and
+# f = g(W,W)/2 = -((t+x)^2 + 1/2)/4 never vanishes
+VARYING_CONFORMAL = """
+[manifold]
+dim = 2
+coords = t, x
+range.t = -1, 1
+range.x = -1, 1
+signature = lorentzian
+
+[metric]
+g.0.0 = "-1"
+g.1.1 = "1"
+
+[field.W]
+components = "(t + x)^2/2 + 1/2", "(t + x)^2/2"
+"""
+
+
 class TestConformalFactor:
     def test_sigma_matches_trace_formula(self, entry, rng):
         spec = entry("conformal_counterexample").spec
-        cf = ConformalFactor(spec, "X")
         for p in spec.sample_points(10, rng, collar=0.5):
             g = spec.metric_eval(p)
             L = lie_derivative_metric_at(spec, "X", p)
             want = float(np.trace(np.linalg.inv(g) @ L)) / 2
-            assert cf.sigma(p) == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert cf.sigma(p) == pytest.approx(-8.0 * p[1], rel=1e-10, abs=1e-12)
+            sigma, _ = _conformal_factor(spec, "X", p)
+            assert sigma == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert sigma == pytest.approx(-8.0 * p[1], rel=1e-10, abs=1e-12)
 
     def test_directional_derivative_along_field(self, entry):
         spec = entry("conformal_counterexample").spec
-        cf = ConformalFactor(spec, "X")
-        assert cf.x_sigma([0.0, 0.0]) == pytest.approx(-8.0, abs=1e-12)
+        assert _conformal_factor(spec, "X", [0.0, 0.0])[1] == pytest.approx(-8.0, abs=1e-12)
         # sigma = -8y depends on y alone, so X(sigma) is -8 everywhere
-        assert cf.x_sigma([0.7, -0.4]) == pytest.approx(-8.0, abs=1e-10)
+        assert _conformal_factor(spec, "X", [0.7, -0.4])[1] == pytest.approx(-8.0, abs=1e-10)
+
+    def test_directional_derivative_where_it_varies(self, rng):
+        """On the conformal counterexample X(sigma) is constant and dX = 0;
+        here sigma, X(sigma) and dX all vary, so each term of
+        X(sigma) = X(X(f))/f - sigma^2 counts."""
+        spec = load_spec(VARYING_CONFORMAL, name="varying_conformal")
+        assert classify_field(spec, "W").tag is FieldTag.CONFORMAL
+        for t, x in spec.sample_points(10, rng):
+            u = t + x
+            sigma, x_sigma = _conformal_factor(spec, "W", [t, x])
+            assert sigma == pytest.approx(2 * u, rel=1e-12, abs=1e-15)
+            assert x_sigma == pytest.approx(2 * (u * u + 0.5), rel=1e-12)
