@@ -36,7 +36,7 @@ from .symmetry import (
     classify_field,
     hessian_identity_residual,
     kernel_direction,
-    lie_derivative_metric_at,
+    lie_derivative,
     restricted_operator,
     skew_adjoint_residual,
 )

@@ -212,10 +212,12 @@ def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
 
     The zero vector gets its own tag rather than counting as spacelike;
     callers that need a genuinely causal vector must check for ZERO.  A
-    non-finite |v|^2 raises ValueError.
+    wrong-length vector or a non-finite |v|^2 raises ValueError.
     """
     geo = point_geometry(M, p)
     v = np.asarray(v, dtype=float)
+    if v.shape != geo.point.shape:
+        raise ValueError(f"vector needs {len(geo.point)} components, got {v.tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):      # refused just below
         n2 = riem_inner(geo.riem_frame, v, v)
     if not math.isfinite(n2):

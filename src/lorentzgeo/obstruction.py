@@ -15,7 +15,9 @@ Every curvature of a plane through X is cᵀJc of the Jacobi form J of
 the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives the
 point's geometry, X, the X-perp basis and the curvature kind: the witness
 reads J at the kernel direction or takes its top eigenvalue, the sign
-scan on sampled c_k.  The conformal check builds no derivative tree.
+scan on sampled c_k.  The witness and the conformal check read X and dX
+once; the latter builds no derivative tree.  The derived charts ask
+:func:`~lorentzgeo.symmetry.classify_field` whether X is Killing.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .symmetry import (
     _conformal_factor,
     classify_field,
     kernel_direction,
-    lie_derivative_metric_exprs,
     perp_frame,
     require_tolerance,
     restricted_operator,
@@ -365,8 +366,8 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
 
     minimum = record.kind is ExtremumKind.MIN
-    op = restricted_operator(M, xname, p)
-    frame = op.frame
+    frame = perp_frame(M, xname, p)
+    op = restricted_operator(frame, M.field_derivs(xname, frame.geo.point))
     kv, kres = kernel_direction(op.matrix)
     k_val = float(kv @ frame.jacobi @ kv)
     if frame.causal is CausalCharacter.TIMELIKE:
@@ -534,18 +535,18 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         raise ValueError(f"field must be timelike at the critical point, "
                          f"got {record.causal.value}")
 
-    sigma0, xs = _conformal_factor(M, xname, p)
+    frame = perp_frame(M, xname, p)
+    X, dX = frame.field, M.field_derivs(xname, frame.geo.point)
+    sigma0, xs = _conformal_factor(energy_derivs(M, xname), frame.geo, X, dX)
     if abs(sigma0) > CONFORMAL_TOL:
         raise ValueError(
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op = restricted_operator(M, xname, p)
-    frame = op.frame
+    op = restricted_operator(frame, dX)
     kv, kres = kernel_direction(op.matrix)
     k_val = float(kv @ frame.jacobi @ kv)
 
-    X = frame.field
     gxx = float(X @ frame.geo.metric @ X)
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
@@ -562,6 +563,14 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
 class LorentzianizeError(ValueError):
     pass
+
+
+def _require_killing(M: ManifoldSpec, xname: str, which: str, error: type) -> None:
+    """Raise ``error`` unless :func:`~lorentzgeo.symmetry.classify_field`
+    calls X Killing on M, the ``which`` metric of a derived chart."""
+    tag = classify_field(M, xname).tag
+    if tag is not FieldTag.KILLING:
+        raise error(f"field must be Killing for the {which} metric, classifies as {tag.value}")
 
 
 def _first_failure(pts: np.ndarray, *checks) -> None:
@@ -600,8 +609,8 @@ def lorentzianize(M: ManifoldSpec, xname: str) -> ManifoldSpec:
 
     For a Riemannian input with nowhere-zero Killing X this produces a
     Lorentzian chart on which X is timelike with g(X,X) = -g_R(X,X),
-    g agrees with g_R on the complement of X, and X stays Killing; these
-    postconditions and the input's are verified by sampling.
+    g agrees with g_R on the complement of X, and X stays Killing; X is
+    classified on both charts, and the rest is verified by sampling.
     """
     if M.signature != "riemannian":
         raise LorentzianizeError("input chart must be Riemannian")
@@ -615,22 +624,18 @@ def lorentzianize(M: ManifoldSpec, xname: str) -> ManifoldSpec:
     qs = np.einsum("ni,ni->n", Xs, gX)
     scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
     definite = np.all(np.linalg.eigvalsh(g) > 0, axis=1)
-    L = M.evaluate_symmetric(lie_derivative_metric_exprs(M, xname), pts)
-    killing = np.max(np.abs(L), axis=(1, 2)) <= FLIP_TOL * scales
     _first_failure(pts, (definite, "input metric not positive definite at {}"),
-                   (qs > 0, "field vanishes (or is degenerate) at {}"),
-                   (killing, "field is not Killing for the input metric (residual at {})"))
+                   (qs > 0, "field vanishes (or is degenerate) at {}"))
+    _require_killing(M, xname, "input", LorentzianizeError)
     gn = flipped.evaluate_symmetric(flipped.metric, pts)
     flip_ok = np.abs(np.einsum("ni,nij,nj->n", Xs, gn, Xs) + qs) <= FLIP_TOL * scales
     # rows w_i = e_i - (g(e_i,X)/g(X,X)) X span X-perp
     W = np.eye(m) - gX[:, :, None] * Xs[:, None, :] / qs[:, None, None]
     perp = W @ (gn - g) @ W.transpose(0, 2, 1)
     perp_ok = np.max(np.abs(perp), axis=(1, 2)) <= FLIP_TOL * scales
-    Ln = flipped.evaluate_symmetric(lie_derivative_metric_exprs(flipped, xname), pts)
-    killing = np.max(np.abs(Ln), axis=(1, 2)) <= 10 * FLIP_TOL * scales
     _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
-                   (perp_ok, "flip postcondition g = g_R on X-perp failed"),
-                   (killing, "field is not Killing for the flipped metric"))
+                   (perp_ok, "flip postcondition g = g_R on X-perp failed"))
+    _require_killing(flipped, xname, "flipped", LorentzianizeError)
     validate_signature(flipped, samples=FLIP_SAMPLES, seed=0)
     return flipped
 
@@ -666,10 +671,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     """
     if not (math.isfinite(c) and c > 0):
         raise LiftError(f"lift constant c must be positive and finite, got {c!r}")
-    cls = classify_field(M, xname)
-    if cls.tag is not FieldTag.KILLING:
-        raise LiftError(f"field must be Killing for the base metric, "
-                        f"classifies as {cls.tag.value}")
+    _require_killing(M, xname, "base", LiftError)
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
     nodes = _grid_points(_grid_axes(M, [grid] * M.dim))

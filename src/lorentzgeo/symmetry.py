@@ -5,8 +5,9 @@ Classifies vector fields by how their flow deforms the metric
 only when those do not all fold to zero at build time.  Builds the X-perp
 frame of a point once (:func:`perp_frame`: the orthogonal complement of
 a timelike X, or its quotient by a lightlike X, with the Jacobi form on
-it, the point's geometry and X) and restricts A_X to it; X and dX are
-evaluated once per point and passed on.  Extracts kernel
+it, the point's geometry and X) and restricts A_X to it; below the frame,
+:func:`lie_derivative` and :func:`restricted_operator` are pure in X and
+dX, which a caller evaluates once per point.  Extracts kernel
 directions, and cross-checks the Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
@@ -31,6 +32,7 @@ from .expr import Expr
 from .curvature import (
     _TINY,
     PointGeometry,
+    ScalarDerivs,
     causal_character,
     energy_derivs,
     jacobi_form,
@@ -83,11 +85,10 @@ class KernelExtractionError(ValueError):
     """No near-kernel direction where one is guaranteed."""
 
 
-def lie_derivative_metric_at(M: ManifoldSpec, xname: str, p) -> np.ndarray:
-    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    geo = point_geometry(M, p)
-    X = M.field_eval(xname, p)
-    dXg = M.field_derivs(xname, p) @ geo.metric     # dX[j,i] = d_j X^i
+def lie_derivative(geo: PointGeometry, X: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k at the point
+    of ``geo``, from X and dX[j,i] = d_j X^i there."""
+    dXg = dX @ geo.metric
     return np.einsum("k,kij->ij", X, geo.dmetric) + dXg + dXg.T
 
 
@@ -245,24 +246,6 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     return PerpFrame(geo=geo, field=X, causal=cc, basis=basis, jacobi=J)
 
 
-def restriction_matrix(frame: PerpFrame, A: np.ndarray,
-                       reps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Matrix of A = A_X at the frame's point in the given g-orthonormal
-    representative basis, plus the residual of A leaking out of X-perp."""
-    geo, X = frame.geo, frame.field
-    g, rframe = geo.metric, geo.riem_frame
-    nrm_x = math.sqrt(max(riem_inner(rframe, X, X), _TINY))
-    images = A @ reps.T                     # column i: A_X applied to reps[i]
-    mat = reps @ g @ images
-    # a vanishing operator preserves everything; floor its magnitude so
-    # pure float noise (of df, which the leak equals) does not masquerade
-    # as a leak.  That noise grows with the curvature, and so does the floor.
-    opmag = max((math.sqrt(riem_inner(rframe, img, img)) for img in images.T), default=0.0)
-    floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
-    leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
-    return mat, leak
-
-
 @dataclass(frozen=True)
 class RestrictedOperator:
     """A_X restricted to X-perp (timelike X) or induced on X-perp / span{X}
@@ -273,22 +256,29 @@ class RestrictedOperator:
     invariance_residual: float
 
 
-def restricted_operator(M: ManifoldSpec, xname: str, p) -> RestrictedOperator:
-    """Build the restriction of A_X on the :func:`perp_frame` of X at p:
-    on the spacelike complement of dimension m-1 for a timelike X, on the
-    (m-2)-dimensional quotient with its positive-definite induced
-    product for a lightlike X.  A spacelike or zero X raises
-    :class:`SubspaceError`, and so does a leak of A_X out of X-perp
-    beyond ``INVARIANCE_TOL``, which signals a non-homothetic input.
+def restricted_operator(frame: PerpFrame, dX: np.ndarray) -> RestrictedOperator:
+    """Restrict A_X, from the frame's X and dX[j,i] = d_j X^i, to the frame's
+    basis: the spacelike complement of dimension m-1 for a timelike X, the
+    (m-2)-dimensional quotient with its positive-definite induced product
+    for a lightlike X.  A leak of A_X out of X-perp beyond
+    ``INVARIANCE_TOL`` raises :class:`SubspaceError`: it signals a
+    non-homothetic input.
     """
-    frame = perp_frame(M, xname, p)
-    A = shape_operator(frame.geo, frame.field, M.field_derivs(xname, frame.geo.point))
-    mat, leak = restriction_matrix(frame, A, frame.basis)
+    geo, X, reps = frame.geo, frame.field, frame.basis
+    g, rframe = geo.metric, geo.riem_frame
+    nrm_x = math.sqrt(max(riem_inner(rframe, X, X), _TINY))
+    images = shape_operator(geo, X, dX) @ reps.T    # column i: A_X applied to reps[i]
+    # a vanishing operator preserves everything; floor its magnitude so
+    # pure float noise (of df, which the leak equals) does not masquerade
+    # as a leak.  That noise grows with the curvature, and so does the floor.
+    opmag = max((math.sqrt(riem_inner(rframe, img, img)) for img in images.T), default=0.0)
+    floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
+    leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
     if leak > INVARIANCE_TOL:
         raise SubspaceError(
             f"A_X does not preserve the subspace (residual {leak:.3e}); "
             "the field is unlikely to be homothetic")
-    return RestrictedOperator(frame=frame, matrix=mat, invariance_residual=leak)
+    return RestrictedOperator(frame=frame, matrix=reps @ g @ images, invariance_residual=leak)
 
 
 def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -349,13 +339,12 @@ def hessian_identity_residual(M: ManifoldSpec, xname: str, p) -> float:
     return diff / denom
 
 
-def _conformal_factor(M: ManifoldSpec, xname: str, p) -> tuple[float, float]:
-    """sigma at p, from :func:`lie_derivative_metric_at`, and X(sigma) by
-    the identity of the module docstring; X must not be lightlike at p."""
-    L = lie_derivative_metric_at(M, xname, p)
-    sigma = float(np.trace(point_geometry(M, p).inverse @ L)) / M.dim
-    fd = energy_derivs(M, xname)
-    X, dX = M.field_eval(xname, p), M.field_derivs(xname, p)
+def _conformal_factor(fd: ScalarDerivs, geo: PointGeometry, X: np.ndarray,
+                      dX: np.ndarray) -> tuple[float, float]:
+    """sigma at the point of ``geo`` and X(sigma) by the identity of the
+    module docstring, fd being :func:`energy_derivs` of X, not lightlike."""
+    p = geo.point
+    sigma = float(np.trace(geo.inverse @ lie_derivative(geo, X, dX))) / len(X)
     xxf = float(X @ fd.coordinate_hessian(p) @ X + X @ dX @ fd.gradient(p))
     # + 0.0: for a Killing X over a negative f the quotient is -0.0
     return sigma, xxf / fd.value(p) - sigma * sigma + 0.0

@@ -42,6 +42,7 @@ from lorentzgeo.obstruction import (
 )
 from lorentzgeo.symmetry import (
     hessian_identity_residual,
+    perp_frame,
     restricted_operator,
     kernel_direction,
 )
@@ -161,7 +162,7 @@ def test_04a_null_witness_construction_and_oracle():
 
     spec = lift.spec
     p = np.array([0.0, 0.25, 0.5])
-    op = restricted_operator(spec, "Xbar", p)
+    op = restricted_operator(perp_frame(spec, "Xbar", p), spec.field_derivs("Xbar", p))
     kv, _ = kernel_direction(op.matrix)
     ok_quotient = kv is not None and op.matrix.shape == (1, 1)
 

@@ -57,10 +57,16 @@ from lorentzgeo.obstruction import (
 from lorentzgeo.symmetry import (
     classify_field,
     hessian_identity_residual,
+    perp_frame,
     restricted_operator,
 )
 
 PI = math.pi
+
+
+def restricted_at(M, xname, p):
+    """A_X restricted on the X-perp frame at p."""
+    return restricted_operator(perp_frame(M, xname, p), M.field_derivs(xname, p))
 
 
 def torus_profile(x):
@@ -261,6 +267,14 @@ class TestNullSectional:
             null_sectional_curvature(spec, p, v, X)
         with pytest.raises(NullCurvatureInputError):
             null_sectional_curvature(spec, p, X, 2.0 * X)
+
+    def test_wrong_length_vectors_are_refused(self, circle_lift_torus):
+        """A 2-vector on the 3-D lift, as either argument, is a plain
+        ValueError naming the count, not a numpy shape error."""
+        spec, p, X, v = self._locus_frame(circle_lift_torus)
+        for x, w in ((X, [1.0, 0.0]), ([1.0, 1.0], v), ([1.0, 1.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="^vector needs 3 components, got"):
+                null_sectional_curvature(spec, p, x, w)
 
     def test_null_limit_continuity(self, circle_lift_torus):
         """Timelike planes through the lifted field degenerating to the
@@ -464,9 +478,9 @@ POINTWISE = {
     "hessian_identity": ("hopf_lorentz_s3", lambda M, x, cls:
                          hessian_identity_residual(M, x, [0.6, 0.7, 1.9])),
     "restricted_orthogonal": ("torus_family", lambda M, x, cls:
-                              restricted_operator(M, x, [0.5, 0.0])),
+                              restricted_at(M, x, [0.5, 0.0])),
     "restricted_quotient": ("circle_lift_torus", lambda M, x, cls:
-                            restricted_operator(M, x, [0.0, 0.3, 1.0])),
+                            restricted_at(M, x, [0.0, 0.3, 1.0])),
     "witness_torus_min": ("torus_family", _witness_at(
         [0.5, 0.0], ExtremumKind.MIN, CausalCharacter.TIMELIKE)),
     "witness_torus_max": ("torus_family", _witness_at(
@@ -487,10 +501,10 @@ def test_one_metric_jet_per_point(count_calls, case):
     has not seen the point before: one metric_derivs call and at most
     one metric_eval call.  It evaluates X once, for its X-perp frame or
     for the Hessian identity, and passes it on; a sign scan reads only
-    the frame, so it evaluates no dX.  The conformal check evaluates X
-    once each for sigma, X(sigma) and the frame, and a repeated check
-    builds no derivative tree: X(sigma) comes from the spec's cached
-    derivatives of f."""
+    the frame, so it evaluates no dX.  The conformal check reads X and dX
+    once each, for sigma, X(sigma) and the frame alike, and a repeated
+    check builds no derivative tree: X(sigma) comes from the spec's
+    cached derivatives of f."""
     name, operation = POINTWISE[case]
     e = build_example(name)
     cls = classify_field(e.spec, e.field_name)
@@ -504,13 +518,13 @@ def test_one_metric_jet_per_point(count_calls, case):
         assert result.verdict.value == "PASS"
     assert len(derivs) == 1
     assert len(evals) <= 1
-    assert len(fields) <= (3 if case == "conformal_bound" else 1)
+    assert len(fields) <= 1
     if case == "sign_scan_one_point":
         assert not field_derivs
     if case == "conformal_bound":
-        del fields[:], trees[:]
+        del fields[:], field_derivs[:], trees[:]
         assert operation(e.spec, e.field_name, cls).x_sigma == result.x_sigma == -8.0
-        assert (len(trees), len(fields) <= 3) == (0, True)
+        assert (len(fields), len(field_derivs), len(trees)) == (1, 1, 0)
 
 
 GEOMETRY_FIELDS = ("point", "metric", "inverse", "dmetric", "christoffel",
@@ -545,14 +559,14 @@ class TestGeometryMemo:
     def test_same_point_and_periodic_image_build_no_jet(self, count_calls):
         M = build_example("torus_family").spec
         derivs = count_calls(ManifoldSpec, "metric_derivs")
-        restricted_operator(M, "X", [0.5, 0.25])
+        restricted_at(M, "X", [0.5, 0.25])
         assert len(derivs) == 1
-        restricted_operator(M, "X", [0.5, 0.25])
+        restricted_at(M, "X", [0.5, 0.25])
         assert len(derivs) == 1
         # wraps exactly onto (0.5, 0.25)
-        restricted_operator(M, "X", [1.5, -0.75])
+        restricted_at(M, "X", [1.5, -0.75])
         assert len(derivs) == 1
-        restricted_operator(M, "X", [0.0, 0.25])
+        restricted_at(M, "X", [0.0, 0.25])
         assert len(derivs) == 2
 
     def test_memoized_geometry_is_fresh_and_read_only(self):
@@ -710,6 +724,6 @@ class TestGeometryMemo:
         """The Riemannianized norm decomposes g once, with the geometry."""
         e = build_example("circle_lift_torus")
         eigh = count_calls(np.linalg, "eigh")
-        op = restricted_operator(e.spec, e.field_name, [0.0, 0.3, 1.0])
+        op = restricted_at(e.spec, e.field_name, [0.0, 0.3, 1.0])
         assert op.frame.causal is CausalCharacter.LIGHTLIKE
         assert len(eigh) == 1

@@ -556,6 +556,12 @@ class TestCausalCharacter:
         with pytest.raises(ValueError, match=r"has non-finite \|v\|\^2 at \[0.0, 0.0\]"):
             causal_character(load_spec(MINK2), [0.0, 0.0], v)
 
+    @pytest.mark.parametrize("v", [[1, 0, 0], [1], [[1, 0], [0, 1]]])
+    def test_wrong_length_is_refused(self, torus, v):
+        """A plain ValueError naming the count, not numpy's matmul error."""
+        with pytest.raises(ValueError, match=r"^vector needs 2 components, got"):
+            causal_character(torus.spec, [0.1, 0.2], v)
+
     def test_sign_reversal_invariance(self, rng):
         spec = load_spec(MINK2)
         for _ in range(20):

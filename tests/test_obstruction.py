@@ -16,6 +16,7 @@ from lorentzgeo.curvature import (
 )
 from lorentzgeo.manifold import (
     CausalCharacter,
+    ManifoldSpec,
     TangentPlane,
     field_energy_expr,
     load_spec,
@@ -38,12 +39,17 @@ from lorentzgeo.symmetry import (
     SubspaceError,
     classify_field,
     kernel_direction,
-    lie_derivative_metric_at,
     perp_frame,
     restricted_operator,
 )
 
 PI = math.pi
+
+
+def restricted_at(M, xname, p):
+    """A_X restricted on the X-perp frame at p."""
+    return restricted_operator(perp_frame(M, xname, p), M.field_derivs(xname, p))
+
 
 FLAT_R2_RIEMANNIAN = """
 [manifold]
@@ -240,7 +246,7 @@ def construction_mismatches(M, xname, records):
     bad = []
     for rec in records:
         try:
-            op = restricted_operator(M, xname, rec.point)
+            op = restricted_at(M, xname, rec.point)
             got = (op.frame.causal, len(op.frame.basis))
         except SubspaceError as e:
             got = str(e)
@@ -294,7 +300,7 @@ def kernel_residual_mismatches(M, xname, records, cls):
         w = extremum_witness(M, xname, rec, classification=cls)
         if w.kernel_residual is None:
             continue
-        op = restricted_operator(M, xname, rec.point).matrix
+        op = restricted_at(M, xname, rec.point).matrix
         kv, _ = kernel_direction(op)
         opn, res = float(np.linalg.norm(op, 2)), float(np.linalg.norm(op @ kv))
         want = res / opn if opn > 1e-10 else res
@@ -620,7 +626,7 @@ class TestTwistedFourTorus:
         and no curvature tensor."""
         M, scan, cls = twisted_four_torus
         rec = scan.minima()[0]
-        op = restricted_operator(M, "X", rec.point)
+        op = restricted_at(M, "X", rec.point)
         assert op.matrix.shape == (3, 3) and np.max(np.abs(op.matrix)) > 0.8
         rep = extremum_witness(M, "X", rec, classification=cls)
         assert rep.verdict is Verdict.PASS
@@ -747,9 +753,10 @@ class TestConformalBound:
             conformal_bound_check(e.spec, "X", shifted)
 
 
-def _reference_input_checks(M, xname, samples=30, seed=0, verify_tol=1e-8):
-    """The message of the first failed input check of lorentzianize, from
-    a point-by-point loop over the same samples; None when all pass."""
+def _reference_input_checks(M, xname, samples=30, seed=0):
+    """The message of the first failed input check of lorentzianize: a
+    point-by-point loop over the same samples for definiteness and X != 0,
+    then the field's class; None when all pass."""
     for p in M.sample_points(samples, np.random.default_rng(seed)):
         g = M.metric_eval(p)
         if np.any(np.linalg.eigvalsh(g) <= 0):
@@ -757,9 +764,9 @@ def _reference_input_checks(M, xname, samples=30, seed=0, verify_tol=1e-8):
         Xp = M.field_eval(xname, p)
         if float(Xp @ g @ Xp) <= 0:
             return f"field vanishes (or is degenerate) at {p.tolist()}"
-        L = lie_derivative_metric_at(M, xname, p)
-        if float(np.max(np.abs(L))) > verify_tol * max(float(np.max(np.abs(g))), 1.0):
-            return f"field is not Killing for the input metric (residual at {p.tolist()})"
+    tag = classify_field(M, xname).tag
+    if tag is not FieldTag.KILLING:
+        return f"field must be Killing for the input metric, classifies as {tag.value}"
     return None
 
 
@@ -782,6 +789,30 @@ class TestLorentzianize:
             with pytest.raises(LorentzianizeError) as err:
                 lorentzianize(spec, "X")
             assert str(err.value) == want
+
+    def test_round_s3_killing_is_decided_without_sampling(self, entry, count_calls):
+        """The L_X g trees fold to zero on round_s3 and on its flip, so the
+        one Killing rule evaluates nothing: a repeated flip evaluates the
+        two metrics and the signature samples, and nothing else."""
+        s3 = entry("round_s3").spec
+        lorentzianize(s3, "X")
+        calls = count_calls(ManifoldSpec, "evaluate_symmetric")
+        flipped = lorentzianize(s3, "X")
+        assert len(calls) == 3
+        assert classify_field(s3, "X").sample_count == 0
+        assert classify_field(flipped, "X").sample_count == 0
+
+    def test_homothetic_field_is_refused_by_both_derived_charts(self):
+        """X = (x, y) on the flat plane is homothetic, not Killing: the
+        flip and the circle lift refuse it with the same rule."""
+        doc = FLAT_R2_RIEMANNIAN.replace('components = "0", "1"', 'components = "x", "y"')
+        spec = load_spec(doc)
+        with pytest.raises(LorentzianizeError, match="^field must be Killing for the input "
+                                                      "metric, classifies as homothetic$"):
+            lorentzianize(spec, "X")
+        with pytest.raises(LiftError, match="^field must be Killing for the base "
+                                            "metric, classifies as homothetic$"):
+            circle_lift(spec, "X", 1.0, mode="general", grid=16)
 
     def test_round_s3_matches_catalog_flip(self, entry, hopf, rng):
         s3 = entry("round_s3").spec
