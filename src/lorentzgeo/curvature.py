@@ -63,6 +63,7 @@ from .manifold import (
     ManifoldSpec,
     PlaneType,
     TangentPlane,
+    _entry,
     field_energy_expr,
     require_nondegenerate,
     riem_frame,
@@ -316,16 +317,21 @@ def null_sectional_curvature(M: ManifoldSpec, p, x, v) -> float:
 
 class ScalarDerivs:
     """A scalar expression with its exact first and second derivative
-    trees, differentiated once and reused across many points."""
+    trees, differentiated once and reused across many points.  The
+    derivative trees are deeper than the expression: one too deep for the
+    recursive walkers is a :class:`~lorentzgeo.manifold.SpecError`
+    naming ``what``."""
 
-    def __init__(self, M: ManifoldSpec, e: Expr):
+    def __init__(self, M: ManifoldSpec, e: Expr, what: str = "scalar"):
         self.M = M
         self.expr = e
+        self.what = what
         names = M.coord_names()
-        self.grad_trees = [ex.differentiate(e, n) for n in names]
-        # the Hessian is symmetric: only its i <= j trees are built
-        self.hess_trees = {(i, j): ex.differentiate(self.grad_trees[i], names[j])
-                           for i in range(M.dim) for j in range(i, M.dim)}
+        with _entry(what):
+            self.grad_trees = [ex.differentiate(e, n) for n in names]
+            # the Hessian is symmetric: only its i <= j trees are built
+            self.hess_trees = {(i, j): ex.differentiate(self.grad_trees[i], names[j])
+                               for i in range(M.dim) for j in range(i, M.dim)}
 
     def value(self, p) -> float:
         return self.M.evaluate(self.expr, p)
@@ -345,12 +351,14 @@ class ScalarDerivs:
         return 0.5 * (h + h.T)
 
     def _gradient(self, b: dict[str, float]) -> np.ndarray:
-        return np.array([ex.evaluate(t, b) for t in self.grad_trees])
+        with _entry(self.what):
+            return np.array([ex.evaluate(t, b) for t in self.grad_trees])
 
     def _hessian(self, b: dict[str, float]) -> np.ndarray:
         h = np.empty((self.M.dim, self.M.dim))
-        for (i, j), t in self.hess_trees.items():
-            h[i, j] = h[j, i] = ex.evaluate(t, b)
+        with _entry(self.what):
+            for (i, j), t in self.hess_trees.items():
+                h[i, j] = h[j, i] = ex.evaluate(t, b)
         return h
 
 
@@ -363,7 +371,8 @@ def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:
     of geometries, alive until the cyclic garbage collector runs."""
     derivs = M._energy.get(xname)
     if derivs is None:
-        derivs = M._energy[xname] = ScalarDerivs(weakref.proxy(M), field_energy_expr(M, xname))
+        derivs = M._energy[xname] = ScalarDerivs(
+            weakref.proxy(M), field_energy_expr(M, xname), f"energy of field '{xname}'")
     return derivs
 
 

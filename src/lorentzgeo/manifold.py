@@ -87,10 +87,11 @@ _FEW_ROWS = 8
 @contextmanager
 def _entry(what: str):
     """Report an entry nested too deeply for the recursive tree walkers
-    as a :class:`SpecError` that names it.  Guards the name checks at
-    load and the lazy derivative builders of :class:`ManifoldSpec` alike,
-    so an entry whose derivative trees are too deep is refused at their
-    first read."""
+    as a :class:`SpecError` that names it.  Guards the pair comparison and
+    name checks at load and the lazy derivative builders of
+    :class:`ManifoldSpec` alike, so an entry whose derivative trees are
+    too deep is refused at their first read; the trees derived later (the
+    energy's derivatives, L_X g) are guarded where they are walked."""
     try:
         yield
     except RecursionError:
@@ -175,12 +176,16 @@ class ManifoldSpec:
         m = self.dim
         if len(metric) != m or any(len(row) != m for row in metric):
             raise SpecError(f"metric must be {m}x{m}")
-        # symmetrize as expression trees at load time
+        # symmetrize as expression trees at load time; the pair is compared
+        # by canonical text, which walks a tree once, where == walks it
+        # through several frames per node
         self.metric = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 a, b = metric[i][j], metric[j][i]
-                g = a if a == b else ex.div(ex.add(a, b), ex.Const(2.0))
+                with _entry(f"metric entry g.{i}.{j}"):
+                    same = a is b or ex.to_text(a) == ex.to_text(b)
+                g = a if same else ex.div(ex.add(a, b), ex.Const(2.0))
                 self.metric[i][j] = g
                 self.metric[j][i] = g
 

@@ -1,8 +1,8 @@
 """Witness-level machinery for curvature sign obstructions.
 
 Given a chart and a causal field X, this module locates extrema of the
-energy f = g(X,X)/2 on a grid (with Newton refinement),
-constructs the witness plane at a causal extremum from the kernel of
+energy f = g(X,X)/2 on a grid (candidates that touch on the grid's index
+lattice merge into one, then Newton refinement), constructs the witness plane at a causal extremum from the kernel of
 the restricted skew operator, or at a timelike maximum takes the exact
 largest curvature over every plane through X, scans plane families
 along paths for curvature sign changes, checks the conformal lower
@@ -184,49 +184,41 @@ def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray,
     return p
 
 
-# Candidates per block of the pairwise adjacency test, so that a chart
-# with many tied grid nodes cannot ask for an n-by-n array at once.
-_PAIR_BLOCK = 1 << 20
-
-
 def _box_adjacent(M: ManifoldSpec, spacings: np.ndarray, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Whether points a and b (broadcasting over leading axes) lie within
-    1.01 grid spacings of each other on every axis, periodic axes wrapped."""
+    1.01 grid spacings of each other on every axis, periodic axes wrapped;
+    for off-grid points (Newton steps, refined records)."""
     period = np.array([c.period if c.periodic else np.inf for c in M.coords])
     d = np.abs(a - b)
     d = np.minimum(d, period - d)
     return np.all(d <= 1.01 * spacings, axis=-1)
 
 
-def _cluster_representatives(M: ManifoldSpec, spacings: np.ndarray,
-                             values: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
-    """Merge grid-adjacent candidates (tie plateaus and ridges refine to
-    the same extremum); keep the best point of each cluster, lowest value
-    first and then lowest point, and return them sorted by point."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows = max(1, _PAIR_BLOCK // max(1, n * M.dim))
-    for lo in range(0, n, rows):
-        adj = _box_adjacent(M, spacings, points[lo:lo + rows, None, :], points[None, :, :])
-        for i, j in zip(*np.nonzero(adj)):
-            parent[find(lo + i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    reps = []
-    for members in clusters.values():
-        best = min(members, key=lambda i: (values[i], tuple(points[i])))
-        reps.append(points[best])
-    reps.sort(key=tuple)
-    return reps
+def _cluster_representatives(M: ManifoldSpec, mask: np.ndarray,
+                             values: np.ndarray) -> np.ndarray:
+    """Merge the candidates of ``mask`` (``values`` in C order) that touch
+    on the index lattice: every index within 1, periodic axes wrapped.
+    Keep the lowest value, then lowest node, of each cluster (tie plateaus
+    and ridges refine to the same extremum); return flat indices in C order."""
+    shape, flat = mask.shape, np.flatnonzero(mask)
+    offsets = np.indices((3,) * mask.ndim).reshape(mask.ndim, -1) - 1
+    near = np.array(np.unravel_index(flat, shape))[:, :, None] + offsets[:, None, :]
+    # a neighbour clipped on an open axis is one already in the box
+    modes = tuple("wrap" if c.periodic else "clip" for c in M.coords)
+    slot = np.full(mask.size, len(flat))          # len(flat): not a candidate
+    slot[flat] = np.arange(len(flat))
+    neighbours = slot[np.ravel_multi_index(tuple(near), shape, mode=modes)]
+    label = np.arange(len(flat))
+    while True:                                   # min-label propagation, pointer jumping
+        low = np.append(label, len(flat))[neighbours].min(axis=1)
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.lexsort((flat, values))
+    _, first = np.unique(label[order], return_index=True)
+    return np.sort(flat[order[first]])
 
 
 def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> ScanResult:
@@ -234,9 +226,10 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     Newton steps on the exact derivative trees of f, and classify them
     by the eigenvalues of the covariant Hessian.
 
-    Non-periodic boundary slices never become candidates; plateau charts
-    (>=90% of grid values tying within 1e-10) are flagged instead of
-    producing spurious extremum records.
+    Candidates that touch on the grid's index lattice form one cluster,
+    refined once from its best node.  Non-periodic boundary slices never
+    become candidates; plateau charts (>=90% of grid values tying within
+    1e-10) are flagged instead of producing spurious extremum records.
     """
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
     if any(n < 8 for n in per_axis):
@@ -246,7 +239,6 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
-    nodes = nodes.reshape(shape + (M.dim,))
 
     f_min, f_max = float(F.min()), float(F.max())
     med = float(np.median(F))
@@ -272,13 +264,12 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
                 min_mask[tuple(sl)] = False
                 max_mask[tuple(sl)] = False
 
-    spacings = np.array([(axes[a][1] - axes[a][0]) if len(axes[a]) > 1 else 1.0
-                         for a in range(M.dim)])
+    spacings = np.array([a[1] - a[0] for a in axes])
 
     records: list[ExtremumRecord] = []
     for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                               (max_mask, ExtremumKind.MAX, -1.0)):
-        for p in _cluster_representatives(M, spacings, sense * F[mask], nodes[mask]):
+        for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]:
             refined = _refine(M, fd, p, spacings)
             rec = _make_record(M, xname, refined, kind)
             if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere

@@ -42,6 +42,7 @@ from .curvature import (
 from .manifold import (
     CausalCharacter,
     ManifoldSpec,
+    _entry,
     riem_inner,
 )
 
@@ -93,19 +94,21 @@ def lie_derivative(geo: PointGeometry, X: np.ndarray, dX: np.ndarray) -> np.ndar
 
 
 def lie_derivative_metric_exprs(M: ManifoldSpec, xname: str) -> list[list[Expr]]:
-    """The same Lie derivative as closed-form component expressions."""
+    """The same Lie derivative as closed-form component expressions.
+    L_X g is symmetric, so the i <= j trees are built and (j, i) shares
+    the tree of (i, j)."""
     m = M.dim
     X = M.fields[xname]
     dX = M._dfields[xname]                  # dX[j][i] = d_j X^i tree
     out = [[ex.ZERO] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             total = ex.ZERO
             for k in range(m):
                 total = ex.add(total, ex.mul(X[k], M._dg[k][i][j]))
                 total = ex.add(total, ex.mul(M.metric[k][j], dX[i][k]))
                 total = ex.add(total, ex.mul(M.metric[i][k], dX[j][k]))
-            out[i][j] = total
+            out[i][j] = out[j][i] = total
     return out
 
 
@@ -138,7 +141,8 @@ def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> Fi
     samples = M.sample_points(24, np.random.default_rng(0))
 
     g = M.evaluate_symmetric(M.metric, samples)
-    L = M.evaluate_symmetric(trees, samples)
+    with _entry(f"L_X g of field '{xname}'"):
+        L = M.evaluate_symmetric(trees, samples)
     scales = np.maximum(np.max(np.abs(g), axis=(1, 2)), _TINY)
     sigmas = np.trace(np.linalg.inv(g) @ L, axis1=1, axis2=2) / m
     lam = float(np.sum(L * g)) / max(float(np.sum(g * g)), _TINY)

@@ -238,6 +238,50 @@ class TestDocumentIO:
         assert main(["validate", str(path)]) == 1
         assert "metric entry g.1.1 is nested too deeply" in capsys.readouterr().err
 
+    @staticmethod
+    def _chart(tmp_path, metric, field=""):
+        path = tmp_path / "deep.chart"
+        path.write_text('[manifold]\ndim = 2\ncoords = t, x\nrange.t = -1, 1\n'
+                        'range.x = -1, 1\nsignature = lorentzian\n\n[metric]\n'
+                        f'g.0.0 = "-1"\n{metric}{field}')
+        return str(path)
+
+    def test_both_halves_of_a_deep_pair_validate_as_one(self, tmp_path):
+        """g.0.1 and g.1.0 given as the same 400-term sum: comparing the
+        pair must not overflow where g.0.1 alone validates."""
+        terms = " + ".join(f"cos({k}*x)" for k in range(1, 401))
+        pair = f'g.0.1 = "0.0001*({terms})"\ng.1.0 = "0.0001*({terms})"\n'
+        assert main(["validate", self._chart(tmp_path, 'g.1.1 = "1"\n' + pair)]) == 0
+
+    def test_both_halves_of_a_too_deep_pair_give_the_one_half_error(self, tmp_path, capsys):
+        terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
+        half = f'g.0.1 = "0.0001*({terms})"\n'
+        errors = []
+        for metric in (half, half + half.replace("g.0.1", "g.1.0")):
+            assert main(["validate", self._chart(tmp_path, 'g.1.1 = "1"\n' + metric)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "metric entry g.0.1 is nested too deeply" in errors[0]
+
+    @pytest.mark.parametrize("command,factors,message", [
+        ("extrema", 330, "energy of field 'X' is nested too deeply"),
+        ("witness", 330, "energy of field 'X' is nested too deeply"),
+        ("conformal", 330, "energy of field 'X' is nested too deeply"),
+        ("classify", 500, "L_X g of field 'X' is nested too deeply"),
+    ])
+    def test_derived_tree_too_deep_to_evaluate_is_an_error_message(
+            self, tmp_path, capsys, command, factors, message):
+        """The chart validates, but a tree derived from it (the energy's
+        Hessian, the L_X g entries) is deeper than its source."""
+        product = "*".join(["(1 + 0.001*sin(x))"] * factors)
+        path = self._chart(tmp_path, f'g.1.1 = "{product}"\n',
+                           '\n[field.X]\ncomponents = "1", "x"\n')
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        grid = ["--grid", "8"] if command != "classify" else []
+        assert main([command, path, "--field", "X", *grid]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("deep", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
                              ids=["parentheses", "unary-minus"])
     def test_entry_too_deep_for_the_parser_is_an_error_message(self, tmp_path, capsys, deep):

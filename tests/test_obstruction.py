@@ -16,6 +16,7 @@ from lorentzgeo.curvature import (
 )
 from lorentzgeo.manifold import (
     CausalCharacter,
+    Coordinate,
     ManifoldSpec,
     TangentPlane,
     field_energy_expr,
@@ -33,6 +34,7 @@ from lorentzgeo.obstruction import (
     plane_sign_scan,
     scan_extrema,
 )
+from lorentzgeo import expr as ex
 from lorentzgeo import obstruction
 from lorentzgeo.symmetry import (
     FieldTag,
@@ -465,15 +467,19 @@ def _reference_clusters(M, spacings, values, points):
      [("local_min", [0.5, 0.0, 0.0]), ("local_max", [0.0, 0.0, 0.0])]),
 ])
 def test_clustering_matches_the_pairwise_loop(entry, monkeypatch, name, field, grid, records):
-    """Tied lines and tori of candidates: the vectorized clustering gives
+    """Tied lines and tori of candidates: the lattice clustering gives
     the clusters, representatives and records of the pairwise loop."""
     M = entry(name).spec
     calls = []
     vectorized = obstruction._cluster_representatives
 
-    def spy(M, spacings, values, points):
-        reps = vectorized(M, spacings, values, points)
-        calls.append((len(points), reps, _reference_clusters(M, spacings, values, points)))
+    def spy(M, mask, values):
+        reps = vectorized(M, mask, values)
+        axes = obstruction._grid_axes(M, [grid] * M.dim if isinstance(grid, int) else grid)
+        nodes = obstruction._grid_points(axes)
+        spacings = np.array([a[1] - a[0] for a in axes])
+        want = _reference_clusters(M, spacings, values, nodes[mask.ravel()])
+        calls.append((len(values), nodes[reps], want))
         return reps
 
     monkeypatch.setattr(obstruction, "_cluster_representatives", spy)
@@ -484,19 +490,28 @@ def test_clustering_matches_the_pairwise_loop(entry, monkeypatch, name, field, g
     assert [(r.kind.value, r.point.tolist()) for r in scan.records] == records
 
 
-def test_clustering_in_blocks(monkeypatch, rng):
-    """Candidates split over several blocks of the adjacency test, with
-    clusters across the periodic seam, cluster as in one block."""
-    M = load_spec(FLAT_TORUS_RIEMANNIAN)
-    axes = obstruction._grid_axes(M, [16, 16])
-    nodes = obstruction._grid_points(axes)
-    spacings = np.array([1 / 16, 1 / 16])
-    pick = nodes[rng.random(len(nodes)) < 0.3]
-    values = rng.integers(0, 3, size=len(pick)).astype(float)
-    want = _reference_clusters(M, spacings, values, pick)
-    monkeypatch.setattr(obstruction, "_PAIR_BLOCK", 7 * len(pick))
-    got = obstruction._cluster_representatives(M, spacings, values, pick)
-    assert [r.tolist() for r in got] == [w.tolist() for w in want]
+def test_clustering_matches_the_pairwise_loop_on_random_grids(rng):
+    """Seeded candidate masks on 2-, 3- and 4-D grids mixing periodic and
+    open axes, with tied values and candidates on the open edges: the
+    lattice clustering gives the representatives of the pairwise loop."""
+    bad = []
+    for case in range(60):
+        m = 2 + case % 3
+        periodic = rng.random(m) < 0.5
+        coords = [Coordinate(f"x{a}", 0.0, 1.0, True) if periodic[a]
+                  else Coordinate(f"x{a}", -1.0, 2.0, False) for a in range(m)]
+        metric = [[ex.ONE if i == j else ex.ZERO for j in range(m)] for i in range(m)]
+        M = ManifoldSpec("grid", coords, "riemannian", metric)
+        axes = obstruction._grid_axes(M, list(rng.integers(8, 12, size=m)))
+        nodes = obstruction._grid_points(axes)
+        mask = rng.random(tuple(len(a) for a in axes)) < (0.4, 0.1, 0.015)[m - 2]
+        values = rng.integers(0, 3, size=int(mask.sum())).astype(float)
+        got = nodes[obstruction._cluster_representatives(M, mask, values)]
+        want = _reference_clusters(M, np.array([a[1] - a[0] for a in axes]),
+                                   values, nodes[mask.ravel()])
+        if [r.tolist() for r in got] != [w.tolist() for w in want]:
+            bad.append((case, periodic.tolist()))
+    assert bad == []
 
 
 class TestWitness:
