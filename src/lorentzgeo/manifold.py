@@ -167,9 +167,11 @@ class ManifoldSpec:
         self.params = dict(params or {})
         self.fields = {k: list(v) for k, v in (fields or {}).items()}
         self.scalars = dict(scalars or {})
-        # filled by curvature.point_geometry(ies) and curvature.energy_derivs
+        # filled by curvature.point_geometry(ies), curvature.energy_derivs
+        # and symmetry.classify_field (the L_X g trees)
         self._geometry = {}
         self._energy = {}
+        self._lie = {}
         # the compiled metric jet: built by the first metric_derivs call
         self._jet = None
 

@@ -1,15 +1,16 @@
 """Witness-level machinery for curvature sign obstructions.
 
 Given a chart and a causal field X, this module locates extrema of the
-energy f = g(X,X)/2 on a grid (candidates that touch on the grid's index
-lattice merge into one, then Newton refinement), constructs the witness plane at a causal extremum from the kernel of
-the restricted skew operator, or at a timelike maximum takes the exact
-largest curvature over every plane through X, scans plane families
-along paths for curvature sign changes, checks the conformal lower
-bound at critical points of conformal fields, and builds two derived
-charts: the Lorentzian flip of a Riemannian metric along a nowhere-zero
-Killing field, and the circle lift that appends a flat periodic
-coordinate to trade a timelike field for a merely causal one.
+energy f = g(X,X)/2 on a grid (one node on each axis f does not mention;
+candidates that touch on the grid's index lattice merge into one, then
+Newton refinement), constructs the witness plane at a causal extremum
+from the kernel of the restricted skew operator, or at a timelike
+maximum takes the exact largest curvature over every plane through X,
+scans plane families along paths for curvature sign changes, checks the
+conformal lower bound at critical points of conformal fields, and builds
+two derived charts: the Lorentzian flip of a Riemannian metric along a
+nowhere-zero Killing field, and the circle lift that appends a flat
+periodic coordinate to trade a timelike field for a merely causal one.
 
 Every curvature of a plane through X is cᵀJc of the Jacobi form J of
 the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives the
@@ -230,12 +231,26 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     refined once from its best node.  Non-periodic boundary slices never
     become candidates; plateau charts (>=90% of grid values tying within
     1e-10) are flagged instead of producing spurious extremum records.
+
+    Every axis that the tree of f does not mention (``ex.free_names``;
+    X = d/dt Killing leaves t out) is scanned at one node: the first on a
+    periodic axis, the first interior one on an open axis, which is where
+    each cluster of the full grid keeps its best node.  The masks, the
+    plateau test, the clusters and the records are those of the full
+    grid; the resolution floor and the Newton step bound still use the
+    full axes.
     """
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
-    axes = _grid_axes(M, per_axis)
+    full = _grid_axes(M, per_axis)
+    spacings = np.array([a[1] - a[0] for a in full])
+    # f is constant along an axis its tree does not mention: keep the one
+    # node the full scan's cluster representative takes there
+    mentioned = ex.free_names(fd.expr)
+    axes = [a if c.name in mentioned else a[:1] if c.periodic else a[1:2]
+            for c, a in zip(M.coords, full)]
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
@@ -257,14 +272,12 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
             nb = np.roll(F, shift, axis=a)
             min_mask &= F <= nb + tie
             max_mask &= F >= nb - tie
-        if not M.coords[a].periodic:
+        if not M.coords[a].periodic and shape[a] > 1:
             sl = [slice(None)] * M.dim
             for edge in (0, -1):
                 sl[a] = edge
                 min_mask[tuple(sl)] = False
                 max_mask[tuple(sl)] = False
-
-    spacings = np.array([a[1] - a[0] for a in axes])
 
     records: list[ExtremumRecord] = []
     for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),

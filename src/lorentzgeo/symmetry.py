@@ -123,19 +123,22 @@ def require_tolerance(tol: float) -> None:
 def classify_field(M: ManifoldSpec, xname: str, tol: float = CLASSIFY_TOL) -> FieldClass:
     """Fit L_X g against {0, lam*g, sigma(p)*g}.
 
-    When every entry of the exact L_X g trees folds to zero at build
-    time, X is Killing exactly: residual 0 and ``sample_count == 0``,
-    with nothing sampled or evaluated.  Otherwise the trees are
-    evaluated at 24 seeded samples: lam comes from a joint least-squares
-    fit; sigma is the pointwise trace(g^{-1} L)/m.  Residuals are max
-    entrywise deviations after normalizing by the metric magnitude at
-    each point, and the most specific tag under tolerance wins.  ``tol``
-    must be finite and non-negative.
+    The exact L_X g trees are built once per spec and field.  When every
+    entry folds to zero at build time, X is Killing exactly: residual 0
+    and ``sample_count == 0``, with nothing sampled or evaluated.
+    Otherwise the trees are evaluated at 24 seeded samples: lam comes
+    from a joint least-squares fit; sigma is the pointwise
+    trace(g^{-1} L)/m.  Residuals are max entrywise deviations after
+    normalizing by the metric magnitude at each point, and the most
+    specific tag under tolerance wins.  ``tol`` must be finite and
+    non-negative.
     """
     require_tolerance(tol)
     m = M.dim
     upper = [(i, j) for i in range(m) for j in range(i, m)]
-    trees = lie_derivative_metric_exprs(M, xname)
+    trees = M._lie.get(xname)
+    if trees is None:
+        trees = M._lie[xname] = lie_derivative_metric_exprs(M, xname)
     if all(trees[i][j] == ex.ZERO for i, j in upper):
         return FieldClass(FieldTag.KILLING, 0.0, 0.0, 0)
     samples = M.sample_points(24, np.random.default_rng(0))

@@ -85,11 +85,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: unknown catalog entry 'nosuch'; available: circle_lift_torus, ")
 
-    def test_grid_too_large_to_allocate_is_an_error_message(self, capsys):
-        # 10^16 nodes: the request exceeds the address space, so numpy
-        # refuses it at once without touching memory
-        assert main(["extrema", "schwarzschild_exterior", "--grid", "10000"]) == 1
+    def test_grid_too_large_to_allocate_is_an_error_message(self, tmp_path, capsys):
+        # f mentions all four coordinates, so the scan needs all 10^16
+        # nodes: the request exceeds the address space, so numpy refuses
+        # it at once without touching memory
+        path = tmp_path / "flat4.chart"
+        path.write_text("""
+[manifold]
+dim = 4
+coords = t, x, y, z
+range.t = -1, 1
+range.x = -1, 1
+range.y = -1, 1
+range.z = -1, 1
+signature = lorentzian
+
+[metric]
+g.0.0 = "-1"
+g.1.1 = "1"
+g.2.2 = "1"
+g.3.3 = "1"
+
+[field.X]
+components = "1 + x", "t", "z", "y"
+""")
+        assert main(["extrema", str(path), "--field", "X", "--grid", "10000"]) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    def test_grid_along_the_one_axis_f_mentions_is_scanned(self, capsys):
+        # the Schwarzschild energy mentions r only: 10^4 nodes, not 10^16
+        assert main(["extrema", "schwarzschild_exterior", "--grid", "10000"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReports:

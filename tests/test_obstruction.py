@@ -461,33 +461,110 @@ def _reference_clusters(M, spacings, values, points):
     return sorted(reps, key=tuple)
 
 
+def full_grid_candidates(M, field, grid):
+    """The scan's candidates on the full grid, as if f mentioned every
+    coordinate: the grid nodes, spacings and, for the minima and then
+    the maxima, the candidate mask and its values (negated for maxima)."""
+    axes = obstruction._grid_axes(M, [grid] * M.dim if isinstance(grid, int) else grid)
+    nodes = obstruction._grid_points(axes)
+    shape = tuple(len(a) for a in axes)
+    F = M.evaluate_points(energy_derivs(M, field).expr, nodes).reshape(shape)
+    tie = 1e-12 * max(1.0, abs(F.min()), abs(F.max()))
+    interior = np.ones(shape, dtype=bool)
+    for a, c in enumerate(M.coords):
+        if not c.periodic:
+            interior[(slice(None),) * a + (0,)] = False
+            interior[(slice(None),) * a + (-1,)] = False
+    sides = []
+    for sense in (1.0, -1.0):
+        mask = interior.copy()
+        for a in range(M.dim):
+            for shift in (1, -1):
+                mask &= sense * F <= sense * np.roll(F, shift, axis=a) + tie
+        sides.append((mask, sense * F[mask]))
+    return nodes, np.array([a[1] - a[0] for a in axes]), sides
+
+
+# Coordinates t, x periodic and y open; f = -(2 + cos 2 pi x)/2 mentions
+# neither t nor y, so its extrema are tied planes that end on y's edges.
+OPEN_AXIS_CHART = """
+[manifold]
+dim = 3
+coords = t, x, y
+range.t = 0, 1
+range.x = 0, 1
+range.y = -1, 2
+periodic = t, x
+signature = lorentzian
+
+[metric]
+g.0.0 = "-(2 + cos(2*pi*x))"
+g.1.1 = "1"
+g.2.2 = "1"
+
+[field.X]
+components = "1", "0", "0"
+"""
+
 @pytest.mark.parametrize("name,field,grid,records", [
     ("torus_family", "X", 100, [("local_min", [0.5, 0.0]), ("local_max", [0.0, 0.0])]),
     ("circle_lift_torus", "Xbar", [160, 8, 8],
      [("local_min", [0.5, 0.0, 0.0]), ("local_max", [0.0, 0.0, 0.0])]),
 ])
-def test_clustering_matches_the_pairwise_loop(entry, monkeypatch, name, field, grid, records):
-    """Tied lines and tori of candidates: the lattice clustering gives
-    the clusters, representatives and records of the pairwise loop."""
+def test_clustering_matches_the_pairwise_loop(entry, name, field, grid, records):
+    """Tied lines and tori of candidates on the full grid: the lattice
+    clustering gives the clusters and representatives of the pairwise
+    loop, and the scan the expected records."""
     M = entry(name).spec
-    calls = []
-    vectorized = obstruction._cluster_representatives
-
-    def spy(M, mask, values):
-        reps = vectorized(M, mask, values)
-        axes = obstruction._grid_axes(M, [grid] * M.dim if isinstance(grid, int) else grid)
-        nodes = obstruction._grid_points(axes)
-        spacings = np.array([a[1] - a[0] for a in axes])
+    nodes, spacings, sides = full_grid_candidates(M, field, grid)
+    for mask, values in sides:
+        assert len(values) >= 64
+        got = nodes[obstruction._cluster_representatives(M, mask, values)]
         want = _reference_clusters(M, spacings, values, nodes[mask.ravel()])
-        calls.append((len(values), nodes[reps], want))
-        return reps
-
-    monkeypatch.setattr(obstruction, "_cluster_representatives", spy)
+        assert [r.tolist() for r in got] == [w.tolist() for w in want]
     scan = scan_extrema(M, field, grid=grid)
-    assert len(calls) == 2 and all(n >= 64 for n, _, _ in calls)
-    for _, reps, want in calls:
-        assert [r.tolist() for r in reps] == [w.tolist() for w in want]
     assert [(r.kind.value, r.point.tolist()) for r in scan.records] == records
+
+
+@pytest.mark.parametrize("name,field,grid", [
+    ("torus_family", "X", [100, 100]),
+    ("circle_lift_torus", "Xbar", [160, 8, 8]),
+    ("open_axis", "X", [8, 12, 10]),
+])
+def test_axes_f_does_not_mention_collapse_to_the_representatives_node(
+        entry, monkeypatch, name, field, grid):
+    """The scan keeps one node on each axis f does not mention (y on the
+    torus, y and theta on the lift, t and the open y here): it refines
+    the representatives of the full grid's clusters and returns the
+    records of the full scan."""
+    M = load_spec(OPEN_AXIS_CHART) if name == "open_axis" else entry(name).spec
+    mentioned = ex.free_names(energy_derivs(M, field).expr)
+    assert 0 < len(mentioned & set(M.coord_names())) < M.dim
+    nodes, _, sides = full_grid_candidates(M, field, grid)
+    want = [nodes[obstruction._cluster_representatives(M, mask, values)].tolist()
+            for mask, values in sides]
+
+    refined_from = []
+    refine = obstruction._refine
+
+    def spy(M, fd, p0, spacings):
+        refined_from.append(p0.tolist())
+        return refine(M, fd, p0, spacings)
+
+    monkeypatch.setattr(obstruction, "_refine", spy)
+    scan = scan_extrema(M, field, grid=grid)
+    assert refined_from == want[0] + want[1]
+
+    # the full scan: f taken to mention every coordinate
+    monkeypatch.setattr(ex, "free_names", lambda e: set(M.coord_names()))
+    full = scan_extrema(M, field, grid=grid)
+    assert refined_from == 2 * (want[0] + want[1])
+    assert [(r.kind, r.point.tobytes(), r.f_value, r.hessian_eigs, r.causal)
+            for r in scan.records] == \
+        [(r.kind, r.point.tobytes(), r.f_value, r.hessian_eigs, r.causal)
+         for r in full.records]
+    assert (scan.plateau, scan.f_min, scan.f_max) == (full.plateau, full.f_min, full.f_max)
+    assert len(scan.records) == 2
 
 
 def test_clustering_matches_the_pairwise_loop_on_random_grids(rng):

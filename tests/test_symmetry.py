@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lorentzgeo import expr as ex
+from lorentzgeo import symmetry
 from lorentzgeo.catalog import list_examples
 from lorentzgeo.curvature import energy_derivs, point_geometry, shape_operator
 from lorentzgeo.manifold import CausalCharacter, ManifoldSpec, load_spec
@@ -218,6 +219,26 @@ def test_killing_field_with_nonzero_trees_is_sampled(entry):
     assert fc.tag is FieldTag.KILLING
     assert fc.sample_count == 24
     assert fc.residual < 1e-10
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_lie_derivative_trees_are_built_once_per_spec_and_field(entry, count_calls, sampled):
+    """classify_field keeps the L_X g trees on the spec: a second call on
+    the same field builds no tree and gives an equal class, whether the
+    trees are sampled or fold to zero."""
+    if sampled:
+        spec, xname = _round_s2_rotation(entry, "cos(theta)/sin(theta)*cos(phi)"), "R"
+    else:
+        base = entry("schwarzschild_exterior").spec
+        spec, xname = with_extra_field(base, "K", base.fields["X"]), "K"
+    built = count_calls(symmetry, "lie_derivative_metric_exprs")
+    products = count_calls(ex, "mul")
+    first = classify_field(spec, xname)
+    assert len(built) == 1 and products
+    products.clear()
+    assert classify_field(spec, xname) == first
+    assert len(built) == 1 and products == []
+    assert first.sample_count == (24 if sampled else 0)
 
 
 def test_perturbed_rotation_is_not_killing(entry):
