@@ -147,6 +147,16 @@ def _grid_axes(M: ManifoldSpec, per_axis: list[int]) -> list[np.ndarray]:
     return axes
 
 
+def _scan_axes(M: ManifoldSpec, expr: ex.Expr, per_axis: list[int]) -> list[np.ndarray]:
+    """The grid axes on which to evaluate ``expr``: full on each axis its
+    tree mentions (``ex.free_names``), and one node on each other axis,
+    along which ``expr`` is constant: the first on a periodic axis, the
+    first interior one on an open axis."""
+    mentioned = ex.free_names(expr)
+    return [a if c.name in mentioned else a[:1] if c.periodic else a[1:2]
+            for c, a in zip(M.coords, _grid_axes(M, per_axis))]
+
+
 def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     """Grid nodes as an (N, m) array, in C order of the grid indices."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -232,25 +242,19 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     become candidates; plateau charts (>=90% of grid values tying within
     1e-10) are flagged instead of producing spurious extremum records.
 
-    Every axis that the tree of f does not mention (``ex.free_names``;
-    X = d/dt Killing leaves t out) is scanned at one node: the first on a
-    periodic axis, the first interior one on an open axis, which is where
-    each cluster of the full grid keeps its best node.  The masks, the
-    plateau test, the clusters and the records are those of the full
-    grid; the resolution floor and the Newton step bound still use the
-    full axes.
+    Every axis that the tree of f does not mention (X = d/dt Killing
+    leaves t out) is scanned at the one node of :func:`_scan_axes`,
+    which is where each cluster of the full grid keeps its best node.
+    The masks, the plateau test, the clusters and the records are those
+    of the full grid; the resolution floor and the Newton step bound
+    still use the full axes.
     """
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
-    full = _grid_axes(M, per_axis)
-    spacings = np.array([a[1] - a[0] for a in full])
-    # f is constant along an axis its tree does not mention: keep the one
-    # node the full scan's cluster representative takes there
-    mentioned = ex.free_names(fd.expr)
-    axes = [a if c.name in mentioned else a[:1] if c.periodic else a[1:2]
-            for c, a in zip(M.coords, full)]
+    spacings = np.array([a[1] - a[0] for a in _grid_axes(M, per_axis)])
+    axes = _scan_axes(M, fd.expr, per_axis)
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
@@ -371,8 +375,8 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
     minimum = record.kind is ExtremumKind.MIN
     frame = perp_frame(M, xname, p)
-    op = restricted_operator(frame, M.field_derivs(xname, frame.geo.point))
-    kv, kres = kernel_direction(op.matrix)
+    kv, kres = kernel_direction(restricted_operator(
+        frame, M.field_derivs(xname, frame.geo.point)))
     k_val = float(kv @ frame.jacobi @ kv)
     if frame.causal is CausalCharacter.TIMELIKE:
         case, nonnegative = "timelike_even", minimum
@@ -454,12 +458,15 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     k-th value at a point is c_kᵀJc_k of the frame's Jacobi form:
     sectional at timelike points, null sectional at lightlike ones.  c_k
     is e_0 on a 1-row frame, else e_q turned towards e_{q+1} by
-    pi k / planes_per_point, q = k mod (d-1).  A lightlike X in
+    pi k / planes_per_point, q = k mod (d-1).  ``k_min`` and ``k_max``
+    are exact, whatever the sampled planes: the least and largest
+    eigenvalue of J over the path's points.  A lightlike X in
     dimension 2 has no degenerate plane through it and is refused.
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
     scans: list[PointScan] = []
+    ends: list[np.ndarray] = []
     for geo in point_geometries(M, points):
         frame = perp_frame(M, xname, geo.point)
         d = len(frame.basis)
@@ -475,10 +482,10 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
                 c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
         scans.append(PointScan(geo.point, frame.causal, frame.curvature_kind,
                                tuple(float(c @ frame.jacobi @ c) for c in cs)))
+        ends.append(np.linalg.eigvalsh(frame.jacobi)[[0, -1]])
 
     n_pts = len(scans)
-    k_all = [v for s in scans for v in s.values]
-    k_min, k_max = min(k_all), max(k_all)
+    k_min, k_max = float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
     ztol = 1e-9 * max(abs(k_min), abs(k_max), 1e-30)
 
     zeros: list[ScanZero] = []
@@ -547,8 +554,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
             f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
-    op = restricted_operator(frame, dX)
-    kv, kres = kernel_direction(op.matrix)
+    kv, kres = kernel_direction(restricted_operator(frame, dX))
     k_val = float(kv @ frame.jacobi @ kv)
 
     gxx = float(X @ frame.geo.metric @ X)
@@ -589,7 +595,8 @@ def _first_failure(pts: np.ndarray, *checks) -> None:
 def _flip(M: ManifoldSpec, xname: str) -> ManifoldSpec:
     """g := g_R - (2/g_R(X,X)) w (x) w with w the g_R-dual of X, the
     signature label swapped, and nothing checked: the flip is an
-    involution, so applying it twice gives the input back."""
+    involution, so applying it twice gives the input back.  g.j.i shares
+    the tree of g.i.j."""
     m = M.dim
     X = M.fields[xname]
     omega = []
@@ -599,9 +606,11 @@ def _flip(M: ManifoldSpec, xname: str) -> ManifoldSpec:
             acc = ex.add(acc, ex.mul(M.metric[i][j], X[j]))
         omega.append(acc)
     q = metric_pairing_expr(M, xname, xname)
-    new_metric = [[ex.sub(M.metric[i][j],
-                          ex.div(ex.mul(ex.Const(2.0), ex.mul(omega[i], omega[j])), q))
-                   for j in range(m)] for i in range(m)]
+    new_metric = [[ex.ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            new_metric[i][j] = new_metric[j][i] = ex.sub(
+                M.metric[i][j], ex.div(ex.mul(ex.Const(2.0), ex.mul(omega[i], omega[j])), q))
     new_signature = "lorentzian" if M.signature == "riemannian" else "riemannian"
     return ManifoldSpec(name=f"{M.name}_flip", coords=M.coords,
                         signature=new_signature, metric=new_metric,
@@ -657,7 +666,7 @@ class LiftResult:
     min_gxx: float
     causal_everywhere: bool
     nowhere_timelike: bool
-    lightlike_locus: tuple[np.ndarray, ...]  # grid points where the lift is null
+    lightlike_locus: tuple[np.ndarray, ...]  # scan nodes where the lift is null
 
 
 def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
@@ -670,6 +679,9 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     In ``lightlike_locus`` mode c^2 must equal -max g(X,X) over the scan
     grid (within tolerance), so the lifted field is causal everywhere
     and lightlike exactly on the locus where g(X,X) attains its maximum.
+    g(X,X) is evaluated on the nodes of :func:`_scan_axes`, and the
+    reported locus lists those nodes: one node on each axis that
+    g(X,X) does not mention.
     ``general`` mode accepts any c > 0 and simply reports the causal
     status.  X must be Killing for the base metric.
     """
@@ -678,7 +690,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     _require_killing(M, xname, "base", LiftError)
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
-    nodes = _grid_points(_grid_axes(M, [grid] * M.dim))
+    nodes = _grid_points(_scan_axes(M, gxx_expr, [grid] * M.dim))
     values = M.evaluate_points(gxx_expr, nodes)
     max_gxx, min_gxx = float(values.max()), float(values.min())
 

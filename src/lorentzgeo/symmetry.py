@@ -3,12 +3,15 @@
 Classifies vector fields by how their flow deforms the metric
 (isometric / homothetic / conformal) from the exact L_X g trees, sampling
 only when those do not all fold to zero at build time.  Builds the X-perp
-frame of a point once (:func:`perp_frame`: the orthogonal complement of
-a timelike X, or its quotient by a lightlike X, with the Jacobi form on
-it, the point's geometry and X) and restricts A_X to it; below the frame,
-:func:`lie_derivative` and :func:`restricted_operator` are pure in X and
-dX, which a caller evaluates once per point.  Extracts kernel
-directions, and cross-checks the Hessian identity
+frame of a point once (:func:`perp_frame`, with the Jacobi form on it,
+the point's geometry and X) by one rule: the euclidean null space of gX
+(and of X itself when X is lightlike, which leaves a complement of X in
+X-perp that represents the quotient X-perp / span{X}), whitened by one
+Cholesky factor so that the induced product is the identity.
+:func:`restricted_operator` returns A_X on that frame as a plain matrix;
+it and :func:`lie_derivative` are pure in X and dX, which a caller
+evaluates once per point.  Extracts kernel directions, and cross-checks
+the Hessian identity
 
     Hess f (U,V) = -g(R(U,X)X, V) + g(A_X U, A_X V),   f = g(X,X)/2,
 
@@ -177,12 +180,6 @@ def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
 # Bases of X-perp and the restricted / quotient operators
 # ---------------------------------------------------------------------------
 
-def _span_basis(vectors: np.ndarray, rank: int) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the span of the given rows."""
-    u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    return vt[:rank]
-
-
 @dataclass(frozen=True)
 class PerpFrame:
     """X-perp at one point: the point's geometry, X there, its causal
@@ -203,73 +200,58 @@ class PerpFrame:
 
 def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     """The :class:`PerpFrame` of X at p.  The causal character of X at p
-    picks the construction, here and nowhere else.
+    picks what the basis must be euclidean-orthogonal to, here and
+    nowhere else, and one rule does the rest: the rows span the null
+    space of ``against`` (from its SVD) and are whitened by the Cholesky
+    factor of their Gram matrix, so that B g Bᵀ = I.
 
-    Timelike X: the m-1 rows span X-perp, which is spacelike, and
-    J = B r Bᵀ / g(X,X) (r of :func:`jacobi_form`) holds sectional
-    curvatures.  Lightlike X lies in its own X-perp: the m-2 rows then
-    represent the quotient X-perp / span{X}, spanning a complement of X
-    inside X-perp on which the induced product is positive definite, and
-    J = B r Bᵀ holds null sectional curvatures g(R(v,X)X,v)/g(v,v).  A
-    spacelike or zero X raises :class:`SubspaceError` naming the character.
+    Timelike X: ``against`` is gX, the m-1 rows span X-perp, which is
+    spacelike, and J = B r Bᵀ / g(X,X) (r of :func:`jacobi_form`) holds
+    sectional curvatures.  Lightlike X lies in its own X-perp:
+    ``against`` is gX and X, and the m-2 rows span a complement of X in
+    X-perp that represents the quotient X-perp / span{X}; J = B r Bᵀ
+    holds null sectional curvatures g(R(v,X)X,v)/g(v,v).  A spacelike or
+    zero X raises :class:`SubspaceError` naming the character.
 
-    The causal band is the only guard the basis needs.  In a frame where
+    The causal band is the only guard the basis needs, and it is why the
+    Cholesky factorization cannot fail.  In a frame where
     g = diag(-1, 1, ..., 1) and the Riemannianized metric is the
     identity, the least g(w,w)/|w|^2 over X-perp equals |g(X,X)|/|X|^2,
     so outside the lightlike band no direction of X-perp nears the null
-    cone.
+    cone.  On the X-perp of a lightlike X the induced product is positive
+    semidefinite with kernel span{X}, so it is definite on a complement.
     """
     p = M.wrap_point(p)
     geo = point_geometry(M, p)
     g = geo.metric
     X = M.field_eval(xname, p)
     cc = causal_character(M, p, X)
-    m = M.dim
     gX = g @ X
     if cc is CausalCharacter.TIMELIKE:
-        # rows: e_i - (g(e_i,X)/g(X,X)) X, the g-projection onto X-perp
-        proj = np.eye(m) - np.outer(gX, X) / float(X @ gX)
-        candidates = _span_basis(proj, m - 1)
+        against = [gX]
     elif cc is CausalCharacter.LIGHTLIKE:
-        # X-perp = euclidean nullspace of the covector gX
-        _, _, vt = np.linalg.svd(gX.reshape(1, -1))
-        perp = vt[1:]                      # m-1 rows spanning X-perp
-        # drop the X direction from the representatives
-        reduced = perp - np.outer(perp @ X, X) / float(X @ X)
-        candidates = _span_basis(reduced, m - 2)
+        against = [gX, X]
     else:
         raise SubspaceError(f"field '{xname}' is {cc.value} at {geo.point.tolist()}; "
                             "X-perp is built for a timelike or lightlike X only")
-
-    rows = []
-    for w in candidates:
-        for e in rows:
-            w = w - float(w @ g @ e) * e
-        rows.append(w / np.sqrt(float(w @ g @ w)))
-    basis = np.array(rows).reshape(-1, m)    # a 2-D quotient has no rows
+    rows = np.linalg.svd(np.array(against))[2][len(against):]
+    basis = np.linalg.solve(np.linalg.cholesky(rows @ g @ rows.T), rows)
     J = basis @ jacobi_form(geo, X) @ basis.T
     if cc is CausalCharacter.TIMELIKE:
         J = J / float(X @ gX)
     return PerpFrame(geo=geo, field=X, causal=cc, basis=basis, jacobi=J)
 
 
-@dataclass(frozen=True)
-class RestrictedOperator:
-    """A_X restricted to X-perp (timelike X) or induced on X-perp / span{X}
-    (lightlike X), on the basis of its :class:`PerpFrame`."""
+def restricted_operator(frame: PerpFrame, dX: np.ndarray) -> np.ndarray:
+    """The (d, d) matrix of A_X, from the frame's X and dX[j,i] = d_j X^i,
+    on the frame's d basis rows: A_X restricted to the spacelike X-perp
+    (d = m-1) for a timelike X, induced on the quotient with its
+    positive-definite product (d = m-2) for a lightlike X.
 
-    frame: PerpFrame
-    matrix: np.ndarray
-    invariance_residual: float
-
-
-def restricted_operator(frame: PerpFrame, dX: np.ndarray) -> RestrictedOperator:
-    """Restrict A_X, from the frame's X and dX[j,i] = d_j X^i, to the frame's
-    basis: the spacelike complement of dimension m-1 for a timelike X, the
-    (m-2)-dimensional quotient with its positive-definite induced product
-    for a lightlike X.  A leak of A_X out of X-perp beyond
-    ``INVARIANCE_TOL`` raises :class:`SubspaceError`: it signals a
-    non-homothetic input.
+    For any field g(X, A_X v) = -g(X, nabla_v X) = -df(v) with
+    f = g(X,X)/2, so A_X leaks out of X-perp exactly by df on X-perp.  A
+    leak beyond ``INVARIANCE_TOL`` raises :class:`SubspaceError`, naming
+    the point: it is not a critical point of f.
     """
     geo, X, reps = frame.geo, frame.field, frame.basis
     g, rframe = geo.metric, geo.riem_frame
@@ -283,9 +265,9 @@ def restricted_operator(frame: PerpFrame, dX: np.ndarray) -> RestrictedOperator:
     leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
     if leak > INVARIANCE_TOL:
         raise SubspaceError(
-            f"A_X does not preserve the subspace (residual {leak:.3e}); "
-            "the field is unlikely to be homothetic")
-    return RestrictedOperator(frame=frame, matrix=reps @ g @ images, invariance_residual=leak)
+            f"A_X does not preserve X-perp at {geo.point.tolist()} (residual {leak:.3e}): "
+            "the point is not a critical point of f = g(X,X)/2")
+    return reps @ g @ images
 
 
 def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:

@@ -162,11 +162,12 @@ def test_04a_null_witness_construction_and_oracle():
 
     spec = lift.spec
     p = np.array([0.0, 0.25, 0.5])
-    op = restricted_operator(perp_frame(spec, "Xbar", p), spec.field_derivs("Xbar", p))
-    kv, _ = kernel_direction(op.matrix)
-    ok_quotient = kv is not None and op.matrix.shape == (1, 1)
+    frame = perp_frame(spec, "Xbar", p)
+    op = restricted_operator(frame, spec.field_derivs("Xbar", p))
+    kv, _ = kernel_direction(op)
+    ok_quotient = kv is not None and op.shape == (1, 1)
 
-    v = kv @ op.frame.basis
+    v = kv @ frame.basis
     X = spec.field_eval("Xbar", p)
     from lorentzgeo.curvature import null_sectional_curvature
     k_engine = null_sectional_curvature(spec, p, X, v)

@@ -724,6 +724,8 @@ class TestGeometryMemo:
         """The Riemannianized norm decomposes g once, with the geometry."""
         e = build_example("circle_lift_torus")
         eigh = count_calls(np.linalg, "eigh")
-        op = restricted_at(e.spec, e.field_name, [0.0, 0.3, 1.0])
-        assert op.frame.causal is CausalCharacter.LIGHTLIKE
+        p = [0.0, 0.3, 1.0]
+        frame = perp_frame(e.spec, e.field_name, p)
+        restricted_operator(frame, e.spec.field_derivs(e.field_name, p))
+        assert frame.causal is CausalCharacter.LIGHTLIKE
         assert len(eigh) == 1

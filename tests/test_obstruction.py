@@ -10,6 +10,7 @@ from lorentzgeo.curvature import (
     ScalarDerivs,
     causal_character,
     energy_derivs,
+    jacobi_form,
     null_sectional_curvature,
     point_geometry,
     sectional_curvature,
@@ -21,6 +22,7 @@ from lorentzgeo.manifold import (
     TangentPlane,
     field_energy_expr,
     load_spec,
+    metric_pairing_expr,
 )
 from lorentzgeo.obstruction import (
     LiftError,
@@ -239,17 +241,19 @@ class TestRefinement:
 
 
 def construction_mismatches(M, xname, records):
-    """Records at which the restricted operator does not follow the
-    record's causal character: a timelike X must give a timelike frame
-    of m-1 basis rows, a lightlike X a lightlike frame of m-2, and a
-    spacelike or zero X a SubspaceError naming the character."""
-    want = {CausalCharacter.TIMELIKE: (CausalCharacter.TIMELIKE, M.dim - 1),
-            CausalCharacter.LIGHTLIKE: (CausalCharacter.LIGHTLIKE, M.dim - 2)}
+    """Records at which the frame and restricted operator do not follow
+    the record's causal character: a timelike X must give a timelike
+    frame of m-1 basis rows and an (m-1)-square operator, a lightlike X
+    a lightlike frame of m-2, and a spacelike or zero X a SubspaceError
+    naming the character."""
+    want = {cc: (cc, d, (d, d)) for cc, d in ((CausalCharacter.TIMELIKE, M.dim - 1),
+                                              (CausalCharacter.LIGHTLIKE, M.dim - 2))}
     bad = []
     for rec in records:
         try:
-            op = restricted_at(M, xname, rec.point)
-            got = (op.frame.causal, len(op.frame.basis))
+            frame = perp_frame(M, xname, rec.point)
+            op = restricted_operator(frame, M.field_derivs(xname, frame.geo.point))
+            got = (frame.causal, len(frame.basis), op.shape)
         except SubspaceError as e:
             got = str(e)
         ok = got == want[rec.causal] if rec.causal in want \
@@ -292,6 +296,96 @@ class TestDerivedConstruction:
         assert construction_mismatches(M, "X", scan.records) == []
 
 
+@pytest.fixture(scope="module")
+def lifted_twisted_four_torus(twisted_four_torus):
+    """(spec, field, witness records) of the 5-D circle lift of the
+    twisted 4-torus, whose lightlike records have a 3-row quotient."""
+    M, _, _ = twisted_four_torus
+    lift = circle_lift(M, "X", 1.224744871391589)
+    scan = scan_extrema(lift.spec, lift.field, grid=8)
+    return lift.spec, lift.field, scan.witness_records(lift.spec, lift.field)
+
+
+def reference_spectrum(M, xname, p, causal):
+    """eigvalsh of the Jacobi form on a basis built another way: the
+    g-projection onto X-perp (timelike X) or the euclidean null space of
+    gX with X projected out (lightlike X), spanned by an SVD, then
+    Gram-Schmidt in g."""
+    geo = point_geometry(M, p)
+    g, X, m = geo.metric, M.field_eval(xname, p), M.dim
+    gX = g @ X
+    if causal is CausalCharacter.TIMELIKE:
+        span = np.eye(m) - np.outer(gX, X) / float(X @ gX)
+        rank = m - 1
+    else:
+        perp = np.linalg.svd(gX.reshape(1, -1))[2][1:]
+        span = perp - np.outer(perp @ X, X) / float(X @ X)
+        rank = m - 2
+    rows = []
+    for w in np.linalg.svd(span, full_matrices=False)[2][:rank]:
+        for e in rows:
+            w = w - float(w @ g @ e) * e
+        rows.append(w / math.sqrt(float(w @ g @ w)))
+    B = np.array(rows).reshape(-1, m)
+    J = B @ jacobi_form(geo, X) @ B.T
+    if causal is CausalCharacter.TIMELIKE:
+        J = J / float(X @ gX)
+    return np.linalg.eigvalsh(J)
+
+
+def frame_mismatches(M, xname, records):
+    """(point, check, deviation) where the X-perp frame at a timelike or
+    lightlike record fails one of: B g Bᵀ = I, g(X, B) = 0, B ⊥ X
+    (euclidean, lightlike X only), to 1e-12 scaled by the entries'
+    size, and eigvalsh(J) equal to :func:`reference_spectrum` to 1e-12
+    relative.  Also returns the (causal, rows) pairs checked."""
+    bad, seen = [], set()
+    for rec in records:
+        if rec.causal not in (CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE):
+            continue
+        frame = perp_frame(M, xname, rec.point)
+        B, g, X = frame.basis, frame.geo.metric, frame.field
+        size = float(np.max(np.abs(B)))
+        want = reference_spectrum(M, xname, frame.geo.point, frame.causal)
+        checks = [("B g B^T = I", float(np.max(np.abs(B @ g @ B.T - np.eye(len(B)))))),
+                  ("g(X, B) = 0",
+                   float(np.max(np.abs(B @ g @ X))) / (size * float(np.max(np.abs(g @ X))))),
+                  ("spectrum", float(np.max(np.abs(np.linalg.eigvalsh(frame.jacobi) - want)))
+                   / max(float(np.max(np.abs(want))), 1e-300))]
+        if frame.causal is CausalCharacter.LIGHTLIKE:
+            checks.append(("B . X = 0",
+                           float(np.max(np.abs(B @ X))) / (size * float(np.max(np.abs(X))))))
+        bad += [(rec.point.tolist(), what, dev) for what, dev in checks if not dev <= 1e-12]
+        seen.add((frame.causal, len(B)))
+    return bad, seen
+
+
+class TestPerpFrame:
+    """One SVD null space and one Cholesky factor give a g-orthonormal
+    basis of X-perp (of a complement of a lightlike X in it) whose Jacobi
+    spectrum is that of any other such basis."""
+
+    def test_catalog_witness_records(self, catalog_witness_records):
+        bad, seen = [], set()
+        for name, M, xname, records in catalog_witness_records:
+            b, s = frame_mismatches(M, xname, records)
+            bad += [(name,) + x for x in b]
+            seen |= s
+        assert bad == []
+        assert {(CausalCharacter.TIMELIKE, 1), (CausalCharacter.TIMELIKE, 3),
+                (CausalCharacter.LIGHTLIKE, 1)} <= seen
+
+    def test_four_tori_records(self, static_four_torus, twisted_four_torus):
+        for M, scan, _ in (static_four_torus, twisted_four_torus):
+            assert frame_mismatches(M, "X", scan.records) == \
+                ([], {(CausalCharacter.TIMELIKE, 3)})
+
+    def test_five_dimensional_lift_records(self, lifted_twisted_four_torus):
+        M, xname, records = lifted_twisted_four_torus
+        assert frame_mismatches(M, xname, records) == \
+            ([], {(CausalCharacter.TIMELIKE, 4), (CausalCharacter.LIGHTLIKE, 3)})
+
+
 def kernel_residual_mismatches(M, xname, records, cls):
     """(point, shape, reported, recomputed) where a witness's
     kernel_residual differs from |op c| / |op| (|op c| when |op| <= 1e-10)
@@ -302,7 +396,7 @@ def kernel_residual_mismatches(M, xname, records, cls):
         w = extremum_witness(M, xname, rec, classification=cls)
         if w.kernel_residual is None:
             continue
-        op = restricted_at(M, xname, rec.point).matrix
+        op = restricted_at(M, xname, rec.point)
         kv, _ = kernel_direction(op)
         opn, res = float(np.linalg.norm(op, 2)), float(np.linalg.norm(op @ kv))
         want = res / opn if opn > 1e-10 else res
@@ -719,7 +813,7 @@ class TestTwistedFourTorus:
         M, scan, cls = twisted_four_torus
         rec = scan.minima()[0]
         op = restricted_at(M, "X", rec.point)
-        assert op.matrix.shape == (3, 3) and np.max(np.abs(op.matrix)) > 0.8
+        assert op.shape == (3, 3) and np.max(np.abs(op)) > 0.8
         rep = extremum_witness(M, "X", rec, classification=cls)
         assert rep.verdict is Verdict.PASS
         assert rep.value == pytest.approx(2.1932454224643, abs=1e-12)
@@ -738,12 +832,16 @@ class TestTwistedFourTorus:
         top = np.linalg.eigvalsh(perp_frame(M, "X", rec.point).jacobi)[-1]
         assert rep.value == pytest.approx(top, rel=1e-12)
 
-    def test_first_basis_row_in_place_of_the_kernel_fails(self, twisted_four_torus,
-                                                         monkeypatch):
+    def test_least_jacobi_direction_in_place_of_the_kernel_fails(self, twisted_four_torus,
+                                                                monkeypatch):
+        """The kernel plane is none of the ends of J's spectrum: with the
+        least eigenvector of J in place of the kernel direction, which no
+        choice of basis moves, the minimum's witness fails."""
         M, scan, cls = twisted_four_torus
-        monkeypatch.setattr(obstruction, "kernel_direction",
-                            lambda op: (np.eye(len(op))[0], 0.0))
-        rep = extremum_witness(M, "X", scan.minima()[0], classification=cls)
+        rec = scan.minima()[0]
+        least = np.linalg.eigh(perp_frame(M, "X", rec.point).jacobi)[1][:, 0]
+        monkeypatch.setattr(obstruction, "kernel_direction", lambda op: (least, 0.0))
+        rep = extremum_witness(M, "X", rec, classification=cls)
         assert rep.verdict is Verdict.FAIL
         assert rep.value == pytest.approx(-0.1724, abs=1e-4)
 
@@ -787,6 +885,18 @@ class TestSignScan:
         pts = interpolate_path(torus.paths["min_to_max"], 4)
         with pytest.raises(ValueError, match=f"planes_per_point must be at least 1, got {count}"):
             plane_sign_scan(torus.spec, "X", pts, planes_per_point=count)
+
+    def test_range_is_the_exact_spectrum_ends(self, static_four_torus):
+        """Along t at the static 4-torus maximum (0, 0.25, 0.75) the
+        planes through X reach K = 0, which the sampled families miss:
+        k_min and k_max are the extreme eigenvalues of J over the path."""
+        M, _, _ = static_four_torus
+        pts = interpolate_path(np.array([[0, 0.25, 0.75, 0], [0, 0.25, 0.75, 0.5]]), 1)
+        rep = plane_sign_scan(M, "X", pts)
+        assert rep.k_min == pytest.approx(-58.89145941, rel=1e-8)
+        assert abs(rep.k_max) <= 1e-12
+        assert rep.k_min <= min(v for s in rep.scans for v in s.values)
+        assert max(v for s in rep.scans for v in s.values) < -2.5
 
     def test_lightlike_field_in_dimension_two_rejected(self, entry):
         """X-perp/X of a lightlike X on a 2-D chart has no rows: no
@@ -913,6 +1023,18 @@ class TestLorentzianize:
         for p in flipped.sample_points(20, rng):
             assert np.max(np.abs(flipped.metric_eval(p) - hopf.spec.metric_eval(p))) < 1e-10
 
+    def test_flip_builds_each_off_diagonal_entry_once(self, entry, hopf, rng, count_calls):
+        """_flip hands the spec one tree for g.i.j and g.j.i, so the spec
+        keeps it as it is instead of averaging two mirror trees."""
+        s3 = entry("round_s3").spec
+        specs = count_calls(obstruction, "ManifoldSpec")
+        flipped = obstruction._flip(s3, "X")
+        (_, kwargs), = specs
+        metric = kwargs["metric"]
+        assert all(metric[i][j] is metric[j][i] for i in range(3) for j in range(3))
+        for p in flipped.sample_points(20, rng):
+            assert np.max(np.abs(flipped.metric_eval(p) - hopf.spec.metric_eval(p))) < 1e-14
+
     def test_flat_plane_flip(self, rng):
         spec = load_spec(FLAT_R2_RIEMANNIAN)
         flipped = lorentzianize(spec, "X")
@@ -957,6 +1079,20 @@ class TestCircleLift:
         for p, want in (([0.0, 0.0, 0.0], CausalCharacter.LIGHTLIKE),
                         ([0.3, 0.0, 0.0], CausalCharacter.TIMELIKE)):
             assert causal_character(spec, p, spec.field_eval("Xbar", p)) is want
+
+    def test_scans_only_the_axes_gxx_mentions(self, torus, count_calls):
+        """g(X,X) of torus_family mentions x only: the lift evaluates it on
+        48 nodes at grid 48, with the maximum, minimum and locus of the
+        full 48 x 48 grid, the locus listed at y = 0."""
+        evals = count_calls(ManifoldSpec, "evaluate_points")
+        lift = circle_lift(torus.spec, "X", math.sqrt(1.5), grid=48)
+        assert [len(args[2]) for args, _ in evals] == [48]
+        nodes = obstruction._grid_points(obstruction._grid_axes(torus.spec, [48, 48]))
+        full = torus.spec.evaluate_points(metric_pairing_expr(torus.spec, "X", "X"), nodes)
+        assert (lift.max_gxx, lift.min_gxx) == (float(full.max()), float(full.min()))
+        assert lift.causal_everywhere and not lift.nowhere_timelike
+        assert [p.tolist() for p in lift.lightlike_locus] == [[0.0, 0.0, 0.0]]
+        assert {p[0] for p in nodes[np.abs(full + 1.5) <= 1e-9 * 2.5]} == {0.0}
 
     def test_general_mode_minimum_constant_gives_nowhere_timelike(self, torus):
         lift = circle_lift(torus.spec, "X", math.sqrt(2.5), mode="general", grid=64)

@@ -267,9 +267,8 @@ class TestSkewResidual:
 class TestRestrictedOperator:
     def test_torus_minimum_gives_trivial_operator(self, torus):
         op = restricted_at(torus.spec, "X", [0.5, 0.0])
-        assert op.matrix.shape == (1, 1)
-        assert abs(op.matrix[0, 0]) < 1e-12
-        assert op.invariance_residual < 1e-6
+        assert op.shape == (1, 1)
+        assert abs(op[0, 0]) < 1e-12
 
     def test_basis_is_g_orthonormal_and_orthogonal_to_field(self, hopf, rng):
         spec = hopf.spec
@@ -285,8 +284,7 @@ class TestRestrictedOperator:
         with unit off-diagonal entries."""
         spec = hopf.spec
         for p in spec.sample_points(5, rng):
-            op = restricted_at(spec, "X", p)
-            m = op.matrix
+            m = restricted_at(spec, "X", p)
             assert m.shape == (2, 2)
             assert abs(m[0, 0]) < 1e-9 and abs(m[1, 1]) < 1e-9
             assert abs(abs(m[0, 1]) - 1.0) < 1e-9
@@ -298,7 +296,8 @@ class TestRestrictedOperator:
         (torus_family_mixed at x = 0) and a zero X are refused, with the
         character named, by the basis builder and the operator alike."""
         mixed = entry("torus_family_mixed").spec
-        assert restricted_at(mixed, "X", [0.5, 0.0]).frame.causal is CausalCharacter.TIMELIKE
+        assert perp_frame(mixed, "X", [0.5, 0.0]).causal is CausalCharacter.TIMELIKE
+        assert restricted_at(mixed, "X", [0.5, 0.0]).shape == (1, 1)
         zero = with_extra_field(torus.spec, "Z", [ex.ZERO, ex.ZERO])
         for spec, x, p, cc in ((mixed, "X", [0.0, 0.0], "spacelike"),
                                (zero, "Z", [0.5, 0.0], "zero")):
@@ -317,14 +316,29 @@ class TestRestrictedOperator:
             restricted_at(spec, "Y", [0.3, 0.2])
         assert float(re.search(r"residual (\S+)\)", str(err.value)).group(1)) > 1e-3
 
+    def test_leak_is_df_and_names_the_point(self, torus):
+        """For any field g(X, A_X b) = -df(b): the Killing X of
+        torus_family leaks out of X-perp at x = 0.25, which is not a
+        critical point of f, and the refusal names the point."""
+        spec, p = torus.spec, np.array([0.25, 0.0])
+        frame = perp_frame(spec, "X", p)
+        X, dX = frame.field, spec.field_derivs("X", p)
+        leak = X @ frame.geo.metric @ shape_operator(frame.geo, X, dX) @ frame.basis.T
+        df = energy_derivs(spec, "X").gradient(p)
+        assert np.max(np.abs(leak + frame.basis @ df)) <= 1e-14 * np.max(np.abs(df))
+        with pytest.raises(SubspaceError, match=re.escape(
+                "A_X does not preserve X-perp at [0.25, 0.0] (residual ") + r"\S+\): "
+                + re.escape("the point is not a critical point of f = g(X,X)/2")):
+            restricted_operator(frame, dX)
+
     def test_quotient_at_null_locus(self, circle_lift_torus):
         """1x1 quotient operator with value 0; the field itself is a
         kernel eigenvector of A_X (Killing, so eigenvalue 0)."""
         spec = circle_lift_torus.spec
         p = np.array([0.0, 0.2, 1.0])
         op = restricted_at(spec, "Xbar", p)
-        assert op.matrix.shape == (1, 1)
-        assert abs(op.matrix[0, 0]) < 1e-10
+        assert op.shape == (1, 1)
+        assert abs(op[0, 0]) < 1e-10
         X = spec.field_eval("Xbar", p)
         AX = shape_operator(point_geometry(spec, p), X, spec.field_derivs("Xbar", p)) @ X
         lam = -float(AX @ X) / float(X @ X)
@@ -340,23 +354,24 @@ class TestRestrictedOperator:
         spec = circle_lift_torus.spec
         for x, causal, rows in ((0.0, CausalCharacter.LIGHTLIKE, 1),
                                 (0.5, CausalCharacter.TIMELIKE, 2)):
-            op = restricted_at(spec, "Xbar", [x, 0.2, 1.0])
-            assert (op.frame.causal, op.frame.basis.shape) == (causal, (rows, 3))
-        op = restricted_at(entry("torus_family_mixed").spec, "X", [1 / 6, 0.0])
-        assert (op.frame.causal, op.matrix.shape, op.invariance_residual) == \
-            (CausalCharacter.LIGHTLIKE, (0, 0), 0.0)
+            frame = perp_frame(spec, "Xbar", [x, 0.2, 1.0])
+            assert (frame.causal, frame.basis.shape) == (causal, (rows, 3))
+            assert restricted_at(spec, "Xbar", [x, 0.2, 1.0]).shape == (rows, rows)
+        mixed = entry("torus_family_mixed").spec
+        assert (perp_frame(mixed, "X", [1 / 6, 0.0]).causal,
+                restricted_at(mixed, "X", [1 / 6, 0.0]).shape) == \
+            (CausalCharacter.LIGHTLIKE, (0, 0))
 
     def test_quotient_matrix_unchanged_by_representative_shifts(self, circle_lift_torus, rng):
         spec = circle_lift_torus.spec
         p = np.array([0.0, 0.2, 1.0])
         dX = spec.field_derivs("Xbar", p)
-        op = restricted_operator(perp_frame(spec, "Xbar", p), dX)
-        X = op.frame.field
+        frame = perp_frame(spec, "Xbar", p)
+        op = restricted_operator(frame, dX)
         for _ in range(5):
-            shifts = rng.normal(size=len(op.frame.basis))
-            shifted = dataclasses.replace(op.frame, basis=op.frame.basis + np.outer(shifts, X))
-            mat = restricted_operator(shifted, dX).matrix
-            assert np.max(np.abs(mat - op.matrix)) < 1e-9
+            shifts = rng.normal(size=len(frame.basis))
+            shifted = dataclasses.replace(frame, basis=frame.basis + np.outer(shifts, frame.field))
+            assert np.max(np.abs(restricted_operator(shifted, dX) - op)) < 1e-9
 
     def test_reversed_field_spans_same_subspace(self, hopf):
         spec = with_extra_field(hopf.spec, "XNEG",
