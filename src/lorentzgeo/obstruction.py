@@ -1,16 +1,17 @@
 """Witness-level machinery for curvature sign obstructions.
 
 Given a chart and a causal field X, this module locates extrema of the
-energy f = g(X,X)/2 on a grid (one node on each axis f does not mention;
-candidates that touch on the grid's index lattice merge into one, then
-Newton refinement), constructs the witness plane at a causal extremum
-from the kernel of the restricted skew operator, or at a timelike
-maximum takes the exact largest curvature over every plane through X,
-scans plane families along paths for curvature sign changes, checks the
-conformal lower bound at critical points of conformal fields, and builds
-two derived charts: the Lorentzian flip of a Riemannian metric along a
-nowhere-zero Killing field, and the circle lift that appends a flat
-periodic coordinate to trade a timelike field for a merely causal one.
+energy f = g(X,X)/2 by plain Newton from the grid nodes least or largest
+over their 3^m lattice neighbourhood (one node on each axis f does not
+mention, one per cluster of touching nodes), constructs the witness
+plane at a causal extremum from the kernel of the restricted skew
+operator, or at a timelike maximum takes the exact largest curvature
+over every plane through X, scans plane families along paths for
+curvature sign changes, checks the conformal lower bound at critical
+points of conformal fields, and builds two derived charts: the
+Lorentzian flip of a Riemannian metric along a nowhere-zero Killing
+field, and the circle lift that appends a flat periodic coordinate to
+trade a timelike field for a merely causal one.
 
 Every curvature of a plane through X is cᵀJc of the Jacobi form J of
 the point's :func:`~lorentzgeo.symmetry.perp_frame`, which also gives the
@@ -162,21 +163,20 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray,
-            spacings: np.ndarray) -> np.ndarray:
+def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray) -> np.ndarray:
     """Newton steps on grad f = 0 from the grid node p0, on the exact
-    gradient and coordinate-Hessian trees.
+    gradient and coordinate-Hessian trees: the visited point of least |grad f|.
 
     The step is the least-squares solution, so a singular Hessian (an
     extremum that is a whole curve or torus of points) moves only across
-    the critical set.  A step is kept only if it is finite, stays within
-    a grid spacing of p0 on every axis and shrinks |grad f|; the first
-    refused step ends the refinement."""
+    the critical set.  Each step is clamped to the boundary collar on open
+    axes and wrapped on periodic ones.  A zero gradient, a non-finite step
+    or a step that leaves the point unchanged ends the refinement."""
     lo = np.array([-np.inf if c.periodic else c.lo + BOUNDARY_COLLAR for c in M.coords])
     hi = np.array([np.inf if c.periodic else c.hi - BOUNDARY_COLLAR for c in M.coords])
-    p = p0
+    p = best = p0
     grad = fd.gradient(p)
-    norm = float(np.linalg.norm(grad))
+    norm = best_norm = float(np.linalg.norm(grad))
     for _ in range(_NEWTON_STEPS):
         if norm == 0.0:
             break
@@ -185,21 +185,20 @@ def _refine(M: ManifoldSpec, fd: ScalarDerivs, p0: np.ndarray,
         if not np.all(np.isfinite(trial)):
             break
         trial = M.wrap_point(trial)
-        if not _box_adjacent(M, spacings, trial, p0):
+        if np.array_equal(trial, p):
             break
-        trial_grad = fd.gradient(trial)
-        trial_norm = float(np.linalg.norm(trial_grad))
-        if not trial_norm < norm:
-            break
-        p, grad, norm = trial, trial_grad, trial_norm
-    return p
+        p, grad = trial, fd.gradient(trial)
+        norm = float(np.linalg.norm(grad))
+        if norm < best_norm:
+            best, best_norm = p, norm
+    return best
 
 
 def _box_adjacent(M: ManifoldSpec, spacings: np.ndarray, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Whether points a and b (broadcasting over leading axes) lie within
     1.01 grid spacings of each other on every axis, periodic axes wrapped;
-    for off-grid points (Newton steps, refined records)."""
+    the scan's dedupe of refined records, which lie off the grid."""
     period = np.array([c.period if c.periodic else np.inf for c in M.coords])
     d = np.abs(a - b)
     d = np.minimum(d, period - d)
@@ -233,21 +232,23 @@ def _cluster_representatives(M: ManifoldSpec, mask: np.ndarray,
 
 
 def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> ScanResult:
-    """Grid-scan f = g(X,X)/2, refine local-neighbor candidates by
-    Newton steps on the exact derivative trees of f, and classify them
-    by the eigenvalues of the covariant Hessian.
+    """Grid-scan f = g(X,X)/2 for nodes that are the least (largest) of
+    their 3^m lattice neighbourhood, refine them by Newton steps on the
+    exact derivative trees of f, and classify them by the eigenvalues of
+    the covariant Hessian.
 
     Candidates that touch on the grid's index lattice form one cluster,
-    refined once from its best node.  Non-periodic boundary slices never
-    become candidates; plateau charts (>=90% of grid values tying within
-    1e-10) are flagged instead of producing spurious extremum records.
+    refined once from its best node; a refined minimum (maximum) at which
+    f falls (rises) along a Hessian direction is a saddle.  Open-axis edge
+    nodes never become candidates; plateau charts (>=90% of grid values
+    tying within 1e-10) are flagged instead of producing spurious records.
 
     Every axis that the tree of f does not mention (X = d/dt Killing
     leaves t out) is scanned at the one node of :func:`_scan_axes`,
     which is where each cluster of the full grid keeps its best node.
     The masks, the plateau test, the clusters and the records are those
-    of the full grid; the resolution floor and the Newton step bound
-    still use the full axes.
+    of the full grid; the resolution floor and the record dedupe still
+    use the full axes.
     """
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
     if any(n < 8 for n in per_axis):
@@ -269,25 +270,22 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
                           plateau_points=pts)
 
     tie = 1e-12 * max(1.0, abs(f_min), abs(f_max))
-    min_mask = np.ones(shape, dtype=bool)
-    max_mask = np.ones(shape, dtype=bool)
-    for a in range(M.dim):
-        for shift in (1, -1):
-            nb = np.roll(F, shift, axis=a)
-            min_mask &= F <= nb + tie
-            max_mask &= F >= nb - tie
-        if not M.coords[a].periodic and shape[a] > 1:
-            sl = [slice(None)] * M.dim
-            for edge in (0, -1):
-                sl[a] = edge
-                min_mask[tuple(sl)] = False
-                max_mask[tuple(sl)] = False
+    lo, hi = F, F                 # least and largest f over each node's 3^m neighbourhood
+    for a, n in enumerate(shape):
+        if n > 1:
+            lo = np.minimum(lo, np.minimum(np.roll(lo, 1, a), np.roll(lo, -1, a)))
+            hi = np.maximum(hi, np.maximum(np.roll(hi, 1, a), np.roll(hi, -1, a)))
+    min_mask, max_mask = F <= lo + tie, F >= hi - tie
+    for a, n in enumerate(shape):
+        if not M.coords[a].periodic and n > 1:
+            for edge in ((slice(None),) * a + (0,), (slice(None),) * a + (-1,)):
+                min_mask[edge] = max_mask[edge] = False
 
     records: list[ExtremumRecord] = []
     for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                               (max_mask, ExtremumKind.MAX, -1.0)):
         for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]:
-            refined = _refine(M, fd, p, spacings)
+            refined = _refine(M, fd, p)
             rec = _make_record(M, xname, refined, kind)
             if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
                 rec = replace(rec, kind=ExtremumKind.SADDLE)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lorentzgeo
+from lorentzgeo.catalog import list_examples
 from lorentzgeo.cli import main
 from lorentzgeo.manifold import load_spec
 
@@ -152,6 +153,14 @@ class TestReports:
         assert main(["catalog", "run", "minkowski2"]) == 0
         assert sorted(tmp_path.iterdir()) == before
         assert first.stat().st_size > 0
+
+    def test_catalog_list_names_every_entry(self, tmp_path):
+        code, rep = run_cli("catalog", "list", json_path=tmp_path / "r.json")
+        assert code == 0
+        assert [r["inputs"]["name"] for r in rep["results"]] == list_examples()
+        row = next(r for r in rep["results"] if r["inputs"]["name"] == "torus_family")
+        assert (row["values"]["dim"], row["values"]["signature"],
+                row["values"]["field"]) == (2, "lorentzian", "X")
 
     def test_classify_report(self, tmp_path):
         code, rep = run_cli("classify", "torus_family", json_path=tmp_path / "r.json")

@@ -1,5 +1,6 @@
 """Extremum scans, witness planes, sign scans, and derived charts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from lorentzgeo.manifold import (
     metric_pairing_expr,
 )
 from lorentzgeo.obstruction import (
+    ExtremumKind,
     LiftError,
     LorentzianizeError,
     Verdict,
@@ -36,6 +38,7 @@ from lorentzgeo.obstruction import (
     plane_sign_scan,
     scan_extrema,
 )
+from lorentzgeo import cli
 from lorentzgeo import expr as ex
 from lorentzgeo import obstruction
 from lorentzgeo.symmetry import (
@@ -70,6 +73,9 @@ g.1.1 = "1"
 [field.X]
 components = "0", "1"
 """
+
+# The rotation field of the flat plane: Killing, and zero at the origin.
+ROTATION_PLANE = FLAT_R2_RIEMANNIAN.replace('"0", "1"', '"-y", "x"')
 
 FLAT_TORUS_RIEMANNIAN = """
 [manifold]
@@ -181,6 +187,87 @@ components = "1", "0", "0", "0"
 """
 
 
+# A closed stationary 4-torus, X = d/dt Killing, with g_tt and the twist
+# g_tz to fill in.
+STATIONARY_FOUR_TORUS = """
+[manifold]
+dim = 4
+coords = t, x, y, z
+range.t = 0, 1
+range.x = 0, 1
+range.y = 0, 1
+range.z = 0, 1
+periodic = t, x, y, z
+signature = lorentzian
+
+[metric]
+g.0.0 = "{g00}"
+g.0.3 = "{g03}"
+g.1.1 = "1"
+g.2.2 = "1"
+g.3.3 = "1"
+
+[field.X]
+components = "1", "0", "0", "0"
+"""
+
+
+def _wave(k, names):
+    """The chart text of k·(names), zero terms left out."""
+    return " + ".join(f"{int(c)}*{n}" for c, n in zip(k, names) if c)
+
+
+def _nonzero_wave_vector(rng, size):
+    while True:
+        k = rng.integers(-2, 3, size=size)
+        if k.any():
+            return k
+
+
+def stationary_four_tori(seed=7, count=20):
+    """Seeded closed stationary 4-charts, t, x, y, z periodic on [0, 1)
+    and X = d/dt Killing: g_tt = -(3 + three waves a*cos 2pi(k·(x,y,z) + phi))
+    with k in [-2, 2]^3 and a in [0.1, 0.8], a twist
+    g_tz = b*sin 2pi(k·(x,y) + phi) with b in [0.1, 0.6], a unit spatial
+    block, and a and phi printed to 3 decimals."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(count):
+        waves = []
+        for _ in range(3):
+            k = _nonzero_wave_vector(rng, 3)
+            a, phi = rng.uniform(0.1, 0.8), rng.uniform(0, 1)
+            waves.append(f"{a:.3f}*cos(2*pi*({_wave(k, 'xyz')} + {phi:.3f}))")
+        k = _nonzero_wave_vector(rng, 2)
+        b, phi = rng.uniform(0.1, 0.6), rng.uniform(0, 1)
+        docs.append(STATIONARY_FOUR_TORUS.format(
+            g00=f"-(3 + {' + '.join(waves)})",
+            g03=f"{b:.3f}*sin(2*pi*({_wave(k, 'xy')} + {phi:.3f}))"))
+    return docs
+
+
+FAMILY_GRID = [8, 16, 16, 16]
+
+# A stationary 4-torus on which the grid node (0, 0.1875, 0.125, 0.25) of
+# a 16-point grid is lower than its 6 axis neighbours while |grad f| there
+# is 0.953: the minimum lies diagonally, along a soft Hessian direction,
+# about 6 spacings away.
+DIAGONAL_MINIMUM_TORUS = STATIONARY_FOUR_TORUS.format(
+    g00="-(3 + 0.487*cos(2*pi*(-x + 0.996)) + 0.792*cos(2*pi*(2*x + y + z + 0.215))"
+        " + 0.529*cos(2*pi*(x + 2*y - 2*z + 0.044)))",
+    g03="0.118*sin(2*pi*(-2*x + 0.466))")
+
+
+@pytest.fixture(scope="module")
+def stationary_family():
+    """(spec, scan, classification) of each chart of the seeded family."""
+    out = []
+    for doc in stationary_four_tori():
+        M = load_spec(doc)
+        out.append((M, scan_extrema(M, "X", grid=FAMILY_GRID), classify_field(M, "X")))
+    return out
+
+
 @pytest.fixture(scope="module")
 def twisted_four_torus():
     M = load_spec(TWISTED_FOUR_TORUS)
@@ -219,16 +306,22 @@ class TestRefinement:
         assert scan.records
         assert len(calls) <= 20 * len(scan.records)
 
-    def test_step_stays_within_a_grid_spacing(self, torus):
-        """From x = 0.27 the first Newton step lands near x = 0.53: it is
-        refused with a spacing of 0.01 and taken with a spacing of 0.5."""
+    def test_steps_may_leave_the_start_nodes_box(self, torus):
+        """From x = 0.27 the first Newton step lands near x = 0.53, many
+        grid spacings away, and Newton goes on to the minimum x = 0.5."""
         M = torus.spec
         fd = ScalarDerivs(M, field_energy_expr(M, "X"))
-        p0 = np.array([0.27, 0.3])
-        near = obstruction._refine(M, fd, p0, np.array([0.01, 0.01]))
-        assert near.tolist() == p0.tolist()
-        far = obstruction._refine(M, fd, p0, np.array([0.5, 0.5]))
-        assert far == pytest.approx([0.5, 0.3], abs=1e-12)
+        got = obstruction._refine(M, fd, np.array([0.27, 0.3]))
+        assert got == pytest.approx([0.5, 0.3], abs=1e-12)
+
+    def test_diagonal_minimum_is_reached(self):
+        """The node lower than its axis neighbours is not critical; Newton
+        from it reaches a critical point."""
+        M = load_spec(DIAGONAL_MINIMUM_TORUS)
+        fd = ScalarDerivs(M, field_energy_expr(M, "X"))
+        p0 = np.array([0.0, 0.1875, 0.125, 0.25])
+        assert np.linalg.norm(fd.gradient(p0)) == pytest.approx(0.953, abs=1e-3)
+        assert np.linalg.norm(fd.gradient(obstruction._refine(M, fd, p0))) <= 1e-12
 
     def test_static_four_torus_witnesses_all_pass(self, static_four_torus):
         """The leak guard must not read the rounding noise of a refined
@@ -558,7 +651,9 @@ def _reference_clusters(M, spacings, values, points):
 def full_grid_candidates(M, field, grid):
     """The scan's candidates on the full grid, as if f mentioned every
     coordinate: the grid nodes, spacings and, for the minima and then
-    the maxima, the candidate mask and its values (negated for maxima)."""
+    the maxima, the candidate mask and its values (negated for maxima).
+    A candidate is an interior node no higher (lower) than any of its
+    3^m - 1 lattice neighbours, each offset rolled in on its own."""
     axes = obstruction._grid_axes(M, [grid] * M.dim if isinstance(grid, int) else grid)
     nodes = obstruction._grid_points(axes)
     shape = tuple(len(a) for a in axes)
@@ -572,9 +667,10 @@ def full_grid_candidates(M, field, grid):
     sides = []
     for sense in (1.0, -1.0):
         mask = interior.copy()
-        for a in range(M.dim):
-            for shift in (1, -1):
-                mask &= sense * F <= sense * np.roll(F, shift, axis=a) + tie
+        for offset in itertools.product((-1, 0, 1), repeat=M.dim):
+            if any(offset):
+                nb = np.roll(F, offset, axis=tuple(range(M.dim)))
+                mask &= sense * F <= sense * nb + tie
         sides.append((mask, sense * F[mask]))
     return nodes, np.array([a[1] - a[0] for a in axes]), sides
 
@@ -641,9 +737,9 @@ def test_axes_f_does_not_mention_collapse_to_the_representatives_node(
     refined_from = []
     refine = obstruction._refine
 
-    def spy(M, fd, p0, spacings):
+    def spy(M, fd, p0):
         refined_from.append(p0.tolist())
-        return refine(M, fd, p0, spacings)
+        return refine(M, fd, p0)
 
     monkeypatch.setattr(obstruction, "_refine", spy)
     scan = scan_extrema(M, field, grid=grid)
@@ -788,6 +884,33 @@ class TestWitness:
         assert rep.verdict is Verdict.SCOPE
         assert "conformal" in rep.scope_reason
 
+    def test_saddle_is_out_of_scope(self, stationary_family):
+        M, rec, cls = next((M, r, cls) for M, scan, cls in stationary_family
+                           for r in scan.records if r.kind is ExtremumKind.SADDLE)
+        rep = extremum_witness(M, "X", rec, classification=cls)
+        assert rep.verdict is Verdict.SCOPE
+        assert rep.scope_reason == "saddle points are recorded but are not witness hypotheses"
+
+    def test_zero_field_extremum_is_out_of_scope(self):
+        """The rotation field of the flat plane is Killing and vanishes at
+        the minimum of f = (x^2 + y^2)/2."""
+        M = load_spec(ROTATION_PLANE)
+        rec, = scan_extrema(M, "X", grid=8).minima()
+        assert rec.causal is CausalCharacter.ZERO
+        rep = extremum_witness(M, "X", rec)
+        assert rep.verdict is Verdict.SCOPE
+        assert rep.scope_reason == "field vanishes at the extremum"
+
+    def test_lightlike_extremum_in_even_dimension_is_out_of_scope(self):
+        """The circle lift of a 3-D static chart is 4-D, and its lifted
+        field is lightlike at the maximum of f."""
+        lift = circle_lift(load_spec(OPEN_AXIS_CHART), "X", 1.0)
+        rec = next(r for r in scan_extrema(lift.spec, lift.field, grid=8).maxima()
+                   if r.causal is CausalCharacter.LIGHTLIKE)
+        rep = extremum_witness(lift.spec, lift.field, rec)
+        assert rep.verdict is Verdict.SCOPE
+        assert rep.scope_reason == "lightlike extremum needs odd dimension, chart has m=4"
+
 
 class TestTwistedFourTorus:
     """The paper's kernel step end to end: at the timelike minimum the
@@ -844,6 +967,69 @@ class TestTwistedFourTorus:
         rep = extremum_witness(M, "X", rec, classification=cls)
         assert rep.verdict is Verdict.FAIL
         assert rep.value == pytest.approx(-0.1724, abs=1e-4)
+
+
+class TestStationaryFamily:
+    """The seeded family of closed stationary 4-tori: every extremum the
+    scan hands the witness is a critical point of f, and the paper's sign
+    holds at each."""
+
+    def test_every_extremum_is_critical_and_passes(self, stationary_family):
+        bad = []
+        for i, (M, scan, cls) in enumerate(stationary_family):
+            fd = energy_derivs(M, "X")
+            assert scan.minima() and scan.maxima()      # a closed chart has both
+            for rec in scan.minima() + scan.maxima():
+                grad = float(np.linalg.norm(fd.gradient(rec.point)))
+                verdict = extremum_witness(M, "X", rec, classification=cls).verdict
+                if grad > 1e-10 or verdict is not Verdict.PASS:
+                    bad.append((i, rec.kind.value, rec.point.tolist(), grad, verdict))
+        assert bad == []
+
+    def test_extrema_where_f_turns_the_other_way_are_saddles(self, stationary_family):
+        """A minimum candidate refined to a point where f also falls is a
+        saddle, as is a maximum candidate where f also rises; the saddles
+        are critical points too."""
+        saddles = 0
+        for M, scan, _ in stationary_family:
+            fd = energy_derivs(M, "X")
+            for rec in scan.records:
+                if rec.kind is ExtremumKind.SADDLE:
+                    saddles += 1
+                    assert {-1, 1} <= set(rec.eig_signs)
+                    assert np.linalg.norm(fd.gradient(rec.point)) <= 1e-10
+                else:
+                    assert (-1 if rec.kind is ExtremumKind.MIN else 1) not in rec.eig_signs
+        assert saddles > 0
+
+    def test_candidates_are_the_extrema_of_the_lattice_neighbourhood(self, monkeypatch):
+        """On its one t node the scan's candidate masks and values are
+        those of the full grid's 3^m - 1 offsets."""
+        seen = []
+        cluster = obstruction._cluster_representatives
+
+        def spy(M, mask, values):
+            seen.append((mask.copy(), values.copy()))
+            return cluster(M, mask, values)
+
+        monkeypatch.setattr(obstruction, "_cluster_representatives", spy)
+        for doc in stationary_four_tori():
+            M = load_spec(doc)
+            seen.clear()
+            scan_extrema(M, "X", grid=FAMILY_GRID)
+            _, _, sides = full_grid_candidates(M, "X", FAMILY_GRID)
+            assert len(seen) == len(sides) == 2
+            for (mask, values), (want_mask, want_values) in zip(seen, sides):
+                assert mask.shape == (1,) + want_mask.shape[1:]
+                assert np.array_equal(np.broadcast_to(mask, want_mask.shape), want_mask)
+                assert np.array_equal(np.tile(values, FAMILY_GRID[0]), want_values)
+
+    @pytest.mark.parametrize("grid", ["16", "24"])
+    def test_diagonal_minimum_chart_witness_exits_zero(self, tmp_path, capsys, grid):
+        path = tmp_path / "diagonal.chart"
+        path.write_text(DIAGONAL_MINIMUM_TORUS)
+        assert cli.main(["witness", str(path), "--field", "X", "--grid", grid]) == 0
+        assert "not a critical point" not in capsys.readouterr().err
 
 
 class TestSignScan:
@@ -953,6 +1139,25 @@ class TestConformalBound:
                             hessian_eigs=rec.hessian_eigs)
         with pytest.raises(ValueError):
             conformal_bound_check(e.spec, "X", shifted)
+
+    def test_non_conformal_field_is_refused(self):
+        M = load_spec(FLAT_R2_RIEMANNIAN.replace('"0", "1"', '"x*x", "0"'))
+        rec = obstruction._make_record(M, "X", np.array([0.5, 0.5]), ExtremumKind.MIN)
+        with pytest.raises(ValueError, match="^field does not classify as conformal"):
+            conformal_bound_check(M, "X", rec)
+
+    def test_odd_dimension_is_refused(self, circle_lift_torus):
+        M = circle_lift_torus.spec
+        rec = scan_extrema(M, "Xbar", grid=[32, 8, 8]).minima()[0]
+        with pytest.raises(ValueError, match="^the conformal bound construction needs even"):
+            conformal_bound_check(M, "Xbar", rec)
+
+    def test_field_not_timelike_is_refused(self):
+        """X = d/dy is Killing on the flat Riemannian plane, so spacelike."""
+        M = load_spec(FLAT_R2_RIEMANNIAN)
+        rec = scan_extrema(M, "X", grid=8).witness_records(M, "X")[0]
+        with pytest.raises(ValueError, match="timelike at the critical point, got spacelike$"):
+            conformal_bound_check(M, "X", rec)
 
 
 def _reference_input_checks(M, xname, samples=30, seed=0):
