@@ -8,7 +8,9 @@ what makes second metric derivatives clean enough for curvature work.
 
 The text grammar is plain infix arithmetic with ``^`` for powers and
 function-call syntax like ``sin(2*pi*x)``.  Implicit multiplication is
-not accepted.  ``pi`` is a built-in constant.
+not accepted.  ``pi`` is a built-in constant.  One regular expression
+splits a text into tokens, and a recursive descent of three levels folds
+them into a tree.
 
 No tree ever yields a silently non-finite number.  A literal that
 overflows is a :class:`ParseError`, constant folding never produces a
@@ -17,10 +19,11 @@ intermediate as an :class:`EvalError` naming the offending subtree.
 
 :func:`evaluate` walks a tree once per point.  :func:`evaluate_batch`
 walks it once for a whole batch, applying numpy ufuncs to columns of
-coordinate values, with the same contract: if any node has a pole or a
-non-finite value at any point of the batch, the scalar walker is re-run
-at the first such point in C order, so a batch raises exactly the error
-a point-by-point loop would raise first.  The two walkers agree bit for
+coordinate values, with the same contract: it adds every node's values
+into one sum per point, and where that sum is not finite (as it is where
+any node has a pole or a non-finite value) the scalar walker is re-run,
+point by point in C order, so a batch raises exactly the error a
+point-by-point loop would raise first.  The two walkers agree bit for
 bit on ``+ - * /``, ``sin``, ``cos``, ``sqrt`` and ``abs``; numpy's
 ``exp``, ``tan``, ``log`` and ``power`` may differ from :mod:`math` in
 the last unit or so.
@@ -36,6 +39,7 @@ re-runs the walker, so it raises exactly what the walker raises.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,78 +146,79 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 # Smart constructors.  Only light simplification happens here: constant
 # folding and 0/1 identities.  Correctness is defined by evaluation, not
 # by tree shape, so nothing fancier is attempted.  A fold that would
 # overflow is left as a tree, so that evaluation reports it.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b) and math.isfinite(a.value + b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
     return BinOp("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b) and math.isfinite(a.value - b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return neg(b)
     return BinOp("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b) and math.isfinite(a.value * b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if (ca and a.value == 0.0) or (cb and b.value == 0.0):
         return ZERO
-    if _is_const(a, 1.0):
+    if ca and a.value == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if cb and b.value == 1.0:
         return a
-    if _is_const(a, -1.0):
+    if ca and a.value == -1.0:
         return neg(b)
-    if _is_const(b, -1.0):
+    if cb and b.value == -1.0:
         return neg(a)
     return BinOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and a.value == 0.0 and not (cb and b.value == 0.0):
         return ZERO
-    if _is_const(b, 1.0):
+    if cb and b.value == 1.0:
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0 and math.isfinite(a.value / b.value):
+    if ca and cb and b.value != 0.0 and math.isfinite(a.value / b.value):
         return Const(a.value / b.value)
     return BinOp("/", a, b)
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return ONE
-    if _is_const(a) and _is_const(b):
-        try:
-            return Const(_eval_pow(a.value, b.value, BinOp("^", a, b)))
-        except EvalError:
-            pass
+    if type(b) is Const:
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return ONE
+        if type(a) is Const:
+            try:
+                return Const(_eval_pow(a.value, b.value, BinOp("^", a, b)))
+            except EvalError:
+                pass
     return BinOp("^", a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.arg
     return Neg(a)
 
@@ -221,7 +226,7 @@ def neg(a: Expr) -> Expr:
 def call(fn: str, a: Expr) -> Expr:
     if fn not in _MATH_FN:
         raise ExprError(f"unknown function '{fn}'")
-    if _is_const(a):
+    if type(a) is Const:
         try:
             value = _MATH_FN[fn](a.value)
         except (ValueError, OverflowError):
@@ -232,144 +237,24 @@ def call(fn: str, a: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Parsing: hand-rolled recursive descent over a small token stream.
+# Parsing
 #
 #   expression := term (('+' | '-') term)*
 #   term       := factor (('*' | '/') factor)*
-#   factor     := ('-' | '+') factor | power
-#   power      := atom ('^' factor)?
+#   factor     := ('-' | '+') factor | atom ('^' factor)?
 #   atom       := NUMBER | NAME '(' expression ')' | NAME | '(' expression ')'
+#
+# NAME: a letter or '_', then letters, digits and '_'.  NUMBER: a digit or
+# '.' and a digit, then digits and dots, then maybe an exponent.  Else any
+# one non-space character.  Digits are str.isdigit's ('2²' is one, malformed,
+# number); \d is str.isdecimal and \w str.isalnum or '_', so a text's other
+# alphanumerics ('²', 'Ⅻ') go into the pattern: digits join NUMBER, none starts a NAME.
 # ---------------------------------------------------------------------------
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ParseError(f"malformed number '{text[i:j]}'", i)
-            if not math.isfinite(value):
-                raise ParseError(f"number '{text[i:j]}' overflows", i)
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character '{c}'", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], declared: frozenset[str]):
-        self.tokens = tokens
-        self.declared = declared
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected '{kind}', found '{tok.text or 'end of input'}'", tok.pos)
-        return self.advance()
-
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return neg(self.factor())
-        if tok.kind == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            return pow_(base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Const(float(tok.text))
-        if tok.kind == "(":
-            node = self.expression()
-            self.expect(")")
-            return node
-        if tok.kind == "name":
-            if tok.text in FUNCTIONS:
-                self.expect("(")
-                arg = self.expression()
-                self.expect(")")
-                return call(tok.text, arg)
-            if tok.text == "pi":
-                return Const(math.pi)
-            if tok.text not in self.declared:
-                raise UndeclaredNameError(tok.text, tok.pos)
-            if self.peek().kind == "(":
-                raise ParseError(f"'{tok.text}' is not a function", tok.pos)
-            return Var(tok.text)
-        raise ParseError(f"unexpected '{tok.text or 'end of input'}'", tok.pos)
+_TOKEN_FORM = r"[^\W\d{0}{1}]\w*|[-+*/^()]|\.?[\d{0}][\d{0}.]*(?:[eE][+-]?[\d{0}]+)?|\S"
+_TOKEN = re.compile(_TOKEN_FORM.format("", ""))
+_ADDITIVE = {"+": add, "-": sub}
+_MULTIPLICATIVE = {"*": mul, "/": div}
 
 
 def parse_expression(text: str, declared) -> Expr:
@@ -377,21 +262,113 @@ def parse_expression(text: str, declared) -> Expr:
 
     Every free name must appear in ``declared`` (coordinates plus
     parameters of the owning chart); anything else raises
-    :class:`UndeclaredNameError` with its position.  Nesting deeper than
-    the recursive descent can follow raises :class:`ParseError` at the
-    token where it gave up.
+    :class:`UndeclaredNameError` with its position.  A bad number or
+    character anywhere, else the first misplaced token, raises
+    :class:`ParseError` with its position, found only then.  Nesting
+    deeper than the descent can follow (about 330 parentheses or 990
+    chained powers at the default recursion limit) raises
+    :class:`ParseError` at the token where it gave up.
     """
     declared = frozenset(declared)
     clash = declared & set(RESERVED)
     if clash:
         raise ExprError(f"declared names shadow reserved words: {sorted(clash)}")
-    parser = _Parser(_tokenize(text), declared)
+    # a declared string like '1' or '+' would match a number or operator
+    names = frozenset(n for n in declared if n[:1].isalpha() or n[:1] == "_")
+    odd = "" if text.isascii() else \
+        "".join(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
+    pattern = _TOKEN if not odd else \
+        re.compile(_TOKEN_FORM.format("".join(filter(str.isdigit, odd)), odd))
+    tokens = pattern.findall(text)
+    tokens.append("")
+    i = 0
+
+    def at(k):
+        return ([m.start() for m in pattern.finditer(text)] + [len(text)])[k]
+
+    def expect(tok):
+        nonlocal i
+        if tokens[i] != tok:
+            found = tokens[i] or "end of input"
+            raise ParseError(f"expected '{tok or 'end'}', found '{found}'", at(i))
+        i += 1
+
+    def expression():
+        nonlocal i
+        node = term()
+        while tokens[i] in _ADDITIVE:
+            i += 1
+            node = _ADDITIVE[tokens[i - 1]](node, term())
+        return node
+
+    def term():
+        nonlocal i
+        node = factor()
+        while tokens[i] in _MULTIPLICATIVE:
+            i += 1
+            node = _MULTIPLICATIVE[tokens[i - 1]](node, factor())
+        return node
+
+    def factor():
+        nonlocal i
+        tok = tokens[i]
+        i += 1
+        if tok in names:
+            if tokens[i] == "(":
+                raise ParseError(f"'{tok}' is not a function", at(i - 1))
+            node = Var(tok)
+        elif tok in _MATH_FN:
+            expect("(")
+            node = expression()
+            expect(")")
+            node = call(tok, node)
+        elif tok == "(":
+            node = expression()
+            expect(")")
+        elif tok == "-":
+            return neg(factor())
+        elif tok == "pi":
+            node = Const(math.pi)
+        elif tok == "+":
+            return factor()
+        else:
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.inf
+            # a bad number is the lexical check's; else a name or an operator
+            if not math.isfinite(value):
+                if tok[:1].isalpha() or tok[:1] == "_":
+                    raise UndeclaredNameError(tok, at(i - 1))
+                raise ParseError(f"unexpected '{tok or 'end of input'}'", at(i - 1))
+            node = Const(value)
+        if tokens[i] == "^":
+            i += 1
+            return pow_(node, factor())
+        return node
+
     try:
-        node = parser.expression()
-    except RecursionError:
-        raise ParseError("expression is nested too deeply",
-                         parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos) from None
-    parser.expect("end")
+        node = expression()
+        expect("")
+    except (ParseError, RecursionError) as err:
+        # the lexical check: bad numbers and stray characters come first
+        for k, tok in enumerate(tokens):
+            if tok[:1].isdigit() or tok[:1] == "." and len(tok) > 1:
+                try:
+                    value = float(tok)
+                except ValueError:
+                    raise ParseError(f"malformed number '{tok}'", at(k)) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"number '{tok}' overflows", at(k)) from None
+            elif len(tok) == 1 and tok not in "+-*/^()_" and not tok.isalpha():
+                raise ParseError(f"unexpected character '{tok}'", at(k)) from None
+        if isinstance(err, RecursionError):
+            raise ParseError("expression is nested too deeply",
+                             at(min(i, len(tokens) - 1))) from None
+        raise
+    finally:
+        # the levels refer to one another: free them (and the tokens) now
+        del expression, term, factor
     return node
 
 
@@ -420,7 +397,7 @@ def differentiate(e: Expr, var: str) -> Expr:
             return div(sub(mul(da, e.right), mul(e.left, db)), pow_(e.right, Const(2.0)))
         if e.op == "^":
             u, v = e.left, e.right
-            if _is_const(v):
+            if type(v) is Const:
                 # power rule; exponent is constant
                 return mul(mul(v, pow_(u, Const(v.value - 1.0))), da)
             # general u^v = exp(v*log u)
@@ -619,23 +596,28 @@ def evaluate_batch(e: Expr, columns: dict) -> np.ndarray:
     ``columns`` maps each name to a float or to an array; the arrays
     broadcast to the batch shape, which is also the shape of the result.
     Raises what :func:`evaluate` raises at the first point, in C order,
-    where some node has a pole or a non-finite value.
+    where some node has a pole or a non-finite value: the walk sums every
+    node's values per point, as :func:`compile_trees` does, and re-runs
+    the scalar walker where the sum is not finite.  Where only the sum
+    overflowed, that returns the point's value, which is kept.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
-    bad = np.zeros(shape, dtype=bool)
+    acc = np.zeros(shape)
     with np.errstate(all="ignore"):
-        out = np.array(np.broadcast_to(_eval_batch(e, columns, bad), shape), dtype=float)
+        out = np.array(np.broadcast_to(_eval_batch(e, columns, acc), shape), dtype=float)
+        bad = ~np.isfinite(acc)
     for idx in zip(*np.nonzero(bad)):
         point = {k: float(np.broadcast_to(v, shape)[idx]) for k, v in columns.items()}
-        # the scalar walker raises here; a value it returns instead
-        # (numpy and math rounding apart at an overflow edge) is kept
+        # the scalar walker raises here, or returns the value (numpy and
+        # math rounding apart at an overflow edge, or a sum that overflowed)
         out[idx] = evaluate(e, point)
     return out
 
 
-def _eval_batch(e: Expr, columns: dict, bad: np.ndarray):
-    """Recursive body of :func:`evaluate_batch`; marks in ``bad`` every
-    point where a node would make the scalar walker raise.
+def _eval_batch(e: Expr, columns: dict, acc: np.ndarray):
+    """Recursive body of :func:`evaluate_batch`; adds each operation's
+    values into ``acc``, and inf where a power would make the scalar
+    walker raise with finite values.
 
     Every pole the scalar walker reports (division by zero, the logarithm
     or square root of a negative number, zero to a negative power) gives
@@ -650,21 +632,21 @@ def _eval_batch(e: Expr, columns: dict, bad: np.ndarray):
         except KeyError:
             raise MissingBindingError(e.name, e)
     if isinstance(e, Neg):
-        return -_eval_batch(e.arg, columns, bad)
+        return -_eval_batch(e.arg, columns, acc)
     if isinstance(e, BinOp):
         op = _NP_OP.get(e.op)
         if op is None:
             raise ExprError(f"unknown operator '{e.op}'")
-        a = _eval_batch(e.left, columns, bad)
-        b = _eval_batch(e.right, columns, bad)
+        a = _eval_batch(e.left, columns, acc)
+        b = _eval_batch(e.right, columns, acc)
         if e.op == "^":
-            bad |= ~np.isfinite(b) | (np.not_equal(b, np.trunc(b)) & np.less_equal(a, 0.0))
+            acc += np.where(~np.isfinite(b) | ((b != np.trunc(b)) & (a <= 0.0)), np.inf, 0.0)
         out = op(a, b)
     elif isinstance(e, Call):
-        out = _NP_FN[e.fn](_eval_batch(e.arg, columns, bad))
+        out = _NP_FN[e.fn](_eval_batch(e.arg, columns, acc))
     else:
         raise ExprError(f"cannot evaluate node {e!r}")
-    bad |= ~np.isfinite(out)
+    acc += out
     return out
 
 

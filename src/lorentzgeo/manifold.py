@@ -47,7 +47,7 @@ import configparser
 import enum
 import io
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -321,20 +321,28 @@ class ManifoldSpec:
         raises first, except that every row is wrapped before any is
         evaluated: a refused row is reported ahead of an evaluation
         error at an earlier row."""
-        pts = self.wrap_point(np.atleast_2d(points))
-        columns = {c.name: pts[:, a] for a, c in enumerate(self.coords)}
-        columns.update(self.params)
-        return ex.evaluate_batch(e, columns)
+        return ex.evaluate_batch(e, self._columns(points))
 
     def evaluate_symmetric(self, trees: list[list[Expr]], points) -> np.ndarray:
         """A symmetric m-by-m table of trees at each of N points, as an
-        (N, m, m) array; only the i <= j trees are walked, each once."""
+        (N, m, m) array; the points are wrapped once, and only the i <= j
+        trees are walked, each once.  A metric entry too deep for the walk
+        is a :class:`SpecError` naming it (callers name other tables')."""
+        columns = self._columns(points)
         m = self.dim
         out = np.empty((len(points), m, m))
         for i in range(m):
             for j in range(i, m):
-                out[:, i, j] = out[:, j, i] = self.evaluate_points(trees[i][j], points)
+                with _entry(f"metric entry g.{i}.{j}") if trees is self.metric else nullcontext():
+                    out[:, i, j] = out[:, j, i] = ex.evaluate_batch(trees[i][j], columns)
         return out
+
+    def _columns(self, points) -> dict:
+        """Wrapped (N, m) points as one column per coordinate, with the parameters."""
+        pts = self.wrap_point(np.atleast_2d(points))
+        columns = {c.name: pts[:, a] for a, c in enumerate(self.coords)}
+        columns.update(self.params)
+        return columns
 
     def metric_eval(self, p) -> np.ndarray:
         b = self.bindings(self.wrap_point(p))
@@ -624,18 +632,24 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
         raise SpecError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     pts = M.sample_points(samples, rng)
+    want = 1 if M.signature == "lorentzian" else 0
     try:
         gs = M.evaluate_symmetric(M.metric, pts)
     except ex.EvalError:
         # a pole at some sample: evaluate point by point, so that a
         # signature violation at an earlier sample is still reported first
         gs = None
+    else:
+        # one stacked check; the loop below names a failing row
+        w = np.linalg.eigvalsh(gs)
+        a = np.abs(w)
+        if np.all((a.min(-1) > DEGENERACY_TOL * a.max(-1)) & (np.sum(w < 0, -1) == want)):
+            return
     for k, p in enumerate(pts):
         g = M.metric_eval(p) if gs is None else gs[k]
         eigs = np.linalg.eigvalsh(g)
         require_nondegenerate(eigs, p)
         neg = int(np.sum(eigs < 0))
-        want = 1 if M.signature == "lorentzian" else 0
         if neg != want:
             raise SignatureError(
                 f"declared {M.signature} but metric at {p.tolist()} has eigenvalues "
@@ -643,7 +657,8 @@ def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> Non
 
 
 def to_document(M: ManifoldSpec) -> str:
-    """Serialize back to the chart document format (canonical printing)."""
+    """Serialize back to the chart document format (canonical printing).
+    An entry too deep for the printer is a :class:`SpecError` naming it."""
     out = io.StringIO()
     out.write("[manifold]\n")
     out.write(f"name = {M.name}\n")
@@ -663,12 +678,13 @@ def to_document(M: ManifoldSpec) -> str:
     for i in range(M.dim):
         for j in range(i, M.dim):
             if M.metric[i][j] != ex.ZERO:
-                out.write(f'g.{i}.{j} = "{ex.to_text(M.metric[i][j])}"\n')
+                with _entry(f"metric entry g.{i}.{j}"):
+                    out.write(f'g.{i}.{j} = "{ex.to_text(M.metric[i][j])}"\n')
     for fname in sorted(M.fields):
-        out.write(f"\n[field.{fname}]\n")
-        comps = ", ".join(f'"{ex.to_text(c)}"' for c in M.fields[fname])
-        out.write(f"components = {comps}\n")
+        with _entry(f"field '{fname}'"):
+            comps = ", ".join(f'"{ex.to_text(c)}"' for c in M.fields[fname])
+        out.write(f"\n[field.{fname}]\ncomponents = {comps}\n")
     for sname in sorted(M.scalars):
-        out.write(f"\n[scalar.{sname}]\n")
-        out.write(f'expr = "{ex.to_text(M.scalars[sname])}"\n')
+        with _entry(f"scalar '{sname}'"):
+            out.write(f'\n[scalar.{sname}]\nexpr = "{ex.to_text(M.scalars[sname])}"\n')
     return out.getvalue()

@@ -1,5 +1,6 @@
 """Expression trees: parsing, exact differentiation, evaluation."""
 
+import gc
 import math
 
 import numpy as np
@@ -9,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 from lorentzgeo import expr as ex
 from lorentzgeo.expr import (
     BinOp,
+    Call,
     Const,
     EvalError,
+    Expr,
+    ExprError,
     MissingBindingError,
+    Neg,
     ParseError,
     UndeclaredNameError,
     Var,
@@ -90,6 +95,32 @@ class TestParse:
         RecursionError."""
         with pytest.raises(ParseError, match=r"nested too deeply \(at position \d+\)"):
             parse_expression(text, XY)
+
+    def test_parsing_leaves_nothing_for_the_cyclic_collector(self):
+        """The descent's three levels refer to one another; they are
+        freed on return, with the tokens, after an error as well."""
+        gc.collect()
+        gc.disable()
+        try:
+            parse_expression("1 + 2*sin(x)^2 - y/3", XY)
+            for text in ("x + $", "(x", "(" * 3000):
+                try:
+                    parse_expression(text, XY)
+                except ParseError:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_nesting_the_descent_can_follow_parses(self):
+        """Three frames a parenthesis and one a chained power: 200
+        parentheses take 600 frames and 480 powers 480."""
+        assert parse_expression("(" * 200 + "x" + ")" * 200, XY) == Var("x")
+        chain = parse_expression("x" + "^x" * 480, XY)
+        for _ in range(480):
+            assert chain.op == "^" and chain.left == Var("x")
+            chain = chain.right
+        assert chain == Var("x")
 
 
 class TestDifferentiate:
@@ -383,6 +414,17 @@ class TestEvaluateBatch:
             ex.evaluate_batch(e, {"x": np.array([0.25, 0.5, 0.75])})
         assert "1/(x-0.5)" in str(err.value)
 
+    def test_overflowing_sum_of_finite_nodes_keeps_the_walkers_value(self, monkeypatch):
+        # every node of x*1e308 - x*1e308 is finite at x = 1, but their
+        # sum is not: only that point is handed to the scalar walker,
+        # which returns its value
+        e = parse_expression("x*1e308 - x*1e308", XY)
+        walked = []
+        monkeypatch.setattr(ex, "evaluate",
+                            lambda t, b: (t is e and walked.append(b)) or evaluate(t, b))
+        assert ex.evaluate_batch(e, {"x": np.array([1.0, 0.5])}).tolist() == [0.0, 0.0]
+        assert walked == [{"x": 1.0}]
+
     def test_first_offending_point_in_c_order(self):
         e = parse_expression("sqrt(x) + log(y)", XY)
         xs = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -485,3 +527,323 @@ class TestCompileTrees:
         assert len(calls) == 1
         assert [v.hex() for v in got] == [evaluate(t, point).hex() for t in trees]
         assert math.copysign(1.0, got[0]) == -1.0 and math.copysign(1.0, got[1]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The parser and smart constructors against the previous ones
+# ---------------------------------------------------------------------------
+# Oracles: the smart constructors as they were before each tested an
+# operand's type once, and the parser as it was before the one-regex
+# tokenizer: a character loop, and a descent of five levels
+# (expression, term, factor, power, atom).  Only names are renamed.
+
+def old_is_const(e: Expr, value: float | None = None) -> bool:
+    return isinstance(e, Const) and (value is None or e.value == value)
+
+
+def old_add(a: Expr, b: Expr) -> Expr:
+    if old_is_const(a) and old_is_const(b) and math.isfinite(a.value + b.value):
+        return Const(a.value + b.value)
+    if old_is_const(a, 0.0):
+        return b
+    if old_is_const(b, 0.0):
+        return a
+    return BinOp("+", a, b)
+
+
+def old_sub(a: Expr, b: Expr) -> Expr:
+    if old_is_const(a) and old_is_const(b) and math.isfinite(a.value - b.value):
+        return Const(a.value - b.value)
+    if old_is_const(b, 0.0):
+        return a
+    if old_is_const(a, 0.0):
+        return old_neg(b)
+    return BinOp("-", a, b)
+
+
+def old_mul(a: Expr, b: Expr) -> Expr:
+    if old_is_const(a) and old_is_const(b) and math.isfinite(a.value * b.value):
+        return Const(a.value * b.value)
+    if old_is_const(a, 0.0) or old_is_const(b, 0.0):
+        return ex.ZERO
+    if old_is_const(a, 1.0):
+        return b
+    if old_is_const(b, 1.0):
+        return a
+    if old_is_const(a, -1.0):
+        return old_neg(b)
+    if old_is_const(b, -1.0):
+        return old_neg(a)
+    return BinOp("*", a, b)
+
+
+def old_div(a: Expr, b: Expr) -> Expr:
+    if old_is_const(a, 0.0) and not old_is_const(b, 0.0):
+        return ex.ZERO
+    if old_is_const(b, 1.0):
+        return a
+    if old_is_const(a) and old_is_const(b) and b.value != 0.0 and math.isfinite(a.value / b.value):
+        return Const(a.value / b.value)
+    return BinOp("/", a, b)
+
+
+def old_pow_(a: Expr, b: Expr) -> Expr:
+    if old_is_const(b, 1.0):
+        return a
+    if old_is_const(b, 0.0):
+        return ex.ONE
+    if old_is_const(a) and old_is_const(b):
+        try:
+            return Const(ex._eval_pow(a.value, b.value, BinOp("^", a, b)))
+        except EvalError:
+            pass
+    return BinOp("^", a, b)
+
+
+def old_neg(a: Expr) -> Expr:
+    if old_is_const(a):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def old_call(fn: str, a: Expr) -> Expr:
+    if fn not in ex._MATH_FN:
+        raise ExprError(f"unknown function '{fn}'")
+    if old_is_const(a):
+        try:
+            value = ex._MATH_FN[fn](a.value)
+        except (ValueError, OverflowError):
+            return Call(fn, a)
+        if math.isfinite(value):
+            return Const(value)
+    return Call(fn, a)
+
+
+class OldToken:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+def old_tokenize(text: str) -> list[OldToken]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^()":
+            tokens.append(OldToken(c, c, i))
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                value = float(text[i:j])
+            except ValueError:
+                raise ParseError(f"malformed number '{text[i:j]}'", i)
+            if not math.isfinite(value):
+                raise ParseError(f"number '{text[i:j]}' overflows", i)
+            tokens.append(OldToken("num", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(OldToken("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character '{c}'", i)
+    tokens.append(OldToken("end", "", n))
+    return tokens
+
+
+class OldParser:
+    def __init__(self, tokens: list[OldToken], declared: frozenset[str]):
+        self.tokens = tokens
+        self.declared = declared
+        self.i = 0
+
+    def peek(self) -> OldToken:
+        return self.tokens[self.i]
+
+    def advance(self) -> OldToken:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> OldToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected '{kind}', found '{tok.text or 'end of input'}'", tok.pos)
+        return self.advance()
+
+    def expression(self) -> Expr:
+        node = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
+            rhs = self.term()
+            node = old_add(node, rhs) if op == "+" else old_sub(node, rhs)
+        return node
+
+    def term(self) -> Expr:
+        node = self.factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.advance().kind
+            rhs = self.factor()
+            node = old_mul(node, rhs) if op == "*" else old_div(node, rhs)
+        return node
+
+    def factor(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "-":
+            self.advance()
+            return old_neg(self.factor())
+        if tok.kind == "+":
+            self.advance()
+            return self.factor()
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        if self.peek().kind == "^":
+            self.advance()
+            return old_pow_(base, self.factor())
+        return base
+
+    def atom(self) -> Expr:
+        tok = self.advance()
+        if tok.kind == "num":
+            return Const(float(tok.text))
+        if tok.kind == "(":
+            node = self.expression()
+            self.expect(")")
+            return node
+        if tok.kind == "name":
+            if tok.text in ex.FUNCTIONS:
+                self.expect("(")
+                arg = self.expression()
+                self.expect(")")
+                return old_call(tok.text, arg)
+            if tok.text == "pi":
+                return Const(math.pi)
+            if tok.text not in self.declared:
+                raise UndeclaredNameError(tok.text, tok.pos)
+            if self.peek().kind == "(":
+                raise ParseError(f"'{tok.text}' is not a function", tok.pos)
+            return Var(tok.text)
+        raise ParseError(f"unexpected '{tok.text or 'end of input'}'", tok.pos)
+
+
+def old_parse_expression(text: str, declared) -> Expr:
+    declared = frozenset(declared)
+    clash = declared & set(ex.RESERVED)
+    if clash:
+        raise ExprError(f"declared names shadow reserved words: {sorted(clash)}")
+    parser = OldParser(old_tokenize(text), declared)
+    try:
+        node = parser.expression()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply",
+                         parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos) from None
+    parser.expect("end")
+    return node
+
+
+def shape(e):
+    """``e`` as nested tuples, constants by their hex form (which keeps
+    the sign of a zero)."""
+    if isinstance(e, Const):
+        return ("C", e.value.hex())
+    if isinstance(e, Var):
+        return ("V", e.name)
+    if isinstance(e, (Neg, Call)):
+        return (type(e).__name__, getattr(e, "fn", ""), shape(e.arg))
+    return ("B", e.op, shape(e.left), shape(e.right))
+
+
+def _parsed(parse, text):
+    """The tree's shape, or the error's class, message and position."""
+    try:
+        return shape(parse(text, SOUP_DECLARED))
+    except ParseError as err:
+        return type(err), str(err), err.position
+
+
+# declared names that are not single name tokens ('1', '²x', 'Ⅻ') never
+# match one; 'α' and 'x²' do
+SOUP_DECLARED = frozenset({"x", "y", "x1", "_a", "α", "x²", "1", "²x", "Ⅻ"})
+SOUP = ["0", "1", "7", "400", ".", "e", "E", "+", "-", "*", "/", "^", "(", ")",
+        "x", "y", "x1", "_a", "α", "z", "w", "sin", "exp", "abs", "pi",
+        " ", "\t", "\u00a0", "\u2003", "²", "٣", "Ⅻ", "$", ","]
+_atoms = st.sampled_from(["x", "y", "x1", "_a", "α", "x²", "pi", "2", "0.5", ".25", "1e3",
+                          "3E-2", "0", "1", "٣", "1e400"])
+_sep = st.sampled_from(["", " ", "\u2003"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, _sep, st.sampled_from("+-*/^"), _sep, inner).map("".join),
+        st.tuples(st.sampled_from("-+"), inner).map("".join),
+        st.tuples(st.sampled_from(["(", "sin(", "exp(", "abs("]), inner, st.just(")"))
+        .map("".join))
+
+
+# grammatical texts, token soup, and grammatical texts with one soup
+# piece put in; at most a few dozen levels deep, so that no recursion
+# limit decides an outcome
+_grammatical = st.recursive(_atoms, _compound, max_leaves=16)
+TEXTS = st.one_of(
+    _grammatical,
+    st.lists(st.sampled_from(SOUP), max_size=30).map("".join),
+    st.tuples(_grammatical, st.integers(0, 200), st.sampled_from(SOUP)).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=TEXTS)
+def test_parser_matches_the_previous_parser(text):
+    """Equal trees, constants to the sign of a zero, or the same error
+    class, message and position."""
+    assert _parsed(parse_expression, text) == _parsed(old_parse_expression, text)
+
+
+CONSTRUCTOR_OPERANDS = [Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e308, -1e308,
+                                           1e-308, 5e-324, math.inf)] + [
+    Var("x"), Neg(Var("x")), BinOp("+", Var("x"), Const(1.0))]
+
+
+@pytest.mark.parametrize("new,old", [(ex.add, old_add), (ex.sub, old_sub), (ex.mul, old_mul),
+                                     (ex.div, old_div), (ex.pow_, old_pow_)],
+                         ids=["add", "sub", "mul", "div", "pow_"])
+def test_smart_constructors_match_the_previous_ones(new, old):
+    """On every pair of operands, folds that overflow (1e308 + 1e308,
+    1e308 * 2, 2 ^ 1e308) and signed zeros included."""
+    for a in CONSTRUCTOR_OPERANDS:
+        for b in CONSTRUCTOR_OPERANDS:
+            got, want = new(a, b), old(a, b)
+            assert got == want and shape(got) == shape(want), (a, b)
+
+
+def test_unary_constructors_match_the_previous_ones():
+    for a in CONSTRUCTOR_OPERANDS:
+        assert shape(ex.neg(a)) == shape(old_neg(a))
+        for fn in ex.FUNCTIONS:
+            assert shape(ex.call(fn, a)) == shape(old_call(fn, a)), (fn, a)

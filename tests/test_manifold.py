@@ -158,6 +158,25 @@ g.0.1 = "1 + u^2"
         assert main(["curvature", str(path), "--at", "0.1,0.2"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("walk", [validate_signature, to_document],
+                             ids=["batch-walk", "printer"])
+    def test_entry_too_deep_for_a_later_walk_is_a_spec_error(self, walk):
+        """The product loads, its names checked at load; a walk that
+        starts with less stack left (the signature check's batch walk,
+        the printer) names the entry instead of raising RecursionError."""
+        prod = "*".join(["(1 + 0.001*sin(x))"] * 500)
+        M = load_spec(MINK2.replace('g.1.1 = "1"', f'g.1.1 = "{prod}"'), validate=False)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 300)
+        try:
+            with pytest.raises(SpecError, match=r"^metric entry g\.1\.1 is nested too deeply"):
+                walk(M)
+        finally:
+            sys.setrecursionlimit(limit)
+
     @pytest.mark.parametrize("deep", ["(" * 3000 + "x" + ")" * 3000, "-" * 4000 + "1"],
                              ids=["parentheses", "unary-minus"])
     @pytest.mark.parametrize("where,lines", [
