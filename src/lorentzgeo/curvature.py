@@ -21,8 +21,9 @@ at its point: nothing is handed down, and g, Gamma and R are built once
 per point.  A caller that visits a known set of points asks for their
 geometries in one batch first.
 The causal character of a vector and the type of a plane read g and
-its Riemannianized frame from the same geometry, and refuse a
-non-finite |v|^2, Q or |u|^2 |v|^2 and vectors of the wrong length.
+its Riemannianized frame from the same geometry, take the bands from one
+Riemannianized Gram of their vectors (``manifold.riem_gram``), and refuse
+a non-finite |v|^2, Q or |u|^2 |v|^2 and vectors of the wrong length.
 :func:`energy_derivs` likewise differentiates f = g(X,X)/2 once per spec
 and field.
 
@@ -67,7 +68,7 @@ from .manifold import (
     field_energy_expr,
     require_nondegenerate,
     riem_frame,
-    riem_inner,
+    riem_gram,
 )
 
 # Lightlike and degenerate-plane bands, relative to the Riemannianized
@@ -209,18 +210,24 @@ def _geometry_row(arrays: tuple, r) -> PointGeometry:
 
 def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
     """Classify the tangent vector v at p, with a scale-free lightlike
-    band.
+    band: :func:`_causal` on the geometry at p.
 
     The zero vector gets its own tag rather than counting as spacelike;
     callers that need a genuinely causal vector must check for ZERO.  A
     wrong-length vector or a non-finite |v|^2 raises ValueError.
     """
-    geo = point_geometry(M, p)
+    return _causal(point_geometry(M, p), v)
+
+
+def _causal(geo: PointGeometry, v) -> CausalCharacter:
+    """:func:`causal_character` of v at the point of ``geo``, for a caller
+    that already holds the geometry: g(v,v) against the band on |v|^2,
+    the one-row :func:`~lorentzgeo.manifold.riem_gram` of v."""
     v = np.asarray(v, dtype=float)
     if v.shape != geo.point.shape:
         raise ValueError(f"vector needs {len(geo.point)} components, got {v.tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):      # refused just below
-        n2 = riem_inner(geo.riem_frame, v, v)
+        n2 = float(riem_gram(geo.riem_frame, v))
     if not math.isfinite(n2):
         raise ValueError(f"vector {v.tolist()} has non-finite |v|^2 at {geo.point.tolist()}")
     if n2 == 0.0:
@@ -233,15 +240,16 @@ def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
 
 def _spanning_pair(geo: PointGeometry, u: np.ndarray, v: np.ndarray) -> tuple[PlaneType, float]:
     """The type of span{u, v} and Q = g(u,u) g(v,v) - g(u,v)^2, with the
-    bands on |u|^2 and |v|^2 in the riem_frame of g; a zero or dependent
-    pair raises :class:`DependentVectorsError`, vectors of the wrong length
-    or with a non-finite Q or |u|^2 |v|^2 a plain ValueError."""
+    bands on |u|^2 and |v|^2, read from one Riemannianized Gram of (u, v);
+    a zero or dependent pair raises :class:`DependentVectorsError`,
+    vectors of the wrong length or with a non-finite Q or |u|^2 |v|^2 a
+    plain ValueError."""
     m = len(geo.point)
     if u.shape != (m,) or v.shape != (m,):
         raise ValueError(f"plane vectors need {m} components, got {u.tolist()}, {v.tolist()}")
-    frame, g = geo.riem_frame, geo.metric
+    g = geo.metric
     with np.errstate(over="ignore", invalid="ignore"):      # refused just below
-        nu, nv, nuv = riem_inner(frame, u, u), riem_inner(frame, v, v), riem_inner(frame, u, v)
+        (nu, nuv), (_, nv) = riem_gram(geo.riem_frame, np.array((u, v))).tolist()
         guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
         q = guu * gvv - guv * guv
     if not (math.isfinite(q) and math.isfinite(nu * nv)):
@@ -298,16 +306,15 @@ def null_sectional_curvature(M: ManifoldSpec, p, x, v) -> float:
     geo = point_geometry(M, p)
     g = geo.metric
     xc, vc = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    if causal_character(M, p, xc) is not CausalCharacter.LIGHTLIKE:
+    if _causal(geo, xc) is not CausalCharacter.LIGHTLIKE:
         raise NullCurvatureInputError("reference vector is not lightlike")
-    cv = causal_character(M, p, vc)
-    if cv in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
+    if _causal(geo, vc) in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
     try:
         _spanning_pair(geo, vc, xc)
     except DependentVectorsError as e:
         raise NullCurvatureInputError(str(e)) from None
-    nx, nv = riem_inner(geo.riem_frame, xc, xc), riem_inner(geo.riem_frame, vc, vc)
+    nx, nv = np.diagonal(riem_gram(geo.riem_frame, np.array((xc, vc)))).tolist()
     gxv = float(xc @ g @ vc)
     if abs(gxv) > PLANE_EPS * np.sqrt(nx * nv):
         raise NullCurvatureInputError(
@@ -320,7 +327,12 @@ class ScalarDerivs:
     trees, differentiated once and reused across many points.  The
     derivative trees are deeper than the expression: one too deep for the
     recursive walkers is a :class:`~lorentzgeo.manifold.SpecError`
-    naming ``what``."""
+    naming ``what``.
+
+    The public queries take a point.  A caller that already holds the
+    point's geometry and its bindings (``M.bindings(geo.point)``) reads
+    the covariant Hessian by :meth:`_covariant_hessian_at` instead, so the
+    point is wrapped, bound and looked up once per query."""
 
     def __init__(self, M: ManifoldSpec, e: Expr, what: str = "scalar"):
         self.M = M
@@ -345,7 +357,10 @@ class ScalarDerivs:
     def covariant_hessian(self, p) -> np.ndarray:
         """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
         geo = point_geometry(self.M, p)
-        b = self.M.bindings(geo.point)
+        return self._covariant_hessian_at(geo, self.M.bindings(geo.point))
+
+    def _covariant_hessian_at(self, geo: PointGeometry, b: dict[str, float]) -> np.ndarray:
+        """:meth:`covariant_hessian` at the point of ``geo``, whose bindings are ``b``."""
         grad = self._gradient(b)
         h = self._hessian(b) - np.einsum("kij,k->ij", geo.christoffel, grad)
         return 0.5 * (h + h.T)

@@ -430,8 +430,11 @@ def differentiate(e: Expr, var: str) -> Expr:
 # never silently propagated.
 # ---------------------------------------------------------------------------
 
+_isfinite = math.isfinite
+
+
 def _check_finite(value: float, node: Expr) -> float:
-    if not math.isfinite(value):
+    if not _isfinite(value):
         raise EvalError("non-finite value", node)
     return value
 
@@ -461,42 +464,60 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
     Raises :class:`MissingBindingError` for unbound names and
     :class:`EvalError` naming the offending subtree for division by
     zero, logarithms of non-positive numbers, and similar poles.
+
+    One node is dispatched on its exact type (no node class has
+    subclasses), a :class:`Const` operand of a binary node is read in
+    place rather than walked, and a binary result is tested for
+    finiteness inline.  Operands are evaluated left before right, and
+    the recursion goes through this module's ``evaluate``, so a wrapper
+    put in its place sees every node walked.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+    t = type(e)
+    if t is BinOp:
+        left, right = e.left, e.right
+        a = left.value if type(left) is Const else evaluate(left, bindings)
+        b = right.value if type(right) is Const else evaluate(right, bindings)
+        op = e.op
+        if op == "+":
+            v = a + b
+        elif op == "-":
+            v = a - b
+        elif op == "*":
+            v = a * b
+        elif op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", e)
+            v = a / b
+        elif op == "^":
+            return _eval_pow(a, b, e)
+        else:
+            raise ExprError(f"unknown operator '{op}'")
+        if _isfinite(v):
+            return v
+        raise EvalError("non-finite value", e)
+    if t is Var:
         try:
             return bindings[e.name]
         except KeyError:
             raise MissingBindingError(e.name, e)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, bindings)
-        b = evaluate(e.right, bindings)
-        if e.op == "+":
-            return _check_finite(a + b, e)
-        if e.op == "-":
-            return _check_finite(a - b, e)
-        if e.op == "*":
-            return _check_finite(a * b, e)
-        if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", e)
-            return _check_finite(a / b, e)
-        if e.op == "^":
-            return _eval_pow(a, b, e)
-        raise ExprError(f"unknown operator '{e.op}'")
-    if isinstance(e, Call):
+    if t is Const:
+        return e.value
+    if t is Call:
         a = evaluate(e.arg, bindings)
-        if e.fn == "log" and a <= 0.0:
+        fn = e.fn
+        if fn == "log" and a <= 0.0:
             raise EvalError("logarithm of a non-positive number", e)
-        if e.fn == "sqrt" and a < 0.0:
+        if fn == "sqrt" and a < 0.0:
             raise EvalError("square root of a negative number", e)
         try:
-            return _check_finite(_MATH_FN[e.fn](a), e)
+            v = _MATH_FN[fn](a)
         except (ValueError, OverflowError):
             raise EvalError("domain error", e)
+        if _isfinite(v):
+            return v
+        raise EvalError("domain error", e)     # a non-finite result, from a nan argument
+    if t is Neg:
+        return -evaluate(e.arg, bindings)
     raise ExprError(f"cannot evaluate node {e!r}")
 
 
@@ -651,15 +672,19 @@ def _eval_batch(e: Expr, columns: dict, acc: np.ndarray):
 
 
 def free_names(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Call):
-        return free_names(e.arg)
-    if isinstance(e, BinOp):
-        return free_names(e.left) | free_names(e.right)
-    return set()
+    """The names of the :class:`Var` nodes of ``e``, collected into one
+    set by a walk with an explicit stack."""
+    names, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is BinOp:
+            stack += (node.left, node.right)
+        elif t is Var:
+            names.add(node.name)
+        elif t is Call or t is Neg:
+            stack.append(node.arg)
+    return names
 
 
 # ---------------------------------------------------------------------------

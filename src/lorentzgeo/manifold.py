@@ -87,15 +87,23 @@ _FEW_ROWS = 8
 @contextmanager
 def _entry(what: str):
     """Report an entry nested too deeply for the recursive tree walkers
-    as a :class:`SpecError` that names it.  Guards the pair comparison and
-    name checks at load and the lazy derivative builders of
-    :class:`ManifoldSpec` alike, so an entry whose derivative trees are
-    too deep is refused at their first read; the trees derived later (the
-    energy's derivatives, L_X g) are guarded where they are walked."""
+    as a :class:`SpecError` that names it.  Guards the pair comparison at
+    load and the lazy derivative builders of :class:`ManifoldSpec` alike,
+    so an entry whose derivative trees are too deep is refused at their
+    first read; the trees derived later (the energy's derivatives, L_X g)
+    are guarded where they are walked, and the pointwise evaluation of the
+    metric and of a field raises the same error by :func:`_too_deep`.  The
+    name check at load walks with an explicit stack and needs no guard."""
     try:
         yield
     except RecursionError:
-        raise SpecError(f"{what} is nested too deeply to process") from None
+        raise _too_deep(what) from None
+
+
+def _too_deep(what: str) -> SpecError:
+    """The error of :func:`_entry`, for a hot path that catches
+    ``RecursionError`` itself (a ``try`` costs nothing until it raises)."""
+    return SpecError(f"{what} is nested too deeply to process")
 
 
 class CausalCharacter(enum.Enum):
@@ -194,21 +202,18 @@ class ManifoldSpec:
         declared = self.declared_names()
         for i in range(m):
             for j in range(i, m):
-                with _entry(f"metric entry g.{i}.{j}"):
-                    bad = ex.free_names(self.metric[i][j]) - declared
+                bad = ex.free_names(self.metric[i][j]) - declared
                 if bad:
                     raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
         for fname, comps in self.fields.items():
             if len(comps) != m:
                 raise SpecError(f"field '{fname}' must have {m} components")
-            with _entry(f"field '{fname}'"):
-                for c in comps:
-                    bad = ex.free_names(c) - declared
-                    if bad:
-                        raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
+            for c in comps:
+                bad = ex.free_names(c) - declared
+                if bad:
+                    raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
         for sname, e in self.scalars.items():
-            with _entry(f"scalar '{sname}'"):
-                bad = ex.free_names(e) - declared
+            bad = ex.free_names(e) - declared
             if bad:
                 raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
 
@@ -348,9 +353,12 @@ class ManifoldSpec:
         b = self.bindings(self.wrap_point(p))
         m = self.dim
         g = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
+        try:
+            for i in range(m):
+                for j in range(i, m):
+                    g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
+        except RecursionError:
+            raise _too_deep(f"metric entry g.{i}.{j}") from None
         return g
 
     def metric_derivs(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,13 +414,21 @@ class ManifoldSpec:
             ex.compile_trees(trees)
 
     def field_eval(self, name: str, p) -> np.ndarray:
-        comps = self.fields[name]
-        b = self.bindings(self.wrap_point(p))
-        return np.array([ex.evaluate(c, b) for c in comps])
+        return self._field_at(name, self.bindings(self.wrap_point(p)))
 
     def field_derivs(self, name: str, p) -> np.ndarray:
         """dX[j,i] = d_j X^i from exact trees."""
-        b = self.bindings(self.wrap_point(p))
+        return self._field_derivs_at(name, self.bindings(self.wrap_point(p)))
+
+    def _field_at(self, name: str, b: dict[str, float]) -> np.ndarray:
+        """The field at the point whose :meth:`bindings` are ``b``."""
+        try:
+            return np.array([ex.evaluate(c, b) for c in self.fields[name]])
+        except RecursionError:
+            raise _too_deep(f"field '{name}'") from None
+
+    def _field_derivs_at(self, name: str, b: dict[str, float]) -> np.ndarray:
+        """:meth:`field_derivs` at the point whose :meth:`bindings` are ``b``."""
         dtrees = self._dfields[name]
         m = self.dim
         out = np.empty((m, m))
@@ -463,16 +479,20 @@ def require_nondegenerate(w: np.ndarray, p) -> None:
 
 def riem_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|w|, V) from one eigen-decomposition g = V diag(w) V^T: the
-    Riemannianized metric V diag(|w|) V^T that :func:`riem_inner` pairs with."""
+    Riemannianized metric V diag(|w|) V^T that :func:`riem_gram` pairs with."""
     w, V = np.linalg.eigh(g)
     return np.abs(w), V
 
 
-def riem_inner(frame: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray) -> float:
-    """Riemannianized inner product of a and b in the :func:`riem_frame`
-    of g.  Positive definite away from degeneracy."""
+def riem_gram(frame: tuple[np.ndarray, np.ndarray], W: np.ndarray):
+    """Riemannianized Gram matrix of the rows of W (k, m) in the
+    :func:`riem_frame` of g, or the squared Riemannianized norm of one
+    vector W (m,).  Each row is projected on the eigenframe once,
+    P = W V, and the Gram is P diag(|w|) Pᵀ: positive definite away from
+    degeneracy, it is the scale of the causal and plane bands."""
     aw, V = frame
-    return float(np.sum(aw * (V.T @ a) * (V.T @ b)))
+    P = W @ V
+    return (P * aw) @ P.T
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ from . import expr as ex
 from .curvature import (
     _TINY,
     ScalarDerivs,
-    causal_character,
+    _causal,
     energy_derivs,
     point_geometries,
+    point_geometry,
 )
 from .manifold import (
     BOUNDARY_COLLAR,
@@ -117,6 +118,7 @@ class ScanResult:
         sampled point counts as both a minimum and a maximum."""
         if not self.plateau:
             return list(self.records)
+        _fetch_geometries(M, self.plateau_points)
         out = []
         for p in self.plateau_points:
             rec = _make_record(M, xname, p, ExtremumKind.MIN)
@@ -124,13 +126,25 @@ class ScanResult:
         return out
 
 
+def _fetch_geometries(M: ManifoldSpec, points) -> None:
+    """Ask for the geometries of the records at ``points`` in one batch,
+    so that :func:`_make_record` and then the witness at each record find
+    its geometry in the spec's memo."""
+    if len(points):
+        point_geometries(M, [M.wrap_point(p) for p in points])
+
+
 def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
+    """The record of kind ``kind`` at p, wrapped: the covariant Hessian,
+    the causal character of X and f, all read from the geometry and the
+    bindings of the one point."""
     f_derivs = energy_derivs(M, xname)
     p = M.wrap_point(p)
-    hess = f_derivs.covariant_hessian(p)
-    eigs = tuple(float(w) for w in np.linalg.eigvalsh(hess))
-    cc = causal_character(M, p, M.field_eval(xname, p))
-    return ExtremumRecord(point=p, f_value=f_derivs.value(p), kind=kind,
+    geo = point_geometry(M, p)
+    b = M.bindings(geo.point)
+    eigs = tuple(float(w) for w in np.linalg.eigvalsh(f_derivs._covariant_hessian_at(geo, b)))
+    cc = _causal(geo, M._field_at(xname, b))
+    return ExtremumRecord(point=p, f_value=ex.evaluate(f_derivs.expr, b), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
 
@@ -235,7 +249,11 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     """Grid-scan f = g(X,X)/2 for nodes that are the least (largest) of
     their 3^m lattice neighbourhood, refine them by Newton steps on the
     exact derivative trees of f, and classify them by the eigenvalues of
-    the covariant Hessian.
+    the covariant Hessian.  Every candidate is refined before any record
+    is made, and the refined points' geometries are asked for in one
+    batch, which the spec's memo then holds for the witness; so an error
+    in refining a later candidate is raised ahead of one in making an
+    earlier record.
 
     Candidates that touch on the grid's index lattice form one cluster,
     refined once from its best node; a refined minimum (maximum) at which
@@ -281,18 +299,20 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
             for edge in ((slice(None),) * a + (0,), (slice(None),) * a + (-1,)):
                 min_mask[edge] = max_mask[edge] = False
 
+    found = [(kind, sense, _refine(M, fd, p))
+             for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
+                                       (max_mask, ExtremumKind.MAX, -1.0))
+             for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]]
+    _fetch_geometries(M, [refined for _, _, refined in found])
     records: list[ExtremumRecord] = []
-    for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
-                              (max_mask, ExtremumKind.MAX, -1.0)):
-        for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]:
-            refined = _refine(M, fd, p)
-            rec = _make_record(M, xname, refined, kind)
-            if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
-                rec = replace(rec, kind=ExtremumKind.SADDLE)
-            if not any(r.kind is rec.kind
-                       and _box_adjacent(M, spacings, r.point, rec.point)
-                       for r in records):
-                records.append(rec)
+    for kind, sense, refined in found:
+        rec = _make_record(M, xname, refined, kind)
+        if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
+            rec = replace(rec, kind=ExtremumKind.SADDLE)
+        if not any(r.kind is rec.kind
+                   and _box_adjacent(M, spacings, r.point, rec.point)
+                   for r in records):
+            records.append(rec)
 
     return ScanResult(records=tuple(records), plateau=False, f_min=f_min,
                       f_max=f_max)
@@ -342,6 +362,12 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     lightlike-minimum branch serves only non-causal homothetic fields.
     ``tol``, the band the sign test allows, must be finite and
     non-negative.
+
+    A homothetic X (L_X g = lam g) has nabla X = S + (lam/2) I with S
+    skew for g, so the kernel direction is taken from S: dX - (lam/2) I
+    goes to the restricted operator (a Killing X has lam = 0 and keeps
+    its dX bit for bit).  A kernel vector v then has
+    Hess f(v,v) = (lam/2)^2 g(v,v) - g(R(v,X)X,v).
     """
     require_tolerance(tol)
     if classification is None:
@@ -373,8 +399,9 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
     minimum = record.kind is ExtremumKind.MIN
     frame = perp_frame(M, xname, p)
-    kv, kres = kernel_direction(restricted_operator(
-        frame, M.field_derivs(xname, frame.geo.point)))
+    # a homothetic X has nabla X = skew + (lam/2) I; the kernel is the skew part's
+    dX = M.field_derivs(xname, frame.geo.point) - 0.5 * classification.lam * np.eye(m)
+    kv, kres = kernel_direction(restricted_operator(frame, dX))
     k_val = float(kv @ frame.jacobi @ kv)
     if frame.causal is CausalCharacter.TIMELIKE:
         case, nonnegative = "timelike_even", minimum

@@ -36,7 +36,7 @@ from .curvature import (
     _TINY,
     PointGeometry,
     ScalarDerivs,
-    causal_character,
+    _causal,
     energy_derivs,
     jacobi_form,
     point_geometry,
@@ -46,7 +46,7 @@ from .manifold import (
     CausalCharacter,
     ManifoldSpec,
     _entry,
-    riem_inner,
+    riem_gram,
 )
 
 CLASSIFY_TOL = 1e-8
@@ -170,7 +170,8 @@ def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
     """max |g(A_X u, v) + g(u, A_X v)| over chart basis pairs, normalized
     by the operator's magnitude.  Zero exactly when X is Killing."""
     geo = point_geometry(M, p)
-    g, A = geo.metric, shape_operator(geo, M.field_eval(xname, p), M.field_derivs(xname, p))
+    b = M.bindings(geo.point)
+    g, A = geo.metric, shape_operator(geo, M._field_at(xname, b), M._field_derivs_at(xname, b))
     sym = A.T @ g + g @ A                   # [u,v] slot: g(Au, v) + g(u, Av)
     denom = max(float(np.max(np.abs(g @ A))), float(np.max(np.abs(A.T @ g))), _TINY)
     return float(np.max(np.abs(sym))) / denom
@@ -221,11 +222,10 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     cone.  On the X-perp of a lightlike X the induced product is positive
     semidefinite with kernel span{X}, so it is definite on a complement.
     """
-    p = M.wrap_point(p)
-    geo = point_geometry(M, p)
+    geo = point_geometry(M, M.wrap_point(p))
     g = geo.metric
-    X = M.field_eval(xname, p)
-    cc = causal_character(M, p, X)
+    X = M._field_at(xname, M.bindings(geo.point))
+    cc = _causal(geo, X)
     gX = g @ X
     if cc is CausalCharacter.TIMELIKE:
         against = [gX]
@@ -254,13 +254,15 @@ def restricted_operator(frame: PerpFrame, dX: np.ndarray) -> np.ndarray:
     the point: it is not a critical point of f.
     """
     geo, X, reps = frame.geo, frame.field, frame.basis
-    g, rframe = geo.metric, geo.riem_frame
-    nrm_x = math.sqrt(max(riem_inner(rframe, X, X), _TINY))
+    g = geo.metric
     images = shape_operator(geo, X, dX) @ reps.T    # column i: A_X applied to reps[i]
+    # the squared Riemannianized norms of X and of each image, from one Gram
+    nx2, *img2 = np.diagonal(riem_gram(geo.riem_frame, np.vstack((X, images.T)))).tolist()
+    nrm_x = math.sqrt(max(nx2, _TINY))
     # a vanishing operator preserves everything; floor its magnitude so
     # pure float noise (of df, which the leak equals) does not masquerade
     # as a leak.  That noise grows with the curvature, and so does the floor.
-    opmag = max((math.sqrt(riem_inner(rframe, img, img)) for img in images.T), default=0.0)
+    opmag = math.sqrt(max(img2, default=0.0))
     floor = 1e-9 * (1.0 + nrm_x) * max(1.0, float(np.max(np.abs(geo.riemann))))
     leak = float(np.max(np.abs(X @ g @ images), initial=0.0)) / (max(opmag, floor) * nrm_x)
     if leak > INVARIANCE_TOL:
@@ -308,11 +310,11 @@ def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of Hess f = -g(R(.,X)X,.) + g(A_X ., A_X .) in the
     chart basis; valid when X is homothetic (Killing included)."""
-    p = M.wrap_point(p)
-    geo = point_geometry(M, p)
-    lhs = energy_derivs(M, xname).covariant_hessian(p)
-    X = M.field_eval(xname, p)
-    A = shape_operator(geo, X, M.field_derivs(xname, p))
+    geo = point_geometry(M, M.wrap_point(p))
+    b = M.bindings(geo.point)
+    lhs = energy_derivs(M, xname)._covariant_hessian_at(geo, b)
+    X = M._field_at(xname, b)
+    A = shape_operator(geo, X, M._field_derivs_at(xname, b))
     rhs = -jacobi_form(geo, X) + A.T @ geo.metric @ A
     return lhs, rhs
 

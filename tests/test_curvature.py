@@ -42,9 +42,11 @@ from lorentzgeo.manifold import (
     DegenerateMetricError,
     DomainError,
     ManifoldSpec,
+    PlaneType,
     TangentPlane,
     field_energy_expr,
     load_spec,
+    riem_gram,
     to_document,
 )
 from lorentzgeo.obstruction import (
@@ -213,6 +215,46 @@ class TestSectional:
             with pytest.raises(ValueError, match=message) as info:
                 read(torus.spec, pi)
             assert not isinstance(info.value, DegeneratePlaneError)
+
+
+def old_riem_inner(frame, a, b):
+    """The Riemannianized inner product of one pair, as it was computed
+    before the Gram: the reference of the plane bands."""
+    aw, V = frame
+    return float(np.sum(aw * (V.T @ a) * (V.T @ b)))
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_plane_bands_match_three_inner_products(name):
+    """At seeded points of every catalog chart, with seeded random planes,
+    the plane type, Q and K equal bit for bit those of a reference that
+    takes the bands from three riem_inner calls, and the one Gram of
+    (u, v) agrees with those three to 1e-14 relative."""
+    M = build_example(name).spec
+    rng = np.random.default_rng([26, len(name)])
+    for p in M.sample_points(6, rng):
+        geo = point_geometry(M, p)
+        g = geo.metric
+        for _ in range(8):
+            u, v = rng.normal(size=M.dim), rng.normal(size=M.dim)
+            nu, nv, nuv = (old_riem_inner(geo.riem_frame, a, b) for a, b in ((u, u), (v, v), (u, v)))
+            guu, gvv, guv = float(u @ g @ u), float(v @ g @ v), float(u @ g @ v)
+            q = guu * gvv - guv * guv
+            band = curvature.PLANE_EPS * nu * nv
+            kind = (PlaneType.TIMELIKE if q < -band else
+                    PlaneType.SPACELIKE if q > band else PlaneType.DEGENERATE)
+            plane = TangentPlane(p, u, v)
+            assert plane_type(M, plane) is kind
+            assert curvature._spanning_pair(geo, u, v)[1].hex() == q.hex()
+            if kind is PlaneType.DEGENERATE:
+                with pytest.raises(DegeneratePlaneError):
+                    sectional_curvature(M, plane)
+            else:
+                k = float(np.einsum("ijkl,i,j,k,l->", geo.riemann, u, v, u, v)) / q
+                assert sectional_curvature(M, plane).hex() == k.hex()
+            gram = riem_gram(geo.riem_frame, np.array((u, v)))
+            ref = np.array([[nu, nuv], [nuv, nv]])
+            assert np.max(np.abs(gram - ref)) <= 1e-14 * max(nu, nv)
 
 
 class TestNullSectional:
@@ -510,8 +552,10 @@ def test_one_metric_jet_per_point(count_calls, case):
     cls = classify_field(e.spec, e.field_name)
     derivs = count_calls(ManifoldSpec, "metric_derivs")
     evals = count_calls(ManifoldSpec, "metric_eval")
-    fields = count_calls(ManifoldSpec, "field_eval")
-    field_derivs = count_calls(ManifoldSpec, "field_derivs")
+    # field_eval and field_derivs read their point's bindings and call
+    # these, as do the queries that hold the bindings already
+    fields = count_calls(ManifoldSpec, "_field_at")
+    field_derivs = count_calls(ManifoldSpec, "_field_derivs_at")
     trees = count_calls(ex, "differentiate")
     result = operation(e.spec, e.field_name, cls)
     if case.startswith("witness"):

@@ -530,6 +530,93 @@ class TestCompileTrees:
 
 
 # ---------------------------------------------------------------------------
+# The scalar walker against the previous one
+# ---------------------------------------------------------------------------
+# Oracle: the walker as it was before it dispatched on exact types, read
+# Const operands in place and tested finiteness inline.  Only names are
+# renamed; the power rule is the module's own.
+
+def old_check_finite(value: float, node: Expr) -> float:
+    if not math.isfinite(value):
+        raise EvalError("non-finite value", node)
+    return value
+
+
+def old_evaluate(e: Expr, bindings: dict[str, float]) -> float:
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return bindings[e.name]
+        except KeyError:
+            raise MissingBindingError(e.name, e)
+    if isinstance(e, Neg):
+        return -old_evaluate(e.arg, bindings)
+    if isinstance(e, BinOp):
+        a = old_evaluate(e.left, bindings)
+        b = old_evaluate(e.right, bindings)
+        if e.op == "+":
+            return old_check_finite(a + b, e)
+        if e.op == "-":
+            return old_check_finite(a - b, e)
+        if e.op == "*":
+            return old_check_finite(a * b, e)
+        if e.op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", e)
+            return old_check_finite(a / b, e)
+        if e.op == "^":
+            return ex._eval_pow(a, b, e)
+        raise ExprError(f"unknown operator '{e.op}'")
+    if isinstance(e, Call):
+        a = old_evaluate(e.arg, bindings)
+        if e.fn == "log" and a <= 0.0:
+            raise EvalError("logarithm of a non-positive number", e)
+        if e.fn == "sqrt" and a < 0.0:
+            raise EvalError("square root of a negative number", e)
+        try:
+            return old_check_finite(ex._MATH_FN[e.fn](a), e)
+        except (ValueError, OverflowError):
+            raise EvalError("domain error", e)
+    raise ExprError(f"cannot evaluate node {e!r}")
+
+
+def _outcome(walker, e, bindings):
+    """The value's bytes, or the class and message of what was raised."""
+    try:
+        return np.float64(walker(e, bindings)).tobytes()
+    except Exception as err:        # every class is compared, KeyError included
+        return type(err), str(err)
+
+
+# COMPILED_WRAPPERS, plus nodes the walker refuses: an unknown operator,
+# an unknown function and a bare base node, each after a valid operand
+WALKER_WRAPPERS = COMPILED_WRAPPERS + [
+    lambda e: BinOp("%", e, Var("x")),
+    lambda e: Call("cosh", e),
+    lambda e: BinOp("+", e, Expr()),
+    lambda e: ex.neg(ex.mul(e, ex.call("exp", Var("y")))),
+]
+# finite coordinates, and the bindings that reach the non-finite paths
+walker_coordinate = st.one_of(coordinate, st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), wrap=st.integers(0, len(WALKER_WRAPPERS) - 1),
+       x=walker_coordinate, y=walker_coordinate, bind_y=st.booleans())
+def test_walker_matches_the_previous_walker(seed, wrap, x, y, bind_y):
+    """evaluate gives the previous walker's value bit for bit, or raises
+    the same class with the same message: at poles, on overflow, with an
+    unbound name, a non-finite binding or a node it refuses."""
+    rng = np.random.default_rng(seed)
+    e = WALKER_WRAPPERS[wrap](random_expr(rng))
+    for tree in (e, differentiate(e, "x")) if wrap < len(COMPILED_WRAPPERS) else (e,):
+        b = {"x": x, "y": y} if bind_y else {"x": x}
+        assert _outcome(evaluate, tree, b) == _outcome(old_evaluate, tree, b)
+
+
+# ---------------------------------------------------------------------------
 # The parser and smart constructors against the previous ones
 # ---------------------------------------------------------------------------
 # Oracles: the smart constructors as they were before each tested an

@@ -143,6 +143,22 @@ g.0.1 = "1 + u^2"
         with pytest.raises(SpecError, match=r"metric entry g\.1\.1 is nested too deeply"):
             load_spec(doc)
 
+    @pytest.mark.parametrize("where,document,evaluate", [
+        ("metric entry g.1.1", MINK2.replace('"1"\n', '"3 + 0.001*({})"\n'),
+         lambda M: M.metric_eval([0.1, 0.2])),
+        ("field 'X'", MINK2 + '\n[field.X]\ncomponents = "1", "0.001*({})"\n',
+         lambda M: M.field_eval("X", [0.1, 0.2])),
+    ], ids=["metric", "field"])
+    def test_entry_too_deep_for_the_walker_is_refused_where_it_is_evaluated(
+            self, where, document, evaluate):
+        """The name check at load walks with an explicit stack, so an
+        entry too deep for the recursive walker loads (unchecked, for a
+        metric entry); evaluating it at a point names it."""
+        terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
+        M = load_spec(document.format(terms), validate=False)
+        with pytest.raises(SpecError, match=f"^{where} is nested too deeply to process$"):
+            evaluate(M)
+
     def test_entry_with_too_deep_derivatives_is_refused_at_first_need(self, tmp_path, capsys):
         # the product loads and validates, but its derivative trees are
         # deeper than the recursive differentiation can follow

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentzgeo.catalog import _TORUS_FAMILY, list_examples
+from lorentzgeo.catalog import _TORUS_FAMILY, build_example, list_examples
 from lorentzgeo.curvature import (
     ScalarDerivs,
     causal_character,
@@ -130,6 +130,23 @@ class TestScanExtrema:
     def test_resolution_floor(self, torus):
         with pytest.raises(ValueError):
             scan_extrema(torus.spec, "X", grid=4)
+
+    @pytest.mark.parametrize("name,grid", [("torus_family", 64), ("minkowski2", 10)],
+                             ids=["records", "plateau"])
+    def test_one_metric_jet_per_record_for_scan_and_witness(self, count_calls, name, grid):
+        """The records' geometries (of the refined points, or of the
+        plateau's sampled points) are asked for in one batch, so neither
+        the records nor the witness at each of them builds a geometry
+        twice: one metric jet per distinct record point."""
+        M = build_example(name).spec            # a fresh spec: nothing memoized
+        cls = classify_field(M, "X")
+        jets = count_calls(ManifoldSpec, "metric_derivs")
+        scan = scan_extrema(M, "X", grid=grid)
+        records = scan.witness_records(M, "X")
+        for rec in records:
+            assert extremum_witness(M, "X", rec, classification=cls).verdict is Verdict.PASS
+        assert len(records) >= 2
+        assert len(jets) == len({rec.point.tobytes() for rec in records})
 
 
 # The torus_family chart with its profile shifted so that both extrema
@@ -910,6 +927,69 @@ class TestWitness:
         rep = extremum_witness(lift.spec, lift.field, rec)
         assert rep.verdict is Verdict.SCOPE
         assert rep.scope_reason == "lightlike extremum needs odd dimension, chart has m=4"
+
+
+# X = d/dt is homothetic, L_X g = 0.6 g, with f = -e^{0.6 t} (x - 1/2)^2 / 2:
+# causal, and lightlike on x = 1/2, where f has its maximum 0.  A grid of
+# an odd node count per axis has nodes on x = 1/2.  With g_tt's sign
+# flipped X is not causal, and x = 1/2 is a lightlike minimum of f.
+HOMOTHETIC_CAUSAL = """
+[manifold]
+dim = 3
+coords = t, x, y
+range.t = -1, 1
+range.x = 0, 1
+range.y = 0, 1
+periodic = y
+signature = lorentzian
+
+[metric]
+g.0.0 = "-exp(0.6*t)*(x - 0.5)^2"
+g.0.2 = "exp(0.6*t)"
+g.1.1 = "exp(0.6*t)"
+
+[field.X]
+components = "1", "0", "0"
+"""
+HOMOTHETIC_FLIPPED = HOMOTHETIC_CAUSAL.replace('"-exp(0.6*t)', '"exp(0.6*t)')
+
+
+class TestHomotheticWitness:
+    """nabla X = skew + (lam/2) I for a homothetic X, and the witness
+    plane comes from the kernel of the skew part.  A kernel vector v of
+    the quotient operator then has Hess f(v,v) = (lam/2)^2 g(v,v) -
+    g(R(v,X)X,v), so the witness value is -Hess f(v,v)/g(v,v) + (lam/2)^2,
+    read here from the energy tree alone."""
+
+    @staticmethod
+    def witness(document, grid):
+        M = load_spec(document)
+        cls = classify_field(M, "X")
+        assert cls.tag is FieldTag.HOMOTHETIC
+        assert cls.lam == pytest.approx(0.6, rel=1e-12)
+        rec, = scan_extrema(M, "X", grid=grid).witness_records(M, "X")
+        assert rec.causal is CausalCharacter.LIGHTLIKE
+        rep = extremum_witness(M, "X", rec, classification=cls)
+        assert rep.verdict is Verdict.PASS and rep.case == "lightlike_odd"
+        v = rep.plane.u
+        hess = ScalarDerivs(M, field_energy_expr(M, "X")).covariant_hessian(rec.point)
+        hess_vv = float(v @ hess @ v) / float(v @ point_geometry(M, rec.point).metric @ v)
+        assert rep.value == pytest.approx(-hess_vv + (cls.lam / 2) ** 2, rel=1e-9)
+        return rec, rep, hess_vv
+
+    def test_causal_field_lightlike_maximum(self):
+        rec, rep, hess_vv = self.witness(HOMOTHETIC_CAUSAL, 17)
+        assert rec.kind is ExtremumKind.MAX and rep.inequality == ">= 0"
+        assert rec.point.tolist() == pytest.approx([-0.874125, 0.5, 0.0], abs=1e-12)
+        assert hess_vv == pytest.approx(-1.0, rel=1e-9)
+        assert rep.value == pytest.approx(1.09, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", [15, 17, 33])
+    def test_flipped_field_lightlike_minimum(self, grid):
+        rec, rep, hess_vv = self.witness(HOMOTHETIC_FLIPPED, grid)
+        assert rec.kind is ExtremumKind.MIN and rep.inequality == "<= 0"
+        assert hess_vv == pytest.approx(1.0, rel=1e-9)
+        assert rep.value == pytest.approx(-0.91, rel=1e-9)
 
 
 class TestTwistedFourTorus:
