@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -344,6 +345,12 @@ class ScalarDerivs:
             # the Hessian is symmetric: only its i <= j trees are built
             self.hess_trees = {(i, j): ex.differentiate(self.grad_trees[i], names[j])
                                for i in range(M.dim) for j in range(i, M.dim)}
+
+    @cached_property
+    def mentioned(self) -> set[str]:
+        """The names the expression's tree mentions (``ex.free_names``),
+        walked for once: the grid scan reads them at every call."""
+        return ex.free_names(self.expr)
 
     def value(self, p) -> float:
         return self.M.evaluate(self.expr, p)

@@ -18,15 +18,17 @@ non-finite constant, and evaluation reports a pole or a non-finite
 intermediate as an :class:`EvalError` naming the offending subtree.
 
 :func:`evaluate` walks a tree once per point.  :func:`evaluate_batch`
-walks it once for a whole batch, applying numpy ufuncs to columns of
-coordinate values, with the same contract: it adds every node's values
-into one sum per point, and where that sum is not finite (as it is where
-any node has a pole or a non-finite value) the scalar walker is re-run,
-point by point in C order, so a batch raises exactly the error a
-point-by-point loop would raise first.  The two walkers agree bit for
-bit on ``+ - * /``, ``sin``, ``cos``, ``sqrt`` and ``abs``; numpy's
-``exp``, ``tan``, ``log`` and ``power`` may differ from :mod:`math` in
-the last unit or so.
+walks it once for a whole batch, one numpy ufunc per node on columns of
+coordinate values, with the same contract.  The walk runs under an
+``errstate`` that raises on division by zero, overflow and invalid
+values, so with finite leaves the first pole or non-finite value stops
+it; the two cases IEEE leaves unflagged, a non-finite leaf and a
+non-integer power of a non-positive base (``0^0.5`` is a silent 0), are
+checked for.  On a flag or a check the scalar walker is re-run, point by
+point in C order, so a batch raises exactly the error a point-by-point
+loop would raise first.  The two walkers agree bit for bit on ``+ - *
+/``, ``sin``, ``cos``, ``sqrt`` and ``abs``; numpy's ``exp``, ``tan``,
+``log`` and ``power`` may differ from :mod:`math` in the last unit or so.
 
 :func:`compile_trees` turns a fixed list of trees into one generated
 straight-line function for repeated evaluation at single points, each
@@ -616,59 +618,59 @@ def evaluate_batch(e: Expr, columns: dict) -> np.ndarray:
 
     ``columns`` maps each name to a float or to an array; the arrays
     broadcast to the batch shape, which is also the shape of the result.
-    Raises what :func:`evaluate` raises at the first point, in C order,
-    where some node has a pole or a non-finite value: the walk sums every
-    node's values per point, as :func:`compile_trees` does, and re-runs
-    the scalar walker where the sum is not finite.  Where only the sum
-    overflowed, that returns the point's value, which is kept.
+    The walk makes one numpy operation per node, under an ``errstate``
+    that raises on division by zero, overflow and invalid values; what
+    IEEE leaves unflagged (a non-finite leaf, a fractional power of zero)
+    is checked for.  On a flag or a check the scalar walker is run point
+    by point in C order, so the batch raises what :func:`evaluate` raises
+    first, or returns the walker's values.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
-    acc = np.zeros(shape)
-    with np.errstate(all="ignore"):
-        out = np.array(np.broadcast_to(_eval_batch(e, columns, acc), shape), dtype=float)
-        bad = ~np.isfinite(acc)
-    for idx in zip(*np.nonzero(bad)):
-        point = {k: float(np.broadcast_to(v, shape)[idx]) for k, v in columns.items()}
-        # the scalar walker raises here, or returns the value (numpy and
-        # math rounding apart at an overflow edge, or a sum that overflowed)
-        out[idx] = evaluate(e, point)
+    try:
+        if not all(np.isfinite(v).all() for v in columns.values()):
+            raise FloatingPointError
+        with np.errstate(all="raise", under="ignore"):
+            return np.array(np.broadcast_to(_walk_batch(e, columns), shape), dtype=float)
+    except FloatingPointError:
+        full = {k: np.broadcast_to(v, shape) for k, v in columns.items()}
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = evaluate(e, {k: float(v[idx]) for k, v in full.items()})
     return out
 
 
-def _eval_batch(e: Expr, columns: dict, acc: np.ndarray):
-    """Recursive body of :func:`evaluate_batch`; adds each operation's
-    values into ``acc``, and inf where a power would make the scalar
-    walker raise with finite values.
-
-    Every pole the scalar walker reports (division by zero, the logarithm
-    or square root of a negative number, zero to a negative power) gives
-    a non-finite value in IEEE arithmetic, except a fractional power of
-    zero; a non-finite exponent need not give one either.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+def _walk_batch(e: Expr, columns: dict):
+    """Body of :func:`evaluate_batch`.  A non-finite constant, or a power
+    the scalar walker refuses unflagged (a constant integer exponent needs
+    no check: IEEE flags 0^-n), raises ``FloatingPointError``."""
+    t = type(e)
+    if t is BinOp:
+        left, right = e.left, e.right
+        a = left.value if type(left) is Const else _walk_batch(left, columns)
+        b = right.value if type(right) is Const else _walk_batch(right, columns)
+        if type(left) is Const and not _isfinite(a) or type(right) is Const and not _isfinite(b):
+            raise FloatingPointError
+        op = _NP_OP.get(e.op)
+        if op is None:
+            raise ExprError(f"unknown operator '{e.op}'")
+        if op is np.power and not (type(right) is Const and b == int(b)) \
+                and np.any((a <= 0.0) & (b != np.trunc(b))):
+            raise FloatingPointError
+        return op(a, b)
+    if t is Var:
         try:
             return columns[e.name]
         except KeyError:
             raise MissingBindingError(e.name, e)
-    if isinstance(e, Neg):
-        return -_eval_batch(e.arg, columns, acc)
-    if isinstance(e, BinOp):
-        op = _NP_OP.get(e.op)
-        if op is None:
-            raise ExprError(f"unknown operator '{e.op}'")
-        a = _eval_batch(e.left, columns, acc)
-        b = _eval_batch(e.right, columns, acc)
-        if e.op == "^":
-            acc += np.where(~np.isfinite(b) | ((b != np.trunc(b)) & (a <= 0.0)), np.inf, 0.0)
-        out = op(a, b)
-    elif isinstance(e, Call):
-        out = _NP_FN[e.fn](_eval_batch(e.arg, columns, acc))
-    else:
-        raise ExprError(f"cannot evaluate node {e!r}")
-    acc += out
-    return out
+    if t is Const:
+        if _isfinite(e.value):
+            return e.value
+        raise FloatingPointError
+    if t is Call:
+        return _NP_FN[e.fn](_walk_batch(e.arg, columns))
+    if t is Neg:
+        return -_walk_batch(e.arg, columns)
+    raise ExprError(f"cannot evaluate node {e!r}")
 
 
 def free_names(e: Expr) -> set[str]:

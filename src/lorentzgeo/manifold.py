@@ -93,7 +93,8 @@ def _entry(what: str):
     first read; the trees derived later (the energy's derivatives, L_X g)
     are guarded where they are walked, and the pointwise evaluation of the
     metric and of a field raises the same error by :func:`_too_deep`.  The
-    name check at load walks with an explicit stack and needs no guard."""
+    name check of a hand-built spec walks with an explicit stack and needs
+    no guard."""
     try:
         yield
     except RecursionError:
@@ -148,10 +149,11 @@ class TangentPlane:
 class ManifoldSpec:
     """One chart with metric, parameters, and named fields.
 
-    Names are checked at construction; derivative trees are built on
-    first need.  The trees of dg, ddg and the field derivatives are each
-    differentiated once per spec, by the first read of ``_dg``, ``_ddg``
-    or ``_dfields``, so that downstream curvature work is pure array
+    Names are checked at construction (by the parser, for a chart from
+    :func:`load_spec`); derivative trees are built on first need.  The
+    trees of dg, ddg and the field derivatives are each differentiated
+    once per spec, by the first read of ``_dg``, ``_ddg`` or
+    ``_dfields``, so that downstream curvature work is pure array
     assembly.  The first :meth:`metric_derivs` call builds dg and ddg and
     compiles the non-constant trees of g, dg and ddg into one
     straight-line function (:func:`expr.compile_trees`).  Loading or
@@ -164,6 +166,30 @@ class ManifoldSpec:
                  metric: list[list[Expr]], params: dict[str, float] | None = None,
                  fields: dict[str, list[Expr]] | None = None,
                  scalars: dict[str, Expr] | None = None):
+        self._build(name, coords, signature, metric, params, fields, scalars)
+        declared = self.declared_names()
+        m = self.dim
+        for i in range(m):
+            for j in range(i, m):
+                bad = ex.free_names(self.metric[i][j]) - declared
+                if bad:
+                    raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
+        for fname, comps in self.fields.items():
+            if len(comps) != m:
+                raise SpecError(f"field '{fname}' must have {m} components")
+            for c in comps:
+                bad = ex.free_names(c) - declared
+                if bad:
+                    raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
+        for sname, e in self.scalars.items():
+            bad = ex.free_names(e) - declared
+            if bad:
+                raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
+
+    def _build(self, name, coords, signature, metric, params, fields, scalars):
+        """All of :meth:`__init__` but its checks of the fields' lengths and
+        of undeclared names, which :func:`load_spec` makes itself: its
+        parser refuses an undeclared name, so the spec needs no walk for one."""
         if len(coords) < 2:
             raise SpecError("dimension must be at least 2")
         if signature not in ("lorentzian", "riemannian"):
@@ -198,24 +224,6 @@ class ManifoldSpec:
                 g = a if same else ex.div(ex.add(a, b), ex.Const(2.0))
                 self.metric[i][j] = g
                 self.metric[j][i] = g
-
-        declared = self.declared_names()
-        for i in range(m):
-            for j in range(i, m):
-                bad = ex.free_names(self.metric[i][j]) - declared
-                if bad:
-                    raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
-        for fname, comps in self.fields.items():
-            if len(comps) != m:
-                raise SpecError(f"field '{fname}' must have {m} components")
-            for c in comps:
-                bad = ex.free_names(c) - declared
-                if bad:
-                    raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
-        for sname, e in self.scalars.items():
-            bad = ex.free_names(e) - declared
-            if bad:
-                raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
 
     # -- derivative trees, built on first read -------------------------------
 
@@ -632,9 +640,10 @@ def load_spec(document: str, *, name: str = "", validate: bool = True) -> Manifo
                 raise SpecError(f"[{section}] missing 'expr'")
             scalars[sname] = parse(cp[section]["expr"], f"scalar {sname}")
 
-    spec = ManifoldSpec(name=name or man.get("name", "chart"), coords=coords,
-                        signature=signature, metric=metric, params=params,
-                        fields=fields, scalars=scalars)
+    # the parser has refused undeclared names: no walk looks for them again
+    spec = ManifoldSpec.__new__(ManifoldSpec)
+    spec._build(name or man.get("name", "chart"), coords, signature, metric, params,
+                fields, scalars)
     if validate:
         validate_signature(spec)
     return spec

@@ -162,12 +162,11 @@ def _grid_axes(M: ManifoldSpec, per_axis: list[int]) -> list[np.ndarray]:
     return axes
 
 
-def _scan_axes(M: ManifoldSpec, expr: ex.Expr, per_axis: list[int]) -> list[np.ndarray]:
-    """The grid axes on which to evaluate ``expr``: full on each axis its
-    tree mentions (``ex.free_names``), and one node on each other axis,
-    along which ``expr`` is constant: the first on a periodic axis, the
-    first interior one on an open axis."""
-    mentioned = ex.free_names(expr)
+def _scan_axes(M: ManifoldSpec, mentioned: set[str], per_axis: list[int]) -> list[np.ndarray]:
+    """The grid axes on which to evaluate a tree that mentions the names
+    ``mentioned`` (``ex.free_names``): full on each axis it mentions, and
+    one node on each other axis, along which the tree is constant: the
+    first on a periodic axis, the first interior one on an open axis."""
     return [a if c.name in mentioned else a[:1] if c.periodic else a[1:2]
             for c, a in zip(M.coords, _grid_axes(M, per_axis))]
 
@@ -273,7 +272,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
     spacings = np.array([a[1] - a[0] for a in _grid_axes(M, per_axis)])
-    axes = _scan_axes(M, fd.expr, per_axis)
+    axes = _scan_axes(M, fd.mentioned, per_axis)
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
@@ -715,7 +714,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
     _require_killing(M, xname, "base", LiftError)
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
-    nodes = _grid_points(_scan_axes(M, gxx_expr, [grid] * M.dim))
+    nodes = _grid_points(_scan_axes(M, ex.free_names(gxx_expr), [grid] * M.dim))
     values = M.evaluate_points(gxx_expr, nodes)
     max_gxx, min_gxx = float(values.max()), float(values.min())
 

@@ -414,16 +414,16 @@ class TestEvaluateBatch:
             ex.evaluate_batch(e, {"x": np.array([0.25, 0.5, 0.75])})
         assert "1/(x-0.5)" in str(err.value)
 
-    def test_overflowing_sum_of_finite_nodes_keeps_the_walkers_value(self, monkeypatch):
-        # every node of x*1e308 - x*1e308 is finite at x = 1, but their
-        # sum is not: only that point is handed to the scalar walker,
-        # which returns its value
+    def test_finite_nodes_whose_sum_overflows_are_not_rewalked(self, monkeypatch):
+        # every node of x*1e308 - x*1e308 is finite at x = 1, though their
+        # sum is not: no operation is flagged, so no point is handed to
+        # the scalar walker
         e = parse_expression("x*1e308 - x*1e308", XY)
         walked = []
         monkeypatch.setattr(ex, "evaluate",
                             lambda t, b: (t is e and walked.append(b)) or evaluate(t, b))
         assert ex.evaluate_batch(e, {"x": np.array([1.0, 0.5])}).tolist() == [0.0, 0.0]
-        assert walked == [{"x": 1.0}]
+        assert walked == []
 
     def test_first_offending_point_in_c_order(self):
         e = parse_expression("sqrt(x) + log(y)", XY)
@@ -443,6 +443,46 @@ class TestEvaluateBatch:
     def test_missing_binding(self):
         with pytest.raises(MissingBindingError):
             ex.evaluate_batch(parse_expression("x + y", XY), {"x": np.zeros(3)})
+
+    # Each batch fails first at the point marked by ``first``, after a
+    # finite one.  Numpy flags the division by zero, log(0), the negative
+    # arguments, 0^-2 and the overflow; the fractional powers of zero and
+    # the non-finite leaves it does not flag, and the walker checks those.
+    @pytest.mark.parametrize("e,columns,first", [
+        (parse_expression("1/(x - 0.5)", XY), {"x": [0.25, 0.5, 0.75, 0.5]}, 1),
+        (parse_expression("log(x)", XY), {"x": [1.0, 0.0, -1.0]}, 1),
+        (parse_expression("log(-x)", XY), {"x": [-1.0, 2.0]}, 1),
+        (parse_expression("sqrt(-x)", XY), {"x": [-1.0, -0.0, 0.5]}, 2),
+        (parse_expression("x^-2", XY), {"x": [1.0, 0.0]}, 1),
+        (parse_expression("exp(1000*x)", XY), {"x": [0.5, 1.0]}, 1),
+        (parse_expression("x^0.5", XY), {"x": [1.0, 0.0]}, 1),
+        (parse_expression("x^y", XY), {"x": [2.0, -1.0, 0.0], "y": [0.5, 2.0, 0.5]}, 2),
+        (ex.div(ex.ONE, BinOp("+", Var("x"), Const(math.inf))), {"x": [1.0, 2.0]}, 0),
+        (ex.div(ex.ONE, BinOp("+", Var("x"), Const(math.nan))), {"x": [1.0, 2.0]}, 0),
+        (parse_expression("1/(x + y)", XY), {"x": [1.0, 2.0], "y": [0.0, math.inf]}, 1),
+    ], ids=["division", "log_zero", "log_negative", "sqrt_negative", "negative_power",
+            "exp_overflow", "half_power", "varying_power", "inf_constant", "nan_constant",
+            "inf_column"])
+    def test_poles_match_the_point_loop(self, monkeypatch, e, columns, first):
+        """Up to the first failing point the batch gives the point loop's
+        values; with it, the point loop's error at that point, and numpy's
+        error state is as it was."""
+        columns = {k: np.array(v) for k, v in columns.items()}
+        points = [dict(zip(columns, map(float, p))) for p in zip(*columns.values())]
+        with pytest.raises(EvalError) as want:
+            [evaluate(e, b) for b in points]
+        head = {k: v[:first] for k, v in columns.items()}
+        assert_batch_matches_scalar(ex.evaluate_batch(e, head),
+                                    [evaluate(e, b) for b in points[:first]])
+
+        walked, state = [], np.geterr()
+        monkeypatch.setattr(ex, "evaluate",
+                            lambda t, b: (t is e and walked.append(b)) or evaluate(t, b))
+        with pytest.raises(EvalError) as got:
+            ex.evaluate_batch(e, columns)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert walked == points[:first + 1]
+        assert np.geterr() == state
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
 from lorentzgeo.cli import main
 from lorentzgeo.curvature import causal_character, plane_type, point_geometry
-from lorentzgeo.expr import EvalError
+from lorentzgeo.expr import EvalError, Var
 from lorentzgeo.manifold import (
     SAMPLING_COLLAR,
     CausalCharacter,
+    Coordinate,
     DegenerateMetricError,
     DomainError,
     ManifoldSpec,
@@ -104,6 +105,27 @@ g.1.1 = "2*(-1 + cos(2*pi*x)/4)"
         doc = MINK2.replace('g.1.1 = "1"', 'g.1.1 = "1 + q"')
         with pytest.raises(SpecError):
             load_spec(doc)
+
+    @pytest.mark.parametrize("where", ["metric", "field", "scalar"])
+    def test_undeclared_name_in_a_hand_built_spec(self, where):
+        q = ex.add(Var("x"), Var("q"))
+        metric = [[ex.Const(-1.0), ex.ZERO], [ex.ZERO, q if where == "metric" else ex.ONE]]
+        fields = {"X": [ex.ONE, q if where == "field" else ex.ZERO]}
+        scalars = {"s": q if where == "scalar" else Var("t")}
+        coords = [Coordinate("t", -1.0, 1.0, False), Coordinate("x", -1.0, 1.0, False)]
+        want = {"metric": "metric entry g.1.1", "field": "field 'X'", "scalar": "scalar 's'"}
+        with pytest.raises(SpecError) as err:
+            ManifoldSpec("hand", coords, "lorentzian", metric, fields=fields, scalars=scalars)
+        assert str(err.value) == f"{want[where]} uses undeclared names ['q']"
+
+    def test_a_loaded_chart_is_not_walked_for_undeclared_names(self, entry, count_calls):
+        # the parser has refused them: a chart with a field and a scalar
+        # loads without a free_names walk
+        doc = to_document(entry("hopf_lorentz_s3").spec) + '\n[scalar.s]\nexpr = "eta*xi1"\n'
+        walks = count_calls(ex, "free_names")
+        spec = load_spec(doc)
+        assert walks == []
+        assert sorted(spec.fields) == ["IU", "U", "X"] and list(spec.scalars) == ["s"]
 
     def test_missing_sections(self):
         with pytest.raises(SpecError):

@@ -763,7 +763,7 @@ def test_axes_f_does_not_mention_collapse_to_the_representatives_node(
     assert refined_from == want[0] + want[1]
 
     # the full scan: f taken to mention every coordinate
-    monkeypatch.setattr(ex, "free_names", lambda e: set(M.coord_names()))
+    monkeypatch.setattr(energy_derivs(M, field), "mentioned", set(M.coord_names()))
     full = scan_extrema(M, field, grid=grid)
     assert refined_from == 2 * (want[0] + want[1])
     assert [(r.kind, r.point.tobytes(), r.f_value, r.hessian_eigs, r.causal)
@@ -772,6 +772,14 @@ def test_axes_f_does_not_mention_collapse_to_the_representatives_node(
          for r in full.records]
     assert (scan.plateau, scan.f_min, scan.f_max) == (full.plateau, full.f_min, full.f_max)
     assert len(scan.records) == 2
+
+
+def test_the_scan_walks_f_for_its_names_once_per_energy(count_calls):
+    M = load_spec(OPEN_AXIS_CHART)
+    walks = count_calls(ex, "free_names")
+    scans = [scan_extrema(M, "X", grid=grid) for grid in (8, [8, 12, 10], 8)]
+    assert len(walks) == 1
+    assert [len(s.records) for s in scans] == [len(scans[0].records)] * 3
 
 
 def test_clustering_matches_the_pairwise_loop_on_random_grids(rng):
