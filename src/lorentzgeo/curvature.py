@@ -135,8 +135,11 @@ def point_geometries(M: ManifoldSpec, points) -> list[PointGeometry]:
     the memo then holds this batch.  Raises what a loop of
     :func:`point_geometry` over the rows raises first, except that every
     row is wrapped before any jet is evaluated, as in
-    ``ManifoldSpec.evaluate_points``.
+    ``ManifoldSpec.evaluate_points``.  No points give no geometries, and
+    leave the memo as it is.
     """
+    if not len(points):
+        return []
     pts = M.wrap_point(np.atleast_2d(points))
     memo = M._geometry
     keys = [row.tobytes() for row in pts]

@@ -47,7 +47,7 @@ import configparser
 import enum
 import io
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,27 +84,27 @@ _fmod_batch = np.errstate(invalid="ignore")(np.fmod)
 _FEW_ROWS = 8
 
 
-@contextmanager
-def _entry(what: str):
-    """Report an entry nested too deeply for the recursive tree walkers
-    as a :class:`SpecError` that names it.  Guards the pair comparison at
-    load and the lazy derivative builders of :class:`ManifoldSpec` alike,
-    so an entry whose derivative trees are too deep is refused at their
-    first read; the trees derived later (the energy's derivatives, L_X g)
-    are guarded where they are walked, and the pointwise evaluation of the
-    metric and of a field raises the same error by :func:`_too_deep`.  The
-    name check of a hand-built spec walks with an explicit stack and needs
-    no guard."""
-    try:
-        yield
-    except RecursionError:
-        raise _too_deep(what) from None
+class _entry:
+    """The one place where a ``RecursionError`` of the recursive tree
+    walkers becomes a :class:`SpecError` naming the entry ``what``.  It
+    guards every walk of a tree that may be too deep: the pair comparison
+    and the printer, the lazy derivative builders, the pointwise metric,
+    field and ∇X, and the trees derived later (the energy's derivatives,
+    L_X g).  A class, not a generator: a third of the cost, so per-point
+    paths use it too."""
 
+    __slots__ = ("what",)
 
-def _too_deep(what: str) -> SpecError:
-    """The error of :func:`_entry`, for a hot path that catches
-    ``RecursionError`` itself (a ``try`` costs nothing until it raises)."""
-    return SpecError(f"{what} is nested too deeply to process")
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, RecursionError):
+            raise SpecError(f"{self.what} is nested too deeply to process") from None
+        return False
 
 
 class CausalCharacter(enum.Enum):
@@ -281,9 +281,11 @@ class ManifoldSpec:
         return b
 
     def wrap_point(self, p) -> np.ndarray:
-        """Wrap periodic coordinates into the fundamental domain; refuse
-        non-finite coordinates and points within ``BOUNDARY_COLLAR`` of a
-        non-periodic boundary.
+        """Wrap periodic coordinates into [lo, hi); refuse non-finite
+        coordinates and points within ``BOUNDARY_COLLAR`` of a
+        non-periodic boundary.  A periodic coordinate in [lo, hi) is kept
+        (-0.0 as 0.0), any other moved by whole periods (to lo where
+        rounding lands outside), so a wrapped point wraps to itself.
 
         ``p`` is one point of shape (m,) or a batch of shape (N, m); a
         batch is refused at its first offending point, with the message
@@ -293,9 +295,10 @@ class ManifoldSpec:
         if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise DomainError(f"point must have {self.dim} coordinates, got {p.shape}")
         # The rule is written once, for Python floats (one point: numpy
-        # calls on single values would cost more than the arithmetic) and
-        # for numpy columns (a batch) alike.  A batch of a few rows is
-        # wrapped row by row, for the same reason.
+        # calls on single values would cost more than the arithmetic, so
+        # only a periodic coordinate out of range makes them) and for
+        # numpy columns (a batch) alike.  A batch of a few rows is wrapped
+        # row by row, for the same reason.
         batch = p.ndim == 2
         if batch and len(p) <= _FEW_ROWS:
             return np.array([self.wrap_point(row) for row in p]).reshape(p.shape)
@@ -309,8 +312,12 @@ class ManifoldSpec:
             if inside is False:
                 raise DomainError(f"coordinate {c.name}={x!r} is not finite")
             if c.periodic:
-                x = c.lo + fmod(x - c.lo, c.period)
-                cols[a] = x + c.period * (x < c.lo)
+                kept = (c.lo <= x) & (x < c.hi)
+                if kept is not True:
+                    y = c.lo + fmod(x - c.lo, c.period)
+                    y = y + c.period * (y < c.lo)
+                    x = np.where(kept, x, np.where((c.lo <= y) & (y < c.hi), y, c.lo))
+                cols[a] = x + 0.0
             else:
                 inside = inside & (c.lo + BOUNDARY_COLLAR <= x) & (x <= c.hi - BOUNDARY_COLLAR)
                 if inside is False:
@@ -361,12 +368,10 @@ class ManifoldSpec:
         b = self.bindings(self.wrap_point(p))
         m = self.dim
         g = np.empty((m, m))
-        try:
-            for i in range(m):
-                for j in range(i, m):
+        for i in range(m):
+            for j in range(i, m):
+                with _entry(f"metric entry g.{i}.{j}"):
                     g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
-        except RecursionError:
-            raise _too_deep(f"metric entry g.{i}.{j}") from None
         return g
 
     def metric_derivs(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,19 +435,18 @@ class ManifoldSpec:
 
     def _field_at(self, name: str, b: dict[str, float]) -> np.ndarray:
         """The field at the point whose :meth:`bindings` are ``b``."""
-        try:
+        with _entry(f"field '{name}'"):
             return np.array([ex.evaluate(c, b) for c in self.fields[name]])
-        except RecursionError:
-            raise _too_deep(f"field '{name}'") from None
 
     def _field_derivs_at(self, name: str, b: dict[str, float]) -> np.ndarray:
         """:meth:`field_derivs` at the point whose :meth:`bindings` are ``b``."""
         dtrees = self._dfields[name]
         m = self.dim
         out = np.empty((m, m))
-        for j in range(m):
-            for i in range(m):
-                out[j, i] = ex.evaluate(dtrees[j][i], b)
+        with _entry(f"field '{name}'"):
+            for j in range(m):
+                for i in range(m):
+                    out[j, i] = ex.evaluate(dtrees[j][i], b)
         return out
 
     # -- helpers for tests and scans ----------------------------------------
@@ -483,6 +487,22 @@ def require_nondegenerate(w: np.ndarray, p) -> None:
         k = np.unravel_index(np.argmin(ok), ok.shape)
         raise DegenerateMetricError(f"metric degenerate at {np.asarray(p)[k].tolist()}: "
                                     f"eigenvalue magnitudes {a[k].tolist()}")
+
+
+def require_signature(M: ManifoldSpec, pts: np.ndarray, w: np.ndarray) -> None:
+    """The one signature rule: the metric with eigenvalues ``w`` (N, m) at
+    points ``pts`` (N, m) passes :func:`require_nondegenerate` and has one
+    negative eigenvalue if M is Lorentzian, none if Riemannian.  Refuses
+    the first failing row with the message that row alone would give."""
+    neg = np.sum(w < 0, axis=-1)
+    wrong = neg != (1 if M.signature == "lorentzian" else 0)
+    k = int(np.argmax(wrong)) if wrong.any() else len(w) - 1
+    # a degenerate row up to the first wrong count is refused first
+    require_nondegenerate(w[:k + 1], pts[:k + 1])
+    if wrong[k]:
+        raise SignatureError(
+            f"declared {M.signature} but metric at {pts[k].tolist()} has eigenvalues "
+            f"{w[k].tolist()} ({neg[k]} negative)")
 
 
 def riem_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,39 +670,25 @@ def load_spec(document: str, *, name: str = "", validate: bool = True) -> Manifo
 
 
 def validate_signature(M: ManifoldSpec, samples: int = 30, seed: int = 0) -> None:
-    """Check the declared signature at sampled interior points.
-
-    Lorentzian means exactly one negative eigenvalue; Riemannian means
-    all positive.  Raises :class:`SignatureError` naming the violating
-    point and its eigenvalues (:class:`DegenerateMetricError` for a
-    degenerate metric).  ``samples`` must be at least 1.
+    """Check the declared signature at sampled interior points by
+    :func:`require_signature`, on the eigenvalues of one stacked
+    evaluation of the metric; a pole at some sample is reported after the
+    samples before it have passed, evaluated one by one.  ``samples``
+    must be at least 1.
     """
     if samples < 1:
         raise SpecError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     pts = M.sample_points(samples, rng)
-    want = 1 if M.signature == "lorentzian" else 0
     try:
         gs = M.evaluate_symmetric(M.metric, pts)
     except ex.EvalError:
         # a pole at some sample: evaluate point by point, so that a
         # signature violation at an earlier sample is still reported first
-        gs = None
+        for p in pts:
+            require_signature(M, p[None], np.linalg.eigvalsh(M.metric_eval(p))[None])
     else:
-        # one stacked check; the loop below names a failing row
-        w = np.linalg.eigvalsh(gs)
-        a = np.abs(w)
-        if np.all((a.min(-1) > DEGENERACY_TOL * a.max(-1)) & (np.sum(w < 0, -1) == want)):
-            return
-    for k, p in enumerate(pts):
-        g = M.metric_eval(p) if gs is None else gs[k]
-        eigs = np.linalg.eigvalsh(g)
-        require_nondegenerate(eigs, p)
-        neg = int(np.sum(eigs < 0))
-        if neg != want:
-            raise SignatureError(
-                f"declared {M.signature} but metric at {p.tolist()} has eigenvalues "
-                f"{eigs.tolist()} ({neg} negative)")
+        require_signature(M, pts, np.linalg.eigvalsh(gs))
 
 
 def to_document(M: ManifoldSpec) -> str:

@@ -19,7 +19,9 @@ point's geometry, X, the X-perp basis and the curvature kind: the witness
 reads J at the kernel direction or takes its top eigenvalue, the sign
 scan on sampled c_k.  The witness and the conformal check read X and dX
 once; the latter builds no derivative tree.  The derived charts ask
-:func:`~lorentzgeo.symmetry.classify_field` whether X is Killing.
+:func:`~lorentzgeo.symmetry.classify_field` whether X is Killing.  The
+flip evaluates the flipped metric once, at its samples, and reads its
+signature from those values by :func:`~lorentzgeo.manifold.require_signature`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .manifold import (
     ManifoldSpec,
     TangentPlane,
     metric_pairing_expr,
-    validate_signature,
+    require_signature,
 )
 from .symmetry import (
     FieldClass,
@@ -118,7 +120,7 @@ class ScanResult:
         sampled point counts as both a minimum and a maximum."""
         if not self.plateau:
             return list(self.records)
-        _fetch_geometries(M, self.plateau_points)
+        point_geometries(M, self.plateau_points)
         out = []
         for p in self.plateau_points:
             rec = _make_record(M, xname, p, ExtremumKind.MIN)
@@ -126,25 +128,16 @@ class ScanResult:
         return out
 
 
-def _fetch_geometries(M: ManifoldSpec, points) -> None:
-    """Ask for the geometries of the records at ``points`` in one batch,
-    so that :func:`_make_record` and then the witness at each record find
-    its geometry in the spec's memo."""
-    if len(points):
-        point_geometries(M, [M.wrap_point(p) for p in points])
-
-
 def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
     """The record of kind ``kind`` at p, wrapped: the covariant Hessian,
     the causal character of X and f, all read from the geometry and the
     bindings of the one point."""
     f_derivs = energy_derivs(M, xname)
-    p = M.wrap_point(p)
     geo = point_geometry(M, p)
     b = M.bindings(geo.point)
     eigs = tuple(float(w) for w in np.linalg.eigvalsh(f_derivs._covariant_hessian_at(geo, b)))
     cc = _causal(geo, M._field_at(xname, b))
-    return ExtremumRecord(point=p, f_value=ex.evaluate(f_derivs.expr, b), kind=kind,
+    return ExtremumRecord(point=geo.point, f_value=ex.evaluate(f_derivs.expr, b), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
 
@@ -302,7 +295,7 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
              for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                                        (max_mask, ExtremumKind.MAX, -1.0))
              for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]]
-    _fetch_geometries(M, [refined for _, _, refined in found])
+    point_geometries(M, [refined for _, _, refined in found])
     records: list[ExtremumRecord] = []
     for kind, sense, refined in found:
         rec = _make_record(M, xname, refined, kind)
@@ -326,7 +319,6 @@ class WitnessReport:
     """Outcome of a witness check at one extremum of f = g(X,X)/2."""
 
     extremum: ExtremumRecord
-    field: str
     verdict: Verdict
     case: str | None = None                 # "timelike_even" / "lightlike_odd"
     plane: TangentPlane | None = None
@@ -371,10 +363,9 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     require_tolerance(tol)
     if classification is None:
         classification = classify_field(M, xname)
-    base = dict(extremum=record, field=xname)
 
     def scope(reason: str) -> WitnessReport:
-        return WitnessReport(verdict=Verdict.SCOPE, scope_reason=reason, **base)
+        return WitnessReport(record, Verdict.SCOPE, scope_reason=reason)
 
     if not classification.is_homothetic_or_killing:
         return scope(f"field classifies as {classification.tag.value}; "
@@ -411,11 +402,11 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     else:
         case, nonnegative = "lightlike_odd", not minimum
     ok = k_val >= -tol if nonnegative else k_val <= tol
-    return WitnessReport(verdict=Verdict.PASS if ok else Verdict.FAIL, case=case,
+    return WitnessReport(record, Verdict.PASS if ok else Verdict.FAIL, case=case,
                          plane=TangentPlane(p, kv @ frame.basis, frame.field),
                          curvature_kind=frame.curvature_kind, value=k_val,
                          inequality=">= 0" if nonnegative else "<= 0",
-                         kernel_residual=kres, **base)
+                         kernel_residual=kres)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +528,6 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
 
 @dataclass(frozen=True)
 class ConformalBoundReport:
-    point: np.ndarray
-    field: str
     sigma_at_point: float
     x_sigma: float
     bound: float
@@ -584,7 +573,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     gxx = float(X @ frame.geo.metric @ X)
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
-        point=p, field=xname, sigma_at_point=sigma0, x_sigma=xs, bound=bound,
+        sigma_at_point=sigma0, x_sigma=xs, bound=bound,
         curvature=k_val, plane=TangentPlane(p, kv @ frame.basis, X),
         bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
         nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
@@ -673,7 +662,7 @@ def lorentzianize(M: ManifoldSpec, xname: str) -> ManifoldSpec:
     _first_failure(pts, (flip_ok, "flip postcondition g(X,X) = -g_R(X,X) failed"),
                    (perp_ok, "flip postcondition g = g_R on X-perp failed"))
     _require_killing(flipped, xname, "flipped", LorentzianizeError)
-    validate_signature(flipped, samples=FLIP_SAMPLES, seed=0)
+    require_signature(flipped, pts, np.linalg.eigvalsh(gn))
     return flipped
 
 

@@ -222,7 +222,7 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     cone.  On the X-perp of a lightlike X the induced product is positive
     semidefinite with kernel span{X}, so it is definite on a complement.
     """
-    geo = point_geometry(M, M.wrap_point(p))
+    geo = point_geometry(M, p)
     g = geo.metric
     X = M._field_at(xname, M.bindings(geo.point))
     cc = _causal(geo, X)
@@ -310,7 +310,7 @@ def kernel_direction(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of Hess f = -g(R(.,X)X,.) + g(A_X ., A_X .) in the
     chart basis; valid when X is homothetic (Killing included)."""
-    geo = point_geometry(M, M.wrap_point(p))
+    geo = point_geometry(M, p)
     b = M.bindings(geo.point)
     lhs = energy_derivs(M, xname)._covariant_hessian_at(geo, b)
     X = M._field_at(xname, b)

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentzgeo import expr as ex
 from lorentzgeo.catalog import list_examples
@@ -13,6 +14,7 @@ from lorentzgeo.cli import main
 from lorentzgeo.curvature import causal_character, plane_type, point_geometry
 from lorentzgeo.expr import EvalError, Var
 from lorentzgeo.manifold import (
+    _FEW_ROWS,
     SAMPLING_COLLAR,
     CausalCharacter,
     Coordinate,
@@ -30,6 +32,7 @@ from lorentzgeo.manifold import (
     validate_signature,
 )
 from lorentzgeo.obstruction import _grid_axes, _grid_points, lorentzianize, scan_extrema
+from lorentzgeo.symmetry import perp_frame
 
 MINK2 = """
 [manifold]
@@ -170,12 +173,15 @@ g.0.1 = "1 + u^2"
          lambda M: M.metric_eval([0.1, 0.2])),
         ("field 'X'", MINK2 + '\n[field.X]\ncomponents = "1", "0.001*({})"\n',
          lambda M: M.field_eval("X", [0.1, 0.2])),
-    ], ids=["metric", "field"])
+        # X itself evaluates; its derivative trees are deeper
+        ("field 'X'", MINK2 + '\n[field.X]\ncomponents = "1", "{}"\n'.format(
+            "*".join(["(1 + 0.001*sin(x))"] * 600)), lambda M: M.field_derivs("X", [0.1, 0.2])),
+    ], ids=["metric", "field", "field-derivatives"])
     def test_entry_too_deep_for_the_walker_is_refused_where_it_is_evaluated(
             self, where, document, evaluate):
         """The name check at load walks with an explicit stack, so an
         entry too deep for the recursive walker loads (unchecked, for a
-        metric entry); evaluating it at a point names it."""
+        metric entry); evaluating it, or its derivatives, at a point names it."""
         terms = " + ".join(f"cos({k}*x)" for k in range(1, 1501))
         M = load_spec(document.format(terms), validate=False)
         with pytest.raises(SpecError, match=f"^{where} is nested too deeply to process$"):
@@ -342,6 +348,45 @@ class TestDomain:
         p = spec.wrap_point([1.25, -0.5])
         assert p[0] == pytest.approx(0.25)
         assert p[1] == pytest.approx(0.5)
+
+    # x on [0, 1) and y on [-3.3, 17.9) periodic; z on (-1, 1) open
+    WRAP_CHART = ManifoldSpec(
+        "wrap", [Coordinate("x", 0.0, 1.0, True), Coordinate("y", -3.3, 17.9, True),
+                 Coordinate("z", -1.0, 1.0, False)], "riemannian",
+        [[ex.ONE if i == j else ex.ZERO for j in range(3)] for i in range(3)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.floats(-50, 50), st.floats(-1e-15, 1e-15), st.floats(1 - 1e-15, 1)),
+        st.one_of(st.floats(-120, 120), st.floats(-3.3 - 1e-13, -3.3 + 1e-13),
+                  st.floats(17.9 - 1e-13, 17.9 + 1e-13)),
+        st.floats(-0.5, 0.5)), min_size=_FEW_ROWS + 1, max_size=3 * _FEW_ROWS))
+    def test_periodic_wrap_lands_in_range_and_is_idempotent(self, rows):
+        """Wrapped periodic coordinates lie in [lo, hi), a second wrap
+        gives them back bit for bit, and batches on both sides of the
+        row-by-row size wrap like each row."""
+        M = self.WRAP_CHART
+        pts = np.array(rows)
+        once = M.wrap_point(pts)
+        for a, c in enumerate(M.coords[:2]):
+            assert np.all((c.lo <= once[:, a]) & (once[:, a] < c.hi))
+        assert M.wrap_point(once).tobytes() == once.tobytes()
+        rows_once = np.array([M.wrap_point(p) for p in pts])
+        assert rows_once.tobytes() == once.tobytes()
+        assert M.wrap_point(pts[:_FEW_ROWS]).tobytes() == once[:_FEW_ROWS].tobytes()
+        for q in once:
+            assert M.wrap_point(q).tobytes() == q.tobytes()
+
+    def test_a_point_just_below_lo_wraps_to_lo(self, torus):
+        """-1e-20 + 1 rounds to 1.0 = hi, which is lo again."""
+        p = torus.spec.wrap_point([-1e-20, 0.3])
+        assert p.tolist() == [0.0, 0.3]
+        assert torus.spec.wrap_point(p).tobytes() == p.tobytes()
+
+    def test_helpers_read_the_geometry_at_the_point_geometry_reads(self, torus):
+        p = [-1e-20, 0.3]
+        want = point_geometry(torus.spec, p).point
+        assert perp_frame(torus.spec, "X", p).geo.point.tobytes() == want.tobytes()
 
     def test_boundary_collar_refused(self):
         spec = load_spec(MINK2)

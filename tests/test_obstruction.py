@@ -1288,12 +1288,14 @@ class TestLorentzianize:
     def test_round_s3_killing_is_decided_without_sampling(self, entry, count_calls):
         """The L_X g trees fold to zero on round_s3 and on its flip, so the
         one Killing rule evaluates nothing: a repeated flip evaluates the
-        two metrics and the signature samples, and nothing else."""
+        two metrics at its samples, and nothing else.  The flipped metric
+        is evaluated once: its signature is read from the values its
+        postconditions already hold, at the same samples."""
         s3 = entry("round_s3").spec
         lorentzianize(s3, "X")
         calls = count_calls(ManifoldSpec, "evaluate_symmetric")
         flipped = lorentzianize(s3, "X")
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert classify_field(s3, "X").sample_count == 0
         assert classify_field(flipped, "X").sample_count == 0
 
