@@ -313,7 +313,7 @@ class ManifoldSpec:
                 raise DomainError(f"coordinate {c.name}={x!r} is not finite")
             if c.periodic:
                 kept = (c.lo <= x) & (x < c.hi)
-                if kept is not True:
+                if kept is not True and not np.all(kept):
                     y = c.lo + fmod(x - c.lo, c.period)
                     y = y + c.period * (y < c.lo)
                     x = np.where(kept, x, np.where((c.lo <= y) & (y < c.hi), y, c.lo))

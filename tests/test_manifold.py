@@ -360,13 +360,18 @@ class TestDomain:
         st.one_of(st.floats(-50, 50), st.floats(-1e-15, 1e-15), st.floats(1 - 1e-15, 1)),
         st.one_of(st.floats(-120, 120), st.floats(-3.3 - 1e-13, -3.3 + 1e-13),
                   st.floats(17.9 - 1e-13, 17.9 + 1e-13)),
-        st.floats(-0.5, 0.5)), min_size=_FEW_ROWS + 1, max_size=3 * _FEW_ROWS))
-    def test_periodic_wrap_lands_in_range_and_is_idempotent(self, rows):
+        st.floats(-0.5, 0.5)), min_size=_FEW_ROWS + 1, max_size=3 * _FEW_ROWS),
+        seed=st.integers(0, 2 ** 32 - 1))
+    def test_periodic_wrap_lands_in_range_and_is_idempotent(self, rows, seed):
         """Wrapped periodic coordinates lie in [lo, hi), a second wrap
         gives them back bit for bit, and batches on both sides of the
-        row-by-row size wrap like each row."""
+        row-by-row size wrap like each row.  Uniform rows are added to the
+        drawn ones: on the y axis, lo + fmod(x - lo, P) alone would move
+        some of them again on a second wrap."""
         M = self.WRAP_CHART
-        pts = np.array(rows)
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rows, np.column_stack([
+            rng.uniform(-50, 50, 32), rng.uniform(-120, 120, 32), np.zeros(32)])])
         once = M.wrap_point(pts)
         for a, c in enumerate(M.coords[:2]):
             assert np.all((c.lo <= once[:, a]) & (once[:, a] < c.hi))
