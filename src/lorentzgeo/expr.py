@@ -5,6 +5,10 @@ operations ``+ - * / ^``, and the unary functions ``sin cos tan exp log
 sqrt abs``.  They support exact tree-level differentiation (no numeric
 approximation anywhere) and deterministic pointwise evaluation, which is
 what makes second metric derivatives clean enough for curvature work.
+A node is an instance of a small class with ``__slots__`` and no
+``__dict__``, whose fields are set once, when it is built; equality and
+the hash are structural, as for frozen dataclasses.  :func:`to_text`
+prints a tree in one call per node.
 
 The text grammar is plain infix arithmetic with ``^`` for powers and
 function-call syntax like ``sin(2*pi*x)``.  Implicit multiplication is
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -108,41 +112,112 @@ class MissingBindingError(EvalError):
         self.name = name
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base node.  All concrete nodes are frozen dataclasses."""
+    """Base node.  Nodes are immutable: each concrete class names its
+    fields in ``__slots__`` and sets each once, in ``__init__``, through
+    the slot's descriptor, so a node has no ``__dict__`` and assigning or
+    deleting a field raises :class:`dataclasses.FrozenInstanceError`.
+    Equality and the hash are structural: two nodes are equal when they
+    are of the same class and their field tuples are equal, and a node
+    hashes as its field tuple.  A node pickles and copies as its class
+    and field tuple."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        """The values of the fields named in ``__slots__``, in order."""
+        return ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields())
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    __slots__ = ("value",)
     value: float
 
+    def __init__(self, value: float):
+        _set_value(self, value)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return (self.value,)
+
+
 class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _set_name(self, name)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return (self.name,)
+
+
 class BinOp(Expr):
+    __slots__ = ("op", "left", "right")
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return self.op, self.left, self.right
+
+
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set_neg_arg(self, arg)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return (self.arg,)
+
+
 class Call(Expr):
+    __slots__ = ("fn", "arg")
     fn: str
     arg: Expr
 
+    def __init__(self, fn: str, arg: Expr):
+        _set_fn(self, fn)
+        _set_call_arg(self, arg)
+
+    def _fields(self) -> tuple:
+        return self.fn, self.arg
+
+
+# the slots' own setters: __setattr__ refuses every assignment
+_set_value, _set_name = Const.value.__set__, Var.name.__set__
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
+_set_neg_arg, _set_fn, _set_call_arg = Neg.arg.__set__, Call.fn.__set__, Call.arg.__set__
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -697,50 +772,54 @@ def free_names(e: Expr) -> set[str]:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Const) and e.value < 0:
-        return 3
-    return 9
-
-
-def _fmt_const(value: float) -> str:
-    if abs(value) < 1e16 and value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
 def to_text(e: Expr) -> str:
     """Render ``e`` in the canonical text grammar."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
-    if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if _prec(e.arg) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        left, right = to_text(e.left), to_text(e.right)
-        if e.op == "^":
+    return _text(e)[0]
+
+
+def _text(e: Expr) -> tuple[str, int]:
+    """``e``'s text and its precedence, by which the caller parenthesizes
+    it: an operator's for a binary node, 3 for a negation or a negative
+    constant, 9 for an atom.  One call per node, except that a
+    :class:`Var` operand is read in place and a constant is formatted
+    without a helper call.  So with :func:`to_text` on top, the deepest
+    tree that prints is the one a printer recursing through itself and a
+    formatting helper could print, and the too-deep guards around the
+    printer fire at the same depths.  Some interpreters also count a
+    builtin call or a comparison toward the recursion limit: the binary
+    and negation branches compare after the operand is read, and the
+    call branch reads its operand through ``isinstance`` for that count."""
+    t = type(e)
+    if t is BinOp:
+        op, a, b = e.op, e.left, e.right
+        p = _PREC[op]
+        left, lp = (a.name, 9) if type(a) is Var else _text(a)
+        right, rp = (b.name, 9) if type(b) is Var else _text(b)
+        if op == "^":
             # power bases must be atoms; exponents re-enter at factor level
-            if _prec(e.left) <= 4:
+            if lp <= 4:
                 left = f"({left})"
-            if _prec(e.right) < 3:
+            if rp < 3:
                 right = f"({right})"
         else:
-            if _prec(e.left) < p:
+            if lp < p:
                 left = f"({left})"
             # the grammar is left-associative, so a right operand at the
             # same precedence must keep its parentheses to round-trip
-            if _prec(e.right) <= p:
+            if rp <= p:
                 right = f"({right})"
-        return f"{left}{e.op}{right}"
+        return f"{left}{op}{right}", p
+    if t is Const:
+        v = e.value
+        text = str(int(v)) if abs(v) < 1e16 and v == int(v) else repr(v)
+        return text, 3 if v < 0 else 9
+    if t is Var:
+        return e.name, 9
+    if t is Call:
+        a = e.arg
+        return f"{e.fn}({a.name if isinstance(a, Var) else _text(a)[0]})", 9
+    if t is Neg:
+        a = e.arg
+        inner, ip = (a.name, 9) if type(a) is Var else _text(a)
+        return (f"-({inner})" if ip < 3 else f"-{inner}"), 3
     raise ExprError(f"cannot print node {e!r}")

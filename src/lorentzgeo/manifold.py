@@ -368,9 +368,11 @@ class ManifoldSpec:
         b = self.bindings(self.wrap_point(p))
         m = self.dim
         g = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                with _entry(f"metric entry g.{i}.{j}"):
+        # one guard for the loop, naming the entry being walked
+        with _entry("") as guard:
+            for i in range(m):
+                for j in range(i, m):
+                    guard.what = f"metric entry g.{i}.{j}"
                     g[i, j] = g[j, i] = ex.evaluate(self.metric[i][j], b)
         return g
 

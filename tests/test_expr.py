@@ -1,7 +1,11 @@
 """Expression trees: parsing, exact differentiation, evaluation."""
 
+import copy
 import gc
 import math
+import pickle
+import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -228,6 +232,54 @@ class TestPrinter:
     def test_free_names(self):
         e = parse_expression("sin(x)*m + y", frozenset({"x", "y", "m"}))
         assert free_names(e) == {"x", "y", "m"}
+
+
+class TestNodes:
+    TEXT = "x^2*sin(y)+1"
+
+    def test_equal_trees_are_equal_and_hash_equal(self):
+        a, b = parse_expression(self.TEXT, XY), parse_expression(self.TEXT, XY)
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != parse_expression("x^2*sin(y)+2", XY)
+
+    def test_nodes_of_different_classes_are_never_equal(self):
+        assert Const(1.0) != Var("x") and Const(1.0) != BinOp("+", Var("x"), Const(1.0))
+        assert (parse_expression(self.TEXT, XY) == ex.ZERO) is False
+        assert Const(0.0) == ex.ZERO and Const(-0.0) == ex.ZERO
+
+    def test_repr(self):
+        assert repr(parse_expression(self.TEXT, XY)) == (
+            "BinOp(op='+', left=BinOp(op='*', left=BinOp(op='^', left=Var(name='x'), "
+            "right=Const(value=2.0)), right=Call(fn='sin', arg=Var(name='y'))), "
+            "right=Const(value=1.0))")
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        e = parse_expression(self.TEXT, XY)
+        with pytest.raises(FrozenInstanceError):
+            e.op = "-"
+        with pytest.raises(FrozenInstanceError):
+            del e.left
+        with pytest.raises(FrozenInstanceError):
+            ex.ONE.value = 2.0
+        assert e == parse_expression(self.TEXT, XY) and ex.ONE.value == 1.0
+
+    def test_pickle_and_copies_give_equal_trees(self):
+        e = parse_expression("-x^2*sin(y)/(1 - y) + pi - abs(x)", XY)
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert twin == e and to_text(twin) == to_text(e)
+        assert pickle.loads(pickle.dumps(Expr())) == Expr()
+
+    def test_keyword_and_bare_construction(self):
+        assert Const(value=1.0) == ex.ONE
+        assert BinOp(op="+", left=Var(name="x"), right=Const(value=2.0)) == \
+            parse_expression("x + 2", XY)
+        assert Call(fn="sin", arg=Neg(arg=Var(name="y"))) == parse_expression("sin(-y)", XY)
+        assert Expr() == Expr() and repr(Expr()) == "Expr()"
+
+    def test_nodes_have_no_dict(self):
+        for node in (Expr(), Const(1.0), Var("x"), BinOp("+", Var("x"), Const(1.0)),
+                     Neg(Var("x")), Call("sin", Var("x"))):
+            assert not hasattr(node, "__dict__"), type(node).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -974,3 +1026,164 @@ def test_unary_constructors_match_the_previous_ones():
         assert shape(ex.neg(a)) == shape(old_neg(a))
         for fn in ex.FUNCTIONS:
             assert shape(ex.call(fn, a)) == shape(old_call(fn, a)), (fn, a)
+
+
+# ---------------------------------------------------------------------------
+# The printer against the previous one
+# ---------------------------------------------------------------------------
+# Oracle: the printer as it was before it made one call per node, which
+# returns the node's text and precedence; it asked _prec for each
+# operand's precedence instead, and formatted constants in _fmt_const.
+# Only names are renamed.
+
+OLD_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def old_prec(e: Expr) -> int:
+    if isinstance(e, BinOp):
+        return OLD_PREC[e.op]
+    if isinstance(e, Neg):
+        return 3
+    if isinstance(e, Const) and e.value < 0:
+        return 3
+    return 9
+
+
+def old_fmt_const(value: float) -> str:
+    if abs(value) < 1e16 and value == int(value):
+        return str(int(value))
+    return repr(value)
+
+
+def old_to_text(e: Expr) -> str:
+    if isinstance(e, Const):
+        return old_fmt_const(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Call):
+        return f"{e.fn}({old_to_text(e.arg)})"
+    if isinstance(e, Neg):
+        inner = old_to_text(e.arg)
+        if old_prec(e.arg) < 3:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, BinOp):
+        p = OLD_PREC[e.op]
+        left, right = old_to_text(e.left), old_to_text(e.right)
+        if e.op == "^":
+            if old_prec(e.left) <= 4:
+                left = f"({left})"
+            if old_prec(e.right) < 3:
+                right = f"({right})"
+        else:
+            if old_prec(e.left) < p:
+                left = f"({left})"
+            if old_prec(e.right) <= p:
+                right = f"({right})"
+        return f"{left}{e.op}{right}"
+    raise ExprError(f"cannot print node {e!r}")
+
+
+def _printed(printer, e):
+    """The text, or the class and message of what was raised."""
+    try:
+        return printer(e)
+    except Exception as err:        # every class is compared, KeyError included
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), wrap=st.integers(0, len(WALKER_WRAPPERS) - 1),
+       negate=st.booleans())
+def test_printer_matches_the_previous_printer(seed, wrap, negate):
+    """Equal text for random trees under every wrapper, their derivatives
+    and their negations (kept as Neg nodes), or the same error for the
+    nodes neither prints."""
+    e = WALKER_WRAPPERS[wrap](random_expr(np.random.default_rng(seed)))
+    if negate:
+        e = Neg(e)
+    for tree in (e, differentiate(e, "x")) if wrap < len(COMPILED_WRAPPERS) else (e,):
+        assert _printed(to_text, tree) == _printed(old_to_text, tree)
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+PRINTER_CASES = {
+    "negative power base": BinOp("^", Const(-2.0), X),
+    "negative exponent": BinOp("^", X, Const(-2.0)),
+    "double negation": Neg(Neg(X)),
+    "negated negative constant": Neg(Const(-3.0)),
+    "right difference": BinOp("-", X, BinOp("-", Y, Z)),
+    "left difference": BinOp("-", BinOp("-", X, Y), Z),
+    "quotient of a product": BinOp("/", X, BinOp("*", Y, Z)),
+    "power tower": BinOp("^", Const(2.0), BinOp("^", Const(3.0), Const(2.0))),
+    "power of a power": BinOp("^", BinOp("^", Const(2.0), Const(3.0)), Const(2.0)),
+    "negated power": Neg(BinOp("^", X, Const(2.0))),
+    "power of a negation": BinOp("^", Neg(X), Const(2.0)),
+    "negated sum": Neg(BinOp("+", X, Y)),
+    "negative zero": Const(-0.0),
+    "negative zero base": BinOp("^", Const(-0.0), X),
+    "below 1e16": Const(9999999999999998.0),
+    "at 1e16": Const(1e16),
+    "above 1e16": Const(1.0000000000000002e16),
+    "at -1e16": BinOp("*", X, Const(-1e16)),
+    "fraction": BinOp("+", Const(0.1), Const(-2.5)),
+    "non-finite constants": BinOp("+", Const(math.inf), Const(math.nan)),
+    "call of a negation": Call("sqrt", Neg(BinOp("*", X, Y))),
+}
+
+
+@pytest.mark.parametrize("tree", PRINTER_CASES.values(), ids=PRINTER_CASES.keys())
+def test_printer_matches_the_previous_printer_on_hand_cases(tree):
+    assert to_text(tree) == old_to_text(tree)
+
+
+def _chain(n, bottom, step):
+    for _ in range(n):
+        bottom = step(bottom)
+    return bottom
+
+
+_FACTOR = BinOp("+", Const(1.0), BinOp("*", Const(0.001), Call("sin", X)))
+DEEP_SHAPES = {
+    "product ending in a constant": lambda n: _chain(n, Const(2.0), lambda e: BinOp("*", e, _FACTOR)),
+    "product ending in a variable": lambda n: _chain(n, X, lambda e: BinOp("*", e, _FACTOR)),
+    "product of sines": lambda n: _chain(n, _FACTOR, lambda e: BinOp("*", e, _FACTOR)),
+    "right-nested differences": lambda n: _chain(n, Const(-3.5), lambda e: BinOp("-", Y, e)),
+    "power tower": lambda n: _chain(n, X, lambda e: BinOp("^", Const(2.0), e)),
+    "sums of variables": lambda n: _chain(n, X, lambda e: BinOp("+", e, Y)),
+    "negations": lambda n: _chain(n, X, Neg),
+    "calls of a variable": lambda n: _chain(n, X, lambda e: Call("cos", e)),
+    "calls of a constant": lambda n: _chain(n, Const(-1.0), lambda e: Call("cos", e)),
+}
+
+
+@pytest.mark.parametrize("build", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+def test_printer_gives_up_at_the_previous_printers_depth(build):
+    """The deepest tree of each shape that prints is as deep for both
+    printers, so the too-deep guards around the printer fire where they did."""
+    def deepest(printer):
+        lo, hi = 1, 2 * sys.getrecursionlimit()
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                printer(build(mid))
+                lo = mid
+            except RecursionError:
+                hi = mid - 1
+        return lo
+
+    assert deepest(to_text) == deepest(old_to_text) < sys.getrecursionlimit()
+
+
+def test_documents_match_the_previous_printer(monkeypatch):
+    """to_document of every catalog entry, and of the flip of round_s3,
+    prints the same under both printers."""
+    from lorentzgeo.catalog import build_example, list_examples
+    from lorentzgeo.manifold import to_document
+    from lorentzgeo.obstruction import lorentzianize
+
+    specs = [build_example(name).spec for name in list_examples()]
+    specs.append(lorentzianize(build_example("round_s3").spec, "X"))
+    new = [to_document(M) for M in specs]
+    monkeypatch.setattr(ex, "to_text", old_to_text)
+    assert [to_document(M) for M in specs] == new
