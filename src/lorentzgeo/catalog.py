@@ -733,7 +733,7 @@ def _build_static_product() -> CatalogEntry:
 def _build_circle_lift_torus() -> CatalogEntry:
     base = load_spec(_TORUS_FAMILY, name="torus_family")
     c = math.sqrt(1.5)
-    lift = circle_lift(base, "X", c, mode="lightlike_locus", grid=64)
+    lift = circle_lift(base, "X", c, grid=64)
     spec = lift.spec
     paths = {"across_locus": np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])}
 
@@ -758,8 +758,6 @@ def _build_circle_lift_torus() -> CatalogEntry:
     rows = (
         ExpectedRow("classify_Xbar", "killing", None, "published",
                     lambda e: _classify(e, "Xbar").tag.value),
-        ExpectedRow("causal_everywhere", "True", None, "derived",
-                    lambda e: str(lift.causal_everywhere)),
         ExpectedRow("max_lifted_energy", 0.0, 1e-9, "derived", max_energy,
                     note="the lift is lightlike exactly where g(X,X) peaks"),
         ExpectedRow("lightlike_locus_x", 0.0, 1e-6, "derived", locus_min_abs_x),

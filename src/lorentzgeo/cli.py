@@ -301,8 +301,9 @@ def _cmd_conformal(args) -> Report:
         rep.add("conformal_bound", {"field": fieldname},
                 {"note": "no interior local minimum found"}, "SCOPE")
         return rep
+    cls = classify_field(spec, fieldname)
     for rec in minima:
-        cb = conformal_bound_check(spec, fieldname, rec)
+        cb = conformal_bound_check(spec, fieldname, rec, classification=cls)
         rep.add("conformal_bound", {"field": fieldname},
                 {"point": _point_list(rec.point),
                  "sigma": cb.sigma_at_point,
@@ -319,17 +320,16 @@ def _cmd_lift(args) -> Report:
     spec, entry = _resolve_spec(args.spec)
     fieldname = _default_field(spec, entry, args.field)
     rep = Report(f"lift {args.spec} --field {fieldname} --c {args.c}", spec)
-    result = circle_lift(spec, fieldname, args.c, mode=args.mode)
+    result = circle_lift(spec, fieldname, args.c)
     values = {
         "lifted_field": result.field,
         "c": result.c,
         "max_gxx": result.max_gxx,
         "min_gxx": result.min_gxx,
-        "causal_everywhere": result.causal_everywhere,
         "nowhere_timelike": result.nowhere_timelike,
         "lightlike_locus_sample": [_point_list(p) for p in result.lightlike_locus[:8]],
     }
-    rep.add("circle_lift", {"field": fieldname, "c": args.c, "mode": args.mode},
+    rep.add("circle_lift", {"field": fieldname, "c": args.c},
             values, "PASS")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -445,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--field")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--mode", choices=["lightlike_locus", "general"],
-                   default="lightlike_locus")
     p.add_argument("--out", help="write the lifted chart document")
     common(p)
 

@@ -154,12 +154,13 @@ class ManifoldSpec:
     trees of dg, ddg and the field derivatives are each differentiated
     once per spec, by the first read of ``_dg``, ``_ddg`` or
     ``_dfields``, so that downstream curvature work is pure array
-    assembly.  The first :meth:`metric_derivs` call builds dg and ddg and
-    compiles the non-constant trees of g, dg and ddg into one
-    straight-line function (:func:`expr.compile_trees`).  Loading or
-    exporting a chart differentiates and compiles nothing; flipping one
-    builds only the dg and field derivatives that its Killing check
-    reads.
+    assembly.  The first :meth:`metric_derivs` call builds dg and ddg,
+    lists the jet g, dg, ddg in output order and compiles its distinct
+    trees, constants included, into one straight-line function
+    (:func:`expr.compile_trees`); each jet is then one gather from that
+    function's values.  Loading or exporting a chart differentiates and
+    compiles nothing; flipping one builds only the dg and field
+    derivatives that its Killing check reads.
     """
 
     def __init__(self, name: str, coords: list[Coordinate], signature: str,
@@ -206,7 +207,7 @@ class ManifoldSpec:
         self._geometry = {}
         self._energy = {}
         self._lie = {}
-        # the compiled metric jet: built by the first metric_derivs call
+        # the compiled metric jet (source, run): built by the first metric_derivs call
         self._jet = None
 
         m = self.dim
@@ -379,54 +380,29 @@ class ManifoldSpec:
     def metric_derivs(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, dg, ddg) at p with dg[k,i,j] = d_k g_ij and
         ddg[l,k,i,j] = d_l d_k g_ij, all from exact trees: each value
-        equals the walker's :func:`expr.evaluate` of its tree bit for bit,
-        and a pole raises the walker's error."""
+        equals the walker's :func:`expr.evaluate` of its tree bit for bit.
+
+        The jet is the list of g (row-major), then dg[k][i][j], then
+        ddg[l][k][i][j]; its distinct trees, constants included and in
+        the order the list first reaches them, are compiled once, by the
+        first call, and every call gathers the list from their values.
+        A pole raises the walker's error for the first tree in that order."""
         b = self.bindings(self.wrap_point(p))
-        plan = self._jet
-        if plan is None:
-            plan = self._jet = self._jet_plan()
-        template, index, source, run = plan
-        flat = template.copy()
-        flat[index] = np.array(run(b))[source]
+        jet = self._jet
+        if jet is None:
+            trees = [t for row in self.metric for t in row]
+            trees += [t for a in self._dg for row in a for t in row]
+            trees += [t for a in self._ddg for c in a for row in c for t in row]
+            distinct = {id(t): t for t in trees}
+            slot = {key: n for n, key in enumerate(distinct)}
+            jet = self._jet = (np.array([slot[id(t)] for t in trees]),
+                               ex.compile_trees(distinct.values()))
+        source, run = jet
+        flat = np.array(run(b))[source]
         m = self.dim
         n1, n2 = m ** 2, m ** 2 + m ** 3
         return (flat[:n1].reshape(m, m), flat[n1:n2].reshape(m, m, m),
                 flat[n2:].reshape(m, m, m, m))
-
-    def _jet_plan(self):
-        """(template, index, source, run) for :meth:`metric_derivs`: g, dg
-        and ddg laid out flat, with the constant entries filled in the
-        template; the non-constant ones go to ``index`` from the values
-        ``run`` computes, ``source`` naming the value of each.  The
-        distinct trees are listed in the order a loop over the upper
-        triangle reaches them, so the first error is the walker's."""
-        m = self.dim
-        n1, n2 = m ** 2, m ** 2 + m ** 3
-        G = np.arange(n1).reshape(m, m).tolist()
-        DG = np.arange(n1, n2).reshape(m, m, m).tolist()
-        DDG = np.arange(n2, n2 + m ** 4).reshape(m, m, m, m).tolist()
-        template = np.zeros(n2 + m ** 4)
-        trees, position, index, source = [], {}, [], []
-
-        def put(tree, a, b):
-            if isinstance(tree, ex.Const):
-                template[a] = template[b] = tree.value
-                return
-            k = position.setdefault(id(tree), len(trees))
-            if k == len(trees):
-                trees.append(tree)
-            index.extend((a, b))
-            source.extend((k, k))
-
-        for i in range(m):
-            for j in range(i, m):
-                put(self.metric[i][j], G[i][j], G[j][i])
-                for k in range(m):
-                    put(self._dg[k][i][j], DG[k][i][j], DG[k][j][i])
-                    for l in range(m):
-                        put(self._ddg[l][k][i][j], DDG[l][k][i][j], DDG[l][k][j][i])
-        return template, np.array(index, dtype=int), np.array(source, dtype=int), \
-            ex.compile_trees(trees)
 
     def field_eval(self, name: str, p) -> np.ndarray:
         return self._field_at(name, self.bindings(self.wrap_point(p)))

@@ -475,8 +475,11 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     is e_0 on a 1-row frame, else e_q turned towards e_{q+1} by
     pi k / planes_per_point, q = k mod (d-1).  ``k_min`` and ``k_max``
     are exact, whatever the sampled planes: the least and largest
-    eigenvalue of J over the path's points.  A lightlike X in
-    dimension 2 has no degenerate plane through it and is refused.
+    eigenvalue of J over the path's points.  A value is a zero when its
+    magnitude is at most 1e-9 times the largest eigenvalue magnitude of
+    J at its own point; no sign change is read next to a zero.  A
+    lightlike X in dimension 2 has no degenerate plane through it and is
+    refused.
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
@@ -500,18 +503,19 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
         ends.append(np.linalg.eigvalsh(frame.jacobi)[[0, -1]])
 
     n_pts = len(scans)
-    k_min, k_max = float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
-    ztol = 1e-9 * max(abs(k_min), abs(k_max), 1e-30)
+    ends = np.array(ends)
+    k_min, k_max = float(ends[:, 0].min()), float(ends[:, 1].max())
+    ztol = 1e-9 * np.abs(ends).max(axis=1)
 
     zeros: list[ScanZero] = []
     for j in range(planes_per_point):
         trace = [s.values[j] for s in scans]
         for i, val in enumerate(trace):
-            if abs(val) <= ztol:
+            if abs(val) <= ztol[i]:
                 zeros.append(ScanZero(float(i), scans[i].point, j))
         for i in range(n_pts - 1):
             a, b = trace[i], trace[i + 1]
-            if abs(a) <= ztol or abs(b) <= ztol:
+            if abs(a) <= ztol[i] or abs(b) <= ztol[i + 1]:
                 continue
             if a * b < 0:
                 t = a / (a - b)
@@ -677,26 +681,22 @@ class LiftResult:
     c: float
     max_gxx: float
     min_gxx: float
-    causal_everywhere: bool
     nowhere_timelike: bool
     lightlike_locus: tuple[np.ndarray, ...]  # scan nodes where the lift is null
 
 
-def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
-                mode: str = "lightlike_locus", grid: int = 48) -> LiftResult:
+def circle_lift(M: ManifoldSpec, xname: str, c: float, *, grid: int = 48) -> LiftResult:
     """Append a flat periodic coordinate and lift X to X + c*e_theta on
     (M x S^1, g + dtheta^2).  The lifted field is named ``LIFTED_FIELD``;
     the new coordinate is ``theta``, or ``theta1``, ``theta2``, ... when
     that name is taken.
 
-    In ``lightlike_locus`` mode c^2 must equal -max g(X,X) over the scan
-    grid (within tolerance), so the lifted field is causal everywhere
-    and lightlike exactly on the locus where g(X,X) attains its maximum.
-    g(X,X) is evaluated on the nodes of :func:`_scan_axes`, and the
-    reported locus lists those nodes: one node on each axis that
-    g(X,X) does not mention.
-    ``general`` mode accepts any c > 0 and simply reports the causal
-    status.  X must be Killing for the base metric.
+    c^2 must equal -max g(X,X) over the scan grid (within tolerance), so
+    the lifted field is causal everywhere and lightlike exactly on the
+    locus where g(X,X) attains its maximum.  g(X,X) is evaluated on the
+    nodes of :func:`_scan_axes`, and the reported locus lists those
+    nodes: one node on each axis that g(X,X) does not mention.  X must
+    be Killing for the base metric.
     """
     if not (math.isfinite(c) and c > 0):
         raise LiftError(f"lift constant c must be positive and finite, got {c!r}")
@@ -709,15 +709,10 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
 
     c2 = c * c
     scale = max(1.0, abs(max_gxx), abs(min_gxx))
-    if mode == "lightlike_locus":
-        if abs(c2 + max_gxx) > LIFT_TOL * scale:
-            raise LiftError(
-                f"lightlike-locus lift needs c^2 = -max g(X,X) = {-max_gxx!r}, "
-                f"got c^2 = {c2!r}")
-    elif mode != "general":
-        raise LiftError(f"unknown lift mode '{mode}'")
-
-    causal_everywhere = c2 <= -max_gxx + LIFT_TOL * scale
+    if abs(c2 + max_gxx) > LIFT_TOL * scale:
+        raise LiftError(
+            f"lightlike-locus lift needs c^2 = -max g(X,X) = {-max_gxx!r}, "
+            f"got c^2 = {c2!r}")
     nowhere_timelike = c2 >= -min_gxx - LIFT_TOL * scale
     locus = tuple(np.append(p, 0.0) for val, p in zip(values, nodes)
                   if abs(val + c2) <= 1e-9 * scale)
@@ -741,5 +736,5 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *,
                           signature=M.signature, metric=new_metric,
                           params=M.params, fields=fields, scalars=M.scalars)
     return LiftResult(spec=lifted, field=LIFTED_FIELD, c=c, max_gxx=max_gxx,
-                      min_gxx=min_gxx, causal_everywhere=causal_everywhere,
-                      nowhere_timelike=nowhere_timelike, lightlike_locus=locus[:64])
+                      min_gxx=min_gxx, nowhere_timelike=nowhere_timelike,
+                      lightlike_locus=locus[:64])

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import lorentzgeo
-from lorentzgeo.catalog import list_examples
+from lorentzgeo import cli, obstruction, symmetry
+from lorentzgeo.catalog import _TORUS_FAMILY, list_examples
 from lorentzgeo.cli import main
 from lorentzgeo.manifold import load_spec
 
@@ -191,6 +192,16 @@ class TestReports:
         assert values["bound_verdict"] == "PASS"
         assert values["nonnegativity_verdict"] == "FAIL"
         assert values["x_sigma"] == pytest.approx(-8.0, abs=1e-9)
+
+    def test_conformal_classifies_the_field_once(self, tmp_path, count_calls):
+        """On a torus whose energy has two minima the field is classified
+        once, and that class serves the bound check at both."""
+        path = tmp_path / "two_minima.chart"
+        path.write_text(_TORUS_FAMILY.replace('cos(2*pi*x)/4)"', 'cos(4*pi*x)/4)"'))
+        calls = [count_calls(module, "classify_field") for module in (cli, obstruction, symmetry)]
+        code, rep = run_cli("conformal", str(path), "--field", "X", json_path=tmp_path / "r.json")
+        assert code == 0 and len(rep["results"]) == 2
+        assert [len(c) for c in calls] == [1, 0, 0]
 
     def test_witness_values(self, tmp_path):
         code, rep = run_cli("witness", "torus_family", json_path=tmp_path / "r.json")

@@ -517,6 +517,26 @@ def test_metric_derivs_compile_on_the_first_jet(count_calls, entry):
     assert M._ddg[0][1][1][1] is M._ddg[1][0][1][1]
 
 
+def test_jet_pole_raises_the_first_tree_in_output_order():
+    """At x = 0 both g.1.1 and d_x g.0.0 have a pole.  The jet lists all
+    of g before dg, so the jet and the point geometry built from it raise
+    the walker's error for g.1.1, not for the derivative of the earlier
+    entry."""
+    doc = MINK2.replace('"-1"', '"-(2 + sqrt(x^2))"').replace('g.1.1 = "1"', 'g.1.1 = "1 + 1/x"')
+    M = load_spec(doc, validate=False)
+    p = [0.3, 0.0]
+    b = M.bindings(M.wrap_point(p))
+    with pytest.raises(EvalError) as first:
+        ex.evaluate(M.metric[1][1], b)
+    with pytest.raises(EvalError) as earlier_entry:
+        ex.evaluate(M._dg[1][0][0], b)
+    assert str(first.value) != str(earlier_entry.value)
+    for jet in (M.metric_derivs, lambda q: point_geometry(M, q)):
+        with pytest.raises(EvalError) as got:
+            jet(p)
+        assert str(got.value) == str(first.value)
+
+
 def test_threads_racing_on_a_fresh_spec_read_the_right_jet():
     """Workers whose first reads build the derivative tables of one spec
     may each build a table, but every jet and field derivative they read

@@ -17,6 +17,7 @@ from lorentzgeo.curvature import (
     sectional_curvature,
 )
 from lorentzgeo.manifold import (
+    SAMPLING_COLLAR,
     CausalCharacter,
     Coordinate,
     ManifoldSpec,
@@ -1187,6 +1188,18 @@ class TestSignScan:
         kinds = {s.curvature_kind for s in rep.scans}
         assert kinds == {"sectional", "null_sectional"}
 
+    def test_zero_tolerance_is_each_points_own(self, circle_lift_torus):
+        """Across the lift's null locus J reaches |lambda| ~ 2.5e4, but at
+        points 10 and 11 only ~22, where plane 13 reads 7.5e-06 and 5.5e-06
+        with no sign change: at most 1e-9 times the path's largest
+        |lambda|, yet no zeros on the scale of their own points."""
+        e = circle_lift_torus
+        rep = plane_sign_scan(e.spec, "Xbar", interpolate_path(e.paths["across_locus"], 64))
+        path_tol = 1e-9 * max(abs(rep.k_min), abs(rep.k_max))
+        for i in (10, 11):
+            assert 1e-7 * max(map(abs, rep.scans[i].values)) < rep.scans[i].values[13] <= path_tol
+        assert not [z for z in rep.zeros if z.plane_index == 13 and 9 <= z.path_param <= 12]
+
     def test_interpolate_path_validates(self):
         with pytest.raises(ValueError):
             interpolate_path(np.array([[0.0, 0.0]]), 8)
@@ -1309,7 +1322,7 @@ class TestLorentzianize:
             lorentzianize(spec, "X")
         with pytest.raises(LiftError, match="^field must be Killing for the base "
                                             "metric, classifies as homothetic$"):
-            circle_lift(spec, "X", 1.0, mode="general", grid=16)
+            circle_lift(spec, "X", 1.0, grid=16)
 
     def test_round_s3_matches_catalog_flip(self, entry, hopf, rng):
         s3 = entry("round_s3").spec
@@ -1364,7 +1377,6 @@ class TestLorentzianize:
 class TestCircleLift:
     def test_lightlike_locus_variant(self, torus):
         lift = circle_lift(torus.spec, "X", math.sqrt(1.5), grid=64)
-        assert lift.causal_everywhere
         assert not lift.nowhere_timelike
         assert lift.max_gxx == pytest.approx(-1.5, abs=1e-12)
         xs = sorted(min(abs(p[0]), abs(1 - p[0])) for p in lift.lightlike_locus)
@@ -1385,21 +1397,13 @@ class TestCircleLift:
         nodes = obstruction._grid_points(obstruction._grid_axes(torus.spec, [48, 48]))
         full = torus.spec.evaluate_points(metric_pairing_expr(torus.spec, "X", "X"), nodes)
         assert (lift.max_gxx, lift.min_gxx) == (float(full.max()), float(full.min()))
-        assert lift.causal_everywhere and not lift.nowhere_timelike
+        assert not lift.nowhere_timelike
         assert [p.tolist() for p in lift.lightlike_locus] == [[0.0, 0.0, 0.0]]
         assert {p[0] for p in nodes[np.abs(full + 1.5) <= 1e-9 * 2.5]} == {0.0}
 
-    def test_general_mode_minimum_constant_gives_nowhere_timelike(self, torus):
-        lift = circle_lift(torus.spec, "X", math.sqrt(2.5), mode="general", grid=64)
-        assert lift.nowhere_timelike
-        assert not lift.causal_everywhere
-        p = [0.5, 0.0, 0.0]
-        assert causal_character(lift.spec, p, lift.spec.field_eval("Xbar", p)) \
-            is CausalCharacter.LIGHTLIKE
-
     def test_everywhere_lightlike_lift_of_flat_chart(self, mink2):
         lift = circle_lift(mink2.spec, "X", 1.0, grid=16)
-        assert lift.causal_everywhere and lift.nowhere_timelike
+        assert lift.nowhere_timelike
         rng = np.random.default_rng(2)
         for p in lift.spec.sample_points(10, rng):
             assert causal_character(lift.spec, p, lift.spec.field_eval("Xbar", p)) \
@@ -1409,9 +1413,8 @@ class TestCircleLift:
     def test_non_finite_constant_rejected(self, torus, c):
         """nan passes both c <= 0 and the locus tolerance test unless it
         is refused first, and would be written out as a component."""
-        for mode in ("lightlike_locus", "general"):
-            with pytest.raises(LiftError, match="positive and finite"):
-                circle_lift(torus.spec, "X", c, mode=mode, grid=16)
+        with pytest.raises(LiftError, match="positive and finite"):
+            circle_lift(torus.spec, "X", c, grid=16)
 
     def test_wrong_constant_rejected_in_locus_mode(self, torus):
         with pytest.raises(LiftError):
@@ -1419,10 +1422,10 @@ class TestCircleLift:
 
     def test_non_killing_field_rejected(self, mink2):
         with pytest.raises(LiftError):
-            circle_lift(mink2.spec, "EULER", 1.0, mode="general", grid=16)
+            circle_lift(mink2.spec, "EULER", 1.0, grid=16)
 
     def test_theta_name_does_not_collide(self, entry):
         spec = entry("schwarzschild_exterior").spec
-        lift = circle_lift(spec, "X", math.sqrt(1.0 - 2.0 / 20.0 + 1e-12),
-                           mode="general", grid=8)
+        # g(X,X) = -(1 - 2/r) peaks at the scan's first r node
+        lift = circle_lift(spec, "X", math.sqrt(1.0 - 2.0 / (2.5 + SAMPLING_COLLAR)), grid=8)
         assert lift.spec.coord_names()[-1] == "theta1"
