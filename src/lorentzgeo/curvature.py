@@ -19,7 +19,9 @@ of one (keyed on the wrapped point, so a periodic image hits too), and
 their arrays are read-only, so every helper simply asks for the geometry
 at its point: nothing is handed down, and g, Gamma and R are built once
 per point.  A caller that visits a known set of points asks for their
-geometries in one batch first.
+geometries in one batch first.  A geometry carries its point's bindings:
+``M.evaluate``, ``M.field_eval``, ``M.field_derivs``, :func:`causal_character`
+and the :class:`ScalarDerivs` queries take a point or its geometry.
 The causal character of a vector and the type of a plane read g and
 its Riemannianized frame from the same geometry, take the bands from one
 Riemannianized Gram of their vectors (``manifold.riem_gram``), and refuse
@@ -53,8 +55,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .manifold import (
     CausalCharacter,
     ManifoldSpec,
     PlaneType,
+    PointGeometry,
     TangentPlane,
     _entry,
     field_energy_expr,
@@ -97,22 +100,6 @@ class NullCurvatureInputError(ValueError):
     """Inputs violate the degenerate-plane preconditions."""
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """Evaluated metric and curvature data at one point.  The spec
-    memoizes it, so every array is read-only."""
-
-    point: np.ndarray
-    metric: np.ndarray          # g_ij
-    inverse: np.ndarray         # g^ij
-    dmetric: np.ndarray         # dg[k,i,j] = d_k g_ij
-    christoffel: np.ndarray     # gamma[k,i,j] = Gamma^k_ij
-    riemann: np.ndarray         # lowered, R[i,j,k,l] = g(R(e_i,e_j)e_l, e_k)
-    ricci: np.ndarray
-    scalar: float
-    riem_frame: tuple[np.ndarray, np.ndarray]   # manifold.riem_frame(g)
-
-
 def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     """Assemble connection and curvature tensors at one point, or return
     the spec's memo when it holds that point."""
@@ -120,7 +107,7 @@ def point_geometry(M: ManifoldSpec, p) -> PointGeometry:
     key = p.tobytes()
     geo = M._geometry.get(key)
     if geo is None:
-        geo = _geometry_row(_geometry_arrays(p, *M.metric_derivs(p)), ())
+        geo = _geometry_row(M, _geometry_arrays(p, *M.metric_derivs(p)), ())
         M._geometry = {key: geo}
     return geo
 
@@ -172,7 +159,7 @@ def _stacked_geometries(M: ManifoldSpec, pts: np.ndarray) -> list[PointGeometry]
     arrays = _geometry_arrays(pts[:done], *(a[:done] for a in jets))
     if failure is not None:
         raise failure
-    return [_geometry_row(arrays, r) for r in range(done)]
+    return [_geometry_row(M, arrays, r) for r in range(done)]
 
 
 def _geometry_arrays(p: np.ndarray, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple:
@@ -204,29 +191,24 @@ def _geometry_arrays(p: np.ndarray, g: np.ndarray, dg: np.ndarray, ddg: np.ndarr
     return p, g, ginv, dg, gamma, lowered, ricci, scalar, frame
 
 
-def _geometry_row(arrays: tuple, r) -> PointGeometry:
+def _geometry_row(M: ManifoldSpec, arrays: tuple, r) -> PointGeometry:
     """The :class:`PointGeometry` at index r of :func:`_geometry_arrays`
     (``r = ()`` for the arrays of one point)."""
     p, g, ginv, dg, gamma, riemann, ricci, scalar, (aw, V) = arrays
     return PointGeometry(p[r], g[r], ginv[r], dg[r], gamma[r], riemann[r], ricci[r],
-                         float(scalar[r]), (aw[r], V[r]))
+                         float(scalar[r]), (aw[r], V[r]), MappingProxyType(M.bindings(p[r])))
 
 
-def causal_character(M: ManifoldSpec, p, v) -> CausalCharacter:
-    """Classify the tangent vector v at p, with a scale-free lightlike
-    band: :func:`_causal` on the geometry at p.
+def causal_character(M: ManifoldSpec, at, v) -> CausalCharacter:
+    """Classify the tangent vector v at a point or a :class:`PointGeometry`
+    ``at``, with a scale-free lightlike band: g(v,v) against the band on
+    |v|^2, the one-row :func:`~lorentzgeo.manifold.riem_gram` of v.
 
     The zero vector gets its own tag rather than counting as spacelike;
     callers that need a genuinely causal vector must check for ZERO.  A
     wrong-length vector or a non-finite |v|^2 raises ValueError.
     """
-    return _causal(point_geometry(M, p), v)
-
-
-def _causal(geo: PointGeometry, v) -> CausalCharacter:
-    """:func:`causal_character` of v at the point of ``geo``, for a caller
-    that already holds the geometry: g(v,v) against the band on |v|^2,
-    the one-row :func:`~lorentzgeo.manifold.riem_gram` of v."""
+    geo = at if type(at) is PointGeometry else point_geometry(M, at)
     v = np.asarray(v, dtype=float)
     if v.shape != geo.point.shape:
         raise ValueError(f"vector needs {len(geo.point)} components, got {v.tolist()}")
@@ -310,9 +292,9 @@ def null_sectional_curvature(M: ManifoldSpec, p, x, v) -> float:
     geo = point_geometry(M, p)
     g = geo.metric
     xc, vc = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    if _causal(geo, xc) is not CausalCharacter.LIGHTLIKE:
+    if causal_character(M, geo, xc) is not CausalCharacter.LIGHTLIKE:
         raise NullCurvatureInputError("reference vector is not lightlike")
-    if _causal(geo, vc) in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
+    if causal_character(M, geo, vc) in (CausalCharacter.LIGHTLIKE, CausalCharacter.ZERO):
         raise NullCurvatureInputError("spanning vector must be non-lightlike")
     try:
         _spanning_pair(geo, vc, xc)
@@ -333,10 +315,9 @@ class ScalarDerivs:
     recursive walkers is a :class:`~lorentzgeo.manifold.SpecError`
     naming ``what``.
 
-    The public queries take a point.  A caller that already holds the
-    point's geometry and its bindings (``M.bindings(geo.point)``) reads
-    the covariant Hessian by :meth:`_covariant_hessian_at` instead, so the
-    point is wrapped, bound and looked up once per query."""
+    Each query takes a point, or the point's :class:`PointGeometry`,
+    whose bindings it then reads: the point is wrapped and bound at most
+    once per query."""
 
     def __init__(self, M: ManifoldSpec, e: Expr, what: str = "scalar"):
         self.M = M
@@ -355,36 +336,28 @@ class ScalarDerivs:
         walked for once: the grid scan reads them at every call."""
         return ex.free_names(self.expr)
 
-    def value(self, p) -> float:
-        return self.M.evaluate(self.expr, p)
+    def value(self, at) -> float:
+        return self.M.evaluate(self.expr, at)
 
-    def gradient(self, p) -> np.ndarray:
-        return self._gradient(self.M.bindings(self.M.wrap_point(p)))
-
-    def coordinate_hessian(self, p) -> np.ndarray:
-        return self._hessian(self.M.bindings(self.M.wrap_point(p)))
-
-    def covariant_hessian(self, p) -> np.ndarray:
-        """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-        geo = point_geometry(self.M, p)
-        return self._covariant_hessian_at(geo, self.M.bindings(geo.point))
-
-    def _covariant_hessian_at(self, geo: PointGeometry, b: dict[str, float]) -> np.ndarray:
-        """:meth:`covariant_hessian` at the point of ``geo``, whose bindings are ``b``."""
-        grad = self._gradient(b)
-        h = self._hessian(b) - np.einsum("kij,k->ij", geo.christoffel, grad)
-        return 0.5 * (h + h.T)
-
-    def _gradient(self, b: dict[str, float]) -> np.ndarray:
+    def gradient(self, at) -> np.ndarray:
+        b = self.M._bound(at)
         with _entry(self.what):
             return np.array([ex.evaluate(t, b) for t in self.grad_trees])
 
-    def _hessian(self, b: dict[str, float]) -> np.ndarray:
+    def coordinate_hessian(self, at) -> np.ndarray:
+        b = self.M._bound(at)
         h = np.empty((self.M.dim, self.M.dim))
         with _entry(self.what):
             for (i, j), t in self.hess_trees.items():
                 h[i, j] = h[j, i] = ex.evaluate(t, b)
         return h
+
+    def covariant_hessian(self, at) -> np.ndarray:
+        """(Hess phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
+        geo = at if type(at) is PointGeometry else point_geometry(self.M, at)
+        grad = self.gradient(geo)
+        h = self.coordinate_hessian(geo) - np.einsum("kij,k->ij", geo.christoffel, grad)
+        return 0.5 * (h + h.T)
 
 
 def energy_derivs(M: ManifoldSpec, xname: str) -> ScalarDerivs:

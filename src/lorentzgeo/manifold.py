@@ -47,6 +47,7 @@ import configparser
 import enum
 import io
 import math
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,6 +147,24 @@ class TangentPlane:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
+@dataclass(frozen=True)
+class PointGeometry:
+    """Evaluated metric and curvature data at one point, with the point's
+    bindings, which a per-point query given the geometry reads.  The spec
+    memoizes it, so the arrays and the bindings are read-only."""
+
+    point: np.ndarray
+    metric: np.ndarray          # g_ij
+    inverse: np.ndarray         # g^ij
+    dmetric: np.ndarray         # dg[k,i,j] = d_k g_ij
+    christoffel: np.ndarray     # gamma[k,i,j] = Gamma^k_ij
+    riemann: np.ndarray         # lowered, R[i,j,k,l] = g(R(e_i,e_j)e_l, e_k)
+    ricci: np.ndarray
+    scalar: float
+    riem_frame: tuple[np.ndarray, np.ndarray]   # riem_frame(g)
+    bindings: Mapping[str, float]               # ManifoldSpec.bindings(point)
+
+
 class ManifoldSpec:
     """One chart with metric, parameters, and named fields.
 
@@ -195,6 +214,11 @@ class ManifoldSpec:
             raise SpecError("dimension must be at least 2")
         if signature not in ("lorentzian", "riemannian"):
             raise SpecError(f"unknown signature '{signature}'")
+        for k, c in enumerate(coords):
+            if c.name in [d.name for d in coords[:k]]:
+                raise SpecError(f"coordinate '{c.name}' is named twice")
+            if c.name in (params or {}):
+                raise SpecError(f"parameter '{c.name}' is named like a coordinate")
         self.name = name
         self.coords = list(coords)
         self.dim = len(coords)
@@ -281,6 +305,10 @@ class ManifoldSpec:
         b.update(self.params)
         return b
 
+    def _bound(self, at) -> Mapping[str, float]:
+        """The bindings of a point, wrapped, or those a :class:`PointGeometry` carries."""
+        return at.bindings if type(at) is PointGeometry else self.bindings(self.wrap_point(at))
+
     def wrap_point(self, p) -> np.ndarray:
         """Wrap periodic coordinates into [lo, hi); refuse non-finite
         coordinates and points within ``BOUNDARY_COLLAR`` of a
@@ -333,8 +361,9 @@ class ManifoldSpec:
 
     # -- pointwise evaluation ----------------------------------------------
 
-    def evaluate(self, e: Expr, p) -> float:
-        return ex.evaluate(e, self.bindings(self.wrap_point(p)))
+    def evaluate(self, e: Expr, at) -> float:
+        """``e`` at a point or a :class:`PointGeometry`."""
+        return ex.evaluate(e, self._bound(at))
 
     def evaluate_points(self, e: Expr, points) -> np.ndarray:
         """``e`` at each row of an (N, m) array of points, in one walk of
@@ -404,28 +433,17 @@ class ManifoldSpec:
         return (flat[:n1].reshape(m, m), flat[n1:n2].reshape(m, m, m),
                 flat[n2:].reshape(m, m, m, m))
 
-    def field_eval(self, name: str, p) -> np.ndarray:
-        return self._field_at(name, self.bindings(self.wrap_point(p)))
-
-    def field_derivs(self, name: str, p) -> np.ndarray:
-        """dX[j,i] = d_j X^i from exact trees."""
-        return self._field_derivs_at(name, self.bindings(self.wrap_point(p)))
-
-    def _field_at(self, name: str, b: dict[str, float]) -> np.ndarray:
-        """The field at the point whose :meth:`bindings` are ``b``."""
+    def field_eval(self, name: str, at) -> np.ndarray:
+        """The field at a point or a :class:`PointGeometry`."""
+        b = self._bound(at)
         with _entry(f"field '{name}'"):
             return np.array([ex.evaluate(c, b) for c in self.fields[name]])
 
-    def _field_derivs_at(self, name: str, b: dict[str, float]) -> np.ndarray:
-        """:meth:`field_derivs` at the point whose :meth:`bindings` are ``b``."""
-        dtrees = self._dfields[name]
-        m = self.dim
-        out = np.empty((m, m))
+    def field_derivs(self, name: str, at) -> np.ndarray:
+        """dX[j,i] = d_j X^i from exact trees, at a point or a :class:`PointGeometry`."""
+        b = self._bound(at)
         with _entry(f"field '{name}'"):
-            for j in range(m):
-                for i in range(m):
-                    out[j, i] = ex.evaluate(dtrees[j][i], b)
-        return out
+            return np.array([[ex.evaluate(t, b) for t in row] for row in self._dfields[name]])
 
     # -- helpers for tests and scans ----------------------------------------
 

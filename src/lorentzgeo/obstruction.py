@@ -36,7 +36,7 @@ from . import expr as ex
 from .curvature import (
     _TINY,
     ScalarDerivs,
-    _causal,
+    causal_character,
     energy_derivs,
     point_geometries,
     point_geometry,
@@ -130,14 +130,13 @@ class ScanResult:
 
 def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
     """The record of kind ``kind`` at p, wrapped: the covariant Hessian,
-    the causal character of X and f, all read from the geometry and the
-    bindings of the one point."""
+    the causal character of X and f, all read from the geometry of the
+    one point."""
     f_derivs = energy_derivs(M, xname)
     geo = point_geometry(M, p)
-    b = M.bindings(geo.point)
-    eigs = tuple(float(w) for w in np.linalg.eigvalsh(f_derivs._covariant_hessian_at(geo, b)))
-    cc = _causal(geo, M._field_at(xname, b))
-    return ExtremumRecord(point=geo.point, f_value=ex.evaluate(f_derivs.expr, b), kind=kind,
+    eigs = tuple(float(w) for w in np.linalg.eigvalsh(f_derivs.covariant_hessian(geo)))
+    cc = causal_character(M, geo, M.field_eval(xname, geo))
+    return ExtremumRecord(point=geo.point, f_value=f_derivs.value(geo), kind=kind,
                           causal=cc, hessian_eigs=eigs)
 
 
@@ -258,9 +257,13 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     which is where each cluster of the full grid keeps its best node.
     The masks, the plateau test, the clusters and the records are those
     of the full grid; the resolution floor and the record dedupe still
-    use the full axes.
+    use the full axes.  ``grid`` is one resolution for every axis or a
+    list of one per axis; a list of another length is a ValueError.
     """
     per_axis = [grid] * M.dim if isinstance(grid, int) else list(grid)
+    if len(per_axis) != M.dim:
+        raise ValueError(f"grid {per_axis} has {len(per_axis)} entries but the chart "
+                         f"has dimension {M.dim}")
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
@@ -390,7 +393,7 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     minimum = record.kind is ExtremumKind.MIN
     frame = perp_frame(M, xname, p)
     # a homothetic X has nabla X = skew + (lam/2) I; the kernel is the skew part's
-    dX = M.field_derivs(xname, frame.geo.point) - 0.5 * classification.lam * np.eye(m)
+    dX = M.field_derivs(xname, frame.geo) - 0.5 * classification.lam * np.eye(m)
     kv, kres = kernel_direction(restricted_operator(frame, dX))
     k_val = float(kv @ frame.jacobi @ kv)
     if frame.causal is CausalCharacter.TIMELIKE:
@@ -564,7 +567,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
                          f"got {record.causal.value}")
 
     frame = perp_frame(M, xname, p)
-    X, dX = frame.field, M.field_derivs(xname, frame.geo.point)
+    X, dX = frame.field, M.field_derivs(xname, frame.geo)
     sigma0, xs = _conformal_factor(energy_derivs(M, xname), frame.geo, X, dX)
     if abs(sigma0) > CONFORMAL_TOL:
         raise ValueError(

@@ -36,7 +36,7 @@ from .curvature import (
     _TINY,
     PointGeometry,
     ScalarDerivs,
-    _causal,
+    causal_character,
     energy_derivs,
     jacobi_form,
     point_geometry,
@@ -170,8 +170,7 @@ def skew_adjoint_residual(M: ManifoldSpec, xname: str, p) -> float:
     """max |g(A_X u, v) + g(u, A_X v)| over chart basis pairs, normalized
     by the operator's magnitude.  Zero exactly when X is Killing."""
     geo = point_geometry(M, p)
-    b = M.bindings(geo.point)
-    g, A = geo.metric, shape_operator(geo, M._field_at(xname, b), M._field_derivs_at(xname, b))
+    g, A = geo.metric, shape_operator(geo, M.field_eval(xname, geo), M.field_derivs(xname, geo))
     sym = A.T @ g + g @ A                   # [u,v] slot: g(Au, v) + g(u, Av)
     denom = max(float(np.max(np.abs(g @ A))), float(np.max(np.abs(A.T @ g))), _TINY)
     return float(np.max(np.abs(sym))) / denom
@@ -224,8 +223,8 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     """
     geo = point_geometry(M, p)
     g = geo.metric
-    X = M._field_at(xname, M.bindings(geo.point))
-    cc = _causal(geo, X)
+    X = M.field_eval(xname, geo)
+    cc = causal_character(M, geo, X)
     gX = g @ X
     if cc is CausalCharacter.TIMELIKE:
         against = [gX]
@@ -311,10 +310,9 @@ def hessian_identity_sides(M: ManifoldSpec, xname: str, p) -> tuple[np.ndarray, 
     """Both sides of Hess f = -g(R(.,X)X,.) + g(A_X ., A_X .) in the
     chart basis; valid when X is homothetic (Killing included)."""
     geo = point_geometry(M, p)
-    b = M.bindings(geo.point)
-    lhs = energy_derivs(M, xname)._covariant_hessian_at(geo, b)
-    X = M._field_at(xname, b)
-    A = shape_operator(geo, X, M._field_derivs_at(xname, b))
+    lhs = energy_derivs(M, xname).covariant_hessian(geo)
+    X = M.field_eval(xname, geo)
+    A = shape_operator(geo, X, M.field_derivs(xname, geo))
     rhs = -jacobi_form(geo, X) + A.T @ geo.metric @ A
     return lhs, rhs
 
@@ -334,8 +332,7 @@ def _conformal_factor(fd: ScalarDerivs, geo: PointGeometry, X: np.ndarray,
                       dX: np.ndarray) -> tuple[float, float]:
     """sigma at the point of ``geo`` and X(sigma) by the identity of the
     module docstring, fd being :func:`energy_derivs` of X, not lightlike."""
-    p = geo.point
     sigma = float(np.trace(geo.inverse @ lie_derivative(geo, X, dX))) / len(X)
-    xxf = float(X @ fd.coordinate_hessian(p) @ X + X @ dX @ fd.gradient(p))
+    xxf = float(X @ fd.coordinate_hessian(geo) @ X + X @ dX @ fd.gradient(geo))
     # + 0.0: for a Killing X over a negative f the quotient is -0.0
-    return sigma, xxf / fd.value(p) - sigma * sigma + 0.0
+    return sigma, xxf / fd.value(geo) - sigma * sigma + 0.0

@@ -28,6 +28,7 @@ from lorentzgeo.curvature import (
     DegeneratePlaneError,
     NullCurvatureInputError,
     ScalarDerivs,
+    causal_character,
     energy_derivs,
     null_sectional_curvature,
     plane_type,
@@ -406,8 +407,10 @@ class TestHessianAndShapeOperator:
         assert np.allclose(h, expected, rtol=1e-12, atol=1e-15)
 
     def test_covariant_hessian_binds_the_point_once(self, entry, count_calls):
-        """The covariant Hessian wraps and binds p once (point_geometry's
-        wrap), and equals its parts bit for bit."""
+        """The covariant Hessian at a point wraps it once (point_geometry's
+        wrap) and reads the bindings the memoized geometry carries; given
+        the geometry it neither wraps nor binds.  Both equal its parts bit
+        for bit."""
         spec = entry("hopf_lorentz_s3").spec
         derivs = energy_derivs(spec, "X")
         p = [0.6, 7.0, -1.9]
@@ -415,7 +418,9 @@ class TestHessianAndShapeOperator:
         wraps = count_calls(ManifoldSpec, "wrap_point")
         binds = count_calls(ManifoldSpec, "bindings")
         h = derivs.covariant_hessian(p)
-        assert (len(wraps), len(binds)) == (1, 1)
+        assert (len(wraps), len(binds)) == (1, 0)
+        assert derivs.covariant_hessian(geo).tobytes() == h.tobytes()
+        assert (len(wraps), len(binds)) == (1, 0)
         parts = derivs.coordinate_hessian(p) - np.einsum(
             "kij,k->ij", geo.christoffel, derivs.gradient(p))
         assert h.tobytes() == (0.5 * (parts + parts.T)).tobytes()
@@ -552,10 +557,8 @@ def test_one_metric_jet_per_point(count_calls, case):
     cls = classify_field(e.spec, e.field_name)
     derivs = count_calls(ManifoldSpec, "metric_derivs")
     evals = count_calls(ManifoldSpec, "metric_eval")
-    # field_eval and field_derivs read their point's bindings and call
-    # these, as do the queries that hold the bindings already
-    fields = count_calls(ManifoldSpec, "_field_at")
-    field_derivs = count_calls(ManifoldSpec, "_field_derivs_at")
+    fields = count_calls(ManifoldSpec, "field_eval")
+    field_derivs = count_calls(ManifoldSpec, "field_derivs")
     trees = count_calls(ex, "differentiate")
     result = operation(e.spec, e.field_name, cls)
     if case.startswith("witness"):
@@ -569,6 +572,27 @@ def test_one_metric_jet_per_point(count_calls, case):
         del fields[:], field_derivs[:], trees[:]
         assert operation(e.spec, e.field_name, cls).x_sigma == result.x_sigma == -8.0
         assert (len(fields), len(field_derivs), len(trees)) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_queries_at_a_point_and_at_its_geometry_agree_bit_for_bit(entry, rng, name):
+    """Every per-point query gives the same bits for a point, which it
+    wraps and binds, and for the point's geometry, whose bindings it
+    reads; the points are periodic images of interior samples."""
+    M = entry(name).spec
+    shift = np.array([c.period if c.periodic else 0.0 for c in M.coords])
+    for p in M.sample_points(4, rng) + shift:
+        geo = point_geometry(M, p)
+        queries = [lambda at, e=e: M.evaluate(e, at) for row in M.metric for e in row]
+        for x in M.fields:
+            fd = energy_derivs(M, x)
+            queries += [lambda at, x=x: M.field_eval(x, at),
+                        lambda at, x=x: M.field_derivs(x, at),
+                        fd.value, fd.gradient, fd.coordinate_hessian, fd.covariant_hessian]
+            X = M.field_eval(x, geo)
+            assert causal_character(M, p, X) is causal_character(M, geo, X)
+        for query in queries:
+            assert np.asarray(query(p)).tobytes() == np.asarray(query(geo)).tobytes()
 
 
 GEOMETRY_FIELDS = ("point", "metric", "inverse", "dmetric", "christoffel",
@@ -633,6 +657,17 @@ class TestGeometryMemo:
             with pytest.raises(ValueError):
                 target[0] = 1.0
         assert geo.metric.tobytes() == fresh.metric.tobytes()
+
+    def test_geometry_carries_its_points_bindings_read_only(self, entry):
+        M = entry("schwarzschild_exterior").spec
+        pts = [[0.5, 4.0, 1.2, 7.0], [0.1, 5.0, 2.0, -1.0]]    # phi is periodic
+        geos = point_geometries(M, pts) + [point_geometry(M, [0.2, 6.0, 1.0, 9.0])]
+        for geo in geos:
+            assert dict(geo.bindings) == M.bindings(geo.point)
+            with pytest.raises(TypeError):
+                geo.bindings["r"] = 1.0
+            with pytest.raises(TypeError):
+                del geo.bindings["r"]
 
     def test_threads_racing_on_one_spec_read_the_right_geometry(self):
         """Workers alternating between points, and between batches and

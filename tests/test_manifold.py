@@ -256,6 +256,23 @@ g.0.1 = "1 + u^2"
         with pytest.raises(SpecError, match="^dim: '2.7' is not an integer"):
             load_spec(doc)
 
+    def test_parameter_named_like_a_coordinate_is_refused_on_load(self):
+        # it would overwrite the coordinate's binding: 1 + x^2 would read 1.25 everywhere
+        doc = MINK2.replace('g.1.1 = "1"', 'g.1.1 = "1 + x^2"') + "\n[params]\nx = 0.5\n"
+        with pytest.raises(SpecError, match="^parameter 'x' is named like a coordinate$"):
+            load_spec(doc)
+
+    def test_parameter_named_like_a_coordinate_is_refused_by_the_constructor(self):
+        coords = [Coordinate("t", -1.0, 1.0, False), Coordinate("x", -1.0, 1.0, False)]
+        metric = [[ex.Const(-1.0), ex.ZERO], [ex.ZERO, ex.add(ex.ONE, Var("x"))]]
+        with pytest.raises(SpecError, match="^parameter 'x' is named like a coordinate$"):
+            ManifoldSpec("hand", coords, "lorentzian", metric, params={"x": 0.5})
+
+    def test_repeated_coordinate_is_refused(self):
+        doc = MINK2.replace("coords = t, x", "coords = t, t")
+        with pytest.raises(SpecError, match="^coordinate 't' is named twice$"):
+            load_spec(doc)
+
 
 class TestMetricAt:
     def test_inverse_accuracy(self, entry, rng):

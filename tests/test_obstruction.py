@@ -132,6 +132,13 @@ class TestScanExtrema:
         with pytest.raises(ValueError):
             scan_extrema(torus.spec, "X", grid=4)
 
+    @pytest.mark.parametrize("grid", [[32, 8, 8, 8], [32, 8]], ids=["long", "short"])
+    def test_grid_list_needs_one_entry_per_axis(self, circle_lift_torus, grid):
+        with pytest.raises(ValueError) as err:
+            scan_extrema(circle_lift_torus.spec, circle_lift_torus.field_name, grid=grid)
+        assert str(err.value) == (f"grid {grid} has {len(grid)} entries but the chart "
+                                  "has dimension 3")
+
     @pytest.mark.parametrize("name,grid", [("torus_family", 64), ("minkowski2", 10)],
                              ids=["records", "plateau"])
     def test_one_metric_jet_per_record_for_scan_and_witness(self, count_calls, name, grid):
