@@ -13,8 +13,10 @@ prints a tree in one call per node.
 The text grammar is plain infix arithmetic with ``^`` for powers and
 function-call syntax like ``sin(2*pi*x)``.  Implicit multiplication is
 not accepted.  ``pi`` is a built-in constant.  One regular expression
-splits a text into tokens, and a recursive descent of three levels folds
-them into a tree.
+splits a text into tokens (with plain character classes for an ASCII
+text, the common case), and a recursive descent of three levels folds
+them into a tree.  Each call keeps a table of the leaves it has built,
+so a name or a number written twice in a text is one shared node.
 
 No tree ever yields a silently non-finite number.  A literal that
 overflows is a :class:`ParseError`, constant folding never produces a
@@ -326,10 +328,13 @@ def call(fn: str, a: Expr) -> Expr:
 # one non-space character.  Digits are str.isdigit's ('2²' is one, malformed,
 # number); \d is str.isdecimal and \w str.isalnum or '_', so a text's other
 # alphanumerics ('²', 'Ⅻ') go into the pattern: digits join NUMBER, none starts a NAME.
+# An ASCII text has none of them: _ASCII_TOKEN is the same pattern in plain
+# classes, which match faster (parse_expression says why it lacks re.ASCII).
 # ---------------------------------------------------------------------------
 
 _TOKEN_FORM = r"[^\W\d{0}{1}]\w*|[-+*/^()]|\.?[\d{0}][\d{0}.]*(?:[eE][+-]?[\d{0}]+)?|\S"
 _TOKEN = re.compile(_TOKEN_FORM.format("", ""))
+_ASCII_TOKEN = re.compile(r"[A-Za-z_]\w*|[-+*/^()]|\.?\d[\d.]*(?:[eE][+-]?\d+)?|\S")
 _ADDITIVE = {"+": add, "-": sub}
 _MULTIPLICATIVE = {"*": mul, "/": div}
 
@@ -345,6 +350,14 @@ def parse_expression(text: str, declared) -> Expr:
     deeper than the descent can follow (about 330 parentheses or 990
     chained powers at the default recursion limit) raises
     :class:`ParseError` at the token where it gave up.
+
+    A leaf (a declared name, a number literal or ``pi``) is built once
+    per call, on its first occurrence, and every later occurrence of its
+    token is the same node: nodes are immutable, so a tree may share
+    them.  An ASCII text is split by ``_ASCII_TOKEN``, which gives the
+    tokens ``_TOKEN`` gives on ASCII.  It has no ``re.ASCII`` flag: that
+    would narrow ``\\s`` too, and the separators ``\\x1c``-``\\x1f``, spaces
+    to :meth:`str.isspace`, would become tokens.
     """
     declared = frozenset(declared)
     clash = declared & set(RESERVED)
@@ -352,13 +365,16 @@ def parse_expression(text: str, declared) -> Expr:
         raise ExprError(f"declared names shadow reserved words: {sorted(clash)}")
     # a declared string like '1' or '+' would match a number or operator
     names = frozenset(n for n in declared if n[:1].isalpha() or n[:1] == "_")
-    odd = "" if text.isascii() else \
-        "".join(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
-    pattern = _TOKEN if not odd else \
-        re.compile(_TOKEN_FORM.format("".join(filter(str.isdigit, odd)), odd))
+    if text.isascii():
+        pattern = _ASCII_TOKEN
+    else:
+        odd = "".join(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
+        pattern = _TOKEN if not odd else \
+            re.compile(_TOKEN_FORM.format("".join(filter(str.isdigit, odd)), odd))
     tokens = pattern.findall(text)
     tokens.append("")
     i = 0
+    leaves = {}     # a leaf's token -> the node built on its first occurrence
 
     def at(k):
         return ([m.start() for m in pattern.finditer(text)] + [len(text)])[k]
@@ -390,10 +406,14 @@ def parse_expression(text: str, declared) -> Expr:
         nonlocal i
         tok = tokens[i]
         i += 1
-        if tok in names:
+        node = leaves.get(tok)
+        if node is not None:
+            if tokens[i] == "(" and tok in names:
+                raise ParseError(f"'{tok}' is not a function", at(i - 1))
+        elif tok in names:
             if tokens[i] == "(":
                 raise ParseError(f"'{tok}' is not a function", at(i - 1))
-            node = Var(tok)
+            node = leaves[tok] = Var(tok)
         elif tok in _MATH_FN:
             expect("(")
             node = expression()
@@ -405,7 +425,7 @@ def parse_expression(text: str, declared) -> Expr:
         elif tok == "-":
             return neg(factor())
         elif tok == "pi":
-            node = Const(math.pi)
+            node = leaves[tok] = Const(math.pi)
         elif tok == "+":
             return factor()
         else:
@@ -418,7 +438,7 @@ def parse_expression(text: str, declared) -> Expr:
                 if tok[:1].isalpha() or tok[:1] == "_":
                     raise UndeclaredNameError(tok, at(i - 1))
                 raise ParseError(f"unexpected '{tok or 'end of input'}'", at(i - 1))
-            node = Const(value)
+            node = leaves[tok] = Const(value)
         if tokens[i] == "^":
             i += 1
             return pow_(node, factor())
@@ -444,8 +464,8 @@ def parse_expression(text: str, declared) -> Expr:
                              at(min(i, len(tokens) - 1))) from None
         raise
     finally:
-        # the levels refer to one another: free them (and the tokens) now
-        del expression, term, factor
+        # the levels refer to one another: free them (and the tokens and leaves) now
+        del expression, term, factor, leaves
     return node
 
 
@@ -721,14 +741,15 @@ def _walk_batch(e: Expr, columns: dict):
     t = type(e)
     if t is BinOp:
         left, right = e.left, e.right
-        a = left.value if type(left) is Const else _walk_batch(left, columns)
-        b = right.value if type(right) is Const else _walk_batch(right, columns)
-        if type(left) is Const and not _isfinite(a) or type(right) is Const and not _isfinite(b):
+        ca, cb = type(left) is Const, type(right) is Const
+        a = left.value if ca else _walk_batch(left, columns)
+        b = right.value if cb else _walk_batch(right, columns)
+        if ca and not _isfinite(a) or cb and not _isfinite(b):
             raise FloatingPointError
         op = _NP_OP.get(e.op)
         if op is None:
             raise ExprError(f"unknown operator '{e.op}'")
-        if op is np.power and not (type(right) is Const and b == int(b)) \
+        if op is np.power and not (cb and b == int(b)) \
                 and np.any((a <= 0.0) & (b != np.trunc(b))):
             raise FloatingPointError
         return op(a, b)

@@ -377,14 +377,28 @@ class ManifoldSpec:
         """A symmetric m-by-m table of trees at each of N points, as an
         (N, m, m) array; the points are wrapped once, and only the i <= j
         trees are walked, each once.  A metric entry too deep for the walk
-        is a :class:`SpecError` naming it (callers name other tables')."""
+        is a :class:`SpecError` naming it (callers name other tables').
+
+        The columns are tested for finiteness once and the entries walked
+        under one ``errstate``, as :func:`~lorentzgeo.expr.evaluate_batch`
+        walks one tree; an entry that flags, or any entry if a column is
+        not finite, goes to ``evaluate_batch``, which raises what the
+        scalar walker raises first or returns its values."""
         columns = self._columns(points)
         m = self.dim
         out = np.empty((len(points), m, m))
-        for i in range(m):
-            for j in range(i, m):
-                with _entry(f"metric entry g.{i}.{j}") if trees is self.metric else nullcontext():
-                    out[:, i, j] = out[:, j, i] = ex.evaluate_batch(trees[i][j], columns)
+        finite = all(np.isfinite(v).all() for v in columns.values())
+        with np.errstate(all="raise", under="ignore"):
+            for i in range(m):
+                for j in range(i, m):
+                    with _entry(f"metric entry g.{i}.{j}") if trees is self.metric else nullcontext():
+                        try:
+                            if not finite:
+                                raise FloatingPointError
+                            value = ex._walk_batch(trees[i][j], columns)
+                        except FloatingPointError:
+                            value = ex.evaluate_batch(trees[i][j], columns)
+                        out[:, i, j] = out[:, j, i] = value
         return out
 
     def _columns(self, points) -> dict:

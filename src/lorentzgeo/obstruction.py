@@ -489,7 +489,7 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     scans: list[PointScan] = []
     ends: list[np.ndarray] = []
     for geo in point_geometries(M, points):
-        frame = perp_frame(M, xname, geo.point)
+        frame = perp_frame(M, xname, geo)
         d = len(frame.basis)
         if d == 0:
             raise ValueError(f"field is lightlike on the path at {geo.point.tolist()} on a "

@@ -198,10 +198,12 @@ class PerpFrame:
         return "sectional" if self.causal is CausalCharacter.TIMELIKE else "null_sectional"
 
 
-def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
-    """The :class:`PerpFrame` of X at p.  The causal character of X at p
-    picks what the basis must be euclidean-orthogonal to, here and
-    nowhere else, and one rule does the rest: the rows span the null
+def perp_frame(M: ManifoldSpec, xname: str, at) -> PerpFrame:
+    """The :class:`PerpFrame` of X at a point or at a
+    :class:`PointGeometry`, which is used as it is (a point's geometry is
+    :func:`point_geometry`'s).  The causal character of X there picks
+    what the basis must be euclidean-orthogonal to, here and nowhere
+    else, and one rule does the rest: the rows span the null
     space of ``against`` (from its SVD) and are whitened by the Cholesky
     factor of their Gram matrix, so that B g Bᵀ = I.
 
@@ -221,7 +223,7 @@ def perp_frame(M: ManifoldSpec, xname: str, p) -> PerpFrame:
     cone.  On the X-perp of a lightlike X the induced product is positive
     semidefinite with kernel span{X}, so it is definite on a complement.
     """
-    geo = point_geometry(M, p)
+    geo = at if type(at) is PointGeometry else point_geometry(M, at)
     g = geo.metric
     X = M.field_eval(xname, geo)
     cc = causal_character(M, geo, X)

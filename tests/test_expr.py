@@ -4,6 +4,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import sys
 from dataclasses import FrozenInstanceError
 
@@ -1157,20 +1158,31 @@ DEEP_SHAPES = {
 }
 
 
+def _deepest(accepts, limit):
+    """The largest n in [0, limit] for which ``accepts(n)`` holds, if it
+    holds for every smaller n."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if accepts(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 @pytest.mark.parametrize("build", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
 def test_printer_gives_up_at_the_previous_printers_depth(build):
     """The deepest tree of each shape that prints is as deep for both
     printers, so the too-deep guards around the printer fire where they did."""
     def deepest(printer):
-        lo, hi = 1, 2 * sys.getrecursionlimit()
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
+        def accepts(n):
             try:
-                printer(build(mid))
-                lo = mid
+                printer(build(n))
             except RecursionError:
-                hi = mid - 1
-        return lo
+                return False
+            return True
+        return _deepest(accepts, 2 * sys.getrecursionlimit())
 
     assert deepest(to_text) == deepest(old_to_text) < sys.getrecursionlimit()
 
@@ -1187,3 +1199,256 @@ def test_documents_match_the_previous_printer(monkeypatch):
     new = [to_document(M) for M in specs]
     monkeypatch.setattr(ex, "to_text", old_to_text)
     assert [to_document(M) for M in specs] == new
+
+
+# ---------------------------------------------------------------------------
+# The parser and the batch walker against the previous ones
+# ---------------------------------------------------------------------------
+# Oracles: the descent as it was before it kept a table of its leaves and
+# split ASCII texts with _ASCII_TOKEN, and the batch walk as it was before
+# it read each operand's type once.  Only names are renamed.
+
+def ref_parse_expression(text: str, declared) -> Expr:
+    declared = frozenset(declared)
+    clash = declared & set(ex.RESERVED)
+    if clash:
+        raise ExprError(f"declared names shadow reserved words: {sorted(clash)}")
+    names = frozenset(n for n in declared if n[:1].isalpha() or n[:1] == "_")
+    odd = "" if text.isascii() else \
+        "".join(c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal()))
+    pattern = ex._TOKEN if not odd else \
+        re.compile(ex._TOKEN_FORM.format("".join(filter(str.isdigit, odd)), odd))
+    tokens = pattern.findall(text)
+    tokens.append("")
+    i = 0
+
+    def at(k):
+        return ([m.start() for m in pattern.finditer(text)] + [len(text)])[k]
+
+    def expect(tok):
+        nonlocal i
+        if tokens[i] != tok:
+            found = tokens[i] or "end of input"
+            raise ParseError(f"expected '{tok or 'end'}', found '{found}'", at(i))
+        i += 1
+
+    def expression():
+        nonlocal i
+        node = term()
+        while tokens[i] in ex._ADDITIVE:
+            i += 1
+            node = ex._ADDITIVE[tokens[i - 1]](node, term())
+        return node
+
+    def term():
+        nonlocal i
+        node = factor()
+        while tokens[i] in ex._MULTIPLICATIVE:
+            i += 1
+            node = ex._MULTIPLICATIVE[tokens[i - 1]](node, factor())
+        return node
+
+    def factor():
+        nonlocal i
+        tok = tokens[i]
+        i += 1
+        if tok in names:
+            if tokens[i] == "(":
+                raise ParseError(f"'{tok}' is not a function", at(i - 1))
+            node = Var(tok)
+        elif tok in ex._MATH_FN:
+            expect("(")
+            node = expression()
+            expect(")")
+            node = ex.call(tok, node)
+        elif tok == "(":
+            node = expression()
+            expect(")")
+        elif tok == "-":
+            return ex.neg(factor())
+        elif tok == "pi":
+            node = Const(math.pi)
+        elif tok == "+":
+            return factor()
+        else:
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.inf
+            if not math.isfinite(value):
+                if tok[:1].isalpha() or tok[:1] == "_":
+                    raise UndeclaredNameError(tok, at(i - 1))
+                raise ParseError(f"unexpected '{tok or 'end of input'}'", at(i - 1))
+            node = Const(value)
+        if tokens[i] == "^":
+            i += 1
+            return ex.pow_(node, factor())
+        return node
+
+    try:
+        node = expression()
+        expect("")
+    except (ParseError, RecursionError) as err:
+        for k, tok in enumerate(tokens):
+            if tok[:1].isdigit() or tok[:1] == "." and len(tok) > 1:
+                try:
+                    value = float(tok)
+                except ValueError:
+                    raise ParseError(f"malformed number '{tok}'", at(k)) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"number '{tok}' overflows", at(k)) from None
+            elif len(tok) == 1 and tok not in "+-*/^()_" and not tok.isalpha():
+                raise ParseError(f"unexpected character '{tok}'", at(k)) from None
+        if isinstance(err, RecursionError):
+            raise ParseError("expression is nested too deeply",
+                             at(min(i, len(tokens) - 1))) from None
+        raise
+    finally:
+        del expression, term, factor
+    return node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=TEXTS)
+def test_parser_matches_the_previous_descent(text):
+    """Equal trees, or the same error class, message and position, as the
+    descent before the leaf table and the ASCII pattern."""
+    assert _parsed(parse_expression, text) == _parsed(ref_parse_expression, text)
+
+
+def ref_evaluate_batch(e: Expr, columns: dict) -> np.ndarray:
+    shape = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
+    try:
+        if not all(np.isfinite(v).all() for v in columns.values()):
+            raise FloatingPointError
+        with np.errstate(all="raise", under="ignore"):
+            return np.array(np.broadcast_to(ref_walk_batch(e, columns), shape), dtype=float)
+    except FloatingPointError:
+        full = {k: np.broadcast_to(v, shape) for k, v in columns.items()}
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = evaluate(e, {k: float(v[idx]) for k, v in full.items()})
+    return out
+
+
+def ref_walk_batch(e: Expr, columns: dict):
+    t = type(e)
+    if t is BinOp:
+        left, right = e.left, e.right
+        a = left.value if type(left) is Const else ref_walk_batch(left, columns)
+        b = right.value if type(right) is Const else ref_walk_batch(right, columns)
+        if type(left) is Const and not ex._isfinite(a) or type(right) is Const and not ex._isfinite(b):
+            raise FloatingPointError
+        op = ex._NP_OP.get(e.op)
+        if op is None:
+            raise ExprError(f"unknown operator '{e.op}'")
+        if op is np.power and not (type(right) is Const and b == int(b)) \
+                and np.any((a <= 0.0) & (b != np.trunc(b))):
+            raise FloatingPointError
+        return op(a, b)
+    if t is Var:
+        try:
+            return columns[e.name]
+        except KeyError:
+            raise MissingBindingError(e.name, e)
+    if t is Const:
+        if ex._isfinite(e.value):
+            return e.value
+        raise FloatingPointError
+    if t is Call:
+        return ex._NP_FN[e.fn](ref_walk_batch(e.arg, columns))
+    if t is Neg:
+        return -ref_walk_batch(e.arg, columns)
+    raise ExprError(f"cannot evaluate node {e!r}")
+
+
+NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x",
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "chained powers": lambda n: "x" + "^x" * n,
+}
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS.keys())
+def test_parser_gives_up_at_the_previous_parsers_depth(nest):
+    """The deepest nesting of each kind that parses is as deep for both
+    descents, and the first refused is a ParseError at the same position
+    for both."""
+    def deepest(parse):
+        def accepts(n):
+            try:
+                parse(nest(n), XY)
+            except ParseError as err:
+                assert "nested too deeply" in str(err)
+                return False
+            return True
+        return _deepest(accepts, 2 * sys.getrecursionlimit())
+
+    n = deepest(parse_expression)
+    assert n == deepest(ref_parse_expression) < 2 * sys.getrecursionlimit()
+    assert _parsed(parse_expression, nest(n + 1)) == _parsed(ref_parse_expression, nest(n + 1))
+
+
+@pytest.mark.parametrize("build", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+def test_batch_walk_gives_up_at_the_previous_walks_depth(build):
+    """The deepest tree of each shape that evaluate_batch walks without a
+    RecursionError is as deep as for the previous batch walk (a value or
+    an EvalError counts as walked)."""
+    columns = {"x": np.array([0.25, 0.5]), "y": np.array([0.75, -0.5])}
+
+    def deepest(evaluate_batch):
+        def accepts(n):
+            try:
+                evaluate_batch(build(n), columns)
+            except RecursionError:
+                return False
+            except EvalError:
+                pass
+            return True
+        return _deepest(accepts, 2 * sys.getrecursionlimit())
+
+    assert deepest(ex.evaluate_batch) == deepest(ref_evaluate_batch) < sys.getrecursionlimit()
+
+
+_TOKEN_CONTEXTS = {
+    "alone": lambda c: c,
+    "between a name and a digit": lambda c: "x" + c + "1",
+    "in a number": lambda c: "2" + c + "e3",
+    "before a name": lambda c: c + "y",
+}
+
+
+@pytest.mark.parametrize("context", _TOKEN_CONTEXTS.values(), ids=_TOKEN_CONTEXTS.keys())
+def test_ascii_pattern_splits_as_the_general_one(context):
+    """On each of the 128 ASCII characters, in four contexts, the ASCII
+    pattern gives exactly the general pattern's tokens; the separators
+    \\x1c-\\x1f are spaces for both."""
+    for code in range(128):
+        text = context(chr(code))
+        assert ex._ASCII_TOKEN.findall(text) == ex._TOKEN.findall(text), repr(text)
+    for sep in "\x1c\x1d\x1e\x1f":
+        assert ex._ASCII_TOKEN.findall(f"2 +{sep}0.5*x") == ["2", "+", "0.5", "*", "x"]
+
+
+def _leaves(e):
+    """The Var and Const nodes of ``e``, each as often as it occurs."""
+    if isinstance(e, (Var, Const)):
+        return [e]
+    if isinstance(e, (Neg, Call)):
+        return _leaves(e.arg)
+    return _leaves(e.left) + _leaves(e.right)
+
+
+def test_a_repeated_leaf_is_one_node_per_parse():
+    """A name or a literal written twice in one text is one node; two
+    parses of a text share no leaf."""
+    text = "x*x + 2*2^x + pi*y/pi"
+    first, second = (_leaves(parse_expression(text, XY)) for _ in range(2))
+    assert len(first) == 8
+    for name in ("x", "y"):
+        assert len({id(v) for v in first if v == Var(name)}) == 1
+    for value in (2.0, math.pi):
+        assert len({id(v) for v in first if v == Const(value)}) == 1
+    assert not {id(v) for v in first} & {id(v) for v in second}
+    assert shape(parse_expression(text, XY)) == shape(ref_parse_expression(text, XY))

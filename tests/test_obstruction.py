@@ -13,6 +13,7 @@ from lorentzgeo.curvature import (
     energy_derivs,
     jacobi_form,
     null_sectional_curvature,
+    point_geometries,
     point_geometry,
     sectional_curvature,
 )
@@ -1167,6 +1168,36 @@ class TestSignScan:
         pts = interpolate_path(torus.paths["min_to_max"], 4)
         with pytest.raises(ValueError, match=f"planes_per_point must be at least 1, got {count}"):
             plane_sign_scan(torus.spec, "X", pts, planes_per_point=count)
+
+    def test_frames_take_the_geometries_the_scan_holds(self, entry, count_calls, monkeypatch):
+        """The scan hands perp_frame each geometry it holds: given the
+        geometry's point instead, perp_frame wraps it once more per path
+        point, for the same values (with the path's geometries held in the
+        memo, so no jet wraps a point).  A frame from a point and from the
+        stacked geometry of that point are equal to the byte."""
+        e = entry("circle_lift_torus")
+        M, pts = e.spec, interpolate_path(e.paths["across_locus"], 12)
+        plane_sign_scan(M, "Xbar", pts, planes_per_point=4)     # the memo then holds the path
+        wraps = count_calls(ManifoldSpec, "wrap_point")
+        held = plane_sign_scan(M, "Xbar", pts, planes_per_point=4)
+        n_held = len(wraps)
+        real = obstruction.perp_frame
+        monkeypatch.setattr(obstruction, "perp_frame", lambda M, x, geo: real(M, x, geo.point))
+        del wraps[:]
+        rewrapped = plane_sign_scan(M, "Xbar", pts, planes_per_point=4)
+        assert len(wraps) - n_held == len(pts)
+        assert [s.values for s in held.scans] == [s.values for s in rewrapped.scans]
+
+        at_points = [real(M, "Xbar", p) for p in pts]
+        geos = point_geometries(M, pts)
+        for a, geo in zip(at_points, geos):
+            b = real(M, "Xbar", geo)
+            assert b.geo is geo and a.causal is b.causal
+            for field in ("field", "basis", "jacobi"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            assert a.geo.metric.tobytes() == geo.metric.tobytes()
+        assert {f.causal for f in at_points} == {CausalCharacter.TIMELIKE,
+                                                 CausalCharacter.LIGHTLIKE}
 
     def test_range_is_the_exact_spectrum_ends(self, static_four_torus):
         """Along t at the static 4-torus maximum (0, 0.25, 0.75) the
