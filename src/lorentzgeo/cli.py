@@ -70,14 +70,16 @@ def _spec_hash(spec: ManifoldSpec) -> str:
     return hashlib.sha256(to_document(spec).encode()).hexdigest()
 
 
-def _default_field(spec, entry, field):
-    if field:
-        if field not in spec.fields:
-            raise SystemExit(f"error: field '{field}' not defined on the chart "
+def _resolve_field(args) -> tuple[ManifoldSpec, catalog.CatalogEntry | None, str]:
+    """The field commands' prologue: the chart, its catalog entry or None, the field."""
+    spec, entry = _resolve_spec(args.spec)
+    if args.field:
+        if args.field not in spec.fields:
+            raise SystemExit(f"error: field '{args.field}' not defined on the chart "
                              f"(available: {', '.join(sorted(spec.fields))})")
-        return field
+        return spec, entry, args.field
     if entry is not None and entry.field_name:
-        return entry.field_name
+        return spec, entry, entry.field_name
     raise SystemExit("error: --field is required for this chart")
 
 
@@ -204,8 +206,7 @@ def _cmd_curvature(args) -> Report:
 
 
 def _cmd_classify(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"classify {args.spec} --field {fieldname}", spec)
     fc = classify_field(spec, fieldname, tol=args.tol)
     rep.add("classify", {"field": fieldname, "samples": fc.sample_count},
@@ -215,8 +216,7 @@ def _cmd_classify(args) -> Report:
 
 
 def _cmd_extrema(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"extrema {args.spec} --field {fieldname} --grid {args.grid}", spec)
     scan = scan_extrema(spec, fieldname, grid=args.grid)
     rep.add("extrema_scan", {"field": fieldname, "grid": args.grid},
@@ -231,8 +231,7 @@ def _cmd_extrema(args) -> Report:
 
 
 def _cmd_witness(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"witness {args.spec} --field {fieldname}", spec)
     scan = scan_extrema(spec, fieldname, grid=args.grid)
     records = scan.witness_records(spec, fieldname)
@@ -264,8 +263,7 @@ def _cmd_witness(args) -> Report:
 
 
 def _cmd_signscan(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"signscan {args.spec} --field {fieldname}", spec)
     if args.path:
         waypoints = _parse_vectors(args.path)
@@ -292,8 +290,7 @@ def _cmd_signscan(args) -> Report:
 
 
 def _cmd_conformal(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"conformal {args.spec} --field {fieldname}", spec)
     scan = scan_extrema(spec, fieldname, grid=args.grid)
     minima = scan.minima()
@@ -317,8 +314,7 @@ def _cmd_conformal(args) -> Report:
 
 
 def _cmd_lift(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"lift {args.spec} --field {fieldname} --c {args.c}", spec)
     result = circle_lift(spec, fieldname, args.c)
     values = {
@@ -338,8 +334,7 @@ def _cmd_lift(args) -> Report:
 
 
 def _cmd_lorentzianize(args) -> Report:
-    spec, entry = _resolve_spec(args.spec)
-    fieldname = _default_field(spec, entry, args.field)
+    spec, entry, fieldname = _resolve_field(args)
     rep = Report(f"lorentzianize {args.spec} --field {fieldname}", spec)
     flipped = lorentzianize(spec, fieldname)
     rep.add("lorentzianize", {"field": fieldname},

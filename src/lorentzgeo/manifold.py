@@ -39,6 +39,8 @@ Charts load from a sectioned key-value text document::
 
 Metric entries not given are zero; ``g.i.j`` and ``g.j.i`` are
 symmetrized at load time.  All numbers in the document are decimal.
+Coordinate and parameter names may not repeat, clash with each other or
+be reserved words of the expression language (its functions and ``pi``).
 """
 
 from __future__ import annotations
@@ -123,10 +125,16 @@ class PlaneType(enum.Enum):
 
 @dataclass(frozen=True)
 class Coordinate:
+    """One chart axis, (lo, hi) or the circle [lo, hi); the range rule refuses ``not lo < hi``."""
+
     name: str
     lo: float
     hi: float
     periodic: bool
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise SpecError(f"range.{self.name}: need lo < hi")
 
     @property
     def period(self) -> float:
@@ -168,7 +176,7 @@ class PointGeometry:
 class ManifoldSpec:
     """One chart with metric, parameters, and named fields.
 
-    Names are checked at construction (by the parser, for a chart from
+    Undeclared names are refused at construction (by the parser, for a chart from
     :func:`load_spec`); derivative trees are built on first need.  The
     trees of dg, ddg and the field derivatives are each differentiated
     once per spec, by the first read of ``_dg``, ``_ddg`` or
@@ -186,39 +194,29 @@ class ManifoldSpec:
                  metric: list[list[Expr]], params: dict[str, float] | None = None,
                  fields: dict[str, list[Expr]] | None = None,
                  scalars: dict[str, Expr] | None = None):
+        """:meth:`_build`, then the rule it leaves out: every name that the
+        metric entries (i <= j), the fields and the scalars use is declared."""
         self._build(name, coords, signature, metric, params, fields, scalars)
         declared = self.declared_names()
-        m = self.dim
-        for i in range(m):
-            for j in range(i, m):
-                bad = ex.free_names(self.metric[i][j]) - declared
-                if bad:
-                    raise SpecError(f"metric entry g.{i}.{j} uses undeclared names {sorted(bad)}")
-        for fname, comps in self.fields.items():
-            if len(comps) != m:
-                raise SpecError(f"field '{fname}' must have {m} components")
-            for c in comps:
-                bad = ex.free_names(c) - declared
-                if bad:
-                    raise SpecError(f"field '{fname}' uses undeclared names {sorted(bad)}")
-        for sname, e in self.scalars.items():
-            bad = ex.free_names(e) - declared
+        labelled = [(f"metric entry g.{i}.{j}", self.metric[i][j])
+                    for i in range(self.dim) for j in range(i, self.dim)]
+        labelled += [(f"field '{f}'", c) for f, comps in self.fields.items() for c in comps]
+        labelled += [(f"scalar '{s}'", e) for s, e in self.scalars.items()]
+        for what, tree in labelled:
+            bad = ex.free_names(tree) - declared
             if bad:
-                raise SpecError(f"scalar '{sname}' uses undeclared names {sorted(bad)}")
+                raise SpecError(f"{what} uses undeclared names {sorted(bad)}")
 
     def _build(self, name, coords, signature, metric, params, fields, scalars):
-        """All of :meth:`__init__` but its checks of the fields' lengths and
-        of undeclared names, which :func:`load_spec` makes itself: its
-        parser refuses an undeclared name, so the spec needs no walk for one."""
+        """All of :meth:`__init__` but its walk for undeclared names, which
+        :func:`load_spec`'s parser refuses: the rules on the dimension, the
+        signature, the names and parameters (:func:`require_names`), the
+        metric's shape and the fields' component counts."""
         if len(coords) < 2:
             raise SpecError("dimension must be at least 2")
         if signature not in ("lorentzian", "riemannian"):
             raise SpecError(f"unknown signature '{signature}'")
-        for k, c in enumerate(coords):
-            if c.name in [d.name for d in coords[:k]]:
-                raise SpecError(f"coordinate '{c.name}' is named twice")
-            if c.name in (params or {}):
-                raise SpecError(f"parameter '{c.name}' is named like a coordinate")
+        require_names(coords, params or {})
         self.name = name
         self.coords = list(coords)
         self.dim = len(coords)
@@ -237,6 +235,9 @@ class ManifoldSpec:
         m = self.dim
         if len(metric) != m or any(len(row) != m for row in metric):
             raise SpecError(f"metric must be {m}x{m}")
+        for fname, comps in self.fields.items():
+            if len(comps) != m:
+                raise SpecError(f"field '{fname}' has {len(comps)} components, want {m}")
         # symmetrize as expression trees at load time; the pair is compared
         # by canonical text, which walks a tree once, where == walks it
         # through several frames per node
@@ -379,22 +380,18 @@ class ManifoldSpec:
         trees are walked, each once.  A metric entry too deep for the walk
         is a :class:`SpecError` naming it (callers name other tables').
 
-        The columns are tested for finiteness once and the entries walked
-        under one ``errstate``, as :func:`~lorentzgeo.expr.evaluate_batch`
-        walks one tree; an entry that flags, or any entry if a column is
-        not finite, goes to ``evaluate_batch``, which raises what the
-        scalar walker raises first or returns its values."""
+        The entries are walked under one ``errstate``, with no finiteness
+        test: :meth:`wrap_point` and :func:`require_names` leave none but
+        finite columns.  An entry that flags goes to ``evaluate_batch``,
+        which raises what the scalar walker raises first or returns its values."""
         columns = self._columns(points)
         m = self.dim
         out = np.empty((len(points), m, m))
-        finite = all(np.isfinite(v).all() for v in columns.values())
         with np.errstate(all="raise", under="ignore"):
             for i in range(m):
                 for j in range(i, m):
                     with _entry(f"metric entry g.{i}.{j}") if trees is self.metric else nullcontext():
                         try:
-                            if not finite:
-                                raise FloatingPointError
                             value = ex._walk_batch(trees[i][j], columns)
                         except FloatingPointError:
                             value = ex.evaluate_batch(trees[i][j], columns)
@@ -556,6 +553,25 @@ def field_energy_expr(M: ManifoldSpec, xname: str) -> Expr:
 # Chart document loading and writing
 # ---------------------------------------------------------------------------
 
+def require_names(coords: list[Coordinate], params: Mapping[str, float]) -> None:
+    """The one rule on a chart's names and parameters, for documents and
+    hand-built charts alike: no coordinate is named twice, no name is a
+    reserved word of :mod:`expr` and no parameter is named like a
+    coordinate or has a non-finite value.  Refuses the first culprit."""
+    for k, c in enumerate(coords):
+        if c.name in ex.RESERVED:
+            raise SpecError(f"coordinate '{c.name}' is a reserved word")
+        if c.name in [d.name for d in coords[:k]]:
+            raise SpecError(f"coordinate '{c.name}' is named twice")
+        if c.name in params:
+            raise SpecError(f"parameter '{c.name}' is named like a coordinate")
+    for k, v in params.items():
+        if k in ex.RESERVED:
+            raise SpecError(f"parameter '{k}' is a reserved word")
+        if not math.isfinite(v):
+            raise SpecError(f"parameter '{k}' is not finite: {v!r}")
+
+
 def _parse_float(text: str, what: str) -> float:
     try:
         value = float(text)
@@ -597,12 +613,10 @@ def load_spec(document: str, *, name: str = "", validate: bool = True) -> Manifo
     names = [s.strip() for s in man["coords"].split(",") if s.strip()]
     if len(names) != dim:
         raise SpecError(f"dim={dim} but {len(names)} coordinate names given")
-    periodic = set()
-    if "periodic" in man:
-        periodic = {s.strip() for s in man["periodic"].split(",") if s.strip()}
-        unknown = periodic - set(names)
-        if unknown:
-            raise SpecError(f"periodic lists unknown coordinates {sorted(unknown)}")
+    periodic = {s.strip() for s in man.get("periodic", "").split(",") if s.strip()}
+    unknown = periodic - set(names)
+    if unknown:
+        raise SpecError(f"periodic lists unknown coordinates {sorted(unknown)}")
     coords = []
     for n in names:
         key = f"range.{n}"
@@ -613,16 +627,12 @@ def load_spec(document: str, *, name: str = "", validate: bool = True) -> Manifo
             raise SpecError(f"{key} must be 'lo, hi'")
         lo = _parse_float(parts[0], key)
         hi = _parse_float(parts[1], key)
-        if not hi > lo:
-            raise SpecError(f"{key}: need lo < hi")
         coords.append(Coordinate(n, lo, hi, n in periodic))
     signature = man["signature"].strip().lower()
 
-    params = {}
-    if "params" in cp:
-        for k, v in cp["params"].items():
-            params[k] = _parse_float(v, f"param {k}")
-
+    texts = cp["params"] if "params" in cp else {}
+    params = {k: _parse_float(v, f"param {k}") for k, v in texts.items()}
+    require_names(coords, params)
     declared = frozenset(names) | frozenset(params)
 
     def parse(text: str, where: str) -> Expr:
@@ -659,11 +669,8 @@ def load_spec(document: str, *, name: str = "", validate: bool = True) -> Manifo
             fname = section[len("field."):]
             if "components" not in cp[section]:
                 raise SpecError(f"[{section}] missing 'components'")
-            comps = [parse(s, f"field {fname}")
-                     for s in cp[section]["components"].split(",")]
-            if len(comps) != dim:
-                raise SpecError(f"field '{fname}' has {len(comps)} components, want {dim}")
-            fields[fname] = comps
+            fields[fname] = [parse(s, f"field {fname}")
+                             for s in cp[section]["components"].split(",")]
         elif section.startswith("scalar."):
             sname = section[len("scalar."):]
             if "expr" not in cp[section]:

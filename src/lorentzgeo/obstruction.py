@@ -154,13 +154,13 @@ def _grid_axes(M: ManifoldSpec, per_axis: list[int]) -> list[np.ndarray]:
     return axes
 
 
-def _scan_axes(M: ManifoldSpec, mentioned: set[str], per_axis: list[int]) -> list[np.ndarray]:
-    """The grid axes on which to evaluate a tree that mentions the names
-    ``mentioned`` (``ex.free_names``): full on each axis it mentions, and
-    one node on each other axis, along which the tree is constant: the
-    first on a periodic axis, the first interior one on an open axis."""
+def _scan_axes(M: ManifoldSpec, mentioned: set[str], axes: list[np.ndarray]) -> list[np.ndarray]:
+    """The full grid ``axes`` cut for a tree that mentions the names
+    ``mentioned`` (``ex.free_names``): whole on each axis it mentions, one
+    node on each other axis, along which the tree is constant: the first
+    on a periodic axis, the first interior one on an open axis."""
     return [a if c.name in mentioned else a[:1] if c.periodic else a[1:2]
-            for c, a in zip(M.coords, _grid_axes(M, per_axis))]
+            for c, a in zip(M.coords, axes)]
 
 
 def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
@@ -267,8 +267,9 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
     if any(n < 8 for n in per_axis):
         raise ValueError("grid resolution must be at least 8 per axis")
     fd = energy_derivs(M, xname)
-    spacings = np.array([a[1] - a[0] for a in _grid_axes(M, per_axis)])
-    axes = _scan_axes(M, fd.mentioned, per_axis)
+    full = _grid_axes(M, per_axis)
+    spacings = np.array([a[1] - a[0] for a in full])
+    axes = _scan_axes(M, fd.mentioned, full)
     shape = tuple(len(a) for a in axes)
     nodes = _grid_points(axes)
     F = M.evaluate_points(fd.expr, nodes).reshape(shape)
@@ -706,7 +707,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *, grid: int = 48) -> Lif
     _require_killing(M, xname, "base", LiftError)
 
     gxx_expr = metric_pairing_expr(M, xname, xname)
-    nodes = _grid_points(_scan_axes(M, ex.free_names(gxx_expr), [grid] * M.dim))
+    nodes = _grid_points(_scan_axes(M, ex.free_names(gxx_expr), _grid_axes(M, [grid] * M.dim)))
     values = M.evaluate_points(gxx_expr, nodes)
     max_gxx, min_gxx = float(values.max()), float(values.min())
 
@@ -728,11 +729,7 @@ def circle_lift(M: ManifoldSpec, xname: str, c: float, *, grid: int = 48) -> Lif
         k += 1
     m = M.dim
     coords = list(M.coords) + [Coordinate(theta_name, 0.0, 2 * math.pi, True)]
-    new_metric = [[ex.ZERO] * (m + 1) for _ in range(m + 1)]
-    for i in range(m):
-        for j in range(m):
-            new_metric[i][j] = M.metric[i][j]
-    new_metric[m][m] = ex.ONE
+    new_metric = [row + [ex.ZERO] for row in M.metric] + [[ex.ZERO] * m + [ex.ONE]]
     fields = {name: list(comps) + [ex.ZERO] for name, comps in M.fields.items()}
     fields[LIFTED_FIELD] = list(M.fields[xname]) + [ex.Const(c)]
     lifted = ManifoldSpec(name=f"{M.name}_lift", coords=coords,

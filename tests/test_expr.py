@@ -1411,6 +1411,135 @@ def test_batch_walk_gives_up_at_the_previous_walks_depth(build):
     assert deepest(ex.evaluate_batch) == deepest(ref_evaluate_batch) < sys.getrecursionlimit()
 
 
+# References: differentiate and the scalar evaluate as they are now, kept
+# so that a change to either walker keeps its give-up depth.  Only names
+# are renamed (the module's helpers are read from ``ex``).
+
+def ref_differentiate(e: Expr, var: str) -> Expr:
+    if isinstance(e, Const):
+        return ex.ZERO
+    if isinstance(e, Var):
+        return ex.ONE if e.name == var else ex.ZERO
+    if isinstance(e, Neg):
+        return ex.neg(ref_differentiate(e.arg, var))
+    if isinstance(e, BinOp):
+        da = ref_differentiate(e.left, var)
+        db = ref_differentiate(e.right, var)
+        if e.op == "+":
+            return ex.add(da, db)
+        if e.op == "-":
+            return ex.sub(da, db)
+        if e.op == "*":
+            return ex.add(ex.mul(da, e.right), ex.mul(e.left, db))
+        if e.op == "/":
+            return ex.div(ex.sub(ex.mul(da, e.right), ex.mul(e.left, db)),
+                          ex.pow_(e.right, Const(2.0)))
+        if e.op == "^":
+            u, v = e.left, e.right
+            if type(v) is Const:
+                return ex.mul(ex.mul(v, ex.pow_(u, Const(v.value - 1.0))), da)
+            return ex.mul(e, ex.add(ex.mul(db, ex.call("log", u)), ex.div(ex.mul(v, da), u)))
+        raise ExprError(f"unknown operator '{e.op}'")
+    if isinstance(e, Call):
+        da = ref_differentiate(e.arg, var)
+        u = e.arg
+        if e.fn == "sin":
+            return ex.mul(ex.call("cos", u), da)
+        if e.fn == "cos":
+            return ex.neg(ex.mul(ex.call("sin", u), da))
+        if e.fn == "tan":
+            return ex.div(da, ex.pow_(ex.call("cos", u), Const(2.0)))
+        if e.fn == "exp":
+            return ex.mul(e, da)
+        if e.fn == "log":
+            return ex.div(da, u)
+        if e.fn == "sqrt":
+            return ex.div(da, ex.mul(Const(2.0), e))
+        if e.fn == "abs":
+            return ex.div(ex.mul(u, da), e)
+        raise ExprError(f"unknown function '{e.fn}'")
+    raise ExprError(f"cannot differentiate node {e!r}")
+
+
+def ref_evaluate(e: Expr, bindings: dict[str, float]) -> float:
+    t = type(e)
+    if t is BinOp:
+        left, right = e.left, e.right
+        a = left.value if type(left) is Const else ref_evaluate(left, bindings)
+        b = right.value if type(right) is Const else ref_evaluate(right, bindings)
+        op = e.op
+        if op == "+":
+            v = a + b
+        elif op == "-":
+            v = a - b
+        elif op == "*":
+            v = a * b
+        elif op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", e)
+            v = a / b
+        elif op == "^":
+            return ex._eval_pow(a, b, e)
+        else:
+            raise ExprError(f"unknown operator '{op}'")
+        if ex._isfinite(v):
+            return v
+        raise EvalError("non-finite value", e)
+    if t is Var:
+        try:
+            return bindings[e.name]
+        except KeyError:
+            raise MissingBindingError(e.name, e)
+    if t is Const:
+        return e.value
+    if t is Call:
+        a = ref_evaluate(e.arg, bindings)
+        fn = e.fn
+        if fn == "log" and a <= 0.0:
+            raise EvalError("logarithm of a non-positive number", e)
+        if fn == "sqrt" and a < 0.0:
+            raise EvalError("square root of a negative number", e)
+        try:
+            v = ex._MATH_FN[fn](a)
+        except (ValueError, OverflowError):
+            raise EvalError("domain error", e)
+        if ex._isfinite(v):
+            return v
+        raise EvalError("domain error", e)
+    if t is Neg:
+        return -ref_evaluate(e.arg, bindings)
+    raise ExprError(f"cannot evaluate node {e!r}")
+
+
+SCALAR_WALKERS = {
+    "differentiate": (differentiate, ref_differentiate, "x"),
+    "evaluate": (evaluate, ref_evaluate, {"x": 0.25, "y": 0.75}),
+}
+
+
+@pytest.mark.parametrize("build", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+@pytest.mark.parametrize("walkers", SCALAR_WALKERS.values(), ids=SCALAR_WALKERS.keys())
+def test_scalar_walkers_give_up_at_their_references_depth(walkers, build):
+    """The deepest tree of each shape that differentiate (in x) and the
+    scalar evaluate walk without a RecursionError is as deep as for their
+    reference copies (an EvalError counts as walked), and below the
+    recursion limit."""
+    walker, reference, arg = walkers
+
+    def deepest(walk):
+        def accepts(n):
+            try:
+                walk(build(n), arg)
+            except RecursionError:
+                return False
+            except EvalError:
+                pass
+            return True
+        return _deepest(accepts, 2 * sys.getrecursionlimit())
+
+    assert deepest(walker) == deepest(reference) < sys.getrecursionlimit()
+
+
 _TOKEN_CONTEXTS = {
     "alone": lambda c: c,
     "between a name and a digit": lambda c: "x" + c + "1",

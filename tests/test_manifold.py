@@ -33,6 +33,7 @@ from lorentzgeo.manifold import (
 )
 from lorentzgeo.obstruction import _grid_axes, _grid_points, lorentzianize, scan_extrema
 from lorentzgeo.symmetry import perp_frame
+from test_expr import random_expr
 
 MINK2 = """
 [manifold]
@@ -272,6 +273,105 @@ g.0.1 = "1 + u^2"
         doc = MINK2.replace("coords = t, x", "coords = t, t")
         with pytest.raises(SpecError, match="^coordinate 't' is named twice$"):
             load_spec(doc)
+
+
+def _hand_built(coords=(("t", -1.0, 1.0), ("x", -1.0, 1.0)), params=None, fields=None):
+    """Minkowski 2-space built by the constructor, with ``coords`` given as
+    (name, lo, hi) triples."""
+    return ManifoldSpec("hand", [Coordinate(n, lo, hi, False) for n, lo, hi in coords],
+                        "lorentzian", [[ex.Const(-1.0), ex.ZERO], [ex.ZERO, ex.ONE]],
+                        params=params, fields=fields)
+
+
+class TestOneRuleForBothPaths:
+    """Each chart rule refuses a document and a hand-built chart alike, with
+    one SpecError naming the culprit."""
+
+    @pytest.mark.parametrize("old,new,hand,message", [
+        ("coords = t, x\nrange.t", "coords = sin, x\nrange.sin",
+         dict(coords=(("sin", -1.0, 1.0), ("x", -1.0, 1.0))), "coordinate 'sin' is a reserved word"),
+        ("[metric]", "[params]\npi = 3\n\n[metric]", dict(params={"pi": 3.0}),
+         "parameter 'pi' is a reserved word"),
+        ("range.x = -1, 1", "range.x = 1, -1",
+         dict(coords=(("t", -1.0, 1.0), ("x", 1.0, -1.0))), "range.x: need lo < hi"),
+        ("range.x = -1, 1", "range.x = 0.5, 0.5",
+         dict(coords=(("t", -1.0, 1.0), ("x", 0.5, 0.5))), "range.x: need lo < hi"),
+        ('g.1.1 = "1"', 'g.1.1 = "1"\n\n[field.X]\ncomponents = "1"', dict(fields={"X": [ex.ONE]}),
+         "field 'X' has 1 components, want 2"),
+        ('g.1.1 = "1"', 'g.1.1 = "1"\n\n[field.X]\ncomponents = "1", "0", "t"',
+         dict(fields={"X": [ex.ONE, ex.ZERO, Var("t")]}), "field 'X' has 3 components, want 2"),
+    ], ids=["reserved-coordinate", "reserved-parameter", "reversed-range", "empty-range",
+            "field-too-short", "field-too-long"])
+    def test_load_spec_and_the_constructor_refuse_alike(self, old, new, hand, message):
+        doc = MINK2.replace(old, new)
+        assert doc != MINK2
+        with pytest.raises(SpecError) as loaded:
+            load_spec(doc)
+        with pytest.raises(SpecError) as built:
+            _hand_built(**hand)
+        assert str(loaded.value) == str(built.value) == message
+
+    def test_names_are_checked_before_any_entry_is_parsed(self):
+        # the metric entry calls the coordinate: the parser would refuse it
+        # with its own error, the name rule refuses the chart first
+        doc = MINK2.replace("coords = t, x\nrange.t", "coords = exp, x\nrange.exp") \
+                   .replace('g.1.1 = "1"', 'g.1.1 = "exp(x)"')
+        with pytest.raises(SpecError, match="^coordinate 'exp' is a reserved word$"):
+            load_spec(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_the_constructor_refuses_a_non_finite_parameter(self, value):
+        with pytest.raises(SpecError, match=f"^parameter 'a' is not finite: {value!r}$"):
+            _hand_built(params={"a": value})
+
+
+# names for the fuzzed documents: reserved words, and a parameter pool that
+# shares a name with the coordinate pool
+_FUZZ_COORDS = ["x", "y", "t", "sin", "pi"]
+_FUZZ_PARAMS = ["a", "b", "x", "cos"]
+_FUZZ_RANGES = ["-1, 1", "0, 1", "1, -1", "0.5, 0.5", "nan, 1", "-1"]
+_FUZZ_VALUES = ["0.5", "-2", "inf", "nan", "1e400"]
+
+
+@st.composite
+def chart_documents(draw):
+    """A chart document from a small grammar: each part well-formed or
+    broken in one of the ways a chart rule refuses."""
+    dim = draw(st.integers(2, 3))
+    names = draw(st.lists(st.sampled_from(_FUZZ_COORDS), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+
+    def text():
+        e = ex.to_text(random_expr(rng, depth=2))
+        return e + " + q" if draw(st.integers(0, 19)) == 0 else e
+
+    lines = ["[manifold]", f"dim = {dim}", f"coords = {', '.join(names)}"]
+    lines += [f"range.{n} = {draw(st.sampled_from(_FUZZ_RANGES))}" for n in dict.fromkeys(names)]
+    if draw(st.booleans()):
+        lines.append(f"periodic = {names[0]}")
+    lines.append(f"signature = {draw(st.sampled_from(['lorentzian', 'riemannian']))}")
+    params = draw(st.dictionaries(st.sampled_from(_FUZZ_PARAMS), st.sampled_from(_FUZZ_VALUES),
+                                  max_size=2))
+    if params:
+        lines += ["", "[params]"] + [f"{k} = {v}" for k, v in params.items()]
+    lines += ["", "[metric]", f'g.0.0 = "-1 + 0.1*({text()})"']
+    lines += [f'g.{i}.{i} = "2 + 0.1*({text()})"' for i in range(1, dim)]
+    if draw(st.booleans()):
+        count = dim + draw(st.integers(-1, 1))
+        lines += ["", "[field.X]", "components = " + ", ".join(f'"{text()}"' for _ in range(count))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=chart_documents())
+def test_load_spec_returns_a_spec_or_raises_a_spec_or_evaluation_error(doc):
+    """No malformed document escapes load_spec as another error: not the
+    parser's ExprError for a reserved name, nor a ValueError of a rule."""
+    try:
+        spec = load_spec(doc)
+    except (SpecError, EvalError):
+        return
+    assert isinstance(spec, ManifoldSpec)
 
 
 class TestMetricAt:
