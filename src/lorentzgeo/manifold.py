@@ -49,6 +49,7 @@ import configparser
 import enum
 import io
 import math
+import numbers
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -125,7 +126,8 @@ class PlaneType(enum.Enum):
 
 @dataclass(frozen=True)
 class Coordinate:
-    """One chart axis, (lo, hi) or the circle [lo, hi); the range rule refuses ``not lo < hi``."""
+    """One chart axis, (lo, hi) or the circle [lo, hi); the range rule
+    refuses a bound that is not a real number, then ``not lo < hi``."""
 
     name: str
     lo: float
@@ -133,6 +135,9 @@ class Coordinate:
     periodic: bool
 
     def __post_init__(self):
+        for bound in (self.lo, self.hi):
+            if not isinstance(bound, numbers.Real):
+                raise SpecError(f"range.{self.name}: bound {bound!r} is not a real number")
         if not self.lo < self.hi:
             raise SpecError(f"range.{self.name}: need lo < hi")
 
@@ -557,7 +562,8 @@ def require_names(coords: list[Coordinate], params: Mapping[str, float]) -> None
     """The one rule on a chart's names and parameters, for documents and
     hand-built charts alike: no coordinate is named twice, no name is a
     reserved word of :mod:`expr` and no parameter is named like a
-    coordinate or has a non-finite value.  Refuses the first culprit."""
+    coordinate or has a value that is not a finite real number.  Refuses
+    the first culprit."""
     for k, c in enumerate(coords):
         if c.name in ex.RESERVED:
             raise SpecError(f"coordinate '{c.name}' is a reserved word")
@@ -568,6 +574,8 @@ def require_names(coords: list[Coordinate], params: Mapping[str, float]) -> None
     for k, v in params.items():
         if k in ex.RESERVED:
             raise SpecError(f"parameter '{k}' is a reserved word")
+        if not isinstance(v, numbers.Real):
+            raise SpecError(f"parameter '{k}' is not a real number: {v!r}")
         if not math.isfinite(v):
             raise SpecError(f"parameter '{k}' is not finite: {v!r}")
 

@@ -39,7 +39,6 @@ from .curvature import (
     causal_character,
     energy_derivs,
     point_geometries,
-    point_geometry,
 )
 from .manifold import (
     BOUNDARY_COLLAR,
@@ -54,6 +53,7 @@ from .manifold import (
 from .symmetry import (
     FieldClass,
     FieldTag,
+    SubspaceError,
     _conformal_factor,
     classify_field,
     kernel_direction,
@@ -120,20 +120,15 @@ class ScanResult:
         sampled point counts as both a minimum and a maximum."""
         if not self.plateau:
             return list(self.records)
-        point_geometries(M, self.plateau_points)
-        out = []
-        for p in self.plateau_points:
-            rec = _make_record(M, xname, p, ExtremumKind.MIN)
-            out += [rec, replace(rec, kind=ExtremumKind.MAX)]
-        return out
+        mins = [_make_record(M, xname, geo, ExtremumKind.MIN)
+                for geo in point_geometries(M, self.plateau_points)]
+        return [r for rec in mins for r in (rec, replace(rec, kind=ExtremumKind.MAX))]
 
 
-def _make_record(M: ManifoldSpec, xname: str, p, kind: ExtremumKind) -> ExtremumRecord:
-    """The record of kind ``kind`` at p, wrapped: the covariant Hessian,
-    the causal character of X and f, all read from the geometry of the
-    one point."""
+def _make_record(M: ManifoldSpec, xname: str, geo, kind: ExtremumKind) -> ExtremumRecord:
+    """The record of kind ``kind`` at the point of ``geo``: the covariant
+    Hessian, the causal character of X and f, all read from ``geo``."""
     f_derivs = energy_derivs(M, xname)
-    geo = point_geometry(M, p)
     eigs = tuple(float(w) for w in np.linalg.eigvalsh(f_derivs.covariant_hessian(geo)))
     cc = causal_character(M, geo, M.field_eval(xname, geo))
     return ExtremumRecord(point=geo.point, f_value=f_derivs.value(geo), kind=kind,
@@ -299,10 +294,9 @@ def scan_extrema(M: ManifoldSpec, xname: str, grid: int | list[int] = 64) -> Sca
              for mask, kind, sense in ((min_mask, ExtremumKind.MIN, 1.0),
                                        (max_mask, ExtremumKind.MAX, -1.0))
              for p in nodes[_cluster_representatives(M, mask, sense * F[mask])]]
-    point_geometries(M, [refined for _, _, refined in found])
     records: list[ExtremumRecord] = []
-    for kind, sense, refined in found:
-        rec = _make_record(M, xname, refined, kind)
+    for (kind, sense, _), geo in zip(found, point_geometries(M, [p for *_, p in found])):
+        rec = _make_record(M, xname, geo, kind)
         if -sense in rec.eig_signs:     # f falls (min) or rises (max) somewhere
             rec = replace(rec, kind=ExtremumKind.SADDLE)
         if not any(r.kind is rec.kind
@@ -348,8 +342,9 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     the top eigenvalue of the Jacobi form J of the
     :func:`~lorentzgeo.symmetry.perp_frame` at the extremum, with the
     plane of its eigenvector; every other value is cᵀJc at the kernel
-    direction c of A_X restricted to that frame.  Parity or causality
-    mismatches are reported as out-of-scope, never raised.
+    direction c of A_X restricted to that frame.  Past the zero, spacelike
+    and parity exits, read from ``record.causal``, the frame's character
+    decides; a record it contradicts is out of scope, never raised.
 
     For a causal field f <= 0 everywhere, so every lightlike point has
     f = 0 and is a global maximum of f: the paper's causal,
@@ -386,30 +381,32 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     if cc is CausalCharacter.SPACELIKE:
         return scope("field is spacelike at the extremum; a causal vector is required")
 
-    if cc is CausalCharacter.TIMELIKE and m % 2 != 0:
-        return scope(f"timelike extremum needs even dimension, chart has m={m}")
-    if cc is CausalCharacter.LIGHTLIKE and m % 2 != 1:
-        return scope(f"lightlike extremum needs odd dimension, chart has m={m}")
+    timelike = cc is CausalCharacter.TIMELIKE
+    parity = "even" if timelike else "odd"         # the paper's rule
+    if parity != ("even", "odd")[m % 2]:
+        return scope(f"{cc.value} extremum needs {parity} dimension, chart has m={m}")
 
+    try:
+        frame = perp_frame(M, xname, p)
+    except SubspaceError as e:                      # X is spacelike or zero at p
+        return scope(f"{e}; the record says {cc.value}")
+    if frame.causal is not cc:
+        return scope(f"X is {frame.causal.value} at {p.tolist()}; the record says {cc.value}")
     minimum = record.kind is ExtremumKind.MIN
-    frame = perp_frame(M, xname, p)
     # a homothetic X has nabla X = skew + (lam/2) I; the kernel is the skew part's
     dX = M.field_derivs(xname, frame.geo) - 0.5 * classification.lam * np.eye(m)
     kv, kres = kernel_direction(restricted_operator(frame, dX))
     k_val = float(kv @ frame.jacobi @ kv)
-    if frame.causal is CausalCharacter.TIMELIKE:
-        case, nonnegative = "timelike_even", minimum
-        if not minimum:
-            ks, vecs = np.linalg.eigh(frame.jacobi)
-            top = int(np.argmax(ks))      # ties keep the first basis plane
-            k_val, kv = float(ks[top]), vecs[:, top]
-    else:
-        case, nonnegative = "lightlike_odd", not minimum
+    if timelike and not minimum:
+        ks, vecs = np.linalg.eigh(frame.jacobi)
+        top = int(np.argmax(ks))      # ties keep the first basis plane
+        k_val, kv = float(ks[top]), vecs[:, top]
+    nonnegative = minimum == timelike     # K >= 0 at a timelike minimum or a lightlike maximum
     ok = k_val >= -tol if nonnegative else k_val <= tol
-    return WitnessReport(record, Verdict.PASS if ok else Verdict.FAIL, case=case,
+    return WitnessReport(record, Verdict.PASS if ok else Verdict.FAIL,
                          plane=TangentPlane(p, kv @ frame.basis, frame.field),
-                         curvature_kind=frame.curvature_kind, value=k_val,
-                         inequality=">= 0" if nonnegative else "<= 0",
+                         case=f"{cc.value}_{parity}", curvature_kind=frame.curvature_kind,
+                         value=k_val, inequality=">= 0" if nonnegative else "<= 0",
                          kernel_residual=kres)
 
 
@@ -420,7 +417,6 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 @dataclass(frozen=True)
 class PointScan:
     point: np.ndarray
-    causal: CausalCharacter
     curvature_kind: str                      # "sectional" / "null_sectional"
     values: tuple[float, ...]                # one entry per sampled plane
 
@@ -473,12 +469,12 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
 
     X must stay causal along the path: the
     :func:`~lorentzgeo.symmetry.perp_frame` of each point refuses it
-    otherwise, and gives its causal character and curvature kind.  The
+    otherwise, and gives its curvature kind.  The
     k-th value at a point is c_kᵀJc_k of the frame's Jacobi form:
     sectional at timelike points, null sectional at lightlike ones.  c_k
     is e_0 on a 1-row frame, else e_q turned towards e_{q+1} by
-    pi k / planes_per_point, q = k mod (d-1).  ``k_min`` and ``k_max``
-    are exact, whatever the sampled planes: the least and largest
+    pi k / planes_per_point, q = k mod (d-1), built once per d.  ``k_min``
+    and ``k_max`` are exact, whatever the sampled planes: the least and largest
     eigenvalue of J over the path's points.  A value is a zero when its
     magnitude is at most 1e-9 times the largest eigenvalue magnitude of
     J at its own point; no sign change is read next to a zero.  A
@@ -489,21 +485,23 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
     scans: list[PointScan] = []
     ends: list[np.ndarray] = []
+    families: dict[int, np.ndarray] = {}     # the c_k of a d-row frame, one per d
     for geo in point_geometries(M, points):
         frame = perp_frame(M, xname, geo)
         d = len(frame.basis)
         if d == 0:
             raise ValueError(f"field is lightlike on the path at {geo.point.tolist()} on a "
                              "2-dimensional chart; no degenerate plane contains it")
-        cs = np.zeros((planes_per_point, d))
-        for k, c in enumerate(cs):
-            if d == 1:
-                c[0] = 1.0
-            else:
-                alpha, q = math.pi * k / planes_per_point, k % (d - 1)
-                c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
-        scans.append(PointScan(geo.point, frame.causal, frame.curvature_kind,
-                               tuple(float(c @ frame.jacobi @ c) for c in cs)))
+        if d not in families:
+            families[d] = np.zeros((planes_per_point, d))
+            for k, c in enumerate(families[d]):
+                if d == 1:
+                    c[0] = 1.0
+                else:
+                    alpha, q = math.pi * k / planes_per_point, k % (d - 1)
+                    c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
+        scans.append(PointScan(geo.point, frame.curvature_kind,
+                               tuple(float(c @ frame.jacobi @ c) for c in families[d])))
         ends.append(np.linalg.eigvalsh(frame.jacobi)[[0, -1]])
 
     n_pts = len(scans)
@@ -555,6 +553,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
     Killing and homothetic fields are accepted as the sigma == const
     sub-cases; the bound then degenerates to the plain K >= 0 check.
+    X-perp's causal character decides: a record it contradicts is refused.
     """
     if classification is None:
         classification = classify_field(M, xname)
@@ -568,6 +567,8 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
                          f"got {record.causal.value}")
 
     frame = perp_frame(M, xname, p)
+    if frame.causal is not CausalCharacter.TIMELIKE:
+        raise ValueError(f"X is {frame.causal.value} at {p.tolist()}; the record says timelike")
     X, dX = frame.field, M.field_derivs(xname, frame.geo)
     sigma0, xs = _conformal_factor(energy_derivs(M, xname), frame.geo, X, dX)
     if abs(sigma0) > CONFORMAL_TOL:

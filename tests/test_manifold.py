@@ -324,6 +324,22 @@ class TestOneRuleForBothPaths:
         with pytest.raises(SpecError, match=f"^parameter 'a' is not finite: {value!r}$"):
             _hand_built(params={"a": value})
 
+    @pytest.mark.parametrize("value", ["0.5", None, 1j, [0.5]])
+    def test_the_constructor_refuses_a_parameter_that_is_not_a_real_number(self, value):
+        with pytest.raises(SpecError) as refused:
+            _hand_built(params={"a": value})
+        assert str(refused.value) == f"parameter 'a' is not a real number: {value!r}"
+        assert _hand_built(params={"a": np.float64(0.5), "b": np.int32(2)}).params["b"] == 2
+
+    @pytest.mark.parametrize("lo, hi, culprit", [
+        ("0", 1.0, "'0'"), (0.0, "1", "'1'"), ("0", "1", "'0'"), (0.0, None, "None")])
+    def test_a_coordinate_refuses_a_bound_that_is_not_a_real_number(self, lo, hi, culprit):
+        with pytest.raises(SpecError) as refused:
+            Coordinate("x", lo, hi, False)
+        assert str(refused.value) == f"range.x: bound {culprit} is not a real number"
+        M = _hand_built(coords=(("t", np.float64(-1.0), np.int64(1)), ("x", np.float32(-1), 1)))
+        assert M.sample_points(3, np.random.default_rng(0)).shape == (3, 2)
+
 
 # names for the fuzzed documents: reserved words, and a parameter pool that
 # shares a name with the coordinate pool

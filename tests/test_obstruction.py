@@ -29,6 +29,7 @@ from lorentzgeo.manifold import (
 )
 from lorentzgeo.obstruction import (
     ExtremumKind,
+    ExtremumRecord,
     LiftError,
     LorentzianizeError,
     Verdict,
@@ -1099,6 +1100,33 @@ class TestStationaryFamily:
                     assert (-1 if rec.kind is ExtremumKind.MIN else 1) not in rec.eig_signs
         assert saddles > 0
 
+    # (minima, maxima, saddles) per chart: without the dedupe chart 5 has
+    # 14 + 14 + 0, chart 13 has 24 + 24 + 0
+    FAMILY_RECORDS = [(20, 20, 0), (4, 4, 0), (4, 4, 0), (2, 2, 0), (2, 2, 0),
+                      (2, 2, 0), (6, 6, 0), (2, 2, 4), (8, 8, 0), (3, 3, 0),
+                      (4, 4, 0), (2, 2, 0), (32, 32, 0), (8, 8, 0), (4, 4, 0),
+                      (5, 5, 0), (5, 5, 0), (8, 8, 0), (1, 1, 2), (4, 4, 0)]
+
+    def test_refined_records_of_one_kind_are_never_box_adjacent(self, stationary_family):
+        """Refined candidates that land within 1.01 grid spacings of an
+        earlier record of their kind on every axis, periodic axes wrapped,
+        are dropped: no such pair is left, and each chart keeps the pinned
+        count of each kind."""
+        counts = []
+        for M, scan, _ in stationary_family:
+            assert all(c.periodic for c in M.coords)
+            period = np.array([c.period for c in M.coords])
+            spacing = period / np.array(FAMILY_GRID)
+            for kind in ExtremumKind:
+                pts = [r.point for r in scan.records if r.kind is kind]
+                for a, b in itertools.combinations(pts, 2):
+                    d = np.abs(a - b)
+                    assert not np.all(np.minimum(d, period - d) <= 1.01 * spacing), (a, b)
+            counts.append(tuple(sum(r.kind is kind for r in scan.records)
+                                for kind in (ExtremumKind.MIN, ExtremumKind.MAX,
+                                             ExtremumKind.SADDLE)))
+        assert counts == self.FAMILY_RECORDS
+
     def test_candidates_are_the_extrema_of_the_lattice_neighbourhood(self, monkeypatch):
         """On its one t node the scan's candidate masks and values are
         those of the full grid's 3^m - 1 offsets."""
@@ -1281,7 +1309,7 @@ class TestConformalBound:
 
     def test_non_conformal_field_is_refused(self):
         M = load_spec(FLAT_R2_RIEMANNIAN.replace('"0", "1"', '"x*x", "0"'))
-        rec = obstruction._make_record(M, "X", np.array([0.5, 0.5]), ExtremumKind.MIN)
+        rec = obstruction._make_record(M, "X", point_geometry(M, [0.5, 0.5]), ExtremumKind.MIN)
         with pytest.raises(ValueError, match="^field does not classify as conformal"):
             conformal_bound_check(M, "X", rec)
 
@@ -1297,6 +1325,136 @@ class TestConformalBound:
         rec = scan_extrema(M, "X", grid=8).witness_records(M, "X")[0]
         with pytest.raises(ValueError, match="timelike at the critical point, got spacelike$"):
             conformal_bound_check(M, "X", rec)
+
+
+# Records whose causal character X contradicts at their point: (entry,
+# point, kind, the record's character, X's character there by its frame)
+CONTRADICTED = [
+    ("torus3_null_variant", [0.5, 0.3, 0.2], ExtremumKind.MAX, CausalCharacter.LIGHTLIKE,
+     "timelike"),
+    ("torus_family_mixed", [1 / 6, 0.0], ExtremumKind.MIN, CausalCharacter.TIMELIKE,
+     "lightlike"),
+    ("torus_family_mixed", [0.0, 0.0], ExtremumKind.MIN, CausalCharacter.TIMELIKE,
+     "spacelike"),
+]
+
+
+def _contradicted_record(entry, name, p, kind, causal):
+    M = entry(name).spec
+    return M, ExtremumRecord(point=M.wrap_point(np.array(p)), f_value=0.0, kind=kind,
+                             causal=causal, hessian_eigs=(1.0,) * M.dim)
+
+
+def _field_entries(entry):
+    """(spec, field, records, classification) of every catalog entry with a
+    designated field, from a 16-node scan."""
+    for name in list_examples():
+        e = entry(name)
+        if e.field_name:
+            M, x = e.spec, e.field_name
+            yield M, x, scan_extrema(M, x, grid=16).witness_records(M, x), classify_field(M, x)
+
+
+class TestOneReadingPerExtremum:
+    """The X-perp frame is the one reader of X's causal character at an
+    extremum; a record's own character only decides which records need no
+    frame at all."""
+
+    @pytest.mark.parametrize("name, p, kind, causal, actual", CONTRADICTED,
+                             ids=["timelike-marked-lightlike", "lightlike-marked-timelike",
+                                  "spacelike-marked-timelike"])
+    def test_the_witness_scopes_a_record_its_frame_contradicts(self, entry, count_calls,
+                                                              name, p, kind, causal, actual):
+        M, rec = _contradicted_record(entry, name, p, kind, causal)
+        frames = count_calls(obstruction, "perp_frame")
+        rep = extremum_witness(M, "X", rec)
+        assert len(frames) == 1
+        assert rep.verdict is Verdict.SCOPE and rep.case is None and rep.value is None
+        at = rec.point.tolist()
+        if actual == "spacelike":
+            assert rep.scope_reason == (f"field 'X' is spacelike at {at}; X-perp is built for "
+                                        "a timelike or lightlike X only; the record says "
+                                        "timelike")
+        else:
+            assert rep.scope_reason == f"X is {actual} at {at}; the record says {causal.value}"
+
+    def test_a_frame_is_built_only_for_a_record_that_needs_one(self, entry, count_calls):
+        """Over the scanned records of every catalog entry with a field and
+        the contradicted records, the witness builds one frame for a
+        record that passes its class, saddle, causal and parity exits, and
+        none for any other, which it answers SCOPE."""
+        frames = count_calls(obstruction, "perp_frame")
+        cases = list(_field_entries(entry))
+        for row in CONTRADICTED:
+            M, rec = _contradicted_record(entry, *row[:4])
+            cases.append((M, "X", [rec], classify_field(M, "X")))
+        parity = {CausalCharacter.TIMELIKE: 0, CausalCharacter.LIGHTLIKE: 1}
+        built = 0
+        for M, x, records, cls in cases:
+            for rec in records:
+                needs = (cls.is_homothetic_or_killing and rec.kind is not ExtremumKind.SADDLE
+                         and parity.get(rec.causal) == M.dim % 2)
+                frames.clear()
+                rep = extremum_witness(M, x, rec, classification=cls)
+                assert len(frames) == int(needs), (M.name, rec)
+                assert needs or rep.verdict is Verdict.SCOPE
+                built += needs
+        assert built > len(CONTRADICTED)
+
+    def test_the_conformal_check_builds_a_frame_only_for_a_timelike_record(self, entry,
+                                                                          count_calls):
+        """One frame for a record marked timelike, none for any other, over
+        the scanned records of the even-dimensional entries with a
+        conformal field; a record its frame finds lightlike is refused by
+        a ValueError naming both characters."""
+        frames = count_calls(obstruction, "perp_frame")
+        checked = set()
+        for M, x, records, cls in _field_entries(entry):
+            if cls.tag is FieldTag.NONE or M.dim % 2:
+                continue
+            for rec in records:
+                frames.clear()
+                try:
+                    conformal_bound_check(M, x, rec, classification=cls)
+                except ValueError:
+                    pass
+                assert len(frames) == int(rec.causal is CausalCharacter.TIMELIKE), (M.name, rec)
+                checked.add(rec.causal)
+        assert {CausalCharacter.TIMELIKE, CausalCharacter.SPACELIKE} <= checked
+        M, rec = _contradicted_record(entry, *CONTRADICTED[1][:4])
+        frames.clear()
+        with pytest.raises(ValueError) as refused:
+            conformal_bound_check(M, "X", rec)
+        assert len(frames) == 1
+        assert str(refused.value) == ("X is lightlike at [0.16666666666666666, 0.0]; "
+                                      "the record says timelike")
+
+    @pytest.mark.parametrize("name", ["torus_family", "minkowski2", "circle_lift_torus"])
+    def test_records_are_read_from_the_scans_batch(self, entry, monkeypatch, name):
+        """No point geometry is looked up after the batch of the refined
+        points (or, on a plateau, of the sampled points) is built."""
+        import lorentzgeo
+        events = []
+        batch = obstruction.point_geometries
+
+        def batched(M, points):
+            geos = batch(M, points)
+            events.append("batch")
+            return geos
+
+        monkeypatch.setattr(obstruction, "point_geometries", batched)
+        for mod in vars(lorentzgeo).values():
+            single = getattr(mod, "point_geometry", None)
+            if getattr(mod, "__name__", "").startswith("lorentzgeo.") and single is not None:
+                def looked_up(M, p, _single=single):
+                    events.append("single")
+                    return _single(M, p)
+                monkeypatch.setattr(mod, "point_geometry", looked_up)
+        e = entry(name)
+        scan = scan_extrema(e.spec, e.field_name, grid=16)
+        records = scan.witness_records(e.spec, e.field_name)
+        assert records and "batch" in events
+        assert "single" not in events[events.index("batch"):]
 
 
 def _reference_input_checks(M, xname, samples=30, seed=0):
