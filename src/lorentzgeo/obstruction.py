@@ -327,6 +327,15 @@ class WitnessReport:
     kernel_residual: float | None = None
 
 
+def _record_frame(M: ManifoldSpec, xname: str, record: ExtremumRecord):
+    """X-perp at the record's point; a SubspaceError unless X there is causal as recorded."""
+    frame = perp_frame(M, xname, record.point)
+    if frame.causal is not record.causal:
+        raise SubspaceError(f"X is {frame.causal.value} at {record.point.tolist()}; "
+                            f"the record says {record.causal.value}")
+    return frame
+
+
 def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
                      tol: float = WITNESS_TOL,
                      classification: FieldClass | None = None) -> WitnessReport:
@@ -342,9 +351,8 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     the top eigenvalue of the Jacobi form J of the
     :func:`~lorentzgeo.symmetry.perp_frame` at the extremum, with the
     plane of its eigenvector; every other value is cᵀJc at the kernel
-    direction c of A_X restricted to that frame.  Past the zero, spacelike
-    and parity exits, read from ``record.causal``, the frame's character
-    decides; a record it contradicts is out of scope, never raised.
+    direction c of A_X restricted to that frame, whose causal character
+    decides: a record it contradicts, like a parity mismatch, is SCOPE.
 
     For a causal field f <= 0 everywhere, so every lightlike point has
     f = 0 and is a global maximum of f: the paper's causal,
@@ -372,9 +380,7 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     if record.kind is ExtremumKind.SADDLE:
         return scope("saddle points are recorded but are not witness hypotheses")
 
-    p = record.point
-    cc = record.causal
-    m = M.dim
+    cc, m = record.causal, M.dim
 
     if cc is CausalCharacter.ZERO:
         return scope("field vanishes at the extremum")
@@ -387,24 +393,21 @@ def extremum_witness(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         return scope(f"{cc.value} extremum needs {parity} dimension, chart has m={m}")
 
     try:
-        frame = perp_frame(M, xname, p)
-    except SubspaceError as e:                      # X is spacelike or zero at p
-        return scope(f"{e}; the record says {cc.value}")
-    if frame.causal is not cc:
-        return scope(f"X is {frame.causal.value} at {p.tolist()}; the record says {cc.value}")
-    minimum = record.kind is ExtremumKind.MIN
+        frame = _record_frame(M, xname, record)
+    except SubspaceError as e:           # X is not causal there, or not as the record says
+        return scope(str(e))
+    nonnegative = (record.kind is ExtremumKind.MIN) == timelike   # a timelike min, lightlike max
     # a homothetic X has nabla X = skew + (lam/2) I; the kernel is the skew part's
     dX = M.field_derivs(xname, frame.geo) - 0.5 * classification.lam * np.eye(m)
     kv, kres = kernel_direction(restricted_operator(frame, dX))
     k_val = float(kv @ frame.jacobi @ kv)
-    if timelike and not minimum:
+    if timelike and not nonnegative:    # a timelike maximum: the largest K of all
         ks, vecs = np.linalg.eigh(frame.jacobi)
         top = int(np.argmax(ks))      # ties keep the first basis plane
         k_val, kv = float(ks[top]), vecs[:, top]
-    nonnegative = minimum == timelike     # K >= 0 at a timelike minimum or a lightlike maximum
     ok = k_val >= -tol if nonnegative else k_val <= tol
     return WitnessReport(record, Verdict.PASS if ok else Verdict.FAIL,
-                         plane=TangentPlane(p, kv @ frame.basis, frame.field),
+                         plane=TangentPlane(record.point, kv @ frame.basis, frame.field),
                          case=f"{cc.value}_{parity}", curvature_kind=frame.curvature_kind,
                          value=k_val, inequality=">= 0" if nonnegative else "<= 0",
                          kernel_residual=kres)
@@ -473,8 +476,8 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
     k-th value at a point is c_kᵀJc_k of the frame's Jacobi form:
     sectional at timelike points, null sectional at lightlike ones.  c_k
     is e_0 on a 1-row frame, else e_q turned towards e_{q+1} by
-    pi k / planes_per_point, q = k mod (d-1), built once per d.  ``k_min``
-    and ``k_max`` are exact, whatever the sampled planes: the least and largest
+    pi k / planes_per_point, q = k mod (d-1).  ``k_min`` and ``k_max``
+    are exact, whatever the sampled planes: the least and largest
     eigenvalue of J over the path's points.  A value is a zero when its
     magnitude is at most 1e-9 times the largest eigenvalue magnitude of
     J at its own point; no sign change is read next to a zero.  A
@@ -485,23 +488,21 @@ def plane_sign_scan(M: ManifoldSpec, xname: str, points,
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point}")
     scans: list[PointScan] = []
     ends: list[np.ndarray] = []
-    families: dict[int, np.ndarray] = {}     # the c_k of a d-row frame, one per d
     for geo in point_geometries(M, points):
         frame = perp_frame(M, xname, geo)
         d = len(frame.basis)
         if d == 0:
             raise ValueError(f"field is lightlike on the path at {geo.point.tolist()} on a "
                              "2-dimensional chart; no degenerate plane contains it")
-        if d not in families:
-            families[d] = np.zeros((planes_per_point, d))
-            for k, c in enumerate(families[d]):
-                if d == 1:
-                    c[0] = 1.0
-                else:
-                    alpha, q = math.pi * k / planes_per_point, k % (d - 1)
-                    c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
+        cs = np.zeros((planes_per_point, d))
+        for k, c in enumerate(cs):
+            if d == 1:
+                c[0] = 1.0
+            else:
+                alpha, q = math.pi * k / planes_per_point, k % (d - 1)
+                c[q], c[q + 1] = math.cos(alpha), math.sin(alpha)
         scans.append(PointScan(geo.point, frame.curvature_kind,
-                               tuple(float(c @ frame.jacobi @ c) for c in families[d])))
+                               tuple(float(c @ frame.jacobi @ c) for c in cs)))
         ends.append(np.linalg.eigvalsh(frame.jacobi)[[0, -1]])
 
     n_pts = len(scans)
@@ -553,7 +554,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
 
     Killing and homothetic fields are accepted as the sigma == const
     sub-cases; the bound then degenerates to the plain K >= 0 check.
-    X-perp's causal character decides: a record it contradicts is refused.
+    X-perp's causal character decides: a record it contradicts is a ValueError.
     """
     if classification is None:
         classification = classify_field(M, xname)
@@ -561,19 +562,16 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
         raise ValueError("field does not classify as conformal within tolerance")
     if M.dim % 2 != 0:
         raise ValueError("the conformal bound construction needs even dimension")
-    p = record.point
     if record.causal is not CausalCharacter.TIMELIKE:
         raise ValueError(f"field must be timelike at the critical point, "
                          f"got {record.causal.value}")
 
-    frame = perp_frame(M, xname, p)
-    if frame.causal is not CausalCharacter.TIMELIKE:
-        raise ValueError(f"X is {frame.causal.value} at {p.tolist()}; the record says timelike")
+    frame = _record_frame(M, xname, record)
     X, dX = frame.field, M.field_derivs(xname, frame.geo)
     sigma0, xs = _conformal_factor(energy_derivs(M, xname), frame.geo, X, dX)
     if abs(sigma0) > CONFORMAL_TOL:
         raise ValueError(
-            f"sigma({p.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
+            f"sigma({record.point.tolist()}) = {sigma0:.3e} is not ~0; the point is not "
             "critical for f or the field is misclassified")
 
     kv, kres = kernel_direction(restricted_operator(frame, dX))
@@ -583,7 +581,7 @@ def conformal_bound_check(M: ManifoldSpec, xname: str, record: ExtremumRecord,
     bound = 0.5 * xs / (-gxx)
     return ConformalBoundReport(
         sigma_at_point=sigma0, x_sigma=xs, bound=bound,
-        curvature=k_val, plane=TangentPlane(p, kv @ frame.basis, X),
+        curvature=k_val, plane=TangentPlane(record.point, kv @ frame.basis, X),
         bound_verdict=Verdict.PASS if k_val >= bound - CONFORMAL_TOL else Verdict.FAIL,
         nonnegativity_verdict=Verdict.PASS if k_val >= -CONFORMAL_TOL else Verdict.FAIL,
         kernel_residual=kres)

@@ -1373,8 +1373,7 @@ class TestOneReadingPerExtremum:
         at = rec.point.tolist()
         if actual == "spacelike":
             assert rep.scope_reason == (f"field 'X' is spacelike at {at}; X-perp is built for "
-                                        "a timelike or lightlike X only; the record says "
-                                        "timelike")
+                                        "a timelike or lightlike X only")
         else:
             assert rep.scope_reason == f"X is {actual} at {at}; the record says {causal.value}"
 
